@@ -89,11 +89,6 @@ def mono_product(a: Mono, b: Mono) -> Mono:
     return Mono(a.i1 + b.i1, a.i2 + b.i2 + 1, b.s)
 
 
-def laurent_perm_product(a: Mono, b: Mono) -> dict:
-    """The product as a formal sum: always exactly one term with coefficient 1."""
-    return {mono_product(a, b): ONE}
-
-
 def graded_form(a: Mono, b: Mono) -> Fraction:
     """ϖ(x^{i}∂₂, x^{j}∂₁) = δ_{i+j,0}; antisymmetric; zero on equal ∂-indices."""
     if a.s == b.s:
@@ -112,23 +107,6 @@ def laurent_dual_basis(m: Mono) -> tuple[Mono, int]:
     if m.s == 1:
         return Mono(-m.i1, -m.i2, 2), 1
     return Mono(-m.i1, -m.i2, 1), -1
-
-
-def laurent_nu_coefficient(b: Mono, e: Mono, f: Mono) -> Fraction:
-    """Coefficient of e⊗f in ν(b).
-
-    ν(x₁^{m}x₂^{n}∂ₛ) = Σ_{i} (x₁^{i₁}x₂^{i₂}∂₁ ⊗ x₁^{m−i₁}x₂^{n−i₂+1}∂ₛ
-                              − x₁^{i₁}x₂^{i₂}∂₂ ⊗ x₁^{m−i₁+1}x₂^{n−i₂}∂ₛ).
-    """
-    if f.s != b.s:
-        return ZERO
-    if e.s == 1:
-        if e.i1 + f.i1 == b.i1 and e.i2 + f.i2 == b.i2 + 1:
-            return ONE
-        return ZERO
-    if e.i1 + f.i1 == b.i1 + 1 and e.i2 + f.i2 == b.i2:
-        return -ONE
-    return ZERO
 
 
 def _nu_terms_by_first(b: Mono, u: Mono):
@@ -388,17 +366,6 @@ def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
 
 
 # --- completed ASI bialgebra -------------------------------------------------
-
-
-def affine_delta_coefficient(
-    D: FinAlgebra, theta: CoalgStruct, source, target
-) -> Fraction:
-    """Coefficient of (d'⊗e)⊗(d''⊗f) in Δ(d⊗b) = θ_≻(d)•ν(b) + θ_≺(d)•τ̂ν(b)."""
-    d, b = source
-    (dp, e), (dq, f) = target
-    gt = theta.coproducts["co_gt"][d][dp][dq]
-    lt = theta.coproducts["co_lt"][d][dp][dq]
-    return gt * laurent_nu_coefficient(b, e, f) + lt * laurent_nu_coefficient(b, f, e)
 
 
 def _delta_expand(D: FinAlgebra, theta: CoalgStruct, d: int, b: Mono, bound: int) -> dict:

@@ -4,11 +4,18 @@ Five algebra kinds are supported: dendriform (two products ``lt`` = ≺ and
 ``gt`` = ≻), pre-Lie (``mul`` = ⋄), perm (``mul``), associative (``mul``) and
 Lie (``bracket``).  A structure-constant cube ``c`` encodes a product by
 ``c[k][i][j]`` = coefficient of basis element k in bᵢ·bⱼ.
+
+The cube is the canonical form: it is what files, equality and the
+constructions read.  Each algebra also derives, once in its constructor, a
+private sparse table (i, j) ↦ ((k, c), …) holding the nonzero constants
+only, and every product, left and right multiplication goes through
+`exact.combine` over that table.  Bimodules keep the same kind of table for
+their action matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -16,11 +23,12 @@ from .exact import (
     LinMap,
     Vec,
     ZERO,
+    combine,
     freeze_cube,
-    mat_add,
-    mat_mul,
-    mat_sub,
-    zero_matrix,
+    nonzero,
+    reshape,
+    sparse_flat,
+    transpose,
 )
 
 KIND_OPS = {
@@ -39,7 +47,7 @@ KIND_BIMODULE_ACTIONS = {
 }
 
 
-def _first_nonzero_nested(x, path=()):
+def first_nonzero_nested(x, path=()):
     """Depth-first search for the first nonzero scalar in nested containers."""
     if isinstance(x, Fraction):
         return (path, x) if x != 0 else None
@@ -48,7 +56,7 @@ def _first_nonzero_nested(x, path=()):
     else:
         items = enumerate(x)
     for i, y in items:
-        hit = _first_nonzero_nested(y, path + (i,))
+        hit = first_nonzero_nested(y, path + (i,))
         if hit is not None:
             return hit
     return None
@@ -71,14 +79,14 @@ class CheckReport:
     def from_residuals(subject: str, residuals: dict) -> "CheckReport":
         first = None
         for name, res in residuals.items():
-            hit = _first_nonzero_nested(res)
+            hit = first_nonzero_nested(res)
             if hit is not None:
                 first = (name, hit[0], hit[1])
                 break
         return CheckReport(subject, residuals, first is None, first)
 
     def law_ok(self, name: str) -> bool:
-        return _first_nonzero_nested(self.residuals[name]) is None
+        return first_nonzero_nested(self.residuals[name]) is None
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,7 @@ class FinAlgebra:
     kind: str
     dim: int
     products: dict
+    _pairs: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: str, dim: int, products: dict):
         if kind not in KIND_OPS:
@@ -106,6 +115,15 @@ class FinAlgebra:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "products", frozen)
+        # Entry i·dim + j lists the nonzero (k, c) of bᵢ·bⱼ.
+        object.__setattr__(self, "_pairs", {
+            name: tuple(
+                tuple((k, cube[k][i][j]) for k in range(dim) if cube[k][i][j])
+                for i in range(dim)
+                for j in range(dim)
+            )
+            for name, cube in frozen.items()
+        })
 
     @property
     def ops(self) -> tuple[str, ...]:
@@ -115,50 +133,33 @@ class FinAlgebra:
         """Coefficient of basis element k in bᵢ·bⱼ."""
         return self.products[op][k][i][j]
 
+    def product_terms(self, op: str, i: int, j: int) -> tuple:
+        """The nonzero (k, c) with bᵢ·bⱼ = Σ c·bₖ."""
+        return self._pairs[op][i * self.dim + j]
+
     def multiply(self, op: str, u: Vec, v: Vec) -> Vec:
-        cube = self.products[op]
         n = self.dim
-        return Vec(
-            tuple(
-                sum(
-                    (
-                        u.coords[i] * v.coords[j] * cube[k][i][j]
-                        for i in range(n)
-                        for j in range(n)
-                    ),
-                    ZERO,
-                )
-                for k in range(n)
-            )
-        )
+        right = nonzero(v.coords)
+        terms = ((i * n + j, a * b) for i, a in nonzero(u.coords) for j, b in right)
+        return Vec(combine(terms, self._pairs[op], n))
 
     def left_mult(self, op: str, a: Vec) -> LinMap:
         """Matrix of v ↦ a·v."""
-        cube = self.products[op]
         n = self.dim
-        return LinMap(
-            tuple(
-                tuple(
-                    sum((a.coords[i] * cube[k][i][j] for i in range(n)), ZERO)
-                    for j in range(n)
-                )
-                for k in range(n)
-            )
-        )
+        left = nonzero(a.coords)
+        # Column j is the product a·bⱼ.
+        cols = [combine(((i * n + j, x) for i, x in left), self._pairs[op], n)
+                for j in range(n)]
+        return LinMap(transpose(cols))
 
     def right_mult(self, op: str, a: Vec) -> LinMap:
         """Matrix of v ↦ v·a."""
-        cube = self.products[op]
         n = self.dim
-        return LinMap(
-            tuple(
-                tuple(
-                    sum((a.coords[j] * cube[k][i][j] for j in range(n)), ZERO)
-                    for i in range(n)
-                )
-                for k in range(n)
-            )
-        )
+        right = nonzero(a.coords)
+        # Column i is the product bᵢ·a.
+        cols = [combine(((i * n + j, x) for j, x in right), self._pairs[op], n)
+                for i in range(n)]
+        return LinMap(transpose(cols))
 
     def basis(self, i: int) -> Vec:
         return Vec.basis(self.dim, i)
@@ -175,6 +176,7 @@ class Bimodule:
     algebra: FinAlgebra
     dim: int
     actions: dict
+    _flat: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, algebra: FinAlgebra, dim: int, actions: dict):
         if algebra.kind not in KIND_BIMODULE_ACTIONS:
@@ -198,18 +200,14 @@ class Bimodule:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "actions", frozen)
+        # Entry i lists the nonzero entries of the matrix of bᵢ, flattened.
+        object.__setattr__(self, "_flat", {
+            name: tuple(sparse_flat(m) for m in mats) for name, mats in frozen.items()
+        })
 
     def action(self, name: str, a: Vec) -> LinMap:
-        mats = self.actions[name]
         n = self.dim
-        acc = zero_matrix(n, n)
-        for i, c in enumerate(a.coords):
-            if c != 0:
-                acc = mat_add(acc, tuple(tuple(c * x for x in row) for row in mats[i]))
-        return LinMap(acc)
-
-    def basis_action(self, name: str, i: int) -> LinMap:
-        return LinMap(self.actions[name][i])
+        return LinMap(reshape(combine(nonzero(a.coords), self._flat[name], n * n), n))
 
 
 def regular_bimodule(alg: FinAlgebra) -> Bimodule:

@@ -1,33 +1,38 @@
 """Coalgebras, bialgebras and the quadratic-perm induction machinery.
 
 A coproduct on a based space is stored as a cube ``t[i][j][k]`` = coefficient
-of bⱼ⊗bₖ in the coproduct of bᵢ.  Bialgebra checks pair a FinAlgebra with a
-CoalgStruct of the same kind and verify the compatibility laws exhaustively on
-basis elements, reporting exact residual tensors.
+of bⱼ⊗bₖ in the coproduct of bᵢ.  The cube is the canonical form; a private
+sparse table of its nonzero entries, derived once in the constructor, feeds
+`exact.combine` for every coproduct evaluation.  Bialgebra checks pair a
+FinAlgebra with a CoalgStruct of the same kind and verify the compatibility
+laws exhaustively on basis elements, reporting exact residual tensors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from dataclasses import dataclass, field
 
 from .algebras import CheckReport, FinAlgebra
 from .exact import (
     BilinForm,
     LinMap,
     Tensor2,
+    Tensor3,
     Vec,
     ZERO,
+    combine,
     dual_basis,
-    flip,
     flip3,
     freeze_cube,
     mat_inverse,
     mat_mul,
     mat_sub,
+    nonzero,
+    on_left,
+    on_right,
+    reshape,
+    sparse_flat,
     transpose,
-    Tensor3,
 )
 from .functors import (
     commutator_lie,
@@ -51,6 +56,7 @@ class CoalgStruct:
     kind: str
     dim: int
     coproducts: dict
+    _flat: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: str, dim: int, coproducts: dict):
         if kind not in KIND_COOPS:
@@ -71,6 +77,10 @@ class CoalgStruct:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coproducts", frozen)
+        # Entry i lists the nonzero (j·dim + k, c) of the coproduct of bᵢ.
+        object.__setattr__(self, "_flat", {
+            name: tuple(sparse_flat(m) for m in cube) for name, cube in frozen.items()
+        })
 
     def basis_coproduct(self, name: str, i: int):
         """Coefficient matrix of the coproduct of basis element i."""
@@ -78,49 +88,27 @@ class CoalgStruct:
 
     def coproduct(self, name: str, v: Vec) -> Tensor2:
         n = self.dim
-        cube = self.coproducts[name]
-        return Tensor2(
-            tuple(
-                tuple(
-                    sum((v.coords[i] * cube[i][j][k] for i in range(n)), ZERO)
-                    for k in range(n)
-                )
-                for j in range(n)
-            )
-        )
+        return Tensor2(reshape(combine(nonzero(v.coords), self._flat[name], n * n), n))
 
 
-def _co_first(family, m) -> Tensor3:
-    """(θ⊗id) applied to the 2-tensor with coefficient matrix ``m``.
-
-    ``family[j]`` is the coefficient matrix of θ(bⱼ).
-    """
+def _co_first(coalg: CoalgStruct, name: str, m) -> Tensor3:
+    """(θ⊗id) applied to the 2-tensor with coefficient matrix ``m``, θ = ``name``."""
     n = len(m)
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            c = m[j][k]
-            if c != 0:
-                tj = family[j]
-                for p in range(n):
-                    for q in range(n):
-                        out[p][q][k] += c * tj[p][q]
-    return Tensor3(out)
+    # Slab k holds (θ⊗id)(Σⱼ m[j][k] bⱼ⊗bₖ) without its last slot, flattened.
+    slabs = [
+        combine(nonzero(col), coalg._flat[name], n * n) for col in transpose(m)
+    ]
+    return Tensor3(
+        tuple(tuple(tuple(s[p * n + q] for s in slabs) for q in range(n)) for p in range(n))
+    )
 
 
-def _co_second(family, m) -> Tensor3:
-    """(id⊗θ) applied to the 2-tensor with coefficient matrix ``m``."""
+def _co_second(coalg: CoalgStruct, name: str, m) -> Tensor3:
+    """(id⊗θ) applied to the 2-tensor with coefficient matrix ``m``, θ = ``name``."""
     n = len(m)
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            c = m[j][k]
-            if c != 0:
-                tk = family[k]
-                for q in range(n):
-                    for r in range(n):
-                        out[j][q][r] += c * tk[q][r]
-    return Tensor3(out)
+    return Tensor3(
+        tuple(reshape(combine(nonzero(row), coalg._flat[name], n * n), n) for row in m)
+    )
 
 
 def check_coalgebra(coalg: CoalgStruct) -> CheckReport:
@@ -136,15 +124,21 @@ def check_coalgebra(coalg: CoalgStruct) -> CheckReport:
             # (θ_≺⊗id)θ_≺ = (id⊗θ_≺)θ_≺ + (id⊗θ_≻)θ_≺
             res1.append(
                 (
-                    _co_first(lt, lt[i]) - _co_second(lt, lt[i]) - _co_second(gt, lt[i])
+                    _co_first(coalg, "co_lt", lt[i])
+                    - _co_second(coalg, "co_lt", lt[i])
+                    - _co_second(coalg, "co_gt", lt[i])
                 ).coeffs
             )
             # (θ_≻⊗id)θ_≺ = (id⊗θ_≺)θ_≻
-            res2.append((_co_first(gt, lt[i]) - _co_second(lt, gt[i])).coeffs)
+            res2.append(
+                (_co_first(coalg, "co_gt", lt[i]) - _co_second(coalg, "co_lt", gt[i])).coeffs
+            )
             # (id⊗θ_≻)θ_≻ = (θ_≺⊗id)θ_≻ + (θ_≻⊗id)θ_≻
             res3.append(
                 (
-                    _co_second(gt, gt[i]) - _co_first(lt, gt[i]) - _co_first(gt, gt[i])
+                    _co_second(coalg, "co_gt", gt[i])
+                    - _co_first(coalg, "co_lt", gt[i])
+                    - _co_first(coalg, "co_gt", gt[i])
                 ).coeffs
             )
         residuals = {
@@ -157,8 +151,8 @@ def check_coalgebra(coalg: CoalgStruct) -> CheckReport:
         res = []
         for i in range(n):
             # (id⊗ϑ)ϑ − (τ⊗id)(id⊗ϑ)ϑ = (ϑ⊗id)ϑ − (τ⊗id)(ϑ⊗id)ϑ
-            a = _co_second(co, co[i])
-            b = _co_first(co, co[i])
+            a = _co_second(coalg, "co", co[i])
+            b = _co_first(coalg, "co", co[i])
             res.append(((a - t12(a)) - (b - t12(b))).coeffs)
         residuals = {"co_pre_lie": tuple(res)}
     elif k == "lie":
@@ -168,15 +162,15 @@ def check_coalgebra(coalg: CoalgStruct) -> CheckReport:
             # τδ = −δ
             anti.append(mat_sub(transpose(co[i]), tuple(tuple(-x for x in r) for r in co[i])))
             # (id⊗δ)δ − (τ⊗id)(id⊗δ)δ = (δ⊗id)δ
-            a = _co_second(co, co[i])
-            jac.append((a - t12(a) - _co_first(co, co[i])).coeffs)
+            a = _co_second(coalg, "co", co[i])
+            jac.append((a - t12(a) - _co_first(coalg, "co", co[i])).coeffs)
         residuals = {"co_antisymmetry": tuple(anti), "co_jacobi": tuple(jac)}
     elif k == "perm":
         co = coalg.coproducts["co"]
         r1, r2 = [], []
         for i in range(n):
-            a = _co_first(co, co[i])
-            b = _co_second(co, co[i])
+            a = _co_first(coalg, "co", co[i])
+            b = _co_second(coalg, "co", co[i])
             # (ν⊗id)ν = (id⊗ν)ν = (τ⊗id)(id⊗ν)ν
             r1.append((a - b).coeffs)
             r2.append((b - t12(b)).coeffs)
@@ -185,21 +179,13 @@ def check_coalgebra(coalg: CoalgStruct) -> CheckReport:
         co = coalg.coproducts["co"]
         res = []
         for i in range(n):
-            res.append((_co_first(co, co[i]) - _co_second(co, co[i])).coeffs)
+            res.append(
+                (_co_first(coalg, "co", co[i]) - _co_second(coalg, "co", co[i])).coeffs
+            )
         residuals = {"coassociativity": tuple(res)}
     else:  # pragma: no cover
         raise ValueError(k)
     return CheckReport.from_residuals(f"{k} coalgebra", residuals)
-
-
-def _left(m, t):
-    """(M⊗id) on a Tensor2 coefficient matrix."""
-    return mat_mul(m, t)
-
-
-def _right(m, t):
-    """(id⊗M) on a Tensor2 coefficient matrix."""
-    return mat_mul(t, transpose(m))
 
 
 def _tau(t):
@@ -246,10 +232,10 @@ def check_bialgebra(
                 ad2 = alg.left_mult("bracket", g2).matrix
                 dbr = coalg.coproduct("co", alg.multiply("bracket", g1, g2)).coeffs
                 rhs = _madd(
-                    _left(ad1, co[j]),
-                    _right(ad1, co[j]),
-                    _neg(_left(ad2, co[i])),
-                    _neg(_right(ad2, co[i])),
+                    on_left(ad1, co[j]),
+                    on_right(ad1, co[j]),
+                    _neg(on_left(ad2, co[i])),
+                    _neg(on_right(ad2, co[i])),
                 )
                 row.append(mat_sub(dbr, rhs))
             res.append(tuple(row))
@@ -277,10 +263,10 @@ def check_bialgebra(
                     mat_sub(
                         anti12,
                         _madd(
-                            _left(l1, anti2),
-                            _right(l1, anti2),
-                            _right(r2m, th1),
-                            _neg(_left(r2m, _tau(th1))),
+                            on_left(l1, anti2),
+                            on_right(l1, anti2),
+                            on_right(r2m, th1),
+                            _neg(on_left(r2m, _tau(th1))),
                         ),
                     )
                 )
@@ -294,10 +280,10 @@ def check_bialgebra(
                     mat_sub(
                         thbr,
                         _madd(
-                            _right(mat_sub(r2m, l2), th1),
-                            _right(mat_sub(l1, r1m), th2),
-                            _left(l1, th2),
-                            _neg(_left(l2, th1)),
+                            on_right(mat_sub(r2m, l2), th1),
+                            on_right(mat_sub(l1, r1m), th2),
+                            on_left(l1, th2),
+                            _neg(on_left(l2, th1)),
                         ),
                     )
                 )
@@ -318,11 +304,11 @@ def check_bialgebra(
                 dmul = coalg.coproduct("co", alg.multiply("mul", a1, a2)).coeffs
                 # Δ(a₁∗a₂) = (𝔯(a₂)⊗id)(Δ(a₁)) + (id⊗𝔩(a₁))(Δ(a₂))
                 row1.append(
-                    mat_sub(dmul, _madd(_left(r2m, co[i]), _right(l1, co[j])))
+                    mat_sub(dmul, _madd(on_left(r2m, co[i]), on_right(l1, co[j])))
                 )
                 # (𝔩(a₁)⊗id − id⊗𝔯(a₁))(Δ(a₂)) = τ((id⊗𝔯(a₂) − 𝔩(a₂)⊗id)(Δ(a₁)))
-                lhs = mat_sub(_left(l1, co[j]), _right(r1m, co[j]))
-                rhs = _tau(mat_sub(_right(r2m, co[i]), _left(l2, co[i])))
+                lhs = mat_sub(on_left(l1, co[j]), on_right(r1m, co[j]))
+                rhs = _tau(mat_sub(on_right(r2m, co[i]), on_left(l2, co[i])))
                 row2.append(mat_sub(lhs, rhs))
             res1.append(tuple(row1))
             res2.append(tuple(row2))
@@ -363,14 +349,14 @@ def check_bialgebra(
                 rows["dbi1"].append(
                     mat_sub(
                         colt_star,
-                        _madd(_right(lgt1, colt[j]), _left(rstar2, colt[i])),
+                        _madd(on_right(lgt1, colt[j]), on_left(rstar2, colt[i])),
                     )
                 )
                 # θ_≻(d₁∗d₂) = (id⊗(𝔩_≺+𝔩_≻)(d₁))(θ_≻(d₂)) + (𝔯_≺(d₂)⊗id)(θ_≻(d₁))
                 rows["dbi2"].append(
                     mat_sub(
                         cogt_star,
-                        _madd(_right(lstar1, cogt[j]), _left(rlt2, cogt[i])),
+                        _madd(on_right(lstar1, cogt[j]), on_left(rlt2, cogt[i])),
                     )
                 )
                 # (θ_≺+θ_≻)(d₁≺d₂) = (id⊗𝔩_≺(d₁))(θ_≻(d₂))
@@ -379,8 +365,8 @@ def check_bialgebra(
                     mat_sub(
                         _madd(colt_lt, cogt_lt),
                         _madd(
-                            _right(llt1, cogt[j]),
-                            _left(rlt2, _madd(colt[i], cogt[i])),
+                            on_right(llt1, cogt[j]),
+                            on_left(rlt2, _madd(colt[i], cogt[i])),
                         ),
                     )
                 )
@@ -392,19 +378,19 @@ def check_bialgebra(
                     mat_sub(
                         _madd(colt_gt, cogt_gt),
                         _madd(
-                            _right(lgt1, _madd(colt[j], cogt[j])),
-                            _left(rgt2, colt[i]),
+                            on_right(lgt1, _madd(colt[j], cogt[j])),
+                            on_left(rgt2, colt[i]),
                         ),
                     )
                 )
                 # ((𝔩_≺+𝔩_≻)(d₁)⊗id − id⊗𝔯_≺(d₁))(θ_≺(d₂))
                 #   = −τ((𝔩_≻(d₂)⊗id − id⊗(𝔯_≺+𝔯_≻)(d₂))(θ_≻(d₁)))
-                lhs5 = mat_sub(_left(lstar1, colt[j]), _right(rlt1, colt[j]))
+                lhs5 = mat_sub(on_left(lstar1, colt[j]), on_right(rlt1, colt[j]))
                 rhs5 = _neg(
                     _tau(
                         mat_sub(
-                            _left(lgt2, cogt[i]),
-                            _right(_madd(rlt2, rgt2), cogt[i]),
+                            on_left(lgt2, cogt[i]),
+                            on_right(_madd(rlt2, rgt2), cogt[i]),
                         )
                     )
                 )
@@ -416,20 +402,20 @@ def check_bialgebra(
                 # corrected reading makes the pair {fifth, sixth} equivalent
                 # to the second completed compatibility law.
                 lhs6 = mat_sub(
-                    _left(lgt2, _madd(colt[i], cogt[i])),
-                    _right(rlt2, _madd(colt[i], cogt[i])),
+                    on_left(lgt2, _madd(colt[i], cogt[i])),
+                    on_right(rlt2, _madd(colt[i], cogt[i])),
                 )
                 if dbi6_reading == "corrected":
                     rhs6 = _tau(
-                        mat_sub(_right(rgt1, cogt[j]), _left(llt1, colt[j]))
+                        mat_sub(on_right(rgt1, cogt[j]), on_left(llt1, colt[j]))
                     )
                 elif dbi6_reading == "symmetric":
                     rhs6 = _tau(
-                        mat_sub(_right(rgt2, cogt[i]), _left(llt2, colt[i]))
+                        mat_sub(on_right(rgt2, cogt[i]), on_left(llt2, colt[i]))
                     )
                 else:
                     rhs6 = _tau(
-                        mat_sub(_right(rgt2, cogt[j]), _left(llt2, colt[j]))
+                        mat_sub(on_right(rgt2, cogt[j]), on_left(llt2, colt[j]))
                     )
                 rows["dbi6"].append(mat_sub(lhs6, rhs6))
             for name in res:

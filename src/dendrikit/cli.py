@@ -185,12 +185,12 @@ def ybe(eq, algebra_file, r_file, fmt):
     report.record_file(algebra_file)
     report.record_file(r_file)
     residual = ybe_residual(pf.algebra, rf.tensor)
-    from .algebras import _first_nonzero_nested
+    from .algebras import first_nonzero_nested
 
     report.add_check(
         f"{eq}_residual",
         residual.is_zero(),
-        first_violation=_first_nonzero_nested(residual.coeffs),
+        first_violation=first_nonzero_nested(residual.coeffs),
         detail=f"{pf.kind} Yang-Baxter equation",
     )
     _finish(report, fmt)
@@ -438,7 +438,7 @@ def affine(dend_file, window_n, which, fmt):
 
 
 def _check_products_match(report, check_id, got, expected):
-    from .algebras import _first_nonzero_nested
+    from .algebras import first_nonzero_nested
 
     diffs = {
         nm: tuple(
@@ -447,12 +447,12 @@ def _check_products_match(report, check_id, got, expected):
         )
         for nm in got.products
     }
-    fv = _first_nonzero_nested(diffs)
+    fv = first_nonzero_nested(diffs)
     report.add_check(check_id, fv is None, first_violation=fv)
 
 
 def _check_coproducts_match(report, check_id, got, expected):
-    from .algebras import _first_nonzero_nested
+    from .algebras import first_nonzero_nested
 
     diffs = {
         nm: tuple(
@@ -461,14 +461,14 @@ def _check_coproducts_match(report, check_id, got, expected):
         )
         for nm in got.coproducts
     }
-    fv = _first_nonzero_nested(diffs)
+    fv = first_nonzero_nested(diffs)
     report.add_check(check_id, fv is None, first_violation=fv)
 
 
 def _check_matrix_match(report, check_id, got, expected):
-    from .algebras import _first_nonzero_nested
+    from .algebras import first_nonzero_nested
 
-    fv = _first_nonzero_nested(mat_sub(got, expected))
+    fv = first_nonzero_nested(mat_sub(got, expected))
     report.add_check(check_id, fv is None, first_violation=fv)
 
 
@@ -489,9 +489,9 @@ def _reproduce_ex_2_2(report):
             )
             row.append((lhs - rhs).coords)
         res.append(tuple(row))
-    from .algebras import _first_nonzero_nested, dendriform_from_rota_baxter
+    from .algebras import first_nonzero_nested, dendriform_from_rota_baxter
 
-    fv = _first_nonzero_nested(res)
+    fv = first_nonzero_nested(res)
     report.add_check("rota_baxter_identity", fv is None, first_violation=fv)
     split = dendriform_from_rota_baxter(A, R)
     report.add_report(check_axioms(split), prefix="split_dendriform:")
@@ -547,13 +547,13 @@ def _reproduce_ex_3_13(report):
     _check_matrix_match(
         report, "lift_match", rhat.coeffs, examples.expected_lift().coeffs
     )
-    from .algebras import _first_nonzero_nested
+    from .algebras import first_nonzero_nested
 
     residual = ybe_residual(lie, rhat)
     report.add_check(
         "lift_solves_cybe",
         residual.is_zero(),
-        first_violation=_first_nonzero_nested(residual.coeffs),
+        first_violation=first_nonzero_nested(residual.coeffs),
     )
     _add_transfer(
         report,
@@ -611,14 +611,14 @@ def _reproduce_ex_4_27(report):
     r0 = _load_corpus(report, "r-e1e1.json").tensor
     r11 = _load_corpus(report, "r-beta1-gamma1.json").tensor
     r01 = _load_corpus(report, "r-beta0-gamma1.json").tensor
-    from .algebras import _first_nonzero_nested
+    from .algebras import first_nonzero_nested
 
     for name, r in (("alpha1", r0), ("beta1_gamma1", r11), ("beta0_gamma1", r01)):
         residual = ybe_residual(D, r)
         report.add_check(
             f"dybe_residual_{name}",
             residual.is_zero(),
-            first_violation=_first_nonzero_nested(residual.coeffs),
+            first_violation=first_nonzero_nested(residual.coeffs),
         )
     theta = coboundary_coproduct(D, r0)
     _check_coproducts_match(

@@ -2,8 +2,10 @@
 
 Files are UTF-8 JSON with a top-level ``"format": 1``.  Structure constants
 are stored as sparse entry lists; coefficients are exact rationals rendered
-as strings (``"3"``, ``"-5/7"``) and must be in lowest terms.  Unknown keys
-anywhere in a file are rejected so that typos cannot silently change meaning.
+as strings (``"3"``, ``"-5/7"``) in canonical form: ASCII digits, no
+surrounding whitespace, no leading zeros or ``-0``, lowest terms.  Unknown
+keys anywhere in a file are rejected so that typos cannot silently change
+meaning.
 
 Reports serialize with a fixed field order so identical inputs always produce
 byte-identical JSON.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .algebras import KIND_OPS, FinAlgebra, _first_nonzero_nested
+from .algebras import KIND_OPS, FinAlgebra, first_nonzero_nested
 from .bialgebras import (
     KIND_COOPS,
     CoalgStruct,
@@ -30,7 +32,7 @@ from .exact import ZERO, BilinForm, LinMap, Tensor2
 
 FORMAT_VERSION = 1
 
-_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
+_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 class FileFormatError(ValueError):
@@ -38,7 +40,7 @@ class FileFormatError(ValueError):
 
 
 def parse_coeff(text: str, where: str = "coeff") -> Fraction:
-    """Parse an exact rational string, rejecting anything not in lowest terms."""
+    """Parse an exact rational string, rejecting anything but its canonical form."""
     if not isinstance(text, str) or not _COEFF_RE.match(text):
         raise FileFormatError(f"{where}: {text!r} is not a rational string")
     if "/" in text:
@@ -48,8 +50,14 @@ def parse_coeff(text: str, where: str = "coeff") -> Fraction:
             raise FileFormatError(f"{where}: zero denominator in {text!r}")
         if den == 1 or gcd(abs(num), den) != 1:
             raise FileFormatError(f"{where}: {text!r} is not reduced")
-        return Fraction(num, den)
-    return Fraction(int(text))
+        value = Fraction(num, den)
+    else:
+        value = Fraction(int(text))
+    if format_coeff(value) != text:
+        raise FileFormatError(
+            f"{where}: {text!r} is not canonical (write {format_coeff(value)!r})"
+        )
+    return value
 
 
 def format_coeff(value: Fraction) -> str:
@@ -162,11 +170,11 @@ def parse_algebra(path) -> ParsedFile:
     _require_keys(raw, {"format", "kind", "dim", "basis", "products", "coproducts",
                         "form", "entries", "matrix"}, {"format", "kind", "dim"},
                   str(path))
-    if raw["format"] != FORMAT_VERSION:
+    if type(raw["format"]) is not int or raw["format"] != FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported format {raw['format']!r}")
     kind = raw["kind"]
     dim = raw["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError(f"{path}: dim must be a positive integer")
     basis = raw.get("basis", [f"b{i}" for i in range(dim)])
     if not isinstance(basis, list) or len(basis) != dim or not all(
@@ -308,7 +316,7 @@ class Report:
             if not ok and rep.first_violation and rep.first_violation[0] == name:
                 fv = (rep.first_violation[1], rep.first_violation[2])
             if not ok and fv is None:
-                fv = _first_nonzero_nested(rep.residuals[name])
+                fv = first_nonzero_nested(rep.residuals[name])
             self.add_check(f"{prefix}{name}", ok, first_violation=fv,
                            detail=rep.subject)
 

@@ -20,8 +20,9 @@ from .exact import (
     ZERO,
     flip,
     mat_add,
-    mat_mul,
     mat_sub,
+    on_left,
+    on_right,
     sharp,
     transpose,
 )
@@ -52,21 +53,21 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
         raise ValueError("r-matrix dimension does not match the algebra")
     out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
 
-    def add(vec_slot: int, fixed, v: Vec, c: Fraction):
-        """Accumulate c · (tensor with ``v`` in vec_slot and basis indices elsewhere)."""
+    def add(vec_slot: int, fixed, terms, c: Fraction):
+        """Accumulate c · (tensor with Σ x·bₖ over ``terms`` in vec_slot and
+        basis indices elsewhere)."""
         p, q = fixed
-        for k in range(n):
-            x = c * v.coords[k]
-            if x != 0:
-                if vec_slot == 0:
-                    out[k][p][q] += x
-                elif vec_slot == 1:
-                    out[p][k][q] += x
-                else:
-                    out[p][q][k] += x
+        for k, x in terms:
+            x = c * x
+            if vec_slot == 0:
+                out[k][p][q] += x
+            elif vec_slot == 1:
+                out[p][k][q] += x
+            else:
+                out[p][q][k] += x
 
     if alg.kind == "lie":
-        br = lambda i, j: alg.multiply("bracket", alg.basis(i), alg.basis(j))
+        br = lambda i, j: alg.product_terms("bracket", i, j)
         for x1, y1, c1 in _entries(r):
             for x2, y2, c2 in _entries(r):
                 c = c1 * c2
@@ -74,7 +75,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(2, (x1, x2), br(y1, y2), c)      # [r₁₃, r₂₃]
                 add(1, (x1, y2), br(y1, x2), c)      # [r₁₂, r₂₃]
     elif alg.kind == "prelie":
-        mul = lambda i, j: alg.multiply("mul", alg.basis(i), alg.basis(j))
+        mul = lambda i, j: alg.product_terms("mul", i, j)
         for x1, y1, c1 in _entries(r):
             for x2, y2, c2 in _entries(r):
                 c = c1 * c2
@@ -87,7 +88,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(0, (x2, y1), mul(x1, y2), -c)     # − r₁₃⋄r₂₁
                 add(2, (x1, x2), mul(y1, y2), -c)     # − r₁₃⋄r₂₃
     elif alg.kind == "assoc":
-        mul = lambda i, j: alg.multiply("mul", alg.basis(i), alg.basis(j))
+        mul = lambda i, j: alg.product_terms("mul", i, j)
         for x1, y1, c1 in _entries(r):
             for x2, y2, c2 in _entries(r):
                 c = c1 * c2
@@ -95,8 +96,8 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(2, (x1, x2), mul(y1, y2), c)      # + r₁₃∗r₂₃
                 add(1, (x2, y1), mul(x1, y2), -c)     # − r₂₃∗r₁₂
     elif alg.kind == "dendriform":
-        lt = lambda i, j: alg.multiply("lt", alg.basis(i), alg.basis(j))
-        gt = lambda i, j: alg.multiply("gt", alg.basis(i), alg.basis(j))
+        lt = lambda i, j: alg.product_terms("lt", i, j)
+        gt = lambda i, j: alg.product_terms("gt", i, j)
         for x1, y1, c1 in _entries(r):
             for x2, y2, c2 in _entries(r):
                 c = c1 * c2
@@ -113,14 +114,6 @@ def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:
     return ybe_residual(alg, r).is_zero()
 
 
-def _left(m, t):
-    return mat_mul(m, t)
-
-
-def _right(m, t):
-    return mat_mul(t, transpose(m))
-
-
 def invariance_residual(alg: FinAlgebra, s: Tensor2) -> CheckReport:
     """Invariance of a 2-tensor under the kind-specific coboundary action.
 
@@ -134,15 +127,15 @@ def invariance_residual(alg: FinAlgebra, s: Tensor2) -> CheckReport:
         a = alg.basis(i)
         if alg.kind == "lie":
             ad = alg.left_mult("bracket", a).matrix
-            res.append(mat_add(_left(ad, s.coeffs), _right(ad, s.coeffs)))
+            res.append(mat_add(on_left(ad, s.coeffs), on_right(ad, s.coeffs)))
         elif alg.kind == "prelie":
             l = alg.left_mult("mul", a).matrix
             rm = alg.right_mult("mul", a).matrix
-            res.append(mat_add(_left(l, s.coeffs), _right(mat_sub(l, rm), s.coeffs)))
+            res.append(mat_add(on_left(l, s.coeffs), on_right(mat_sub(l, rm), s.coeffs)))
         elif alg.kind == "assoc":
             l = alg.left_mult("mul", a).matrix
             rm = alg.right_mult("mul", a).matrix
-            res.append(mat_sub(_right(l, s.coeffs), _left(rm, s.coeffs)))
+            res.append(mat_sub(on_right(l, s.coeffs), on_left(rm, s.coeffs)))
         else:
             raise ValueError(f"no invariance notion for kind {alg.kind!r}")
     return CheckReport.from_residuals(f"{alg.kind} invariance", {"invariance": tuple(res)})
@@ -161,7 +154,7 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
         cube = []
         for i in range(n):
             ad = alg.left_mult("bracket", alg.basis(i)).matrix
-            cube.append(mat_add(_left(ad, r.coeffs), _right(ad, r.coeffs)))
+            cube.append(mat_add(on_left(ad, r.coeffs), on_right(ad, r.coeffs)))
         return CoalgStruct("lie", n, {"co": tuple(cube)})
     if alg.kind == "prelie":
         cube = []
@@ -169,7 +162,7 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
             a = alg.basis(i)
             l = alg.left_mult("mul", a).matrix
             rm = alg.right_mult("mul", a).matrix
-            cube.append(mat_add(_left(l, r.coeffs), _right(mat_sub(l, rm), r.coeffs)))
+            cube.append(mat_add(on_left(l, r.coeffs), on_right(mat_sub(l, rm), r.coeffs)))
         return CoalgStruct("prelie", n, {"co": tuple(cube)})
     if alg.kind == "assoc":
         cube = []
@@ -177,7 +170,7 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
             a = alg.basis(i)
             l = alg.left_mult("mul", a).matrix
             rm = alg.right_mult("mul", a).matrix
-            cube.append(mat_sub(_right(l, r.coeffs), _left(rm, r.coeffs)))
+            cube.append(mat_sub(on_right(l, r.coeffs), on_left(rm, r.coeffs)))
         return CoalgStruct("assoc", n, {"co": tuple(cube)})
     if alg.kind == "dendriform":
         r_lt = r.coeffs
@@ -191,11 +184,11 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
             rgt = alg.right_mult("gt", d).matrix
             # θ_≺,r(d) = ((𝔯_≺+𝔯_≻)(d)⊗id − id⊗𝔩_≻(d))(r)
             cube_lt.append(
-                mat_sub(_left(mat_add(rlt, rgt), r_lt), _right(lgt, r_lt))
+                mat_sub(on_left(mat_add(rlt, rgt), r_lt), on_right(lgt, r_lt))
             )
             # θ_≻,r(d) = (𝔯_≺(d)⊗id − id⊗(𝔩_≺+𝔩_≻)(d))(−τ(r))
             cube_gt.append(
-                mat_sub(_left(rlt, r_gt), _right(mat_add(llt, lgt), r_gt))
+                mat_sub(on_left(rlt, r_gt), on_right(mat_add(llt, lgt), r_gt))
             )
         return CoalgStruct(
             "dendriform", n, {"co_lt": tuple(cube_lt), "co_gt": tuple(cube_gt)}

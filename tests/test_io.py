@@ -69,10 +69,29 @@ def test_parse_coeff_accepts_reduced_rationals(text, value):
     "p/1",
     "",
     "+2",
+    "1\n",     # trailing newline
+    " 1",       # surrounding whitespace
+    "\u0663",  # ARABIC-INDIC DIGIT THREE: only ASCII digits
+    "01",       # leading zero
+    "-0",       # zero has no sign
+    "3/07",     # leading zero in the denominator
 ])
 def test_parse_coeff_rejections(text):
     with pytest.raises(FileFormatError):
         parse_coeff(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2/4", "coeff: '2/4' is not reduced"),
+    ("1/0", "coeff: zero denominator in '1/0'"),
+    ("1.5", "coeff: '1.5' is not a rational string"),
+    ("01", "coeff: '01' is not canonical (write '1')"),
+    ("-0", "coeff: '-0' is not canonical (write '0')"),
+])
+def test_parse_coeff_rejection_messages(text, message):
+    with pytest.raises(FileFormatError) as exc:
+        parse_coeff(text)
+    assert str(exc.value) == message
 
 
 def test_parse_coeff_rejects_non_strings():
@@ -129,6 +148,18 @@ def test_out_of_range_index_rejected(tmp_path):
 def test_bad_format_version_rejected(tmp_path):
     with pytest.raises(FileFormatError, match="unsupported format"):
         parse_algebra(_write(tmp_path, dict(BASE, format=2)))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_format_must_be_the_integer_1(tmp_path, version):
+    with pytest.raises(FileFormatError, match="unsupported format"):
+        parse_algebra(_write(tmp_path, dict(BASE, format=version)))
+
+
+@pytest.mark.parametrize("dim", [True, 0, 1.0, "1"])
+def test_bad_dim_rejected(tmp_path, dim):
+    with pytest.raises(FileFormatError, match="dim must be a positive integer"):
+        parse_algebra(_write(tmp_path, dict(BASE, dim=dim)))
 
 
 def test_unknown_kind_rejected(tmp_path):
