@@ -24,7 +24,7 @@ from .affinization import (
     check_laurent_perm_axioms,
     check_nu_pairing,
 )
-from .algebras import check_axioms
+from .algebras import check_axioms, first_nonzero_nested
 from .bialgebras import (
     check_bialgebra,
     check_bialgebra_square,
@@ -185,8 +185,6 @@ def ybe(eq, algebra_file, r_file, fmt):
     report.record_file(algebra_file)
     report.record_file(r_file)
     residual = ybe_residual(pf.algebra, rf.tensor)
-    from .algebras import first_nonzero_nested
-
     report.add_check(
         f"{eq}_residual",
         residual.is_zero(),
@@ -438,8 +436,6 @@ def affine(dend_file, window_n, which, fmt):
 
 
 def _check_products_match(report, check_id, got, expected):
-    from .algebras import first_nonzero_nested
-
     diffs = {
         nm: tuple(
             mat_sub(got.products[nm][k], expected.products[nm][k])
@@ -452,8 +448,6 @@ def _check_products_match(report, check_id, got, expected):
 
 
 def _check_coproducts_match(report, check_id, got, expected):
-    from .algebras import first_nonzero_nested
-
     diffs = {
         nm: tuple(
             mat_sub(got.coproducts[nm][i], expected.coproducts[nm][i])
@@ -466,8 +460,6 @@ def _check_coproducts_match(report, check_id, got, expected):
 
 
 def _check_matrix_match(report, check_id, got, expected):
-    from .algebras import first_nonzero_nested
-
     fv = first_nonzero_nested(mat_sub(got, expected))
     report.add_check(check_id, fv is None, first_violation=fv)
 
@@ -489,7 +481,7 @@ def _reproduce_ex_2_2(report):
             )
             row.append((lhs - rhs).coords)
         res.append(tuple(row))
-    from .algebras import first_nonzero_nested, dendriform_from_rota_baxter
+    from .algebras import dendriform_from_rota_baxter
 
     fv = first_nonzero_nested(res)
     report.add_check("rota_baxter_identity", fv is None, first_violation=fv)
@@ -547,8 +539,6 @@ def _reproduce_ex_3_13(report):
     _check_matrix_match(
         report, "lift_match", rhat.coeffs, examples.expected_lift().coeffs
     )
-    from .algebras import first_nonzero_nested
-
     residual = ybe_residual(lie, rhat)
     report.add_check(
         "lift_solves_cybe",
@@ -611,8 +601,6 @@ def _reproduce_ex_4_27(report):
     r0 = _load_corpus(report, "r-e1e1.json").tensor
     r11 = _load_corpus(report, "r-beta1-gamma1.json").tensor
     r01 = _load_corpus(report, "r-beta0-gamma1.json").tensor
-    from .algebras import first_nonzero_nested
-
     for name, r in (("alpha1", r0), ("beta1_gamma1", r11), ("beta0_gamma1", r01)):
         residual = ybe_residual(D, r)
         report.add_check(

@@ -7,8 +7,10 @@ constants of every density from all-zero to full, in dimensions 1 to 4, and
 after a random change of basis.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,10 +60,7 @@ def algebras(draw):
     return alg, rng, density
 
 
-@settings(max_examples=60, deadline=None)
-@given(algebras())
-def test_products_match_dense_formulas(sample):
-    alg, rng, density = sample
+def _check_products(alg, rng, density):
     n, c = alg.dim, alg.products["mul"]
     u, v = _vector(rng, n, density), _vector(rng, n, 0.7)
     assert alg.multiply("mul", u, v).coords == tuple(
@@ -84,6 +83,18 @@ def test_products_match_dense_formulas(sample):
             terms = alg.product_terms("mul", i, j)
             assert all(x != 0 for _, x in terms)
             assert dict(terms) == {k: c[k][i][j] for k in range(n) if c[k][i][j]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_products_match_dense_formulas(sample):
+    _check_products(*sample)
+
+
+@pytest.mark.parametrize("n,density", [(1, 0.0), (1, 1.0), (3, 0.0)])
+def test_products_on_dim_one_and_the_zero_cube(n, density):
+    rng = random.Random(n)
+    _check_products(FinAlgebra("assoc", n, {"mul": _cube(rng, n, density)}), rng, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
