@@ -7,12 +7,31 @@ per-coefficient formulas, with enumeration confined to a finite index window.
 A composition of depth k is only verified where all intermediate exponents
 provably stay inside the window ("safe region"), so truncation can never turn
 a failure into a pass or vice versa.
+
+Enumeration is in closed form.  A term u⊗v of ν(b) satisfies
+u.i + v.i = b.i + δ coordinatewise, where δ is the unit shift of u's
+∂-index, so the terms with |u| ≤ first and |v| ≤ second have, in each
+coordinate, exactly the exponents max(−first, c − second) … min(first,
+c + second) with c = b.i + δ.  The checks enumerate those ranges directly.
+Walking the whole box and discarding the terms that leave the window would
+keep exactly the same terms; only the discarded ones are skipped, so every
+coefficient, and with it the safe-region argument above, is the same.
+
+Accumulation is over the integers.  The completed ASI and coassociativity
+checks first scale the structure constants of D by the lcm L_D of their
+denominators and the coproduct coefficients by L_θ; the signs of ν are ±1.
+Each compatibility term has degree one in each, and each coassociativity
+term degree two in θ, so a residual is an integer over L_D·L_θ or L_θ² —
+still exact.  It is turned back into a Fraction only where a failure is
+recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import lcm
 from typing import Iterator, NamedTuple
 
 from .algebras import FinAlgebra
@@ -29,6 +48,8 @@ class GradedPermIndex(NamedTuple):
 
 
 Mono = GradedPermIndex
+# Mono((i1, i2, s)) without the keyword-argument layer of Mono(i1, i2, s)
+_mono = partial(tuple.__new__, Mono)
 
 DEL1 = Mono(0, 0, 1)
 DEL2 = Mono(0, 0, 2)
@@ -89,13 +110,19 @@ def mono_product(a: Mono, b: Mono) -> Mono:
     return Mono(a.i1 + b.i1, a.i2 + b.i2 + 1, b.s)
 
 
+def _form(a: Mono, b: Mono) -> int:
+    """ϖ(a, b) as an int: 1, −1 or 0."""
+    if a.s == b.s or a.i1 + b.i1 or a.i2 + b.i2:
+        return 0
+    return 1 if a.s == 2 else -1
+
+
+_FORM_VALUES = {0: ZERO, 1: ONE, -1: -ONE}
+
+
 def graded_form(a: Mono, b: Mono) -> Fraction:
     """ϖ(x^{i}∂₂, x^{j}∂₁) = δ_{i+j,0}; antisymmetric; zero on equal ∂-indices."""
-    if a.s == b.s:
-        return ZERO
-    if a.i1 + b.i1 != 0 or a.i2 + b.i2 != 0:
-        return ZERO
-    return ONE if a.s == 2 else -ONE
+    return _FORM_VALUES[_form(a, b)]
 
 
 def laurent_dual_basis(m: Mono) -> tuple[Mono, int]:
@@ -109,18 +136,45 @@ def laurent_dual_basis(m: Mono) -> tuple[Mono, int]:
     return Mono(-m.i1, -m.i2, 1), -1
 
 
-def _nu_terms_by_first(b: Mono, u: Mono):
-    """The (v, coeff) pairs with ν(b) ∋ coeff·(u⊗v), for a fixed first slot."""
+def _nu_partner(b: Mono, u: Mono) -> tuple[Mono, int]:
+    """The unique (v, sign) with ν(b) ∋ sign·(u⊗v), for a fixed first slot."""
     if u.s == 1:
-        yield Mono(b.i1 - u.i1, b.i2 - u.i2 + 1, b.s), ONE
-    else:
-        yield Mono(b.i1 - u.i1 + 1, b.i2 - u.i2, b.s), -ONE
+        return Mono(b.i1 - u.i1, b.i2 - u.i2 + 1, b.s), 1
+    return Mono(b.i1 - u.i1 + 1, b.i2 - u.i2, b.s), -1
+
+
+def _nu_window(b: Mono, first: int | None, second: int | None = None):
+    """The terms (u, v, ±1) of ν(b) with |u| ≤ ``first`` and |v| ≤ ``second``.
+
+    ``None`` leaves a slot unbounded; at most one may be ``None``.  Since
+    u.i + v.i = c with c = b.i plus the shift of u's ∂-index, each exponent
+    of u runs over max(−first, c − second) … min(first, c + second).
+    """
+    spread = max(abs(b.i1), abs(b.i2)) + 1
+    if first is None:
+        first = second + spread
+    if second is None:
+        second = first + spread
+    t = b.s
+    for s, sign, c1, c2 in ((1, 1, b.i1, b.i2 + 1), (2, -1, b.i1 + 1, b.i2)):
+        for i1 in range(max(-first, c1 - second), min(first, c1 + second) + 1):
+            for i2 in range(max(-first, c2 - second), min(first, c2 + second) + 1):
+                yield _mono((i1, i2, s)), _mono((c1 - i1, c2 - i2, t)), sign
+
+
+def _add(d: dict, key, val):
+    d[key] = d.get(key, 0) + val
+
+
+def _support(d: dict) -> dict:
+    """The entries of ``d`` with a nonzero value."""
+    return {key: c for key, c in d.items() if c}
 
 
 def _acc(d: dict, key, val):
     if val == 0:
         return
-    new = d.get(key, ZERO) + val
+    new = d.get(key, 0) + val
     if new == 0:
         d.pop(key, None)
     else:
@@ -150,9 +204,10 @@ def check_laurent_perm_axioms(w: Window) -> AffineReport:
     bound = w.safe_bound(2)
     failures = []
     checked = 0
-    for a in iter_box(bound):
-        for b in iter_box(bound):
-            for c in iter_box(bound):
+    monos = list(iter_box(bound))
+    for a in monos:
+        for b in monos:
+            for c in monos:
                 checked += 1
                 left = mono_product(a, mono_product(b, c))
                 mid = mono_product(mono_product(a, b), c)
@@ -170,29 +225,32 @@ def check_graded_form(w: Window) -> AffineReport:
     """Antisymmetry, grading, and invariance of ϖ on window tuples."""
     failures = []
     checked = 0
-    for a in iter_box(w.N):
-        for b in iter_box(w.N):
+    box = list(iter_box(w.N))
+    for a in box:
+        for b in box:
             checked += 1
-            if graded_form(a, b) != -graded_form(b, a):
-                failures.append(("antisymmetry", (a, b), graded_form(a, b)))
-            if graded_form(a, b) != 0 and mono_degree(a) + mono_degree(b) + GRADING_M != 0:
-                failures.append(("grading", (a, b), graded_form(a, b)))
+            ab = _form(a, b)
+            if ab != -_form(b, a):
+                failures.append(("antisymmetry", (a, b), Fraction(ab)))
+            if ab != 0 and mono_degree(a) + mono_degree(b) + GRADING_M != 0:
+                failures.append(("grading", (a, b), Fraction(ab)))
     bound = w.safe_bound(1)
-    for a in iter_box(bound):
-        for b in iter_box(bound):
-            for c in iter_box(bound):
+    inner = list(iter_box(bound))
+    products = {(a, b): mono_product(a, b) for a in inner for b in inner}
+    for a in inner:
+        for b in inner:
+            ab = products[a, b]
+            for c in inner:
                 checked += 1
-                lhs = graded_form(mono_product(a, b), c)
-                rhs = graded_form(a, mono_product(b, c)) - graded_form(
-                    a, mono_product(c, b)
-                )
+                lhs = _form(ab, c)
+                rhs = _form(a, products[b, c]) - _form(a, products[c, b])
                 if lhs != rhs:
-                    failures.append(("invariance", (a, b, c), lhs - rhs))
+                    failures.append(("invariance", (a, b, c), Fraction(lhs - rhs)))
     # dual basis: ϖ(dual(e), e) = 1 and ϖ(dual(e), e') = 0 for e' ≠ e in the box
-    for e in iter_box(w.N):
+    for e in box:
         f, sign = laurent_dual_basis(e)
-        if sign * graded_form(f, e) != 1:
-            failures.append(("dual_pairing", (e,), graded_form(f, e)))
+        if sign * _form(f, e) != 1:
+            failures.append(("dual_pairing", (e,), Fraction(_form(f, e))))
     return AffineReport(
         "graded bilinear form", w.N, f"|i| <= {w.N}", checked, tuple(failures)
     )
@@ -207,19 +265,21 @@ def check_nu_pairing(w: Window) -> AffineReport:
     bound = w.safe_bound(1)
     failures = []
     checked = 0
+    box = list(iter_box(w.N))
+    products = [[mono_product(b2, b3) for b3 in box] for b2 in box]
     for b1 in iter_box(bound):
-        for b2 in iter_box(w.N):
-            for b3 in iter_box(w.N):
+        for b2, row in zip(box, products):
+            # the only e with ϖ(e, b₂) ≠ 0 has opposite ∂-index and
+            # negated exponents
+            e = Mono(-b2.i1, -b2.i2, 3 - b2.s)
+            v, sign = _nu_partner(b1, e)
+            sign *= _form(e, b2)
+            for b3, m in zip(box, row):
                 checked += 1
-                # the only e with ϖ(e, b₂) ≠ 0 has opposite ∂-index and
-                # negated exponents
-                e = Mono(-b2.i1, -b2.i2, 3 - b2.s)
-                lhs = ZERO
-                for v, cf in _nu_terms_by_first(b1, e):
-                    lhs += cf * graded_form(e, b2) * graded_form(v, b3)
-                rhs = -graded_form(b1, mono_product(b2, b3))
+                lhs = sign * _form(v, b3)
+                rhs = -_form(b1, m)
                 if lhs != rhs:
-                    failures.append(("nu_pairing", (b1, b2, b3), lhs - rhs))
+                    failures.append(("nu_pairing", (b1, b2, b3), Fraction(lhs - rhs)))
     return AffineReport(
         "completed coproduct pairing", w.N, f"sources |i| <= {bound}", checked,
         tuple(failures),
@@ -233,45 +293,32 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
     monomials, sources stay in the depth-2 safe region.
     """
     bound = w.safe_bound(2)
-    inner = 2 * w.N + 1
+    N = w.N
     failures = []
     checked = 0
     for b in iter_box(bound):
         lhs: dict = {}
         # (ν⊗̂id)ν: first slot g is split again, so it ranges over a widened box
-        for g in iter_box(inner):
-            for v, cf in _nu_terms_by_first(b, g):
-                if not w.contains(v):
-                    continue
-                for p in iter_box(w.N):
-                    for q, cf2 in _nu_terms_by_first(g, p):
-                        if w.contains(q):
-                            _acc(lhs, (p, q, v), cf * cf2)
+        for g, v, cf in _nu_window(b, 2 * N + 1, N):
+            for p, q, cf2 in _nu_window(g, N, N):
+                _add(lhs, (p, q, v), cf * cf2)
         mid: dict = {}
         # (id⊗̂ν)ν: first slot p is final, second slot is re-expanded
-        for p in iter_box(w.N):
-            for g, cf in _nu_terms_by_first(b, p):
-                for q in iter_box(w.N):
-                    for v, cf2 in _nu_terms_by_first(g, q):
-                        if w.contains(v):
-                            _acc(mid, (p, q, v), cf * cf2)
+        for p, g, cf in _nu_window(b, N):
+            for q, v, cf2 in _nu_window(g, N, N):
+                _add(mid, (p, q, v), cf * cf2)
+        lhs, mid = _support(lhs), _support(mid)
         twisted = {(q, p, v): c for (p, q, v), c in mid.items()}
-        for key in sorted(set(lhs) | set(mid)):
-            checked += 1
-            if lhs.get(key, ZERO) != mid.get(key, ZERO):
-                failures.append(
-                    ("co_perm_assoc", (b, key), lhs.get(key, ZERO) - mid.get(key, ZERO))
-                )
-        for key in sorted(set(mid) | set(twisted)):
-            checked += 1
-            if mid.get(key, ZERO) != twisted.get(key, ZERO):
-                failures.append(
-                    (
-                        "co_perm_left_commute",
-                        (b, key),
-                        mid.get(key, ZERO) - twisted.get(key, ZERO),
-                    )
-                )
+        # one comparison per coefficient that is nonzero on either side
+        for label, one, other in (
+            ("co_perm_assoc", lhs, mid),
+            ("co_perm_left_commute", mid, twisted),
+        ):
+            keys = one.keys() | other.keys()
+            checked += len(keys)
+            diffs = {key: one.get(key, 0) - other.get(key, 0) for key in keys}
+            for key in sorted(key for key, c in diffs.items() if c):
+                failures.append((label, (b, key), Fraction(diffs[key])))
     return AffineReport(
         "completed perm coalgebra", w.N, f"sources |i| <= {bound}", checked,
         tuple(failures),
@@ -368,49 +415,91 @@ def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
 # --- completed ASI bialgebra -------------------------------------------------
 
 
-def _delta_expand(D: FinAlgebra, theta: CoalgStruct, d: int, b: Mono, bound: int) -> dict:
-    """All terms of Δ(d⊗b) whose first-slot monomial lies in the given box.
+def _common_denominator(cubes) -> int:
+    """The lcm of the denominators of every entry of the given cubes."""
+    return lcm(
+        *(c.denominator for cube in cubes for plane in cube for row in plane for c in row)
+    )
 
-    The second-slot monomial is determined by the grading (coefficient
-    conservation), so this captures every term hitting such first slots.
-    """
-    out: dict = {}
+
+def _scaled_products(D: FinAlgebra) -> tuple[dict, int]:
+    """L_D and the table (d₁, d₂) ↦ ((k, L_D·c_≻, L_D·c_≺), …) of nonzero rows."""
+    scale = _common_denominator(D.products.values())
+    gt, lt = D.products["gt"], D.products["lt"]
     n = D.dim
-    gt = theta.coproducts["co_gt"][d]
-    lt = theta.coproducts["co_lt"][d]
-    for dp in range(n):
-        for dq in range(n):
-            cg = gt[dp][dq]
-            cl = lt[dp][dq]
-            if cg == 0 and cl == 0:
-                continue
-            for u in iter_box(bound):
-                if cg != 0:
-                    for v, sgn in _nu_terms_by_first(b, u):
-                        _acc(out, ((dp, u), (dq, v)), sgn * cg)
-                if cl != 0 and u.s == b.s:
-                    # τ̂ν part: the first display slot u sits in the second
-                    # slot of ν(b), so the partner branches on its own ∂-index
-                    v1 = Mono(b.i1 - u.i1, b.i2 - u.i2 + 1, 1)
-                    _acc(out, ((dp, u), (dq, v1)), cl)
-                    v2 = Mono(b.i1 - u.i1 + 1, b.i2 - u.i2, 2)
-                    _acc(out, ((dp, u), (dq, v2)), -cl)
+    table = {}
+    for d1 in range(n):
+        for d2 in range(n):
+            row = tuple(
+                (k, int(gt[k][d1][d2] * scale), int(lt[k][d1][d2] * scale))
+                for k in range(n)
+                if gt[k][d1][d2] or lt[k][d1][d2]
+            )
+            if row:
+                table[d1, d2] = row
+    return table, scale
+
+
+def _scaled_coproducts(theta: CoalgStruct) -> tuple[list, int]:
+    """L_θ and, per d, the nonzero ((d_p, d_q, L_θ·c_≻, L_θ·c_≺), …) of θ(d)."""
+    scale = _common_denominator(theta.coproducts.values())
+    gt, lt = theta.coproducts["co_gt"], theta.coproducts["co_lt"]
+    n = theta.dim
+    table = [
+        tuple(
+            (dp, dq, int(gt[d][dp][dq] * scale), int(lt[d][dp][dq] * scale))
+            for dp in range(n)
+            for dq in range(n)
+            if gt[d][dp][dq] or lt[d][dp][dq]
+        )
+        for d in range(n)
+    ]
+    return table, scale
+
+
+def _times(products: dict, d1: int, b1: Mono, d2: int, b2: Mono) -> list:
+    """The terms (k, m, c) of L_D·((d₁⊗b₁)∗(d₂⊗b₂)), one per nonzero constant."""
+    row = products.get((d1, d2))
+    if row is None:
+        return []
+    m_gt = mono_product(b1, b2)
+    m_lt = mono_product(b2, b1)
+    out = []
+    for k, cg, cl in row:
+        if cg:
+            out.append((k, m_gt, cg))
+        if cl:
+            out.append((k, m_lt, cl))
     return out
 
 
-def _window_pairs(w: Window, terms: dict) -> dict:
-    return {
-        key: c
-        for key, c in terms.items()
-        if w.contains(key[0][1]) and w.contains(key[1][1])
-    }
+def _delta_expand(
+    coproducts: list, d: int, b: Mono, first: int, second: int | None = None
+) -> list:
+    """The terms (d_u, u, d_v, v, c) of L_θ·Δ(d⊗b) with |u| ≤ first, |v| ≤ second.
+
+    Δ(d⊗b) = θ_≻(d)·ν(b) + θ_≺(d)·τ̂ν(b); ``second=None`` leaves the second
+    slot unbounded.  A key may repeat; the terms add up.
+    """
+    out = []
+    nu = twisted = None
+    for dp, dq, cg, cl in coproducts[d]:
+        if cg:
+            if nu is None:
+                nu = list(_nu_window(b, first, second))
+            out.extend((dp, u, dq, v, sign * cg) for u, v, sign in nu)
+        if cl:
+            # τ̂ν part: the first display slot sits in the second slot of ν(b)
+            if twisted is None:
+                twisted = [(u, v, sign) for v, u, sign in _nu_window(b, second, first)]
+            out.extend((dp, u, dq, v, sign * cl) for u, v, sign in twisted)
+    return out
 
 
-def _diff_failures(label, source, lhs: dict, rhs: dict, failures: list):
-    for key in sorted(set(lhs) | set(rhs)):
-        diff = lhs.get(key, ZERO) - rhs.get(key, ZERO)
-        if diff != 0:
-            failures.append((label, source, (key, diff)))
+def _diff_failures(label, source, residual: dict, scale: int, failures: list):
+    """Record the nonzero coefficients of ``residual``/``scale``, sorted by key."""
+    for key in sorted(key for key, c in residual.items() if c):
+        failures.append((label, source, (key, Fraction(residual[key], scale))))
 
 
 # Verified correspondence between the windowed completed laws and the finite
@@ -422,6 +511,58 @@ CASI_FINITE_SPAN = {
     "casi1": ("dbi1", "dbi2", "dbi3"),
     "casi2": ("dbi5", "dbi6"),
 }
+
+
+def _source_deltas(Q: list, a, N: int) -> tuple[list, list]:
+    """Δ(a) with first slot in the window widened by one and second slot in
+    the window, and Δ(a) with first slot in the window."""
+    d, b = a
+    return _delta_expand(Q, d, b, N + 1, N), _delta_expand(Q, d, b, N)
+
+
+def _check_pair(w: Window, P: dict, Q: list, a1, a2, delta1, delta2) -> tuple[dict, dict]:
+    """The casi1 and casi2 residuals of one source pair, scaled by L_D·L_θ.
+
+    ``delta1``/``delta2`` are the ``_source_deltas`` of a₁ and a₂.
+    """
+    (d1, b1), (d2, b2) = a1, a2
+    wide1, narrow1 = delta1
+    wide2, narrow2 = delta2
+    contains = w.contains
+    # casi1: Δ(a₁∗a₂) − (𝔯(a₂)⊗̂id)(Δ(a₁)) − (id⊗̂𝔩(a₁))(Δ(a₂))
+    res1: dict = {}
+    for dk, mk, c in _times(P, d1, b1, d2, b2):
+        for dp, p, dq, q, c2 in _delta_expand(Q, dk, mk, w.N, w.N):
+            _add(res1, ((dp, p), (dq, q)), c * c2)
+    # intermediates of the right side need a wider box
+    for dg, g, dv, v, c in wide1:
+        for dk, mk, c2 in _times(P, dg, g, d2, b2):
+            if contains(mk):
+                _add(res1, ((dk, mk), (dv, v)), -c * c2)
+    for dp, p, dh, h, c in narrow2:
+        for dk, mk, c2 in _times(P, d1, b1, dh, h):
+            if contains(mk):
+                _add(res1, ((dp, p), (dk, mk)), -c * c2)
+    # casi2: (𝔩(a₁)⊗̂id − id⊗̂𝔯(a₁))(Δ(a₂)) − τ̂((id⊗̂𝔯(a₂) − 𝔩(a₂)⊗̂id)(Δ(a₁)))
+    res2: dict = {}
+    for dg, g, dv, v, c in wide2:
+        for dk, mk, c2 in _times(P, d1, b1, dg, g):
+            if contains(mk):
+                _add(res2, ((dk, mk), (dv, v)), c * c2)
+    for dp, p, dh, h, c in narrow2:
+        for dk, mk, c2 in _times(P, dh, h, d1, b1):
+            if contains(mk):
+                _add(res2, ((dp, p), (dk, mk)), -c * c2)
+    # the τ̂ of the mirrored expression: keys are written already swapped
+    for dp, p, dh, h, c in narrow1:
+        for dk, mk, c2 in _times(P, dh, h, d2, b2):
+            if contains(mk):
+                _add(res2, ((dk, mk), (dp, p)), -c * c2)
+    for dg, g, dv, v, c in wide1:
+        for dk, mk, c2 in _times(P, d2, b2, dg, g):
+            if contains(mk):
+                _add(res2, ((dv, v), (dk, mk)), c * c2)
+    return res1, res2
 
 
 def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineReport:
@@ -437,79 +578,18 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
     if D.dim != theta.dim:
         raise ValueError("algebra and coproducts must share dimension")
     bound = w.safe_bound(2)
-    inter = w.N + 1
-    n = D.dim
+    P, scale_d = _scaled_products(D)
+    Q, scale_t = _scaled_coproducts(theta)
+    scale = scale_d * scale_t
     failures: list = []
-    checked = 0
-    sources = [(d, b) for d in range(n) for b in iter_box(bound)]
-
+    sources = [(d, b) for d in range(D.dim) for b in iter_box(bound)]
     for a1 in sources:
+        delta1 = _source_deltas(Q, a1, w.N)
         for a2 in sources:
-            checked += 1
-            d1, b1 = a1
-            d2, b2 = a2
-            # casi1 left: Δ applied to the (finite) product a₁∗a₂
-            lhs1: dict = {}
-            for (dk, mk), c in affine_assoc_product(D, a1, a2).items():
-                for key, c2 in _window_pairs(
-                    w, _delta_expand(D, theta, dk, mk, w.N)
-                ).items():
-                    _acc(lhs1, key, c * c2)
-            # casi1 right: act on each Δ term; intermediates need a wider box
-            rhs1: dict = {}
-            for ((dg, g), (dv, v)), c in _delta_expand(
-                D, theta, d1, b1, inter
-            ).items():
-                if not w.contains(v):
-                    continue
-                for (dk, mk), c2 in affine_assoc_product(D, (dg, g), a2).items():
-                    if w.contains(mk):
-                        _acc(rhs1, ((dk, mk), (dv, v)), c * c2)
-            for ((dp, p), (dh, h)), c in _delta_expand(
-                D, theta, d2, b2, w.N
-            ).items():
-                for (dk, mk), c2 in affine_assoc_product(D, a1, (dh, h)).items():
-                    if w.contains(mk):
-                        _acc(rhs1, ((dp, p), (dk, mk)), c * c2)
-            _diff_failures("casi1", (a1, a2), lhs1, rhs1, failures)
-
-            # casi2 left: (𝔩(a₁)⊗̂id − id⊗̂𝔯(a₁))(Δ(a₂))
-            lhs2: dict = {}
-            for ((dg, g), (dv, v)), c in _delta_expand(
-                D, theta, d2, b2, inter
-            ).items():
-                if not w.contains(v):
-                    continue
-                for (dk, mk), c2 in affine_assoc_product(D, a1, (dg, g)).items():
-                    if w.contains(mk):
-                        _acc(lhs2, ((dk, mk), (dv, v)), c * c2)
-            for ((dp, p), (dh, h)), c in _delta_expand(
-                D, theta, d2, b2, w.N
-            ).items():
-                for (dk, mk), c2 in affine_assoc_product(D, (dh, h), a1).items():
-                    if w.contains(mk):
-                        _acc(lhs2, ((dp, p), (dk, mk)), -c * c2)
-            # casi2 right: τ̂ of the mirrored expression applied to Δ(a₁)
-            pre: dict = {}
-            for ((dp, p), (dh, h)), c in _delta_expand(
-                D, theta, d1, b1, w.N
-            ).items():
-                for (dk, mk), c2 in affine_assoc_product(D, (dh, h), a2).items():
-                    if w.contains(mk):
-                        _acc(pre, ((dp, p), (dk, mk)), c * c2)
-            for ((dg, g), (dv, v)), c in _delta_expand(
-                D, theta, d1, b1, inter
-            ).items():
-                if not w.contains(v):
-                    continue
-                for (dk, mk), c2 in affine_assoc_product(D, a2, (dg, g)).items():
-                    if w.contains(mk):
-                        _acc(pre, ((dk, mk), (dv, v)), -c * c2)
-            rhs2 = {(kq, kp): c for (kp, kq), c in pre.items()}
-            rhs2 = _window_pairs(w, rhs2)
-            lhs2 = _window_pairs(w, lhs2)
-            _diff_failures("casi2", (a1, a2), lhs2, rhs2, failures)
-
+            res1, res2 = _check_pair(w, P, Q, a1, a2, delta1, _source_deltas(Q, a2, w.N))
+            _diff_failures("casi1", (a1, a2), res1, scale, failures)
+            _diff_failures("casi2", (a1, a2), res2, scale, failures)
+    checked = len(sources) ** 2
     # completed coassociativity, one source at a time
     checked += _coassoc_failures(D, theta, w, failures)
 
@@ -524,32 +604,20 @@ def _coassoc_failures(
 ) -> int:
     """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check; appends failures, returns count."""
     bound = w.safe_bound(2)
-    wide = 2 * w.N + 1
+    N = w.N
+    Q, scale = _scaled_coproducts(theta)
     checked = 0
     for d in range(D.dim):
         for b in iter_box(bound):
             checked += 1
-            lhs: dict = {}
-            for ((dg, g), (dv, v)), c in _delta_expand(
-                D, theta, d, b, wide
-            ).items():
-                if not w.contains(v):
-                    continue
-                for ((dp, p), (dq, q)), c2 in _delta_expand(
-                    D, theta, dg, g, w.N
-                ).items():
-                    if w.contains(p) and w.contains(q):
-                        _acc(lhs, ((dp, p), (dq, q), (dv, v)), c * c2)
-            rhs: dict = {}
-            for ((dp, p), (dg, g)), c in _delta_expand(
-                D, theta, d, b, w.N
-            ).items():
-                for ((dq, q), (dv, v)), c2 in _delta_expand(
-                    D, theta, dg, g, w.N
-                ).items():
-                    if w.contains(v):
-                        _acc(rhs, ((dp, p), (dq, q), (dv, v)), c * c2)
-            _diff_failures("coassoc", (d, b), lhs, rhs, failures)
+            res: dict = {}
+            for dg, g, dv, v, c in _delta_expand(Q, d, b, 2 * N + 1, N):
+                for dp, p, dq, q, c2 in _delta_expand(Q, dg, g, N, N):
+                    _add(res, ((dp, p), (dq, q), (dv, v)), c * c2)
+            for dp, p, dg, g, c in _delta_expand(Q, d, b, N):
+                for dq, q, dv, v, c2 in _delta_expand(Q, dg, g, N, N):
+                    _add(res, ((dp, p), (dq, q), (dv, v)), -c * c2)
+            _diff_failures("coassoc", (d, b), res, scale * scale, failures)
     return checked
 
 

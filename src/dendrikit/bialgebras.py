@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .algebras import CheckReport, FinAlgebra
 from .exact import (
     BilinForm,
-    LinMap,
     Tensor2,
     Tensor3,
     Vec,
@@ -203,6 +202,15 @@ def _madd(*ts):
     return acc
 
 
+def _mult_matrices(alg: FinAlgebra, op: str) -> tuple[list, list]:
+    """The left and right multiplication matrices of ``op`` by each basis vector."""
+    basis = [alg.basis(i) for i in range(alg.dim)]
+    return (
+        [alg.left_mult(op, e).matrix for e in basis],
+        [alg.right_mult(op, e).matrix for e in basis],
+    )
+
+
 def check_bialgebra(
     alg: FinAlgebra, coalg: CoalgStruct, dbi6_reading: str = "corrected"
 ) -> CheckReport:
@@ -223,13 +231,13 @@ def check_bialgebra(
 
     if alg.kind == "lie":
         co = coalg.coproducts["co"]
+        ad, _ = _mult_matrices(alg, "bracket")
         res = []
         for i in range(n):
             row = []
             for j in range(n):
                 g1, g2 = alg.basis(i), alg.basis(j)
-                ad1 = alg.left_mult("bracket", g1).matrix
-                ad2 = alg.left_mult("bracket", g2).matrix
+                ad1, ad2 = ad[i], ad[j]
                 dbr = coalg.coproduct("co", alg.multiply("bracket", g1, g2)).coeffs
                 rhs = _madd(
                     on_left(ad1, co[j]),
@@ -242,15 +250,14 @@ def check_bialgebra(
         residuals = {"lie_cocycle": tuple(res)}
     elif alg.kind == "prelie":
         co = coalg.coproducts["co"]
+        left, right = _mult_matrices(alg, "mul")
         res1, res2 = [], []
         for i in range(n):
             row1, row2 = [], []
             for j in range(n):
                 a1, a2 = alg.basis(i), alg.basis(j)
-                l1 = alg.left_mult("mul", a1).matrix
-                l2 = alg.left_mult("mul", a2).matrix
-                r1m = alg.right_mult("mul", a1).matrix
-                r2m = alg.right_mult("mul", a2).matrix
+                l1, l2 = left[i], left[j]
+                r1m, r2m = right[i], right[j]
                 th1, th2 = co[i], co[j]
                 anti12 = coalg.coproduct(
                     "co", alg.multiply("mul", a1, a2)
@@ -292,15 +299,14 @@ def check_bialgebra(
         residuals = {"prelie_bi_1": tuple(res1), "prelie_bi_2": tuple(res2)}
     elif alg.kind == "assoc":
         co = coalg.coproducts["co"]
+        left, right = _mult_matrices(alg, "mul")
         res1, res2 = [], []
         for i in range(n):
             row1, row2 = [], []
             for j in range(n):
                 a1, a2 = alg.basis(i), alg.basis(j)
-                l1 = alg.left_mult("mul", a1).matrix
-                l2 = alg.left_mult("mul", a2).matrix
-                r1m = alg.right_mult("mul", a1).matrix
-                r2m = alg.right_mult("mul", a2).matrix
+                l1, l2 = left[i], left[j]
+                r1m, r2m = right[i], right[j]
                 dmul = coalg.coproduct("co", alg.multiply("mul", a1, a2)).coeffs
                 # Δ(a₁∗a₂) = (𝔯(a₂)⊗id)(Δ(a₁)) + (id⊗𝔩(a₁))(Δ(a₂))
                 row1.append(
@@ -321,19 +327,15 @@ def check_bialgebra(
         subject = f"dendriform bialgebra (dbi6 reading: {dbi6_reading})"
         colt = coalg.coproducts["co_lt"]
         cogt = coalg.coproducts["co_gt"]
+        llt, rlt = _mult_matrices(alg, "lt")
+        lgt, rgt = _mult_matrices(alg, "gt")
         res = {f"dbi{m}": [] for m in range(1, 7)}
         for i in range(n):
             rows = {f"dbi{m}": [] for m in range(1, 7)}
             for j in range(n):
                 d1, d2 = alg.basis(i), alg.basis(j)
-                llt1 = alg.left_mult("lt", d1).matrix
-                lgt1 = alg.left_mult("gt", d1).matrix
-                llt2 = alg.left_mult("lt", d2).matrix
-                lgt2 = alg.left_mult("gt", d2).matrix
-                rlt2 = alg.right_mult("lt", d2).matrix
-                rgt2 = alg.right_mult("gt", d2).matrix
-                rlt1 = alg.right_mult("lt", d1).matrix
-                rgt1 = alg.right_mult("gt", d1).matrix
+                llt1, lgt1, rlt1, rgt1 = llt[i], lgt[i], rlt[i], rgt[i]
+                llt2, lgt2, rlt2, rgt2 = llt[j], lgt[j], rlt[j], rgt[j]
                 star12 = alg.multiply("lt", d1, d2) + alg.multiply("gt", d1, d2)
                 lt12 = alg.multiply("lt", d1, d2)
                 gt12 = alg.multiply("gt", d1, d2)

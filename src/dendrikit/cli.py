@@ -34,7 +34,7 @@ from .bialgebras import (
     induce_asi_bialgebra,
     induce_lie_bialgebra,
 )
-from .exact import LinMap, mat_sub, sharp
+from .exact import mat_sub, sharp
 from .functors import (
     check_square,
     commutator_lie,
@@ -67,7 +67,6 @@ from .ybe import (
     transfer_dybe_to_plybe,
     transfer_induced_asi_coproduct,
     transfer_induced_lie_cobracket,
-    transfer_plybe_lift,
     ybe_residual,
 )
 from . import examples
@@ -132,7 +131,25 @@ def _load_corpus(report: Report, name: str) -> ParsedFile:
     return _load(path)
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that keeps exit 1 for verification failures only.
+
+    An exception escaping a command is a fault of the program, not of the
+    input, so it exits 3 with a one-line message instead of a traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Abort, click.exceptions.Exit):
+            raise
+        except Exception as exc:
+            message = " ".join(str(exc).split())
+            click.echo(f"error: internal error: {type(exc).__name__}: {message}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact verification toolkit for dendriform-type algebras."""
 

@@ -11,7 +11,7 @@ Tensor-product algebras live on the flattened basis of A⊗B with index
 from __future__ import annotations
 
 from .algebras import CheckReport, FinAlgebra, check_axioms
-from .exact import ZERO, Vec
+from .exact import ZERO
 
 
 def dendriform_to_prelie(alg: FinAlgebra) -> FinAlgebra:

@@ -4,7 +4,6 @@ Every comparison is exact rational arithmetic; every tolerance is literally
 zero.  Each test also enforces its runtime budget.
 """
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -39,7 +38,7 @@ from dendrikit.bialgebras import (
     perm_coalgebra_from_quadratic,
 )
 from dendrikit.cli import main
-from dendrikit.exact import ONE, ZERO, Tensor2, Vec, determinant, sharp
+from dendrikit.exact import ONE, ZERO, Tensor2, Vec, sharp
 from dendrikit.functors import (
     commutator_lie,
     dendriform_to_assoc,

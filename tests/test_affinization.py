@@ -1,10 +1,7 @@
 """Windowed Laurent-series checks and proof-predicted failure localization."""
 
-from fractions import Fraction
-
 import pytest
 
-from dendrikit import examples
 from dendrikit.affinization import (
     ASSOC_LOCALIZATION,
     ASSOC_LOCALIZATION_TARGET,

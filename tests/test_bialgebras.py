@@ -1,7 +1,5 @@
 """Coalgebras, bialgebra compatibility, quadratic perm data and induction."""
 
-from fractions import Fraction
-
 import pytest
 
 from dendrikit import examples
@@ -20,7 +18,6 @@ from dendrikit.bialgebras import (
     perm_coalgebra_from_quadratic,
 )
 from dendrikit.exact import ONE, ZERO, BilinForm, Vec
-from dendrikit.functors import dendriform_to_prelie
 
 from conftest import conjugate_algebra, conjugate_form, int_matrix
 

@@ -270,3 +270,42 @@ def test_unknown_command_and_flags(runner):
     assert invoke(runner, "frobnicate").exit_code == 2
     assert invoke(runner, "check", "--bogus").exit_code == 2
     assert invoke(runner, "reproduce", "ex-9.99").exit_code == 2
+
+
+# --- internal errors ----------------------------------------------------------
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_internal_error_exits_3_with_one_line(runner, monkeypatch):
+    import dendrikit.cli as cli
+
+    monkeypatch.setattr(cli, "check_axioms", _raise(ValueError("boom")))
+    res = invoke(runner, "check", corpus("ex-D-alg-iii.json"))
+    assert res.exit_code == 3
+    assert res.stderr == "error: internal error: ValueError: boom\n"
+    assert res.stdout == ""
+
+
+def test_internal_error_message_is_kept_on_one_line(runner, monkeypatch):
+    import dendrikit.cli as cli
+
+    monkeypatch.setattr(
+        cli, "check_completed_asi", _raise(RuntimeError("first\n  second"))
+    )
+    res = invoke(
+        runner, "affine", "--dendriform", corpus("ex-dendind-bialgebra.json"),
+        "--window", "2", "--check", "asi",
+    )
+    assert res.exit_code == 3
+    assert res.stderr == "error: internal error: RuntimeError: first second\n"
+
+
+def test_usage_errors_keep_exit_2(runner):
+    assert invoke(runner, "ybe", "--eq", "dybe").exit_code == 2
+    assert invoke(runner, "reproduce", "no-such-id").exit_code == 2

@@ -9,7 +9,6 @@ import pytest
 
 from dendrikit.io import (
     FileFormatError,
-    ParsedFile,
     Report,
     file_sha256,
     format_coeff,

@@ -7,7 +7,7 @@ import pytest
 from dendrikit import examples
 from dendrikit.bialgebras import check_coalgebra
 from dendrikit.exact import ONE, ZERO, Tensor2, flip, sharp
-from dendrikit.functors import commutator_lie, dendriform_to_prelie, tensor_assoc, tensor_lie
+from dendrikit.functors import dendriform_to_prelie, tensor_assoc, tensor_lie
 from dendrikit.ybe import (
     HypothesisError,
     check_ooperator,
