@@ -513,11 +513,17 @@ CASI_FINITE_SPAN = {
 }
 
 
-def _source_deltas(Q: list, a, N: int) -> tuple[list, list]:
-    """Δ(a) with first slot in the window widened by one and second slot in
-    the window, and Δ(a) with first slot in the window."""
+def _source_deltas(Q: list, a, w: Window) -> tuple[list, list]:
+    """Δ(a) with first slot g in the widened box |g| ≤ 2N − 1 and second slot
+    in the window, and Δ(a) with first slot in the window.
+
+    The wide first slot is multiplied by the other source b, |b| ≤
+    safe_bound(2), and a product shifts one exponent by one, so a target in
+    the window needs |g| ≤ N + safe_bound(2) + 1 = 2N − 1.
+    """
     d, b = a
-    return _delta_expand(Q, d, b, N + 1, N), _delta_expand(Q, d, b, N)
+    wide = w.N + w.safe_bound(2) + 1
+    return _delta_expand(Q, d, b, wide, w.N), _delta_expand(Q, d, b, w.N)
 
 
 def _check_pair(w: Window, P: dict, Q: list, a1, a2, delta1, delta2) -> tuple[dict, dict]:
@@ -584,9 +590,9 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
     failures: list = []
     sources = [(d, b) for d in range(D.dim) for b in iter_box(bound)]
     for a1 in sources:
-        delta1 = _source_deltas(Q, a1, w.N)
+        delta1 = _source_deltas(Q, a1, w)
         for a2 in sources:
-            res1, res2 = _check_pair(w, P, Q, a1, a2, delta1, _source_deltas(Q, a2, w.N))
+            res1, res2 = _check_pair(w, P, Q, a1, a2, delta1, _source_deltas(Q, a2, w))
             _diff_failures("casi1", (a1, a2), res1, scale, failures)
             _diff_failures("casi2", (a1, a2), res2, scale, failures)
     checked = len(sources) ** 2

@@ -7,10 +7,11 @@ Lie (``bracket``).  A structure-constant cube ``c`` encodes a product by
 
 The cube is the canonical form: it is what files, equality and the
 constructions read.  Each algebra also derives, once in its constructor, a
-private sparse table (i, j) ↦ ((k, c), …) holding the nonzero constants
-only, and every product, left and right multiplication goes through
-`exact.combine` over that table.  Bimodules keep the same kind of table for
-their action matrices.
+private sparse table (i, j) ↦ ((k, cₙ, c_d), …) holding the numerator and
+denominator of each nonzero constant only, and every product, left and
+right multiplication goes through `exact.combine` over that table, which
+sums Python ints and returns reduced Fractions.  Bimodules keep the same
+kind of table for their action matrices.
 """
 
 from __future__ import annotations
@@ -115,10 +116,15 @@ class FinAlgebra:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "products", frozen)
-        # Entry i·dim + j lists the nonzero (k, c) of bᵢ·bⱼ.
+        # Entry i·dim + j lists (k, numerator, denominator) of the nonzero
+        # coefficients c of bᵢ·bⱼ.
         object.__setattr__(self, "_pairs", {
             name: tuple(
-                tuple((k, cube[k][i][j]) for k in range(dim) if cube[k][i][j])
+                tuple(
+                    (k, c.numerator, c.denominator)
+                    for k in range(dim)
+                    if (c := cube[k][i][j])
+                )
                 for i in range(dim)
                 for j in range(dim)
             )
@@ -135,12 +141,17 @@ class FinAlgebra:
 
     def product_terms(self, op: str, i: int, j: int) -> tuple:
         """The nonzero (k, c) with bᵢ·bⱼ = Σ c·bₖ."""
-        return self._pairs[op][i * self.dim + j]
+        cube = self.products[op]
+        return tuple((k, cube[k][i][j]) for k, _n, _d in self._pairs[op][i * self.dim + j])
 
     def multiply(self, op: str, u: Vec, v: Vec) -> Vec:
         n = self.dim
         right = nonzero(v.coords)
-        terms = ((i * n + j, a * b) for i, a in nonzero(u.coords) for j, b in right)
+        terms = (
+            (i * n + j, an * bn, ad * bd)
+            for i, an, ad in nonzero(u.coords)
+            for j, bn, bd in right
+        )
         return Vec(combine(terms, self._pairs[op], n))
 
     def left_mult(self, op: str, a: Vec) -> LinMap:
@@ -148,7 +159,7 @@ class FinAlgebra:
         n = self.dim
         left = nonzero(a.coords)
         # Column j is the product a·bⱼ.
-        cols = [combine(((i * n + j, x) for i, x in left), self._pairs[op], n)
+        cols = [combine(((i * n + j, xn, xd) for i, xn, xd in left), self._pairs[op], n)
                 for j in range(n)]
         return LinMap(transpose(cols))
 
@@ -157,7 +168,7 @@ class FinAlgebra:
         n = self.dim
         right = nonzero(a.coords)
         # Column i is the product bᵢ·a.
-        cols = [combine(((i * n + j, x) for j, x in right), self._pairs[op], n)
+        cols = [combine(((i * n + j, xn, xd) for j, xn, xd in right), self._pairs[op], n)
                 for i in range(n)]
         return LinMap(transpose(cols))
 
@@ -200,7 +211,8 @@ class Bimodule:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "actions", frozen)
-        # Entry i lists the nonzero entries of the matrix of bᵢ, flattened.
+        # Entry i lists the nonzero entries of the matrix of bᵢ, flattened, as
+        # (position, numerator, denominator).
         object.__setattr__(self, "_flat", {
             name: tuple(sparse_flat(m) for m in mats) for name, mats in frozen.items()
         })

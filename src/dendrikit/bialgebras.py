@@ -76,7 +76,8 @@ class CoalgStruct:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coproducts", frozen)
-        # Entry i lists the nonzero (j·dim + k, c) of the coproduct of bᵢ.
+        # Entry i lists (j·dim + k, numerator, denominator) of the nonzero
+        # coefficients of the coproduct of bᵢ.
         object.__setattr__(self, "_flat", {
             name: tuple(sparse_flat(m) for m in cube) for name, cube in frozen.items()
         })

@@ -8,7 +8,12 @@ declared primal basis.
 Every contraction goes through one sparse kernel, `combine`: a linear
 combination of sparse rows that touches only nonzero coefficients.  Products
 of structure constants are mostly zero, so skipping zeros is where the time
-goes, and the result is the same exact value as the dense sum.
+goes.  The rows hold each nonzero entry as (position, numerator, denominator)
+Python ints, and `combine` keeps one numerator and one denominator per output
+slot: a·c is (aₙ·cₙ)/(a_d·c_d), and adding p/q to n/d gives n + p over d when
+q = d and (n·q + p·d)/(d·q) otherwise.  Python ints do not overflow, so each
+slot is the exact rational sum; it is reduced once, by `Fraction(n, d)`, when
+the result is returned.  No `Fraction` is built per product.
 """
 
 from __future__ import annotations
@@ -55,15 +60,19 @@ def mat_scale(c: Fraction, a):
 
 
 def nonzero(coords) -> list:
-    """The (index, value) pairs of the nonzero entries of a flat sequence."""
-    return [(i, x) for i, x in enumerate(coords) if x]
+    """The (index, numerator, denominator) of the nonzero entries of a flat sequence."""
+    return [(i, x.numerator, x.denominator) for i, x in enumerate(coords) if x]
 
 
 def sparse_flat(matrix) -> tuple:
-    """The nonzero entries of a matrix as (row·width + column, value) pairs."""
+    """The nonzero entries of a matrix as (row·width + column, numerator,
+    denominator) triples."""
     width = len(matrix[0]) if matrix else 0
     return tuple(
-        (i * width + j, x) for i, row in enumerate(matrix) for j, x in enumerate(row) if x
+        (i * width + j, x.numerator, x.denominator)
+        for i, row in enumerate(matrix)
+        for j, x in enumerate(row)
+        if x
     )
 
 
@@ -73,17 +82,25 @@ def reshape(flat, width: int) -> tuple:
 
 
 def combine(terms, table, size: int) -> list:
-    """Σ a·table[idx] over the (idx, a) in ``terms``, as a dense list of length ``size``.
+    """Σ a·table[idx] over the terms a = aₙ/a_d, as a dense list of ``size`` Fractions.
 
-    ``table[idx]`` lists the nonzero (position, c) entries of one sparse
-    vector.  The cost is the number of nonzero products a·c, not ``size``
-    times the number of terms.
+    ``terms`` yields (idx, aₙ, a_d) and ``table[idx]`` lists the nonzero
+    (position, cₙ, c_d) entries of one sparse vector, all Python ints with
+    positive denominators.  The cost is the number of nonzero products a·c,
+    not ``size`` times the number of terms.
     """
-    out = [ZERO] * size
-    for idx, a in terms:
-        for k, c in table[idx]:
-            out[k] += a * c
-    return out
+    num = [0] * size
+    den = [1] * size
+    for idx, an, ad in terms:
+        for k, cn, cd in table[idx]:
+            d = ad * cd
+            dk = den[k]
+            if d == dk:
+                num[k] += an * cn
+            else:
+                num[k] = num[k] * d + an * cn * dk
+                den[k] = dk * d
+    return [Fraction(n, d) if n else ZERO for n, d in zip(num, den)]
 
 
 def mat_mul(a, b):
@@ -94,7 +111,7 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     terms = nonzero(v)
-    cols = {k: tuple((i, row[k]) for i, row in enumerate(a) if row[k]) for k, _ in terms}
+    cols = {k: nonzero([row[k] for row in a]) for k, _n, _d in terms}
     return tuple(combine(terms, cols, len(a)))
 
 

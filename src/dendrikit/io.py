@@ -32,6 +32,12 @@ from .exact import ZERO, BilinForm, LinMap, Tensor2
 
 FORMAT_VERSION = 1
 
+# Largest accepted ``dim``.  A file is read into dense dim³ cubes, and the
+# exhaustive checks cost about dim⁶ steps, so a bound keeps both memory and
+# time finite for hostile input; 64 lies far beyond every corpus and bench
+# algebra (dimension 10 at most).
+MAX_DIM = 64
+
 _COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
@@ -176,6 +182,8 @@ def parse_algebra(path) -> ParsedFile:
     dim = raw["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError(f"{path}: dim must be a positive integer")
+    if dim > MAX_DIM:
+        raise FileFormatError(f"{path}: dim {dim} exceeds the limit {MAX_DIM}")
     basis = raw.get("basis", [f"b{i}" for i in range(dim)])
     if not isinstance(basis, list) or len(basis) != dim or not all(
         isinstance(b, str) for b in basis

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebras import Bimodule, CheckReport, FinAlgebra
 from .bialgebras import CoalgStruct, QuadraticPerm, bullet, dual_basis_vectors
@@ -23,6 +24,7 @@ from .exact import (
     mat_sub,
     on_left,
     on_right,
+    reshape,
     sharp,
     transpose,
 )
@@ -33,11 +35,26 @@ class HypothesisError(ValueError):
     """A transfer theorem was invoked with its hypothesis violated."""
 
 
-def _entries(r: Tensor2):
-    for i, row in enumerate(r.coeffs):
-        for j, c in enumerate(row):
-            if c != 0:
-                yield i, j, c
+def _scaled_entries(r: Tensor2) -> tuple[list, int]:
+    """L_r, the lcm of the denominators of r, and the nonzero (i, j, L_r·rᵢⱼ) as ints."""
+    scale = lcm(*(c.denominator for row in r.coeffs for c in row))
+    return [
+        (i, j, c.numerator * (scale // c.denominator))
+        for i, row in enumerate(r.coeffs)
+        for j, c in enumerate(row)
+        if c
+    ], scale
+
+
+def _scaled_products(alg: FinAlgebra) -> tuple[dict, int]:
+    """L_A, the lcm of the denominators of every structure constant, and per
+    product the rows i·dim + j ↦ ((k, L_A·c), …) of its nonzero constants."""
+    pairs = alg._pairs
+    scale = lcm(*(d for table in pairs.values() for row in table for _k, _n, d in row))
+    return {
+        op: tuple(tuple((k, n * (scale // d)) for k, n, d in row) for row in table)
+        for op, table in pairs.items()
+    }, scale
 
 
 def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
@@ -47,37 +64,45 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     pre-Lie: the eight-term pre-Lie analogue
     associative: r₁₂∗r₁₃ + r₁₃∗r₂₃ − r₂₃∗r₁₂
     dendriform: r₁₂≺r₁₃ + r₁₂≻r₁₃ − r₁₃≺r₂₃ − r₂₃≻r₁₂
+
+    Every term has degree two in r and degree one in the structure
+    constants, so after scaling r by L_r and the constants by L_A each
+    coefficient is an integer over L_r²·L_A: the sums run over Python ints
+    and one Fraction is built per nonzero coefficient.
     """
     n = alg.dim
     if r.dim_left != n or r.dim_right != n:
         raise ValueError("r-matrix dimension does not match the algebra")
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    entries, scale_r = _scaled_entries(r)
+    products, scale_a = _scaled_products(alg)
+    nn = n * n
+    out = [0] * (n * nn)  # cell (a, b, c) at a·n² + b·n + c
 
-    def add(vec_slot: int, fixed, terms, c: Fraction):
+    def add(vec_slot: int, fixed, terms, c: int):
         """Accumulate c · (tensor with Σ x·bₖ over ``terms`` in vec_slot and
         basis indices elsewhere)."""
         p, q = fixed
+        if vec_slot == 0:
+            base, stride = p * n + q, nn
+        elif vec_slot == 1:
+            base, stride = p * nn + q, n
+        else:
+            base, stride = p * nn + q * n, 1
         for k, x in terms:
-            x = c * x
-            if vec_slot == 0:
-                out[k][p][q] += x
-            elif vec_slot == 1:
-                out[p][k][q] += x
-            else:
-                out[p][q][k] += x
+            out[base + k * stride] += c * x
 
     if alg.kind == "lie":
-        br = lambda i, j: alg.product_terms("bracket", i, j)
-        for x1, y1, c1 in _entries(r):
-            for x2, y2, c2 in _entries(r):
+        br = lambda i, j: products["bracket"][i * n + j]
+        for x1, y1, c1 in entries:
+            for x2, y2, c2 in entries:
                 c = c1 * c2
                 add(0, (y1, y2), br(x1, x2), c)      # [r₁₂, r₁₃]
                 add(2, (x1, x2), br(y1, y2), c)      # [r₁₃, r₂₃]
                 add(1, (x1, y2), br(y1, x2), c)      # [r₁₂, r₂₃]
     elif alg.kind == "prelie":
-        mul = lambda i, j: alg.product_terms("mul", i, j)
-        for x1, y1, c1 in _entries(r):
-            for x2, y2, c2 in _entries(r):
+        mul = lambda i, j: products["mul"][i * n + j]
+        for x1, y1, c1 in entries:
+            for x2, y2, c2 in entries:
                 c = c1 * c2
                 add(0, (y2, y1), mul(x1, x2), c)      # + r₁₃⋄r₁₂
                 add(1, (x2, y1), mul(x1, y2), c)      # + r₂₃⋄r₁₂
@@ -88,18 +113,18 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(0, (x2, y1), mul(x1, y2), -c)     # − r₁₃⋄r₂₁
                 add(2, (x1, x2), mul(y1, y2), -c)     # − r₁₃⋄r₂₃
     elif alg.kind == "assoc":
-        mul = lambda i, j: alg.product_terms("mul", i, j)
-        for x1, y1, c1 in _entries(r):
-            for x2, y2, c2 in _entries(r):
+        mul = lambda i, j: products["mul"][i * n + j]
+        for x1, y1, c1 in entries:
+            for x2, y2, c2 in entries:
                 c = c1 * c2
                 add(0, (y1, y2), mul(x1, x2), c)      # + r₁₂∗r₁₃
                 add(2, (x1, x2), mul(y1, y2), c)      # + r₁₃∗r₂₃
                 add(1, (x2, y1), mul(x1, y2), -c)     # − r₂₃∗r₁₂
     elif alg.kind == "dendriform":
-        lt = lambda i, j: alg.product_terms("lt", i, j)
-        gt = lambda i, j: alg.product_terms("gt", i, j)
-        for x1, y1, c1 in _entries(r):
-            for x2, y2, c2 in _entries(r):
+        lt = lambda i, j: products["lt"][i * n + j]
+        gt = lambda i, j: products["gt"][i * n + j]
+        for x1, y1, c1 in entries:
+            for x2, y2, c2 in entries:
                 c = c1 * c2
                 add(0, (y1, y2), lt(x1, x2), c)       # + r₁₂≺r₁₃
                 add(0, (y1, y2), gt(x1, x2), c)       # + r₁₂≻r₁₃
@@ -107,7 +132,8 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(1, (x2, y1), gt(x1, y2), -c)      # − r₂₃≻r₁₂
     else:
         raise ValueError(f"no Yang-Baxter equation for kind {alg.kind!r}")
-    return Tensor3(out)
+    scale = scale_r * scale_r * scale_a
+    return Tensor3(reshape(reshape([Fraction(x, scale) if x else ZERO for x in out], n), n))
 
 
 def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:

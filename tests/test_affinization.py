@@ -10,7 +10,11 @@ from dendrikit.affinization import (
     Mono,
     Window,
     _acc,
+    _check_pair,
     _product_expand,
+    _scaled_coproducts,
+    _scaled_products,
+    _source_deltas,
     affine_assoc_product,
     check_affine_associativity,
     check_completed_asi,
@@ -151,6 +155,19 @@ def test_completed_coassociativity_passes(dend_pair, dend_theta):
 
 def test_completed_asi_passes(dend_pair, dend_theta):
     assert check_completed_asi(dend_pair, dend_theta, Window(2)).ok
+
+
+def test_completed_asi_pair_at_window_4_has_no_spurious_residual(dend_pair, dend_theta):
+    # Target (0, x₁⁻⁴x₂⁻⁴∂₁)⊗(0, x₁x₂⁴∂₁) of casi1 needs the intermediate
+    # first slot x₁⁻³x₂⁻⁶ of Δ(a₁), beyond N + 1 but within 2N − 1.
+    w = Window(4)
+    P, _ = _scaled_products(dend_pair)
+    Q, _ = _scaled_coproducts(dend_theta)
+    a1, a2 = (0, Mono(-2, -2, 1)), (0, Mono(-2, 1, 1))
+    res1, res2 = _check_pair(
+        w, P, Q, a1, a2, _source_deltas(Q, a1, w), _source_deltas(Q, a2, w)
+    )
+    assert not any(res1.values()) and not any(res2.values())
 
 
 def test_coproduct_perturbations_tracked_by_finite_checks(dend_pair, dend_theta):

@@ -68,6 +68,15 @@ def test_check_missing_file_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+def test_check_dim_above_the_limit_is_usage_error(runner, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"format": 1, "kind": "assoc", "dim": 3000,
+                               "products": {"mul": []}}))
+    res = invoke(runner, "check", str(big))
+    assert res.exit_code == 2
+    assert "exceeds the limit 64" in res.output
+
+
 def test_check_json_format_is_deterministic(runner):
     a = invoke(runner, "check", corpus("ex-D-alg-iii.json"), "--format", "json")
     b = invoke(runner, "check", corpus("ex-D-alg-iii.json"), "--format", "json")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dendrikit.io import (
+    MAX_DIM,
     FileFormatError,
     Report,
     file_sha256,
@@ -159,6 +160,19 @@ def test_format_must_be_the_integer_1(tmp_path, version):
 def test_bad_dim_rejected(tmp_path, dim):
     with pytest.raises(FileFormatError, match="dim must be a positive integer"):
         parse_algebra(_write(tmp_path, dict(BASE, dim=dim)))
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 3000])
+def test_dim_above_the_limit_rejected(tmp_path, dim):
+    with pytest.raises(FileFormatError, match=f"dim {dim} exceeds the limit 64"):
+        parse_algebra(_write(tmp_path, dict(BASE, dim=dim)))
+
+
+def test_dim_at_the_limit_accepted(tmp_path):
+    tensor = {"format": 1, "kind": "tensor", "dim": MAX_DIM,
+              "entries": [{"left": MAX_DIM - 1, "right": 0, "coeff": "1/2"}]}
+    pf = parse_algebra(_write(tmp_path, tensor))
+    assert pf.tensor.dim_left == MAX_DIM and pf.tensor.coeffs[-1][0] == Fraction(1, 2)
 
 
 def test_unknown_kind_rejected(tmp_path):
