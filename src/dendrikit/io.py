@@ -34,8 +34,8 @@ FORMAT_VERSION = 1
 
 # Largest accepted ``dim``.  A file is read into dense dim³ cubes, and the
 # exhaustive checks cost about dim⁶ steps, so a bound keeps both memory and
-# time finite for hostile input; 64 lies far beyond every corpus and bench
-# algebra (dimension 10 at most).
+# time finite for hostile input; 64 lies far beyond the corpus files
+# (dimension 3 at most) and the benchmark inputs (5 at most).
 MAX_DIM = 64
 
 _COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
