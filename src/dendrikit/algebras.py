@@ -5,13 +5,21 @@ Five algebra kinds are supported: dendriform (two products ``lt`` = ≺ and
 Lie (``bracket``).  A structure-constant cube ``c`` encodes a product by
 ``c[k][i][j]`` = coefficient of basis element k in bᵢ·bⱼ.
 
-The cube is the canonical form: it is what files, equality and the
-constructions read.  Each algebra also derives, once in its constructor, a
-private sparse table (i, j) ↦ ((k, cₙ, c_d), …) holding the numerator and
-denominator of each nonzero constant only, and every product, left and
-right multiplication goes through `exact.combine` over that table, which
-sums Python ints and returns reduced Fractions.  Bimodules keep the same
-kind of table for their action matrices.
+The cube is the canonical form: it is what files, equality, the laws and
+the constructions read.  Each algebra also derives, once in its constructor,
+a private sparse table (i, j) ↦ ((k, cₙ, c_d), …) holding the numerator and
+denominator of each nonzero constant only; a single product, left or right
+multiplication goes through `exact.combine` over that table, which sums
+Python ints and returns reduced Fractions.
+
+The laws are data.  ``AXIOMS`` and ``BIMODULE_LAWS`` write each law as its
+output labels and a signed list of terms, each a product of labelled
+structure tables (product cubes, action matrices).  `law_residuals`
+evaluates a check's laws with `exact.contract`, which reads each table once
+as integers over the lcm of its denominators, sums every term over one
+common denominator and builds a Fraction only for a nonzero cell, so the
+residuals are exact; each is nested in the order of its output labels.
+Adding a law is adding a row to a table.
 """
 
 from __future__ import annotations
@@ -21,14 +29,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import (
+    IntTable,
     LinMap,
     Vec,
     ZERO,
     combine,
+    contract,
     freeze_cube,
+    nest,
     nonzero,
-    reshape,
-    sparse_flat,
     transpose,
 )
 
@@ -55,6 +64,14 @@ def first_nonzero_nested(x, path=()):
     if isinstance(x, dict):
         items = ((k, x[k]) for k in sorted(x))
     else:
+        # Flatten nested rows and pass over the whole block at once when
+        # every scalar in it is zero; ``count`` compares by identity first,
+        # so the shared ZERO costs no Python-level call.
+        flat = x
+        while flat and type(flat[0]) is tuple:
+            flat = [y for row in flat for y in row]
+        if flat.count(ZERO) == len(flat):
+            return None
         items = enumerate(x)
     for i, y in items:
         hit = first_nonzero_nested(y, path + (i,))
@@ -135,10 +152,6 @@ class FinAlgebra:
     def ops(self) -> tuple[str, ...]:
         return KIND_OPS[self.kind]
 
-    def product_coeff(self, op: str, k: int, i: int, j: int) -> Fraction:
-        """Coefficient of basis element k in bᵢ·bⱼ."""
-        return self.products[op][k][i][j]
-
     def product_terms(self, op: str, i: int, j: int) -> tuple:
         """The nonzero (k, c) with bᵢ·bⱼ = Σ c·bₖ."""
         cube = self.products[op]
@@ -187,7 +200,6 @@ class Bimodule:
     algebra: FinAlgebra
     dim: int
     actions: dict
-    _flat: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, algebra: FinAlgebra, dim: int, actions: dict):
         if algebra.kind not in KIND_BIMODULE_ACTIONS:
@@ -198,10 +210,7 @@ class Bimodule:
                 f"{algebra.kind} bimodule needs actions {sorted(expected)}, "
                 f"got {sorted(actions)}"
             )
-        frozen = {
-            name: tuple(LinMap(m).matrix for m in mats)
-            for name, mats in actions.items()
-        }
+        frozen = {name: freeze_cube(mats) for name, mats in actions.items()}
         for name, mats in frozen.items():
             if len(mats) != algebra.dim:
                 raise ValueError(f"action {name!r} needs {algebra.dim} matrices")
@@ -211,15 +220,6 @@ class Bimodule:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "actions", frozen)
-        # Entry i lists the nonzero entries of the matrix of bᵢ, flattened, as
-        # (position, numerator, denominator).
-        object.__setattr__(self, "_flat", {
-            name: tuple(sparse_flat(m) for m in mats) for name, mats in frozen.items()
-        })
-
-    def action(self, name: str, a: Vec) -> LinMap:
-        n = self.dim
-        return LinMap(reshape(combine(nonzero(a.coords), self._flat[name], n * n), n))
 
 
 def regular_bimodule(alg: FinAlgebra) -> Bimodule:
@@ -244,24 +244,78 @@ def regular_bimodule(alg: FinAlgebra) -> Bimodule:
     return Bimodule(alg, alg.dim, mats)
 
 
-def _triple_residual(alg: FinAlgebra, law) -> tuple:
-    """Evaluate law(bᵢ, bⱼ, bₖ) (a Vec) over all basis triples."""
-    n = alg.dim
-    return tuple(
-        tuple(
-            tuple(law(alg.basis(i), alg.basis(j), alg.basis(k)).coords for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+# A law is (output labels, terms); a term is (sign, (table, labels), …), a
+# product of labelled tables evaluated by `exact.contract`.  Product cubes are
+# labelled in storage order c[k][i][j], so bᵢ·bⱼ = Σₖ c[k][i][j] bₖ.
+# Triple laws are nested [i][j][k][l]: coordinate l of law(bᵢ, bⱼ, bₖ);
+# pair laws [i][j][k].  m is the summed intermediate basis index.
+AXIOMS = {
+    "dendriform": {
+        # (x≺y)≺z = x≺(y≺z) + x≺(y≻z)
+        "dendriform_1": ("ijkl", (
+            (+1, ("lt", "mij"), ("lt", "lmk")),
+            (-1, ("lt", "mjk"), ("lt", "lim")),
+            (-1, ("gt", "mjk"), ("lt", "lim")))),
+        # (x≻y)≺z = x≻(y≺z)
+        "dendriform_2": ("ijkl", (
+            (+1, ("gt", "mij"), ("lt", "lmk")),
+            (-1, ("lt", "mjk"), ("gt", "lim")))),
+        # x≻(y≻z) = (x≺y)≻z + (x≻y)≻z
+        "dendriform_3": ("ijkl", (
+            (+1, ("gt", "mjk"), ("gt", "lim")),
+            (-1, ("lt", "mij"), ("gt", "lmk")),
+            (-1, ("gt", "mij"), ("gt", "lmk")))),
+    },
+    "prelie": {
+        # x⋄(y⋄z) − (x⋄y)⋄z = y⋄(x⋄z) − (y⋄x)⋄z
+        "pre_lie": ("ijkl", (
+            (+1, ("mul", "mjk"), ("mul", "lim")),
+            (-1, ("mul", "mij"), ("mul", "lmk")),
+            (-1, ("mul", "mik"), ("mul", "ljm")),
+            (+1, ("mul", "mji"), ("mul", "lmk")))),
+    },
+    "perm": {
+        # x(yz) = (xy)z
+        "perm_assoc": ("ijkl", (
+            (+1, ("mul", "mjk"), ("mul", "lim")),
+            (-1, ("mul", "mij"), ("mul", "lmk")))),
+        # (xy)z = (yx)z
+        "perm_left_commute": ("ijkl", (
+            (+1, ("mul", "mij"), ("mul", "lmk")),
+            (-1, ("mul", "mji"), ("mul", "lmk")))),
+    },
+    "assoc": {
+        # x(yz) = (xy)z
+        "associativity": ("ijkl", (
+            (+1, ("mul", "mjk"), ("mul", "lim")),
+            (-1, ("mul", "mij"), ("mul", "lmk")))),
+    },
+    "lie": {
+        # [x,y] = −[y,x]
+        "antisymmetry": ("ijk", (
+            (+1, ("bracket", "kij")),
+            (+1, ("bracket", "kji")))),
+        # [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0
+        "jacobi": ("ijkl", (
+            (+1, ("bracket", "mjk"), ("bracket", "lim")),
+            (+1, ("bracket", "mki"), ("bracket", "ljm")),
+            (+1, ("bracket", "mij"), ("bracket", "lkm")))),
+    },
+}
 
 
-def _pair_residual(alg: FinAlgebra, law) -> tuple:
-    n = alg.dim
-    return tuple(
-        tuple(law(alg.basis(i), alg.basis(j)).coords for j in range(n))
-        for i in range(n)
-    )
+def law_residuals(laws: dict, tables: dict, n) -> dict:
+    """Each law's residual, nested in the order of its output labels.
+
+    ``n`` is the extent of every label, or a dict from label to extent, as
+    for `exact.contract`.
+    """
+    extent = n.get if isinstance(n, dict) else (lambda _label: n)
+    ints = {name: IntTable(t) for name, t in tables.items()}
+    return {
+        name: nest(contract(terms, ints, out, n), [extent(x) for x in out])
+        for name, (out, terms) in laws.items()
+    }
 
 
 def check_axioms(alg: FinAlgebra) -> CheckReport:
@@ -271,75 +325,95 @@ def check_axioms(alg: FinAlgebra) -> CheckReport:
     vanish exactly iff the structure constants define an algebra of the
     declared kind.
     """
-    if alg.kind == "dendriform":
-        lt = lambda x, y: alg.multiply("lt", x, y)
-        gt = lambda x, y: alg.multiply("gt", x, y)
-        residuals = {
-            # (x≺y)≺z = x≺(y≺z) + x≺(y≻z)
-            "dendriform_1": _triple_residual(
-                alg, lambda x, y, z: lt(lt(x, y), z) - lt(x, lt(y, z)) - lt(x, gt(y, z))
-            ),
-            # (x≻y)≺z = x≻(y≺z)
-            "dendriform_2": _triple_residual(
-                alg, lambda x, y, z: lt(gt(x, y), z) - gt(x, lt(y, z))
-            ),
-            # x≻(y≻z) = (x≺y)≻z + (x≻y)≻z
-            "dendriform_3": _triple_residual(
-                alg, lambda x, y, z: gt(x, gt(y, z)) - gt(lt(x, y), z) - gt(gt(x, y), z)
-            ),
-        }
-    elif alg.kind == "prelie":
-        mul = lambda x, y: alg.multiply("mul", x, y)
-        residuals = {
-            # x⋄(y⋄z) − (x⋄y)⋄z = y⋄(x⋄z) − (y⋄x)⋄z
-            "pre_lie": _triple_residual(
-                alg,
-                lambda x, y, z: mul(x, mul(y, z))
-                - mul(mul(x, y), z)
-                - mul(y, mul(x, z))
-                + mul(mul(y, x), z),
-            ),
-        }
-    elif alg.kind == "perm":
-        mul = lambda x, y: alg.multiply("mul", x, y)
-        residuals = {
-            # x(yz) = (xy)z
-            "perm_assoc": _triple_residual(
-                alg, lambda x, y, z: mul(x, mul(y, z)) - mul(mul(x, y), z)
-            ),
-            # (xy)z = (yx)z
-            "perm_left_commute": _triple_residual(
-                alg, lambda x, y, z: mul(mul(x, y), z) - mul(mul(y, x), z)
-            ),
-        }
-    elif alg.kind == "assoc":
-        mul = lambda x, y: alg.multiply("mul", x, y)
-        residuals = {
-            "associativity": _triple_residual(
-                alg, lambda x, y, z: mul(x, mul(y, z)) - mul(mul(x, y), z)
-            ),
-        }
-    elif alg.kind == "lie":
-        br = lambda x, y: alg.multiply("bracket", x, y)
-        residuals = {
-            "antisymmetry": _pair_residual(alg, lambda x, y: br(x, y) + br(y, x)),
-            "jacobi": _triple_residual(
-                alg,
-                lambda x, y, z: br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y)),
-            ),
-        }
-    else:  # pragma: no cover - kind validated in constructor
-        raise ValueError(alg.kind)
+    residuals = law_residuals(AXIOMS[alg.kind], alg.products, alg.dim)
     return CheckReport.from_residuals(f"{alg.kind} axioms", residuals)
 
 
-def _op_pair_residual(alg: FinAlgebra, law) -> tuple:
-    """Evaluate an operator identity law(bᵢ, bⱼ) (a LinMap) over basis pairs."""
-    n = alg.dim
-    return tuple(
-        tuple(law(alg.basis(i), alg.basis(j)).matrix for j in range(n))
-        for i in range(n)
-    )
+# Operator identities on basis pairs (d₁, d₂) = (bᵢ, bⱼ), nested
+# [i][j][a][b]: entry (a, b) of the module operator.  Action tables are
+# labelled M[k][a][b] (the matrix of bₖ); the products label c[k][i][j].
+# X(d₁)Y(d₂) is X iac · Y jcb, and X(d₁·d₂) is c kij · X kab.
+BIMODULE_LAWS = {
+    "dendriform": {
+        # 𝔩_≺(d₁≺d₂) = 𝔩_≺(d₁)𝔩_≺(d₂) + 𝔩_≺(d₁)𝔩_≻(d₂)
+        "dm1": ("ijab", (
+            (+1, ("lt", "kij"), ("l_lt", "kab")),
+            (-1, ("l_lt", "iac"), ("l_lt", "jcb")),
+            (-1, ("l_lt", "iac"), ("l_gt", "jcb")))),
+        # 𝔩_≺(d₁≻d₂) = 𝔩_≻(d₁)𝔩_≺(d₂)
+        "dm2": ("ijab", (
+            (+1, ("gt", "kij"), ("l_lt", "kab")),
+            (-1, ("l_gt", "iac"), ("l_lt", "jcb")))),
+        # 𝔯_≺(d₁)𝔩_≺(d₂) = 𝔩_≺(d₂)𝔯_≺(d₁) + 𝔩_≺(d₂)𝔯_≻(d₁)
+        "dm3": ("ijab", (
+            (+1, ("r_lt", "iac"), ("l_lt", "jcb")),
+            (-1, ("l_lt", "jac"), ("r_lt", "icb")),
+            (-1, ("l_lt", "jac"), ("r_gt", "icb")))),
+        # 𝔯_≺(d₁)𝔩_≻(d₂) = 𝔩_≻(d₂)𝔯_≺(d₁)
+        "dm4": ("ijab", (
+            (+1, ("r_lt", "iac"), ("l_gt", "jcb")),
+            (-1, ("l_gt", "jac"), ("r_lt", "icb")))),
+        # 𝔯_≺(d₁)𝔯_≺(d₂) = 𝔯_≺(d₂≺d₁ + d₂≻d₁)
+        "dm5": ("ijab", (
+            (+1, ("r_lt", "iac"), ("r_lt", "jcb")),
+            (-1, ("lt", "kji"), ("r_lt", "kab")),
+            (-1, ("gt", "kji"), ("r_lt", "kab")))),
+        # 𝔯_≺(d₁)𝔯_≻(d₂) = 𝔯_≻(d₂≺d₁)
+        "dm6": ("ijab", (
+            (+1, ("r_lt", "iac"), ("r_gt", "jcb")),
+            (-1, ("lt", "kji"), ("r_gt", "kab")))),
+        # 𝔯_≻(d₁)𝔩_≺(d₂) + 𝔯_≻(d₁)𝔩_≻(d₂) = 𝔩_≻(d₂)𝔯_≻(d₁)
+        "dm7": ("ijab", (
+            (+1, ("r_gt", "iac"), ("l_lt", "jcb")),
+            (+1, ("r_gt", "iac"), ("l_gt", "jcb")),
+            (-1, ("l_gt", "jac"), ("r_gt", "icb")))),
+        # 𝔩_≻(d₁≺d₂ + d₁≻d₂) = 𝔩_≻(d₁)𝔩_≻(d₂)
+        "dm8": ("ijab", (
+            (+1, ("lt", "kij"), ("l_gt", "kab")),
+            (+1, ("gt", "kij"), ("l_gt", "kab")),
+            (-1, ("l_gt", "iac"), ("l_gt", "jcb")))),
+        # 𝔯_≻(d₁)𝔯_≺(d₂) + 𝔯_≻(d₁)𝔯_≻(d₂) = 𝔯_≻(d₂≻d₁)
+        "dm9": ("ijab", (
+            (+1, ("r_gt", "iac"), ("r_lt", "jcb")),
+            (+1, ("r_gt", "iac"), ("r_gt", "jcb")),
+            (-1, ("gt", "kji"), ("r_gt", "kab")))),
+    },
+    "prelie": {
+        # 𝔩(a₁)𝔩(a₂) − 𝔩(a₁⋄a₂) = 𝔩(a₂)𝔩(a₁) − 𝔩(a₂⋄a₁)
+        "plm1": ("ijab", (
+            (+1, ("l", "iac"), ("l", "jcb")),
+            (-1, ("mul", "kij"), ("l", "kab")),
+            (-1, ("l", "jac"), ("l", "icb")),
+            (+1, ("mul", "kji"), ("l", "kab")))),
+        # 𝔩(a₁)𝔯(a₂) − 𝔯(a₂)𝔩(a₁) = 𝔯(a₁⋄a₂) − 𝔯(a₂)𝔯(a₁)
+        "plm2": ("ijab", (
+            (+1, ("l", "iac"), ("r", "jcb")),
+            (-1, ("r", "jac"), ("l", "icb")),
+            (-1, ("mul", "kij"), ("r", "kab")),
+            (+1, ("r", "jac"), ("r", "icb")))),
+    },
+    "assoc": {
+        # 𝔩(a₁a₂) = 𝔩(a₁)𝔩(a₂)
+        "am1": ("ijab", (
+            (+1, ("mul", "kij"), ("l", "kab")),
+            (-1, ("l", "iac"), ("l", "jcb")))),
+        # 𝔯(a₁a₂) = 𝔯(a₂)𝔯(a₁)
+        "am2": ("ijab", (
+            (+1, ("mul", "kij"), ("r", "kab")),
+            (-1, ("r", "jac"), ("r", "icb")))),
+        # 𝔯(a₂)𝔩(a₁) = 𝔩(a₁)𝔯(a₂)
+        "am3": ("ijab", (
+            (+1, ("r", "jac"), ("l", "icb")),
+            (-1, ("l", "iac"), ("r", "jcb")))),
+    },
+    "lie": {
+        # ρ([g₁,g₂]) = ρ(g₁)ρ(g₂) − ρ(g₂)ρ(g₁)
+        "lm1": ("ijab", (
+            (+1, ("bracket", "kij"), ("rho", "kab")),
+            (-1, ("rho", "iac"), ("rho", "jcb")),
+            (+1, ("rho", "jac"), ("rho", "icb")))),
+    },
+}
 
 
 def check_bimodule(bim: Bimodule) -> CheckReport:
@@ -350,126 +424,11 @@ def check_bimodule(bim: Bimodule) -> CheckReport:
     left/right compatibility laws; for Lie algebras the representation law.
     """
     alg = bim.algebra
-    act = bim.action
-
-    def comp(p: LinMap, q: LinMap) -> LinMap:
-        return p.compose(q)
-
-    if alg.kind == "dendriform":
-        lt = lambda x, y: alg.multiply("lt", x, y)
-        gt = lambda x, y: alg.multiply("gt", x, y)
-        l_lt = lambda a: act("l_lt", a)
-        r_lt = lambda a: act("r_lt", a)
-        l_gt = lambda a: act("l_gt", a)
-        r_gt = lambda a: act("r_gt", a)
-        residuals = {
-            # 𝔩_≺(d₁≺d₂) = 𝔩_≺(d₁)𝔩_≺(d₂) + 𝔩_≺(d₁)𝔩_≻(d₂)
-            "dm1": _op_pair_residual(
-                alg,
-                lambda d1, d2: l_lt(lt(d1, d2))
-                - comp(l_lt(d1), l_lt(d2))
-                - comp(l_lt(d1), l_gt(d2)),
-            ),
-            # 𝔩_≺(d₁≻d₂) = 𝔩_≻(d₁)𝔩_≺(d₂)
-            "dm2": _op_pair_residual(
-                alg, lambda d1, d2: l_lt(gt(d1, d2)) - comp(l_gt(d1), l_lt(d2))
-            ),
-            # 𝔯_≺(d₁)𝔩_≺(d₂) = 𝔩_≺(d₂)𝔯_≺(d₁) + 𝔩_≺(d₂)𝔯_≻(d₁)
-            "dm3": _op_pair_residual(
-                alg,
-                lambda d1, d2: comp(r_lt(d1), l_lt(d2))
-                - comp(l_lt(d2), r_lt(d1))
-                - comp(l_lt(d2), r_gt(d1)),
-            ),
-            # 𝔯_≺(d₁)𝔩_≻(d₂) = 𝔩_≻(d₂)𝔯_≺(d₁)
-            "dm4": _op_pair_residual(
-                alg, lambda d1, d2: comp(r_lt(d1), l_gt(d2)) - comp(l_gt(d2), r_lt(d1))
-            ),
-            # 𝔯_≺(d₁)𝔯_≺(d₂) = 𝔯_≺(d₂≺d₁ + d₂≻d₁)
-            "dm5": _op_pair_residual(
-                alg,
-                lambda d1, d2: comp(r_lt(d1), r_lt(d2))
-                - r_lt(lt(d2, d1) + gt(d2, d1)),
-            ),
-            # 𝔯_≺(d₁)𝔯_≻(d₂) = 𝔯_≻(d₂≺d₁)
-            "dm6": _op_pair_residual(
-                alg, lambda d1, d2: comp(r_lt(d1), r_gt(d2)) - r_gt(lt(d2, d1))
-            ),
-            # 𝔯_≻(d₁)𝔩_≺(d₂) + 𝔯_≻(d₁)𝔩_≻(d₂) = 𝔩_≻(d₂)𝔯_≻(d₁)
-            "dm7": _op_pair_residual(
-                alg,
-                lambda d1, d2: comp(r_gt(d1), l_lt(d2))
-                + comp(r_gt(d1), l_gt(d2))
-                - comp(l_gt(d2), r_gt(d1)),
-            ),
-            # 𝔩_≻(d₁≺d₂ + d₁≻d₂) = 𝔩_≻(d₁)𝔩_≻(d₂)
-            "dm8": _op_pair_residual(
-                alg,
-                lambda d1, d2: l_gt(lt(d1, d2) + gt(d1, d2))
-                - comp(l_gt(d1), l_gt(d2)),
-            ),
-            # 𝔯_≻(d₁)𝔯_≺(d₂) + 𝔯_≻(d₁)𝔯_≻(d₂) = 𝔯_≻(d₂≻d₁)
-            "dm9": _op_pair_residual(
-                alg,
-                lambda d1, d2: comp(r_gt(d1), r_lt(d2))
-                + comp(r_gt(d1), r_gt(d2))
-                - r_gt(gt(d2, d1)),
-            ),
-        }
-    elif alg.kind == "prelie":
-        mul = lambda x, y: alg.multiply("mul", x, y)
-        l = lambda a: act("l", a)
-        r = lambda a: act("r", a)
-        residuals = {
-            # 𝔩(a₁)𝔩(a₂) − 𝔩(a₁⋄a₂) = 𝔩(a₂)𝔩(a₁) − 𝔩(a₂⋄a₁)
-            "plm1": _op_pair_residual(
-                alg,
-                lambda a1, a2: comp(l(a1), l(a2))
-                - l(mul(a1, a2))
-                - comp(l(a2), l(a1))
-                + l(mul(a2, a1)),
-            ),
-            # 𝔩(a₁)𝔯(a₂) − 𝔯(a₂)𝔩(a₁) = 𝔯(a₁⋄a₂) − 𝔯(a₂)𝔯(a₁)
-            "plm2": _op_pair_residual(
-                alg,
-                lambda a1, a2: comp(l(a1), r(a2))
-                - comp(r(a2), l(a1))
-                - r(mul(a1, a2))
-                + comp(r(a2), r(a1)),
-            ),
-        }
-    elif alg.kind == "assoc":
-        mul = lambda x, y: alg.multiply("mul", x, y)
-        l = lambda a: act("l", a)
-        r = lambda a: act("r", a)
-        residuals = {
-            # 𝔩(a₁a₂) = 𝔩(a₁)𝔩(a₂)
-            "am1": _op_pair_residual(
-                alg, lambda a1, a2: l(mul(a1, a2)) - comp(l(a1), l(a2))
-            ),
-            # 𝔯(a₁a₂) = 𝔯(a₂)𝔯(a₁)
-            "am2": _op_pair_residual(
-                alg, lambda a1, a2: r(mul(a1, a2)) - comp(r(a2), r(a1))
-            ),
-            # 𝔯(a₂)𝔩(a₁) = 𝔩(a₁)𝔯(a₂)
-            "am3": _op_pair_residual(
-                alg, lambda a1, a2: comp(r(a2), l(a1)) - comp(l(a1), r(a2))
-            ),
-        }
-    elif alg.kind == "lie":
-        br = lambda x, y: alg.multiply("bracket", x, y)
-        rho = lambda g: act("rho", g)
-        residuals = {
-            # ρ([g₁,g₂]) = ρ(g₁)ρ(g₂) − ρ(g₂)ρ(g₁)
-            "lm1": _op_pair_residual(
-                alg,
-                lambda g1, g2: rho(br(g1, g2))
-                - comp(rho(g1), rho(g2))
-                + comp(rho(g2), rho(g1)),
-            ),
-        }
-    else:  # pragma: no cover
-        raise ValueError(alg.kind)
+    n, m = alg.dim, bim.dim
+    extents = {"i": n, "j": n, "k": n, "a": m, "b": m, "c": m}
+    residuals = law_residuals(
+        BIMODULE_LAWS[alg.kind], {**alg.products, **bim.actions}, extents
+    )
     return CheckReport.from_residuals(f"{alg.kind} bimodule", residuals)
 
 

@@ -1,36 +1,34 @@
 """Coalgebras, bialgebras and the quadratic-perm induction machinery.
 
 A coproduct on a based space is stored as a cube ``t[i][j][k]`` = coefficient
-of bⱼ⊗bₖ in the coproduct of bᵢ.  The cube is the canonical form; a private
-sparse table of its nonzero entries, derived once in the constructor, feeds
-`exact.combine` for every coproduct evaluation.  Bialgebra checks pair a
-FinAlgebra with a CoalgStruct of the same kind and verify the compatibility
-laws exhaustively on basis elements, reporting exact residual tensors.
+of bⱼ⊗bₖ in the coproduct of bᵢ.  Bialgebra checks pair a FinAlgebra with a
+CoalgStruct of the same kind and verify the compatibility laws exhaustively
+on basis elements, reporting exact residual tensors.
+
+The co-laws and the compatibility laws are data: ``COALGEBRA_LAWS`` and
+``BIALGEBRA_LAWS`` (with the three readings of ``dbi6``) write each one as a
+signed list of products of labelled structure cubes (see `exact.contract`).
+A check reads each cube once as integers over the lcm of its denominators,
+evaluates every law with one integer contraction over a common denominator,
+builds a Fraction only for a nonzero coefficient, and nests the result in
+the same order as the residual it reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebras import CheckReport, FinAlgebra
+from .algebras import CheckReport, FinAlgebra, law_residuals
 from .exact import (
     BilinForm,
-    Tensor2,
-    Tensor3,
     Vec,
     ZERO,
-    combine,
     dual_basis,
-    flip3,
     freeze_cube,
+    mat_add,
     mat_inverse,
     mat_mul,
     mat_sub,
-    nonzero,
-    on_left,
-    on_right,
-    reshape,
-    sparse_flat,
     transpose,
 )
 from .functors import (
@@ -55,7 +53,6 @@ class CoalgStruct:
     kind: str
     dim: int
     coproducts: dict
-    _flat: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: str, dim: int, coproducts: dict):
         if kind not in KIND_COOPS:
@@ -76,140 +73,203 @@ class CoalgStruct:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coproducts", frozen)
-        # Entry i lists (j·dim + k, numerator, denominator) of the nonzero
-        # coefficients of the coproduct of bᵢ.
-        object.__setattr__(self, "_flat", {
-            name: tuple(sparse_flat(m) for m in cube) for name, cube in frozen.items()
-        })
 
     def basis_coproduct(self, name: str, i: int):
         """Coefficient matrix of the coproduct of basis element i."""
         return self.coproducts[name][i]
 
-    def coproduct(self, name: str, v: Vec) -> Tensor2:
-        n = self.dim
-        return Tensor2(reshape(combine(nonzero(v.coords), self._flat[name], n * n), n))
 
-
-def _co_first(coalg: CoalgStruct, name: str, m) -> Tensor3:
-    """(θ⊗id) applied to the 2-tensor with coefficient matrix ``m``, θ = ``name``."""
-    n = len(m)
-    # Slab k holds (θ⊗id)(Σⱼ m[j][k] bⱼ⊗bₖ) without its last slot, flattened.
-    slabs = [
-        combine(nonzero(col), coalg._flat[name], n * n) for col in transpose(m)
-    ]
-    return Tensor3(
-        tuple(tuple(tuple(s[p * n + q] for s in slabs) for q in range(n)) for p in range(n))
-    )
-
-
-def _co_second(coalg: CoalgStruct, name: str, m) -> Tensor3:
-    """(id⊗θ) applied to the 2-tensor with coefficient matrix ``m``, θ = ``name``."""
-    n = len(m)
-    return Tensor3(
-        tuple(reshape(combine(nonzero(row), coalg._flat[name], n * n), n) for row in m)
-    )
+# Co-laws on each basis element bᵢ, nested [i][p][q][r]: the coefficient of
+# b_p⊗b_q⊗b_r (co_antisymmetry: [i][p][q]).  Coproduct cubes are labelled
+# θ[i][p][q]; (θ_Y⊗id)θ_X is X isr · Y spq, (id⊗θ_Y)θ_X is X ips · Y sqr,
+# and τ⊗id swaps p and q.
+COALGEBRA_LAWS = {
+    "dendriform": {
+        # (θ_≺⊗id)θ_≺ = (id⊗θ_≺)θ_≺ + (id⊗θ_≻)θ_≺
+        "co_dendriform_1": ("ipqr", (
+            (+1, ("co_lt", "isr"), ("co_lt", "spq")),
+            (-1, ("co_lt", "ips"), ("co_lt", "sqr")),
+            (-1, ("co_lt", "ips"), ("co_gt", "sqr")))),
+        # (θ_≻⊗id)θ_≺ = (id⊗θ_≺)θ_≻
+        "co_dendriform_2": ("ipqr", (
+            (+1, ("co_lt", "isr"), ("co_gt", "spq")),
+            (-1, ("co_gt", "ips"), ("co_lt", "sqr")))),
+        # (id⊗θ_≻)θ_≻ = (θ_≺⊗id)θ_≻ + (θ_≻⊗id)θ_≻
+        "co_dendriform_3": ("ipqr", (
+            (+1, ("co_gt", "ips"), ("co_gt", "sqr")),
+            (-1, ("co_gt", "isr"), ("co_lt", "spq")),
+            (-1, ("co_gt", "isr"), ("co_gt", "spq")))),
+    },
+    "prelie": {
+        # (id⊗ϑ)ϑ − (τ⊗id)(id⊗ϑ)ϑ = (ϑ⊗id)ϑ − (τ⊗id)(ϑ⊗id)ϑ
+        "co_pre_lie": ("ipqr", (
+            (+1, ("co", "ips"), ("co", "sqr")),
+            (-1, ("co", "iqs"), ("co", "spr")),
+            (-1, ("co", "isr"), ("co", "spq")),
+            (+1, ("co", "isr"), ("co", "sqp")))),
+    },
+    "lie": {
+        # τδ = −δ
+        "co_antisymmetry": ("ipq", (
+            (+1, ("co", "iqp")),
+            (+1, ("co", "ipq")))),
+        # (id⊗δ)δ − (τ⊗id)(id⊗δ)δ = (δ⊗id)δ
+        "co_jacobi": ("ipqr", (
+            (+1, ("co", "ips"), ("co", "sqr")),
+            (-1, ("co", "iqs"), ("co", "spr")),
+            (-1, ("co", "isr"), ("co", "spq")))),
+    },
+    "perm": {
+        # (ν⊗id)ν = (id⊗ν)ν
+        "co_perm_assoc": ("ipqr", (
+            (+1, ("co", "isr"), ("co", "spq")),
+            (-1, ("co", "ips"), ("co", "sqr")))),
+        # (id⊗ν)ν = (τ⊗id)(id⊗ν)ν
+        "co_perm_left_commute": ("ipqr", (
+            (+1, ("co", "ips"), ("co", "sqr")),
+            (-1, ("co", "iqs"), ("co", "spr")))),
+    },
+    "assoc": {
+        # (Δ⊗id)Δ = (id⊗Δ)Δ
+        "coassociativity": ("ipqr", (
+            (+1, ("co", "isr"), ("co", "spq")),
+            (-1, ("co", "ips"), ("co", "sqr")))),
+    },
+}
 
 
 def check_coalgebra(coalg: CoalgStruct) -> CheckReport:
     """Verify the co-version of the defining laws on every basis element."""
-    n = coalg.dim
-    k = coalg.kind
-    t12 = lambda t: flip3(t, (0, 1))  # τ⊗id
-    if k == "dendriform":
-        lt = coalg.coproducts["co_lt"]
-        gt = coalg.coproducts["co_gt"]
-        res1, res2, res3 = [], [], []
-        for i in range(n):
-            # (θ_≺⊗id)θ_≺ = (id⊗θ_≺)θ_≺ + (id⊗θ_≻)θ_≺
-            res1.append(
-                (
-                    _co_first(coalg, "co_lt", lt[i])
-                    - _co_second(coalg, "co_lt", lt[i])
-                    - _co_second(coalg, "co_gt", lt[i])
-                ).coeffs
-            )
-            # (θ_≻⊗id)θ_≺ = (id⊗θ_≺)θ_≻
-            res2.append(
-                (_co_first(coalg, "co_gt", lt[i]) - _co_second(coalg, "co_lt", gt[i])).coeffs
-            )
-            # (id⊗θ_≻)θ_≻ = (θ_≺⊗id)θ_≻ + (θ_≻⊗id)θ_≻
-            res3.append(
-                (
-                    _co_second(coalg, "co_gt", gt[i])
-                    - _co_first(coalg, "co_lt", gt[i])
-                    - _co_first(coalg, "co_gt", gt[i])
-                ).coeffs
-            )
-        residuals = {
-            "co_dendriform_1": tuple(res1),
-            "co_dendriform_2": tuple(res2),
-            "co_dendriform_3": tuple(res3),
-        }
-    elif k == "prelie":
-        co = coalg.coproducts["co"]
-        res = []
-        for i in range(n):
-            # (id⊗ϑ)ϑ − (τ⊗id)(id⊗ϑ)ϑ = (ϑ⊗id)ϑ − (τ⊗id)(ϑ⊗id)ϑ
-            a = _co_second(coalg, "co", co[i])
-            b = _co_first(coalg, "co", co[i])
-            res.append(((a - t12(a)) - (b - t12(b))).coeffs)
-        residuals = {"co_pre_lie": tuple(res)}
-    elif k == "lie":
-        co = coalg.coproducts["co"]
-        anti, jac = [], []
-        for i in range(n):
-            # τδ = −δ
-            anti.append(mat_sub(transpose(co[i]), tuple(tuple(-x for x in r) for r in co[i])))
-            # (id⊗δ)δ − (τ⊗id)(id⊗δ)δ = (δ⊗id)δ
-            a = _co_second(coalg, "co", co[i])
-            jac.append((a - t12(a) - _co_first(coalg, "co", co[i])).coeffs)
-        residuals = {"co_antisymmetry": tuple(anti), "co_jacobi": tuple(jac)}
-    elif k == "perm":
-        co = coalg.coproducts["co"]
-        r1, r2 = [], []
-        for i in range(n):
-            a = _co_first(coalg, "co", co[i])
-            b = _co_second(coalg, "co", co[i])
-            # (ν⊗id)ν = (id⊗ν)ν = (τ⊗id)(id⊗ν)ν
-            r1.append((a - b).coeffs)
-            r2.append((b - t12(b)).coeffs)
-        residuals = {"co_perm_assoc": tuple(r1), "co_perm_left_commute": tuple(r2)}
-    elif k == "assoc":
-        co = coalg.coproducts["co"]
-        res = []
-        for i in range(n):
-            res.append(
-                (_co_first(coalg, "co", co[i]) - _co_second(coalg, "co", co[i])).coeffs
-            )
-        residuals = {"coassociativity": tuple(res)}
-    else:  # pragma: no cover
-        raise ValueError(k)
-    return CheckReport.from_residuals(f"{k} coalgebra", residuals)
+    residuals = law_residuals(COALGEBRA_LAWS[coalg.kind], coalg.coproducts, coalg.dim)
+    return CheckReport.from_residuals(f"{coalg.kind} coalgebra", residuals)
 
 
-def _tau(t):
-    return transpose(t)
+# Compatibility laws on basis pairs (x₁, x₂) = (bᵢ, bⱼ), nested [i][j][p][q]:
+# the coefficient of b_p⊗b_q.  With c[k][i][j] a product cube and θ[i][p][q]
+# a coproduct cube, 𝔩(x₁) and 𝔯(x₂) have the matrices c[p][i][r] and
+# c[p][r][j], so
+#   θ(x₁·x₂)            is  c kij · θ kpq,
+#   (𝔩(x₁)⊗id)(θ(x₂))   is  c pir · θ jrq,    (id⊗𝔩(x₁))(θ(x₂))  is  θ jpr · c qir,
+#   (𝔯(x₂)⊗id)(θ(x₁))   is  c prj · θ irq,    (id⊗𝔯(x₂))(θ(x₁))  is  θ ipr · c qrj,
+# and τ swaps p and q.
+_DBI = {
+    # θ_≺(d₁∗d₂) = (id⊗𝔩_≻(d₁))(θ_≺(d₂)) + ((𝔯_≺+𝔯_≻)(d₂)⊗id)(θ_≺(d₁))
+    "dbi1": ("ijpq", (
+        (+1, ("lt", "kij"), ("co_lt", "kpq")),
+        (+1, ("gt", "kij"), ("co_lt", "kpq")),
+        (-1, ("co_lt", "jpr"), ("gt", "qir")),
+        (-1, ("lt", "prj"), ("co_lt", "irq")),
+        (-1, ("gt", "prj"), ("co_lt", "irq")))),
+    # θ_≻(d₁∗d₂) = (id⊗(𝔩_≺+𝔩_≻)(d₁))(θ_≻(d₂)) + (𝔯_≺(d₂)⊗id)(θ_≻(d₁))
+    "dbi2": ("ijpq", (
+        (+1, ("lt", "kij"), ("co_gt", "kpq")),
+        (+1, ("gt", "kij"), ("co_gt", "kpq")),
+        (-1, ("co_gt", "jpr"), ("lt", "qir")),
+        (-1, ("co_gt", "jpr"), ("gt", "qir")),
+        (-1, ("lt", "prj"), ("co_gt", "irq")))),
+    # (θ_≺+θ_≻)(d₁≺d₂) = (id⊗𝔩_≺(d₁))(θ_≻(d₂))
+    #   + (𝔯_≺(d₂)⊗id)((θ_≺+θ_≻)(d₁))
+    "dbi3": ("ijpq", (
+        (+1, ("lt", "kij"), ("co_lt", "kpq")),
+        (+1, ("lt", "kij"), ("co_gt", "kpq")),
+        (-1, ("co_gt", "jpr"), ("lt", "qir")),
+        (-1, ("lt", "prj"), ("co_lt", "irq")),
+        (-1, ("lt", "prj"), ("co_gt", "irq")))),
+    # (θ_≺+θ_≻)(d₁≻d₂) = (id⊗𝔩_≻(d₁))((θ_≺+θ_≻)(d₂))
+    #   + (𝔯_≻(d₂)⊗id)(θ_≺(d₁))
+    # (the ≻-mirror of the third condition; the ≺-operator variant
+    # rejects valid triangular bialgebras)
+    "dbi4": ("ijpq", (
+        (+1, ("gt", "kij"), ("co_lt", "kpq")),
+        (+1, ("gt", "kij"), ("co_gt", "kpq")),
+        (-1, ("co_lt", "jpr"), ("gt", "qir")),
+        (-1, ("co_gt", "jpr"), ("gt", "qir")),
+        (-1, ("gt", "prj"), ("co_lt", "irq")))),
+    # ((𝔩_≺+𝔩_≻)(d₁)⊗id − id⊗𝔯_≺(d₁))(θ_≺(d₂))
+    #   = −τ((𝔩_≻(d₂)⊗id − id⊗(𝔯_≺+𝔯_≻)(d₂))(θ_≻(d₁)))
+    "dbi5": ("ijpq", (
+        (+1, ("lt", "pir"), ("co_lt", "jrq")),
+        (+1, ("gt", "pir"), ("co_lt", "jrq")),
+        (-1, ("co_lt", "jpr"), ("lt", "qri")),
+        (+1, ("gt", "qjr"), ("co_gt", "irp")),
+        (-1, ("co_gt", "iqr"), ("lt", "prj")),
+        (-1, ("co_gt", "iqr"), ("gt", "prj")))),
+}
+
+# (𝔩_≻(d₂)⊗id − id⊗𝔯_≺(d₂))((θ_≺+θ_≻)(d₁))
+#   = τ((id⊗𝔯_≻(·))(θ_≻(·')) − (𝔩_≺(·)⊗id)(θ_≺(·')))
+# with (·,·') = (d₁,d₂) for the default "corrected" reading,
+# (d₂,d₁) for "symmetric" and (d₂,d₂) for "literal".  Only the
+# corrected reading makes the pair {fifth, sixth} equivalent
+# to the second completed compatibility law.
+_DBI6_LHS = (
+    (+1, ("gt", "pjr"), ("co_lt", "irq")),
+    (+1, ("gt", "pjr"), ("co_gt", "irq")),
+    (-1, ("co_lt", "ipr"), ("lt", "qrj")),
+    (-1, ("co_gt", "ipr"), ("lt", "qrj")),
+)
 
 
-def _neg(t):
-    return tuple(tuple(-x for x in row) for row in t)
+def _dbi6(x: str, y: str) -> tuple:
+    """The sixth condition with (·,·') read as the basis labels (x, y)."""
+    return ("ijpq", _DBI6_LHS + (
+        (-1, ("co_gt", f"{y}qr"), ("gt", f"pr{x}")),
+        (+1, ("lt", f"q{x}r"), ("co_lt", f"{y}rp"))))
 
 
-def _madd(*ts):
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(acc, t))
-    return acc
-
-
-def _mult_matrices(alg: FinAlgebra, op: str) -> tuple[list, list]:
-    """The left and right multiplication matrices of ``op`` by each basis vector."""
-    basis = [alg.basis(i) for i in range(alg.dim)]
-    return (
-        [alg.left_mult(op, e).matrix for e in basis],
-        [alg.right_mult(op, e).matrix for e in basis],
-    )
+BIALGEBRA_LAWS = {
+    "lie": {
+        # δ([g₁,g₂]) = (ad(g₁)⊗id + id⊗ad(g₁))(δ(g₂)) − (ad(g₂)⊗id + id⊗ad(g₂))(δ(g₁))
+        "lie_cocycle": ("ijpq", (
+            (+1, ("bracket", "kij"), ("co", "kpq")),
+            (-1, ("bracket", "pir"), ("co", "jrq")),
+            (-1, ("co", "jpr"), ("bracket", "qir")),
+            (+1, ("bracket", "pjr"), ("co", "irq")),
+            (+1, ("co", "ipr"), ("bracket", "qjr")))),
+    },
+    "prelie": {
+        # (ϑ−τϑ)(a₁⋄a₂) = (𝔩(a₁)⊗id + id⊗𝔩(a₁))((ϑ−τϑ)(a₂))
+        #   + (id⊗𝔯(a₂))(ϑ(a₁)) − (𝔯(a₂)⊗id)(τ(ϑ(a₁)))
+        "prelie_bi_1": ("ijpq", (
+            (+1, ("mul", "kij"), ("co", "kpq")),
+            (-1, ("mul", "kij"), ("co", "kqp")),
+            (-1, ("mul", "pir"), ("co", "jrq")),
+            (+1, ("mul", "pir"), ("co", "jqr")),
+            (-1, ("co", "jpr"), ("mul", "qir")),
+            (+1, ("co", "jrp"), ("mul", "qir")),
+            (-1, ("co", "ipr"), ("mul", "qrj")),
+            (+1, ("mul", "prj"), ("co", "iqr")))),
+        # ϑ([a₁,a₂]) = (id⊗(𝔯(a₂)−𝔩(a₂)))(ϑ(a₁)) + (id⊗(𝔩(a₁)−𝔯(a₁)))(ϑ(a₂))
+        #   + (𝔩(a₁)⊗id)(ϑ(a₂)) − (𝔩(a₂)⊗id)(ϑ(a₁))
+        "prelie_bi_2": ("ijpq", (
+            (+1, ("mul", "kij"), ("co", "kpq")),
+            (-1, ("mul", "kji"), ("co", "kpq")),
+            (-1, ("co", "ipr"), ("mul", "qrj")),
+            (+1, ("co", "ipr"), ("mul", "qjr")),
+            (-1, ("co", "jpr"), ("mul", "qir")),
+            (+1, ("co", "jpr"), ("mul", "qri")),
+            (-1, ("mul", "pir"), ("co", "jrq")),
+            (+1, ("mul", "pjr"), ("co", "irq")))),
+    },
+    "assoc": {
+        # Δ(a₁∗a₂) = (𝔯(a₂)⊗id)(Δ(a₁)) + (id⊗𝔩(a₁))(Δ(a₂))
+        "asi_bi_1": ("ijpq", (
+            (+1, ("mul", "kij"), ("co", "kpq")),
+            (-1, ("mul", "prj"), ("co", "irq")),
+            (-1, ("co", "jpr"), ("mul", "qir")))),
+        # (𝔩(a₁)⊗id − id⊗𝔯(a₁))(Δ(a₂)) = τ((id⊗𝔯(a₂) − 𝔩(a₂)⊗id)(Δ(a₁)))
+        "asi_bi_2": ("ijpq", (
+            (+1, ("mul", "pir"), ("co", "jrq")),
+            (-1, ("co", "jpr"), ("mul", "qri")),
+            (-1, ("co", "iqr"), ("mul", "prj")),
+            (+1, ("mul", "qjr"), ("co", "irp")))),
+    },
+    "dendriform": {
+        "corrected": {**_DBI, "dbi6": _dbi6("i", "j")},
+        "symmetric": {**_DBI, "dbi6": _dbi6("j", "i")},
+        "literal": {**_DBI, "dbi6": _dbi6("j", "j")},
+    },
+}
 
 
 def check_bialgebra(
@@ -227,205 +287,18 @@ def check_bialgebra(
     """
     if alg.kind != coalg.kind or alg.dim != coalg.dim:
         raise ValueError("algebra and coalgebra must share kind and dimension")
-    n = alg.dim
+    if alg.kind not in BIALGEBRA_LAWS:
+        raise ValueError(f"no bialgebra notion for kind {alg.kind!r}")
+    laws = BIALGEBRA_LAWS[alg.kind]
     subject = f"{alg.kind} bialgebra"
-
-    if alg.kind == "lie":
-        co = coalg.coproducts["co"]
-        ad, _ = _mult_matrices(alg, "bracket")
-        res = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                g1, g2 = alg.basis(i), alg.basis(j)
-                ad1, ad2 = ad[i], ad[j]
-                dbr = coalg.coproduct("co", alg.multiply("bracket", g1, g2)).coeffs
-                rhs = _madd(
-                    on_left(ad1, co[j]),
-                    on_right(ad1, co[j]),
-                    _neg(on_left(ad2, co[i])),
-                    _neg(on_right(ad2, co[i])),
-                )
-                row.append(mat_sub(dbr, rhs))
-            res.append(tuple(row))
-        residuals = {"lie_cocycle": tuple(res)}
-    elif alg.kind == "prelie":
-        co = coalg.coproducts["co"]
-        left, right = _mult_matrices(alg, "mul")
-        res1, res2 = [], []
-        for i in range(n):
-            row1, row2 = [], []
-            for j in range(n):
-                a1, a2 = alg.basis(i), alg.basis(j)
-                l1, l2 = left[i], left[j]
-                r1m, r2m = right[i], right[j]
-                th1, th2 = co[i], co[j]
-                anti12 = coalg.coproduct(
-                    "co", alg.multiply("mul", a1, a2)
-                ).coeffs
-                anti12 = mat_sub(anti12, transpose(anti12))
-                anti2 = mat_sub(th2, transpose(th2))
-                # (ϑ−τϑ)(a₁⋄a₂) = (𝔩(a₁)⊗id + id⊗𝔩(a₁))((ϑ−τϑ)(a₂))
-                #   + (id⊗𝔯(a₂))(ϑ(a₁)) − (𝔯(a₂)⊗id)(τ(ϑ(a₁)))
-                row1.append(
-                    mat_sub(
-                        anti12,
-                        _madd(
-                            on_left(l1, anti2),
-                            on_right(l1, anti2),
-                            on_right(r2m, th1),
-                            _neg(on_left(r2m, _tau(th1))),
-                        ),
-                    )
-                )
-                thbr = coalg.coproduct(
-                    "co",
-                    alg.multiply("mul", a1, a2) - alg.multiply("mul", a2, a1),
-                ).coeffs
-                # ϑ([a₁,a₂]) = (id⊗(𝔯(a₂)−𝔩(a₂)))(ϑ(a₁)) + (id⊗(𝔩(a₁)−𝔯(a₁)))(ϑ(a₂))
-                #   + (𝔩(a₁)⊗id)(ϑ(a₂)) − (𝔩(a₂)⊗id)(ϑ(a₁))
-                row2.append(
-                    mat_sub(
-                        thbr,
-                        _madd(
-                            on_right(mat_sub(r2m, l2), th1),
-                            on_right(mat_sub(l1, r1m), th2),
-                            on_left(l1, th2),
-                            _neg(on_left(l2, th1)),
-                        ),
-                    )
-                )
-            res1.append(tuple(row1))
-            res2.append(tuple(row2))
-        residuals = {"prelie_bi_1": tuple(res1), "prelie_bi_2": tuple(res2)}
-    elif alg.kind == "assoc":
-        co = coalg.coproducts["co"]
-        left, right = _mult_matrices(alg, "mul")
-        res1, res2 = [], []
-        for i in range(n):
-            row1, row2 = [], []
-            for j in range(n):
-                a1, a2 = alg.basis(i), alg.basis(j)
-                l1, l2 = left[i], left[j]
-                r1m, r2m = right[i], right[j]
-                dmul = coalg.coproduct("co", alg.multiply("mul", a1, a2)).coeffs
-                # Δ(a₁∗a₂) = (𝔯(a₂)⊗id)(Δ(a₁)) + (id⊗𝔩(a₁))(Δ(a₂))
-                row1.append(
-                    mat_sub(dmul, _madd(on_left(r2m, co[i]), on_right(l1, co[j])))
-                )
-                # (𝔩(a₁)⊗id − id⊗𝔯(a₁))(Δ(a₂)) = τ((id⊗𝔯(a₂) − 𝔩(a₂)⊗id)(Δ(a₁)))
-                lhs = mat_sub(on_left(l1, co[j]), on_right(r1m, co[j]))
-                rhs = _tau(mat_sub(on_right(r2m, co[i]), on_left(l2, co[i])))
-                row2.append(mat_sub(lhs, rhs))
-            res1.append(tuple(row1))
-            res2.append(tuple(row2))
-        residuals = {"asi_bi_1": tuple(res1), "asi_bi_2": tuple(res2)}
-    elif alg.kind == "dendriform":
-        if dbi6_reading not in ("corrected", "symmetric", "literal"):
+    if alg.kind == "dendriform":
+        if dbi6_reading not in laws:
             raise ValueError(
                 "dbi6_reading must be 'corrected', 'symmetric' or 'literal'"
             )
+        laws = laws[dbi6_reading]
         subject = f"dendriform bialgebra (dbi6 reading: {dbi6_reading})"
-        colt = coalg.coproducts["co_lt"]
-        cogt = coalg.coproducts["co_gt"]
-        llt, rlt = _mult_matrices(alg, "lt")
-        lgt, rgt = _mult_matrices(alg, "gt")
-        res = {f"dbi{m}": [] for m in range(1, 7)}
-        for i in range(n):
-            rows = {f"dbi{m}": [] for m in range(1, 7)}
-            for j in range(n):
-                d1, d2 = alg.basis(i), alg.basis(j)
-                llt1, lgt1, rlt1, rgt1 = llt[i], lgt[i], rlt[i], rgt[i]
-                llt2, lgt2, rlt2, rgt2 = llt[j], lgt[j], rlt[j], rgt[j]
-                star12 = alg.multiply("lt", d1, d2) + alg.multiply("gt", d1, d2)
-                lt12 = alg.multiply("lt", d1, d2)
-                gt12 = alg.multiply("gt", d1, d2)
-                colt_star = coalg.coproduct("co_lt", star12).coeffs
-                cogt_star = coalg.coproduct("co_gt", star12).coeffs
-                colt_lt = coalg.coproduct("co_lt", lt12).coeffs
-                cogt_lt = coalg.coproduct("co_gt", lt12).coeffs
-                colt_gt = coalg.coproduct("co_lt", gt12).coeffs
-                cogt_gt = coalg.coproduct("co_gt", gt12).coeffs
-                rstar2 = _madd(rlt2, rgt2)
-                lstar1 = _madd(llt1, lgt1)
-                # θ_≺(d₁∗d₂) = (id⊗𝔩_≻(d₁))(θ_≺(d₂)) + ((𝔯_≺+𝔯_≻)(d₂)⊗id)(θ_≺(d₁))
-                rows["dbi1"].append(
-                    mat_sub(
-                        colt_star,
-                        _madd(on_right(lgt1, colt[j]), on_left(rstar2, colt[i])),
-                    )
-                )
-                # θ_≻(d₁∗d₂) = (id⊗(𝔩_≺+𝔩_≻)(d₁))(θ_≻(d₂)) + (𝔯_≺(d₂)⊗id)(θ_≻(d₁))
-                rows["dbi2"].append(
-                    mat_sub(
-                        cogt_star,
-                        _madd(on_right(lstar1, cogt[j]), on_left(rlt2, cogt[i])),
-                    )
-                )
-                # (θ_≺+θ_≻)(d₁≺d₂) = (id⊗𝔩_≺(d₁))(θ_≻(d₂))
-                #   + (𝔯_≺(d₂)⊗id)((θ_≺+θ_≻)(d₁))
-                rows["dbi3"].append(
-                    mat_sub(
-                        _madd(colt_lt, cogt_lt),
-                        _madd(
-                            on_right(llt1, cogt[j]),
-                            on_left(rlt2, _madd(colt[i], cogt[i])),
-                        ),
-                    )
-                )
-                # (θ_≺+θ_≻)(d₁≻d₂) = (id⊗𝔩_≻(d₁))((θ_≺+θ_≻)(d₂))
-                #   + (𝔯_≻(d₂)⊗id)(θ_≺(d₁))
-                # (the ≻-mirror of the third condition; the ≺-operator variant
-                # rejects valid triangular bialgebras)
-                rows["dbi4"].append(
-                    mat_sub(
-                        _madd(colt_gt, cogt_gt),
-                        _madd(
-                            on_right(lgt1, _madd(colt[j], cogt[j])),
-                            on_left(rgt2, colt[i]),
-                        ),
-                    )
-                )
-                # ((𝔩_≺+𝔩_≻)(d₁)⊗id − id⊗𝔯_≺(d₁))(θ_≺(d₂))
-                #   = −τ((𝔩_≻(d₂)⊗id − id⊗(𝔯_≺+𝔯_≻)(d₂))(θ_≻(d₁)))
-                lhs5 = mat_sub(on_left(lstar1, colt[j]), on_right(rlt1, colt[j]))
-                rhs5 = _neg(
-                    _tau(
-                        mat_sub(
-                            on_left(lgt2, cogt[i]),
-                            on_right(_madd(rlt2, rgt2), cogt[i]),
-                        )
-                    )
-                )
-                rows["dbi5"].append(mat_sub(lhs5, rhs5))
-                # (𝔩_≻(d₂)⊗id − id⊗𝔯_≺(d₂))((θ_≺+θ_≻)(d₁))
-                #   = τ((id⊗𝔯_≻(·))(θ_≻(·')) − (𝔩_≺(·)⊗id)(θ_≺(·')))
-                # with (·,·') = (d₁,d₂) for the default "corrected" reading,
-                # (d₂,d₁) for "symmetric" and (d₂,d₂) for "literal".  Only the
-                # corrected reading makes the pair {fifth, sixth} equivalent
-                # to the second completed compatibility law.
-                lhs6 = mat_sub(
-                    on_left(lgt2, _madd(colt[i], cogt[i])),
-                    on_right(rlt2, _madd(colt[i], cogt[i])),
-                )
-                if dbi6_reading == "corrected":
-                    rhs6 = _tau(
-                        mat_sub(on_right(rgt1, cogt[j]), on_left(llt1, colt[j]))
-                    )
-                elif dbi6_reading == "symmetric":
-                    rhs6 = _tau(
-                        mat_sub(on_right(rgt2, cogt[i]), on_left(llt2, colt[i]))
-                    )
-                else:
-                    rhs6 = _tau(
-                        mat_sub(on_right(rgt2, cogt[j]), on_left(llt2, colt[j]))
-                    )
-                rows["dbi6"].append(mat_sub(lhs6, rhs6))
-            for name in res:
-                res[name].append(tuple(rows[name]))
-        residuals = {name: tuple(v) for name, v in res.items()}
-    else:
-        raise ValueError(f"no bialgebra notion for kind {alg.kind!r}")
+    residuals = law_residuals(laws, {**alg.products, **coalg.coproducts}, alg.dim)
     return CheckReport.from_residuals(subject, residuals)
 
 
@@ -543,8 +416,8 @@ def check_quadratic_perm_identities(qp: QuadraticPerm) -> CheckReport:
         nub = nu.basis_coproduct("co", b_idx)
         rhs_i = outer_sum((es[j], mul(fs[j], b)) for j in range(n))
         res_i.append(mat_sub(nub, rhs_i))
-        rhs_ii = _neg(outer_sum((mul(es[j], b), fs[j]) for j in range(n)))
-        res_ii.append(mat_sub(transpose(nub), rhs_ii))
+        # ν(b)ᵀ − (−Σⱼ (eⱼb)⊗fⱼ)
+        res_ii.append(mat_add(transpose(nub), outer_sum((mul(es[j], b), fs[j]) for j in range(n))))
         anti = mat_sub(nub, transpose(nub))
         res_iii_a.append(
             mat_sub(outer_sum((mul(b, es[j]), fs[j]) for j in range(n)), anti)
@@ -553,7 +426,7 @@ def check_quadratic_perm_identities(qp: QuadraticPerm) -> CheckReport:
             mat_sub(outer_sum((es[j], mul(b, fs[j])) for j in range(n)), anti)
         )
     can = outer_sum((es[j], fs[j]) for j in range(n))
-    res_iv = mat_sub(can, _neg(transpose(can)))
+    res_iv = mat_add(can, transpose(can))
     residuals = {
         "nu_left_expansion": tuple(res_i),
         "nu_right_expansion": tuple(res_ii),
@@ -612,7 +485,7 @@ def induce_asi_bialgebra(
     for d in range(nd):
         for b in range(nb):
             nub = nu.basis_coproduct("co", b)
-            t = _madd(
+            t = mat_add(
                 bullet(theta.basis_coproduct("co_gt", d), nub, nd, nb),
                 bullet(theta.basis_coproduct("co_lt", d), transpose(nub), nd, nb),
             )

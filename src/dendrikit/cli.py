@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 
 from .affinization import (
+    MAX_WINDOW,
     Window,
     check_affine_associativity,
     check_completed_asi,
@@ -423,6 +424,8 @@ def affine(dend_file, window_n, which, fmt):
         _usage_error("--dendriform must be a dendriform algebra file")
     if window_n < 2:
         _usage_error("--window must be at least 2 (depth-2 compositions)")
+    if window_n > MAX_WINDOW:
+        _usage_error(f"--window {window_n} exceeds the limit {MAX_WINDOW}")
     w = Window(window_n)
     report = Report(
         command=["dendrikit", "affine", "--dendriform", str(dend_file),

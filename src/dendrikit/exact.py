@@ -5,21 +5,38 @@ matrices and order-2/3 tensors are immutable nested tuples wrapped in small
 dataclasses.  Dual-space vectors are expressed in the dual basis of the
 declared primal basis.
 
-Every contraction goes through one sparse kernel, `combine`: a linear
-combination of sparse rows that touches only nonzero coefficients.  Products
-of structure constants are mostly zero, so skipping zeros is where the time
-goes.  The rows hold each nonzero entry as (position, numerator, denominator)
-Python ints, and `combine` keeps one numerator and one denominator per output
-slot: a·c is (aₙ·cₙ)/(a_d·c_d), and adding p/q to n/d gives n + p over d when
-q = d and (n·q + p·d)/(d·q) otherwise.  Python ints do not overflow, so each
-slot is the exact rational sum; it is reduced once, by `Fraction(n, d)`, when
-the result is returned.  No `Fraction` is built per product.
+Two sparse kernels do the arithmetic, both over Python ints, which never
+overflow, so every sum they form is exact.
+
+`combine` evaluates one linear map at a time (products, actions, `mat_mul`,
+`mat_vec`): a linear combination of sparse rows that touches only nonzero
+coefficients.  The rows hold each nonzero entry as (position, numerator,
+denominator), and `combine` keeps one numerator and one denominator per
+output slot: a·c is (aₙ·cₙ)/(a_d·c_d), and adding p/q to n/d gives n + p over
+d when q = d and otherwise puts both over lcm(d, q), so a slot's denominator
+stays the lcm of its terms' denominators, not their product.  Each slot is
+reduced once, by `Fraction(n, d)`, when the result is returned.
+
+`contract` evaluates a whole law at once.  A law is a signed list of terms;
+a term is a product of labelled structure tables (product cubes, action
+matrices, coproduct cubes, an operator matrix), each axis named by a letter,
+summed over the labels that do not appear in the output.  The law tables
+beside the checks (``AXIOMS``, ``BIMODULE_LAWS``, ``COALGEBRA_LAWS``,
+``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``) and the constructions between kinds
+are written this way.  Each table is read once per call as ints L·c, L the
+lcm of its denominators (`IntTable`), so a term's products are integers over
+the product of its tables' L.  Every term is brought to D, the lcm of those
+products over all terms, the cells are summed as ints, and a `Fraction(x, D)`
+is built only for a nonzero cell; a zero cell is the shared ``ZERO``.  The
+value is the exact rational sum whatever mix of tables the terms draw on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -64,18 +81,6 @@ def nonzero(coords) -> list:
     return [(i, x.numerator, x.denominator) for i, x in enumerate(coords) if x]
 
 
-def sparse_flat(matrix) -> tuple:
-    """The nonzero entries of a matrix as (row·width + column, numerator,
-    denominator) triples."""
-    width = len(matrix[0]) if matrix else 0
-    return tuple(
-        (i * width + j, x.numerator, x.denominator)
-        for i, row in enumerate(matrix)
-        for j, x in enumerate(row)
-        if x
-    )
-
-
 def reshape(flat, width: int) -> tuple:
     """Cut a flat sequence into the rows of a matrix of the given width."""
     return tuple(tuple(flat[i : i + width]) for i in range(0, len(flat), width))
@@ -98,9 +103,177 @@ def combine(terms, table, size: int) -> list:
             if d == dk:
                 num[k] += an * cn
             else:
-                num[k] = num[k] * d + an * cn * dk
-                den[k] = dk * d
+                g = gcd(d, dk)
+                num[k] = num[k] * (d // g) + an * cn * (dk // g)
+                den[k] = dk // g * d
     return [Fraction(n, d) if n else ZERO for n, d in zip(num, den)]
+
+
+def nest(flat, dims) -> tuple:
+    """Cut a flat row-major sequence into nested tuples of the given extents."""
+    out = flat
+    for depth in range(len(dims) - 1, 0, -1):
+        d = dims[depth]
+        if d:
+            # zip over d references to one iterator cuts it into d-tuples
+            out = list(zip(*[iter(out)] * d))
+        else:
+            out = [()] * prod(dims[:depth])
+    return tuple(out)
+
+
+class IntTable:
+    """A nested table of Fractions read as Python ints.
+
+    ``scale`` is the lcm L of the denominators of its nonzero entries c, and
+    ``entries`` lists (index tuple, L·c) for each of them.
+    """
+
+    __slots__ = ("scale", "entries", "_groups")
+
+    def __init__(self, table=(), scale: int = 1, entries=None):
+        if entries is None:
+            rows = [((), table)]
+            while rows and rows[0][1] and not isinstance(rows[0][1][0], Fraction):
+                rows = [(idx + (i,), y) for idx, x in rows for i, y in enumerate(x)]
+            found = [(idx + (j,), c) for idx, row in rows for j, c in enumerate(row) if c]
+            scale = lcm(*(c.denominator for _idx, c in found))
+            entries = [(idx, c.numerator * (scale // c.denominator)) for idx, c in found]
+        self.scale = scale
+        self.entries = entries
+        self._groups = {}
+
+    def grouped(self, key_pos: tuple, placed: tuple) -> dict:
+        """The entries as key ↦ [(offset, L·c)], keyed by their indices at
+        ``key_pos``, with offset Σ index[p]·stride over ``placed`` (p, stride).
+
+        Each grouping is built once per table, so the laws of one check that
+        read a table the same way share it.
+        """
+        g = self._groups.get((key_pos, placed))
+        if g is None:
+            g = {}
+            for idx, v in self.entries:
+                key = tuple([idx[p] for p in key_pos])
+                g.setdefault(key, []).append((sum([idx[p] * s for p, s in placed]), v))
+            self._groups[key_pos, placed] = g
+        return g
+
+
+@lru_cache(maxsize=None)
+def _plan(terms: tuple, out_labels: str) -> tuple:
+    """Per term: its sign, its factors, one step per factor after the first
+    (factor, the labels both sides of the step share, the labels the step
+    keeps), and the output labels the term does not carry.  A step keeps a
+    label that is an output label or is read by a later factor, and sums
+    over the others."""
+    plans = []
+    for sign, *factors in terms:
+        labels = factors[0][1]
+        steps = []
+        for t, (name, right) in enumerate(factors[1:], 2):
+            later = "".join(lab for _name, lab in factors[t:])
+            shared = "".join(x for x in right if x in labels)
+            keep = "".join(dict.fromkeys(
+                x for x in labels + right if x in out_labels or x in later))
+            steps.append(((name, right), shared, keep))
+            labels = keep
+        if any(x not in out_labels for x in labels):
+            raise ValueError(f"term {factors} leaves a label outside {out_labels!r}")
+        missing = tuple(x for x in out_labels if x not in labels)
+        plans.append((sign, tuple(factors), tuple(steps), missing))
+    return tuple(plans)
+
+
+def _strides(labels: str, extent) -> tuple[dict, int]:
+    strides, size = {}, 1
+    for x in reversed(labels):
+        strides[x] = size
+        size *= extent(x)
+    return strides, size
+
+
+def _unravel(p: int, dims: list) -> tuple:
+    """The index tuple of flat row-major position ``p`` in extents ``dims``."""
+    idx = []
+    for d in reversed(dims):
+        p, r = divmod(p, d)
+        idx.append(r)
+    return tuple(reversed(idx))
+
+
+def contract(terms: tuple, tables: dict, out_labels: str, n) -> list:
+    """Σ sign·(product of the factors) over the terms, as a flat row-major
+    list of Fractions in the order of ``out_labels``.
+
+    A term is ``(sign, (table, labels), (table, labels), …)``.  ``labels``
+    names the axes of ``tables[table]`` in storage order, one letter each:
+    ``"kij"`` for a product cube c[k][i][j], ``"ipq"`` for a coproduct cube
+    θ[i][p][q], ``"iab"`` for action matrices.  The factors are contracted
+    left to right; each step sums over the labels that neither the output nor
+    a later factor reads, and matches a label both sides carry that is kept.
+    A term that lacks an output label is the same for each of its values
+    (it is broadcast).  ``n`` is the extent of every label, or a dict from
+    label to extent.  ``terms`` is a tuple, as in the law tables.
+
+    ``tables`` maps each name to its `IntTable`: Python ints L·c, L the lcm
+    of the table's denominators, so a term's products carry the denominator
+    L₁·L₂⋯.  Every term is scaled to D, the lcm of those denominators over
+    all terms, and the cells are summed as ints; the result x/D is then the
+    exact rational value, whatever mix of tables the terms draw on.
+    """
+    extent = n.get if isinstance(n, dict) else (lambda _label: n)
+    strides, size = _strides(out_labels, extent)
+    plans = _plan(terms, out_labels)
+    scales = [prod([tables[name].scale for name, _labels in factors])
+              for _sign, factors, _steps, _missing in plans]
+    den = lcm(*scales)
+
+    out = [0] * size
+    for (sign, factors, steps, missing), scale in zip(plans, scales):
+        m = sign * (den // scale)
+        name, labels = factors[0]
+        table = tables[name]
+        term = out if not missing else [0] * size
+        if not steps:
+            placed = tuple((p, strides[x]) for p, x in enumerate(labels))
+            for off, v in table.grouped((), placed).get((), ()):
+                term[off] += m * v
+        for t, ((right_name, right), shared, keep) in enumerate(steps, 1):
+            last = t == len(steps)
+            place, width = (strides, size) if last else _strides(keep, extent)
+            other = tables[right_name]
+            g1 = table.grouped(tuple(labels.index(x) for x in shared),
+                               tuple((p, place[x]) for p, x in enumerate(labels) if x in keep))
+            g2 = other.grouped(tuple(right.index(x) for x in shared),
+                               tuple((p, place[x]) for p, x in enumerate(right)
+                                     if x in keep and x not in labels))
+            # The last step adds the scaled term into the output; earlier
+            # steps build an intermediate table over the labels they keep.
+            acc, mult = (term, m) if last else ([0] * width, 1)
+            for key, pairs in g1.items():
+                rows = g2.get(key)
+                if rows:
+                    for p1, v1 in pairs:
+                        mv = mult * v1
+                        for p2, v2 in rows:
+                            acc[p1 + p2] += mv * v2
+            if not last:
+                dims = [extent(x) for x in keep]
+                table = IntTable(scale=table.scale * other.scale, entries=[
+                    (_unravel(p, dims), v) for p, v in enumerate(acc) if v])
+                labels = keep
+        if missing:
+            shifts = [0]
+            for x in missing:
+                shifts = [s + i * strides[x] for s in shifts for i in range(extent(x))]
+            for p, v in enumerate(term):
+                if v:
+                    for s in shifts:
+                        out[p + s] += v
+    if not any(out):
+        return [ZERO] * size
+    return [Fraction(x, den) if x else ZERO for x in out]
 
 
 def mat_mul(a, b):
@@ -318,9 +491,6 @@ class BilinForm:
             for j in range(self.dim)
         )
 
-    def is_nondegenerate(self) -> bool:
-        return determinant(self.matrix) != 0
-
     def kernel_vector(self):
         """A nonzero vector v with ω(v, -) = 0, or None if nondegenerate."""
         n = self.dim
@@ -372,9 +542,6 @@ class LinMap:
     def apply(self, v: Vec) -> Vec:
         return Vec(mat_vec(self.matrix, v.coords))
 
-    def compose(self, other: "LinMap") -> "LinMap":
-        return LinMap(mat_mul(self.matrix, other.matrix))
-
     def __add__(self, other: "LinMap") -> "LinMap":
         return LinMap(mat_add(self.matrix, other.matrix))
 
@@ -383,9 +550,6 @@ class LinMap:
 
     def is_zero(self) -> bool:
         return mat_is_zero(self.matrix)
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and determinant(self.matrix) != 0
 
     def determinant(self) -> Fraction:
         return determinant(self.matrix)
@@ -431,13 +595,3 @@ def tensor_product_elem(u: Vec, v: Vec) -> Tensor2:
     return Tensor2(
         tuple(tuple(x * y for y in v.coords) for x in u.coords)
     )
-
-
-def on_left(m, t):
-    """(M⊗id) on a Tensor2 coefficient matrix."""
-    return mat_mul(m, t)
-
-
-def on_right(m, t):
-    """(id⊗M) on a Tensor2 coefficient matrix."""
-    return mat_mul(t, transpose(m))

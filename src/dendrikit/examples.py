@@ -29,11 +29,6 @@ def _matrix(rows):
 
 # --- the 2-dimensional dendriform algebra and its companions -----------------
 
-DENDRIFORM_BASIS = ("e1", "e2")
-PERM_BASIS = ("x1", "x2")
-TENSOR_BASIS = ("e1*x1", "e1*x2", "e2*x1", "e2*x2")
-
-
 def dendriform_pair() -> FinAlgebra:
     """2-dim dendriform algebra with e₁≻e₁ = e₁ and e₂≺e₁ = e₂ (all else 0)."""
     return FinAlgebra(
@@ -199,9 +194,6 @@ def expected_lift_sharp() -> LinMap:
 
 
 # --- the 3-dimensional truncated-polynomial fixture --------------------------
-
-TRUNCATED_BASIS = ("1", "t", "t^2")
-
 
 def truncated_polynomials() -> FinAlgebra:
     """Associative algebra k[t]/(t³) on the basis 1, t, t²."""

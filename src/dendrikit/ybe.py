@@ -11,19 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebras import Bimodule, CheckReport, FinAlgebra
+from .algebras import Bimodule, CheckReport, FinAlgebra, law_residuals
 from .bialgebras import CoalgStruct, QuadraticPerm, bullet, dual_basis_vectors
 from .exact import (
     LinMap,
     Tensor2,
     Tensor3,
-    Vec,
     ZERO,
     flip,
     mat_add,
     mat_sub,
-    on_left,
-    on_right,
     reshape,
     sharp,
     transpose,
@@ -140,31 +137,60 @@ def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:
     return ybe_residual(alg, r).is_zero()
 
 
+# The coboundary coproducts as terms over r[a][b] and the product cubes
+# c[k][i][j], nested [i][p][q]: the coefficient of b_p⊗b_q in the coproduct
+# of bᵢ.  With 𝔩(bᵢ) = c[p][i][a] and 𝔯(bᵢ) = c[p][a][i] as matrices,
+#   (X⊗id)(r) is X pa · r aq,   (id⊗X)(r) is r pb · X qb,
+# and −τ(r) swaps the two indices of r and flips the sign.
+COBOUNDARY = {
+    "lie": {
+        # δ_r(g) = (ad(g)⊗id + id⊗ad(g))(r)
+        "co": ("ipq", (
+            (+1, ("bracket", "pia"), ("r", "aq")),
+            (+1, ("r", "pb"), ("bracket", "qib")))),
+    },
+    "prelie": {
+        # ϑ_r(a) = (𝔩(a)⊗id + id⊗(𝔩−𝔯)(a))(r)
+        "co": ("ipq", (
+            (+1, ("mul", "pia"), ("r", "aq")),
+            (+1, ("r", "pb"), ("mul", "qib")),
+            (-1, ("r", "pb"), ("mul", "qbi")))),
+    },
+    "assoc": {
+        # Δ_r(a) = (id⊗𝔩(a) − 𝔯(a)⊗id)(r)
+        "co": ("ipq", (
+            (+1, ("r", "pb"), ("mul", "qib")),
+            (-1, ("mul", "pai"), ("r", "aq")))),
+    },
+    "dendriform": {
+        # θ_≺,r(d) = ((𝔯_≺+𝔯_≻)(d)⊗id − id⊗𝔩_≻(d))(r)
+        "co_lt": ("ipq", (
+            (+1, ("lt", "pai"), ("r", "aq")),
+            (+1, ("gt", "pai"), ("r", "aq")),
+            (-1, ("r", "pb"), ("gt", "qib")))),
+        # θ_≻,r(d) = (𝔯_≺(d)⊗id − id⊗(𝔩_≺+𝔩_≻)(d))(−τ(r))
+        "co_gt": ("ipq", (
+            (-1, ("lt", "pai"), ("r", "qa")),
+            (+1, ("r", "bp"), ("lt", "qib")),
+            (+1, ("r", "bp"), ("gt", "qib")))),
+    },
+}
+
+
 def invariance_residual(alg: FinAlgebra, s: Tensor2) -> CheckReport:
     """Invariance of a 2-tensor under the kind-specific coboundary action.
 
     Lie: (ad(g)⊗id + id⊗ad(g))(s) = 0
     pre-Lie: (𝔩(a)⊗id + id⊗(𝔩−𝔯)(a))(s) = 0
     associative: (id⊗𝔩(a) − 𝔯(a)⊗id)(s) = 0
+
+    The residual is the coboundary coproduct of s (``COBOUNDARY``).
     """
-    n = alg.dim
-    res = []
-    for i in range(n):
-        a = alg.basis(i)
-        if alg.kind == "lie":
-            ad = alg.left_mult("bracket", a).matrix
-            res.append(mat_add(on_left(ad, s.coeffs), on_right(ad, s.coeffs)))
-        elif alg.kind == "prelie":
-            l = alg.left_mult("mul", a).matrix
-            rm = alg.right_mult("mul", a).matrix
-            res.append(mat_add(on_left(l, s.coeffs), on_right(mat_sub(l, rm), s.coeffs)))
-        elif alg.kind == "assoc":
-            l = alg.left_mult("mul", a).matrix
-            rm = alg.right_mult("mul", a).matrix
-            res.append(mat_sub(on_right(l, s.coeffs), on_left(rm, s.coeffs)))
-        else:
-            raise ValueError(f"no invariance notion for kind {alg.kind!r}")
-    return CheckReport.from_residuals(f"{alg.kind} invariance", {"invariance": tuple(res)})
+    if alg.kind not in ("lie", "prelie", "assoc"):
+        raise ValueError(f"no invariance notion for kind {alg.kind!r}")
+    law = {"invariance": COBOUNDARY[alg.kind]["co"]}
+    residuals = law_residuals(law, {**alg.products, "r": s.coeffs}, alg.dim)
+    return CheckReport.from_residuals(f"{alg.kind} invariance", residuals)
 
 
 def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
@@ -175,51 +201,10 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
     associative: Δ_r(a) = (id⊗𝔩(a) − 𝔯(a)⊗id)(r)
     dendriform: θ_≺,r from r, θ_≻,r from −τ(r) via the corresponding actions.
     """
-    n = alg.dim
-    if alg.kind == "lie":
-        cube = []
-        for i in range(n):
-            ad = alg.left_mult("bracket", alg.basis(i)).matrix
-            cube.append(mat_add(on_left(ad, r.coeffs), on_right(ad, r.coeffs)))
-        return CoalgStruct("lie", n, {"co": tuple(cube)})
-    if alg.kind == "prelie":
-        cube = []
-        for i in range(n):
-            a = alg.basis(i)
-            l = alg.left_mult("mul", a).matrix
-            rm = alg.right_mult("mul", a).matrix
-            cube.append(mat_add(on_left(l, r.coeffs), on_right(mat_sub(l, rm), r.coeffs)))
-        return CoalgStruct("prelie", n, {"co": tuple(cube)})
-    if alg.kind == "assoc":
-        cube = []
-        for i in range(n):
-            a = alg.basis(i)
-            l = alg.left_mult("mul", a).matrix
-            rm = alg.right_mult("mul", a).matrix
-            cube.append(mat_sub(on_right(l, r.coeffs), on_left(rm, r.coeffs)))
-        return CoalgStruct("assoc", n, {"co": tuple(cube)})
-    if alg.kind == "dendriform":
-        r_lt = r.coeffs
-        r_gt = tuple(tuple(-x for x in row) for row in transpose(r.coeffs))
-        cube_lt, cube_gt = [], []
-        for i in range(n):
-            d = alg.basis(i)
-            llt = alg.left_mult("lt", d).matrix
-            lgt = alg.left_mult("gt", d).matrix
-            rlt = alg.right_mult("lt", d).matrix
-            rgt = alg.right_mult("gt", d).matrix
-            # θ_≺,r(d) = ((𝔯_≺+𝔯_≻)(d)⊗id − id⊗𝔩_≻(d))(r)
-            cube_lt.append(
-                mat_sub(on_left(mat_add(rlt, rgt), r_lt), on_right(lgt, r_lt))
-            )
-            # θ_≻,r(d) = (𝔯_≺(d)⊗id − id⊗(𝔩_≺+𝔩_≻)(d))(−τ(r))
-            cube_gt.append(
-                mat_sub(on_left(rlt, r_gt), on_right(mat_add(llt, lgt), r_gt))
-            )
-        return CoalgStruct(
-            "dendriform", n, {"co_lt": tuple(cube_lt), "co_gt": tuple(cube_gt)}
-        )
-    raise ValueError(f"no coboundary coproduct for kind {alg.kind!r}")
+    if alg.kind not in COBOUNDARY:
+        raise ValueError(f"no coboundary coproduct for kind {alg.kind!r}")
+    cubes = law_residuals(COBOUNDARY[alg.kind], {**alg.products, "r": r.coeffs}, alg.dim)
+    return CoalgStruct(alg.kind, alg.dim, cubes)
 
 
 def kappa_tensor(qp: QuadraticPerm) -> Tensor2:
@@ -318,63 +303,62 @@ def coregular_bimodule(alg: FinAlgebra) -> Bimodule:
     return Bimodule(alg, n, mats)
 
 
+# The O-operator identity on basis pairs (v₁, v₂) = (vᵢ, vⱼ) of the module V,
+# nested [i][j][k]: coordinate k, in the algebra, of the identity applied to
+# (vᵢ, vⱼ).  P: V → A is labelled P[a][i] (column i is P(vᵢ)), the products
+# c[k][a][b] and the action matrices M[a][p][q] (the matrix of bₐ).  Every
+# term has degree 2 in P and is contracted left to right:
+#   P(v₁)·P(v₂)           is  P ai · c kab · P bj,
+#   P(X(P(v₁))v₂)         is  P ai · X apj · P kp,
+#   P(Y(P(v₂))v₁)         is  P aj · Y api · P kp.
+OOPERATOR_LAWS = {
+    "lie": {
+        # [P(v₁), P(v₂)] = P(ρ(P(v₁))v₂ − ρ(P(v₂))v₁)
+        "ooperator": ("ijk", (
+            (+1, ("P", "ai"), ("bracket", "kab"), ("P", "bj")),
+            (-1, ("P", "ai"), ("rho", "apj"), ("P", "kp")),
+            (+1, ("P", "aj"), ("rho", "api"), ("P", "kp")))),
+    },
+    "prelie": {
+        # P(v₁)⋄P(v₂) = P(𝔩(P(v₁))v₂ + 𝔯(P(v₂))v₁)
+        "ooperator": ("ijk", (
+            (+1, ("P", "ai"), ("mul", "kab"), ("P", "bj")),
+            (-1, ("P", "ai"), ("l", "apj"), ("P", "kp")),
+            (-1, ("P", "aj"), ("r", "api"), ("P", "kp")))),
+    },
+    "assoc": {
+        # P(v₁)∗P(v₂) = P(𝔩(P(v₁))v₂ + 𝔯(P(v₂))v₁)
+        "ooperator": ("ijk", (
+            (+1, ("P", "ai"), ("mul", "kab"), ("P", "bj")),
+            (-1, ("P", "ai"), ("l", "apj"), ("P", "kp")),
+            (-1, ("P", "aj"), ("r", "api"), ("P", "kp")))),
+    },
+    "dendriform": {
+        # P(v₁)≺P(v₂) = P(𝔩_≺(P(v₁))v₂ + 𝔯_≺(P(v₂))v₁)
+        "ooperator_lt": ("ijk", (
+            (+1, ("P", "ai"), ("lt", "kab"), ("P", "bj")),
+            (-1, ("P", "ai"), ("l_lt", "apj"), ("P", "kp")),
+            (-1, ("P", "aj"), ("r_lt", "api"), ("P", "kp")))),
+        # P(v₁)≻P(v₂) = P(𝔩_≻(P(v₁))v₂ + 𝔯_≻(P(v₂))v₁)
+        "ooperator_gt": ("ijk", (
+            (+1, ("P", "ai"), ("gt", "kab"), ("P", "bj")),
+            (-1, ("P", "ai"), ("l_gt", "apj"), ("P", "kp")),
+            (-1, ("P", "aj"), ("r_gt", "api"), ("P", "kp")))),
+    },
+}
+
+
 def check_ooperator(bim: Bimodule, P: LinMap) -> CheckReport:
     """Verify the O-operator identity for P: V → A on all basis pairs of V."""
     alg = bim.algebra
-    nv = bim.dim
-
-    def pv(i: int) -> Vec:
-        return P.apply(Vec.basis(nv, i))
-
-    res: dict = {}
-    if alg.kind == "lie":
-        out = []
-        for i in range(nv):
-            row = []
-            for j in range(nv):
-                v1, v2 = Vec.basis(nv, i), Vec.basis(nv, j)
-                lhs = alg.multiply("bracket", pv(i), pv(j))
-                inner = bim.action("rho", pv(i)).apply(v2) - bim.action(
-                    "rho", pv(j)
-                ).apply(v1)
-                row.append((lhs - P.apply(inner)).coords)
-            out.append(tuple(row))
-        res["ooperator"] = tuple(out)
-    elif alg.kind in ("prelie", "assoc"):
-        op = "mul"
-        out = []
-        for i in range(nv):
-            row = []
-            for j in range(nv):
-                v1, v2 = Vec.basis(nv, i), Vec.basis(nv, j)
-                lhs = alg.multiply(op, pv(i), pv(j))
-                inner = bim.action("l", pv(i)).apply(v2) + bim.action("r", pv(j)).apply(v1)
-                row.append((lhs - P.apply(inner)).coords)
-            out.append(tuple(row))
-        res["ooperator"] = tuple(out)
-    elif alg.kind == "dendriform":
-        out_lt, out_gt = [], []
-        for i in range(nv):
-            row_lt, row_gt = [], []
-            for j in range(nv):
-                v1, v2 = Vec.basis(nv, i), Vec.basis(nv, j)
-                lhs_lt = alg.multiply("lt", pv(i), pv(j))
-                inner_lt = bim.action("l_lt", pv(i)).apply(v2) + bim.action(
-                    "r_lt", pv(j)
-                ).apply(v1)
-                row_lt.append((lhs_lt - P.apply(inner_lt)).coords)
-                lhs_gt = alg.multiply("gt", pv(i), pv(j))
-                inner_gt = bim.action("l_gt", pv(i)).apply(v2) + bim.action(
-                    "r_gt", pv(j)
-                ).apply(v1)
-                row_gt.append((lhs_gt - P.apply(inner_gt)).coords)
-            out_lt.append(tuple(row_lt))
-            out_gt.append(tuple(row_gt))
-        res["ooperator_lt"] = tuple(out_lt)
-        res["ooperator_gt"] = tuple(out_gt)
-    else:
+    if alg.kind not in OOPERATOR_LAWS:
         raise ValueError(f"no O-operator notion for kind {alg.kind!r}")
-    return CheckReport.from_residuals(f"{alg.kind} O-operator", res)
+    n, m = alg.dim, bim.dim
+    extents = {"i": m, "j": m, "p": m, "k": n, "a": n, "b": n}
+    residuals = law_residuals(
+        OOPERATOR_LAWS[alg.kind], {**alg.products, **bim.actions, "P": P.matrix}, extents
+    )
+    return CheckReport.from_residuals(f"{alg.kind} O-operator", residuals)
 
 
 FACTORIZABLE_SIGN = {"lie": 1, "assoc": 1, "prelie": -1}

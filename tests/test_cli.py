@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from dendrikit import cli
+from dendrikit.affinization import MAX_WINDOW
 from dendrikit.cli import REPRODUCERS, main
 
 CORPUS = Path(str(files("dendrikit") / "corpus"))
@@ -249,6 +251,38 @@ def test_affine_small_window_is_usage_error(runner):
     res = invoke(runner, "affine", "--dendriform", corpus("ex-D-alg-iii.json"),
                  "--window", "1", "--check", "assoc")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("window", ["5", "1000000"])
+def test_affine_window_above_the_limit_is_usage_error(runner, monkeypatch, window):
+    def refuse(*_args):
+        raise AssertionError("the check must not run")
+
+    for name in ("Window", "check_affine_associativity", "check_completed_asi",
+                 "check_completed_coassociativity"):
+        monkeypatch.setattr(cli, name, refuse)
+    for which in ("assoc", "coalg", "asi"):
+        res = invoke(runner, "affine", "--dendriform", corpus("ex-dendind-bialgebra.json"),
+                     "--window", window, "--check", which)
+        assert res.exit_code == 2
+        assert res.output.strip() == f"error: --window {window} exceeds the limit {MAX_WINDOW}"
+
+
+def test_affine_window_at_the_limit_runs_the_check(runner, monkeypatch):
+    """N = MAX_WINDOW is accepted; the check itself is replaced by its N = 2
+    run, since the real one takes tens of seconds."""
+    seen = []
+    real = cli.check_affine_associativity
+
+    def at_window_2(D, w):
+        seen.append(w.N)
+        return real(D, cli.Window(2))
+
+    monkeypatch.setattr(cli, "check_affine_associativity", at_window_2)
+    res = invoke(runner, "affine", "--dendriform", corpus("ex-D-alg-iii.json"),
+                 "--window", str(MAX_WINDOW), "--check", "assoc")
+    assert res.exit_code == 0, res.output
+    assert seen == [MAX_WINDOW]
 
 
 def test_affine_coalg_without_coproducts_is_usage_error(runner):

@@ -1,8 +1,10 @@
-"""The sparse contraction kernel against the dense textbook formulas.
+"""The sparse contraction kernels against the dense textbook formulas.
 
-Every product, action and coproduct is evaluated through `exact.combine`
-over a sparse table derived from the structure constants, and the
-Yang-Baxter residual sums scaled integers.  Here each one is compared,
+Every single product and multiplication matrix is evaluated through
+`exact.combine` over a sparse table derived from the structure constants;
+actions, coproducts and whole laws through `exact.contract`, which sums
+integer-scaled tables; and the Yang-Baxter residual sums scaled integers.
+Here each one is compared,
 exactly, with the dense sum written out inline, on random rational
 constants of every density from all-zero to full, in dimensions 1 to 4, and
 after a random change of basis.  Every coordinate returned must be a
@@ -17,8 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrikit.algebras import KIND_OPS, Bimodule, FinAlgebra
-from dendrikit.bialgebras import CoalgStruct, _co_first, _co_second
-from dendrikit.exact import LinMap, Tensor2, Vec, determinant, mat_mul
+from dendrikit.bialgebras import CoalgStruct
+from dendrikit.exact import (
+    IntTable,
+    LinMap,
+    Tensor2,
+    Vec,
+    combine,
+    contract,
+    determinant,
+    mat_mul,
+    nest,
+)
 from dendrikit.ybe import ybe_residual
 
 from conftest import conjugate_algebra, int_matrix
@@ -118,9 +130,14 @@ def test_bimodule_action_matches_dense_formula(sample, m):
     actions = {name: [_matrix(rng, m, m, density) for _ in range(n)] for name in ("l", "r")}
     bim = Bimodule(alg, m, actions)
     a = _vector(rng, n, 0.7)
+    extents = {"i": n, "p": m, "q": m}
     for name, mats in actions.items():
-        assert _fractions(bim.action(name, a).matrix)
-        assert bim.action(name, a).matrix == tuple(
+        # the action of a = Σ aᵢbᵢ: Σᵢ aᵢ·M[i]
+        tables = {"a": IntTable(a.coords), name: IntTable(bim.actions[name])}
+        action = nest(contract(((1, ("a", "i"), (name, "ipq")),), tables, "pq", extents),
+                      (m, m))
+        assert _fractions(action)
+        assert action == tuple(
             tuple(sum((a.coords[i] * mats[i][p][q] for i in range(n)), Fraction(0))
                   for q in range(m))
             for p in range(m)
@@ -131,30 +148,112 @@ def test_bimodule_action_matches_dense_formula(sample, m):
 @given(st.randoms(use_true_random=False), st.integers(1, 4), st.sampled_from(DENSITIES))
 def test_coproduct_matches_dense_formula(rng, n, density):
     cube = _cube(rng, n, density)
-    coalg = CoalgStruct("assoc", n, {"co": cube})
+    co = CoalgStruct("assoc", n, {"co": cube}).coproducts["co"]
     v = _vector(rng, n, 0.7)
-    assert _fractions(coalg.coproduct("co", v).coeffs)
-    assert coalg.coproduct("co", v).coeffs == tuple(
+    m = _matrix(rng, n, n, 0.7)
+    tables = {"v": IntTable(v.coords), "m": IntTable(m), "co": IntTable(co)}
+    image = nest(contract(((1, ("v", "i"), ("co", "ijk")),), tables, "jk", n), (n, n))
+    assert _fractions(image)
+    assert image == tuple(
         tuple(sum((v.coords[i] * cube[i][j][k] for i in range(n)), Fraction(0))
               for k in range(n))
         for j in range(n)
     )
-    m = _matrix(rng, n, n, 0.7)
-    assert _fractions(_co_first(coalg, "co", m).coeffs)
-    assert _fractions(_co_second(coalg, "co", m).coeffs)
-    # (θ⊗id)(m) and (id⊗θ)(m) for the 2-tensor with coefficient matrix m
-    assert _co_first(coalg, "co", m).coeffs == tuple(
+    # (θ⊗id)(m) and (id⊗θ)(m) for the 2-tensor with coefficient matrix m, as
+    # the co-laws write them
+    first = nest(contract(((1, ("m", "jk"), ("co", "jpq")),), tables, "pqk", n), (n, n, n))
+    second = nest(contract(((1, ("m", "jk"), ("co", "kqr")),), tables, "jqr", n), (n, n, n))
+    assert _fractions(first) and _fractions(second)
+    assert first == tuple(
         tuple(tuple(sum((m[j][k] * cube[j][p][q] for j in range(n)), Fraction(0))
                     for k in range(n))
               for q in range(n))
         for p in range(n)
     )
-    assert _co_second(coalg, "co", m).coeffs == tuple(
+    assert second == tuple(
         tuple(tuple(sum((m[j][k] * cube[k][q][r] for k in range(n)), Fraction(0))
                     for r in range(n))
               for q in range(n))
         for j in range(n)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(DENSITIES))
+def test_contract_mixes_denominators_and_broadcasts(rng, n, m, density):
+    """c·M terms and M·N terms with unrelated denominators in one sum, and a
+    term without the output label i, against the dense Fraction sums."""
+    c = _cube(rng, n, density)
+    M = [_matrix(rng, m, m, density) for _ in range(n)]
+    N = [_matrix(rng, m, m, 1.0) for _ in range(n)]
+    terms = (
+        (+1, ("c", "kij"), ("M", "kab")),
+        (-1, ("M", "iac"), ("N", "jcb")),
+        (+1, ("N", "jab")),
+    )
+    extents = {"i": n, "j": n, "k": n, "a": m, "b": m, "c": m}
+    tables = {"c": IntTable(c), "M": IntTable(M), "N": IntTable(N)}
+    got = nest(contract(terms, tables, "ijab", extents), (n, n, m, m))
+    assert _fractions(got)
+    assert got == tuple(
+        tuple(
+            tuple(
+                tuple(
+                    sum((c[k][i][j] * M[k][a][b] for k in range(n)), Fraction(0))
+                    - sum((M[i][a][x] * N[j][x][b] for x in range(m)), Fraction(0))
+                    + N[j][a][b]
+                    for b in range(m)
+                )
+                for a in range(m)
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(DENSITIES))
+def test_contract_chains_three_factors(rng, n, m, density):
+    """P(v₁)·P(v₂) − P(X(P(v₁))v₂), each of degree 2 in P, as chained
+    contractions, against the dense Fraction sums."""
+    c = _cube(rng, n, density)
+    X = [_matrix(rng, m, m, density) for _ in range(n)]
+    P = _matrix(rng, n, m, 0.7)
+    terms = (
+        (+1, ("P", "ai"), ("c", "kab"), ("P", "bj")),
+        (-1, ("P", "ai"), ("X", "apj"), ("P", "kp")),
+    )
+    extents = {"i": m, "j": m, "p": m, "k": n, "a": n, "b": n}
+    tables = {"c": IntTable(c), "X": IntTable(X), "P": IntTable(P)}
+    got = nest(contract(terms, tables, "ijk", extents), (m, m, n))
+    assert _fractions(got)
+    assert got == tuple(
+        tuple(
+            tuple(
+                sum((P[a][i] * P[b][j] * c[k][a][b] for a in range(n) for b in range(n)),
+                    Fraction(0))
+                - sum((P[k][p] * P[a][i] * X[a][p][j] for a in range(n) for p in range(m)),
+                      Fraction(0))
+                for k in range(n)
+            )
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+
+
+def test_combine_slot_keeps_an_lcm_denominator():
+    """500 terms with denominators 1–7 summed into one slot, which moves
+    between unequal denominators many times, give the Fraction sum exactly."""
+    rng = random.Random(7)
+    table = [((0, 1, 1),)]
+    terms = [(0, rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(500)]
+    (got,) = combine(terms, table, 1)
+    assert got == sum((Fraction(a, d) for _i, a, d in terms), Fraction(0))
+    assert type(got) is Fraction
 
 
 @settings(max_examples=60, deadline=None)
