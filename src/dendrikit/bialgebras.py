@@ -152,71 +152,6 @@ def check_coalgebra(coalg: CoalgStruct) -> CheckReport:
 #   (𝔩(x₁)⊗id)(θ(x₂))   is  c pir · θ jrq,    (id⊗𝔩(x₁))(θ(x₂))  is  θ jpr · c qir,
 #   (𝔯(x₂)⊗id)(θ(x₁))   is  c prj · θ irq,    (id⊗𝔯(x₂))(θ(x₁))  is  θ ipr · c qrj,
 # and τ swaps p and q.
-_DBI = {
-    # θ_≺(d₁∗d₂) = (id⊗𝔩_≻(d₁))(θ_≺(d₂)) + ((𝔯_≺+𝔯_≻)(d₂)⊗id)(θ_≺(d₁))
-    "dbi1": ("ijpq", (
-        (+1, ("lt", "kij"), ("co_lt", "kpq")),
-        (+1, ("gt", "kij"), ("co_lt", "kpq")),
-        (-1, ("co_lt", "jpr"), ("gt", "qir")),
-        (-1, ("lt", "prj"), ("co_lt", "irq")),
-        (-1, ("gt", "prj"), ("co_lt", "irq")))),
-    # θ_≻(d₁∗d₂) = (id⊗(𝔩_≺+𝔩_≻)(d₁))(θ_≻(d₂)) + (𝔯_≺(d₂)⊗id)(θ_≻(d₁))
-    "dbi2": ("ijpq", (
-        (+1, ("lt", "kij"), ("co_gt", "kpq")),
-        (+1, ("gt", "kij"), ("co_gt", "kpq")),
-        (-1, ("co_gt", "jpr"), ("lt", "qir")),
-        (-1, ("co_gt", "jpr"), ("gt", "qir")),
-        (-1, ("lt", "prj"), ("co_gt", "irq")))),
-    # (θ_≺+θ_≻)(d₁≺d₂) = (id⊗𝔩_≺(d₁))(θ_≻(d₂))
-    #   + (𝔯_≺(d₂)⊗id)((θ_≺+θ_≻)(d₁))
-    "dbi3": ("ijpq", (
-        (+1, ("lt", "kij"), ("co_lt", "kpq")),
-        (+1, ("lt", "kij"), ("co_gt", "kpq")),
-        (-1, ("co_gt", "jpr"), ("lt", "qir")),
-        (-1, ("lt", "prj"), ("co_lt", "irq")),
-        (-1, ("lt", "prj"), ("co_gt", "irq")))),
-    # (θ_≺+θ_≻)(d₁≻d₂) = (id⊗𝔩_≻(d₁))((θ_≺+θ_≻)(d₂))
-    #   + (𝔯_≻(d₂)⊗id)(θ_≺(d₁))
-    # (the ≻-mirror of the third condition; the ≺-operator variant
-    # rejects valid triangular bialgebras)
-    "dbi4": ("ijpq", (
-        (+1, ("gt", "kij"), ("co_lt", "kpq")),
-        (+1, ("gt", "kij"), ("co_gt", "kpq")),
-        (-1, ("co_lt", "jpr"), ("gt", "qir")),
-        (-1, ("co_gt", "jpr"), ("gt", "qir")),
-        (-1, ("gt", "prj"), ("co_lt", "irq")))),
-    # ((𝔩_≺+𝔩_≻)(d₁)⊗id − id⊗𝔯_≺(d₁))(θ_≺(d₂))
-    #   = −τ((𝔩_≻(d₂)⊗id − id⊗(𝔯_≺+𝔯_≻)(d₂))(θ_≻(d₁)))
-    "dbi5": ("ijpq", (
-        (+1, ("lt", "pir"), ("co_lt", "jrq")),
-        (+1, ("gt", "pir"), ("co_lt", "jrq")),
-        (-1, ("co_lt", "jpr"), ("lt", "qri")),
-        (+1, ("gt", "qjr"), ("co_gt", "irp")),
-        (-1, ("co_gt", "iqr"), ("lt", "prj")),
-        (-1, ("co_gt", "iqr"), ("gt", "prj")))),
-}
-
-# (𝔩_≻(d₂)⊗id − id⊗𝔯_≺(d₂))((θ_≺+θ_≻)(d₁))
-#   = τ((id⊗𝔯_≻(·))(θ_≻(·')) − (𝔩_≺(·)⊗id)(θ_≺(·')))
-# with (·,·') = (d₁,d₂) for the default "corrected" reading,
-# (d₂,d₁) for "symmetric" and (d₂,d₂) for "literal".  Only the
-# corrected reading makes the pair {fifth, sixth} equivalent
-# to the second completed compatibility law.
-_DBI6_LHS = (
-    (+1, ("gt", "pjr"), ("co_lt", "irq")),
-    (+1, ("gt", "pjr"), ("co_gt", "irq")),
-    (-1, ("co_lt", "ipr"), ("lt", "qrj")),
-    (-1, ("co_gt", "ipr"), ("lt", "qrj")),
-)
-
-
-def _dbi6(x: str, y: str) -> tuple:
-    """The sixth condition with (·,·') read as the basis labels (x, y)."""
-    return ("ijpq", _DBI6_LHS + (
-        (-1, ("co_gt", f"{y}qr"), ("gt", f"pr{x}")),
-        (+1, ("lt", f"q{x}r"), ("co_lt", f"{y}rp"))))
-
-
 BIALGEBRA_LAWS = {
     "lie": {
         # δ([g₁,g₂]) = (ad(g₁)⊗id + id⊗ad(g₁))(δ(g₂)) − (ad(g₂)⊗id + id⊗ad(g₂))(δ(g₁))
@@ -264,11 +199,80 @@ BIALGEBRA_LAWS = {
             (-1, ("co", "iqr"), ("mul", "prj")),
             (+1, ("mul", "qjr"), ("co", "irp")))),
     },
+    # dbi6 is in DBI6_READINGS
     "dendriform": {
-        "corrected": {**_DBI, "dbi6": _dbi6("i", "j")},
-        "symmetric": {**_DBI, "dbi6": _dbi6("j", "i")},
-        "literal": {**_DBI, "dbi6": _dbi6("j", "j")},
+        # θ_≺(d₁∗d₂) = (id⊗𝔩_≻(d₁))(θ_≺(d₂)) + ((𝔯_≺+𝔯_≻)(d₂)⊗id)(θ_≺(d₁))
+        "dbi1": ("ijpq", (
+            (+1, ("lt", "kij"), ("co_lt", "kpq")),
+            (+1, ("gt", "kij"), ("co_lt", "kpq")),
+            (-1, ("co_lt", "jpr"), ("gt", "qir")),
+            (-1, ("lt", "prj"), ("co_lt", "irq")),
+            (-1, ("gt", "prj"), ("co_lt", "irq")))),
+        # θ_≻(d₁∗d₂) = (id⊗(𝔩_≺+𝔩_≻)(d₁))(θ_≻(d₂)) + (𝔯_≺(d₂)⊗id)(θ_≻(d₁))
+        "dbi2": ("ijpq", (
+            (+1, ("lt", "kij"), ("co_gt", "kpq")),
+            (+1, ("gt", "kij"), ("co_gt", "kpq")),
+            (-1, ("co_gt", "jpr"), ("lt", "qir")),
+            (-1, ("co_gt", "jpr"), ("gt", "qir")),
+            (-1, ("lt", "prj"), ("co_gt", "irq")))),
+        # (θ_≺+θ_≻)(d₁≺d₂) = (id⊗𝔩_≺(d₁))(θ_≻(d₂))
+        #   + (𝔯_≺(d₂)⊗id)((θ_≺+θ_≻)(d₁))
+        "dbi3": ("ijpq", (
+            (+1, ("lt", "kij"), ("co_lt", "kpq")),
+            (+1, ("lt", "kij"), ("co_gt", "kpq")),
+            (-1, ("co_gt", "jpr"), ("lt", "qir")),
+            (-1, ("lt", "prj"), ("co_lt", "irq")),
+            (-1, ("lt", "prj"), ("co_gt", "irq")))),
+        # (θ_≺+θ_≻)(d₁≻d₂) = (id⊗𝔩_≻(d₁))((θ_≺+θ_≻)(d₂))
+        #   + (𝔯_≻(d₂)⊗id)(θ_≺(d₁))
+        # (the ≻-mirror of the third condition; the ≺-operator variant
+        # rejects valid triangular bialgebras)
+        "dbi4": ("ijpq", (
+            (+1, ("gt", "kij"), ("co_lt", "kpq")),
+            (+1, ("gt", "kij"), ("co_gt", "kpq")),
+            (-1, ("co_lt", "jpr"), ("gt", "qir")),
+            (-1, ("co_gt", "jpr"), ("gt", "qir")),
+            (-1, ("gt", "prj"), ("co_lt", "irq")))),
+        # ((𝔩_≺+𝔩_≻)(d₁)⊗id − id⊗𝔯_≺(d₁))(θ_≺(d₂))
+        #   = −τ((𝔩_≻(d₂)⊗id − id⊗(𝔯_≺+𝔯_≻)(d₂))(θ_≻(d₁)))
+        "dbi5": ("ijpq", (
+            (+1, ("lt", "pir"), ("co_lt", "jrq")),
+            (+1, ("gt", "pir"), ("co_lt", "jrq")),
+            (-1, ("co_lt", "jpr"), ("lt", "qri")),
+            (+1, ("gt", "qjr"), ("co_gt", "irp")),
+            (-1, ("co_gt", "iqr"), ("lt", "prj")),
+            (-1, ("co_gt", "iqr"), ("gt", "prj")))),
     },
+}
+
+# (𝔩_≻(d₂)⊗id − id⊗𝔯_≺(d₂))((θ_≺+θ_≻)(d₁))
+#   = τ((id⊗𝔯_≻(·))(θ_≻(·')) − (𝔩_≺(·)⊗id)(θ_≺(·')))
+# with (·,·') = (d₁,d₂) for the default "corrected" reading, (d₂,d₁) for
+# "symmetric" and (d₂,d₂) for "literal"; the readings differ only in the
+# last two terms.  Only the corrected reading makes the pair {fifth, sixth}
+# equivalent to the second completed compatibility law.
+DBI6_READINGS = {
+    "corrected": ("ijpq", (
+        (+1, ("gt", "pjr"), ("co_lt", "irq")),
+        (+1, ("gt", "pjr"), ("co_gt", "irq")),
+        (-1, ("co_lt", "ipr"), ("lt", "qrj")),
+        (-1, ("co_gt", "ipr"), ("lt", "qrj")),
+        (-1, ("co_gt", "jqr"), ("gt", "pri")),
+        (+1, ("lt", "qir"), ("co_lt", "jrp")))),
+    "symmetric": ("ijpq", (
+        (+1, ("gt", "pjr"), ("co_lt", "irq")),
+        (+1, ("gt", "pjr"), ("co_gt", "irq")),
+        (-1, ("co_lt", "ipr"), ("lt", "qrj")),
+        (-1, ("co_gt", "ipr"), ("lt", "qrj")),
+        (-1, ("co_gt", "iqr"), ("gt", "prj")),
+        (+1, ("lt", "qjr"), ("co_lt", "irp")))),
+    "literal": ("ijpq", (
+        (+1, ("gt", "pjr"), ("co_lt", "irq")),
+        (+1, ("gt", "pjr"), ("co_gt", "irq")),
+        (-1, ("co_lt", "ipr"), ("lt", "qrj")),
+        (-1, ("co_gt", "ipr"), ("lt", "qrj")),
+        (-1, ("co_gt", "jqr"), ("gt", "prj")),
+        (+1, ("lt", "qjr"), ("co_lt", "jrp")))),
 }
 
 
@@ -292,11 +296,11 @@ def check_bialgebra(
     laws = BIALGEBRA_LAWS[alg.kind]
     subject = f"{alg.kind} bialgebra"
     if alg.kind == "dendriform":
-        if dbi6_reading not in laws:
+        if dbi6_reading not in DBI6_READINGS:
             raise ValueError(
                 "dbi6_reading must be 'corrected', 'symmetric' or 'literal'"
             )
-        laws = laws[dbi6_reading]
+        laws = {**laws, "dbi6": DBI6_READINGS[dbi6_reading]}
         subject = f"dendriform bialgebra (dbi6 reading: {dbi6_reading})"
     residuals = law_residuals(laws, {**alg.products, **coalg.coproducts}, alg.dim)
     return CheckReport.from_residuals(subject, residuals)

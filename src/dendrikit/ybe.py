@@ -3,6 +3,11 @@
 An r-matrix r ∈ A⊗A is stored as a Tensor2 over the algebra basis.  Each
 Yang-Baxter residual is computed term by term from the defining expansion in
 simple tensors, exactly; r is a solution iff the residual 3-tensor vanishes.
+
+The coboundary coproducts (``COBOUNDARY``, which also give the invariance
+residual) and the O-operator identity (``OOPERATOR_LAWS``, whose terms have
+degree 2 in the operator P and are chained contractions) are term tables
+evaluated by `exact.contract`, like the laws in `algebras` and `bialgebras`.
 """
 
 from __future__ import annotations
