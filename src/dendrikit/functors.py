@@ -96,6 +96,13 @@ def tensor_assoc(dendriform: FinAlgebra, perm: FinAlgebra) -> FinAlgebra:
                       _tensor_extents(dendriform.dim, perm.dim))
 
 
+# The two routes' brackets on D⊗B: [x, y] via pre-Lie − [x, y] via the
+# associative algebra.
+SQUARE_LAW = {
+    "square_commutes": ("kij", ((+1, ("via_prelie", "kij")), (-1, ("via_assoc", "kij")))),
+}
+
+
 def check_square(dendriform: FinAlgebra, perm: FinAlgebra) -> CheckReport:
     """Both routes from (D, B) to a Lie algebra on D⊗B agree.
 
@@ -106,11 +113,10 @@ def check_square(dendriform: FinAlgebra, perm: FinAlgebra) -> CheckReport:
     prelie = dendriform_to_prelie(dendriform)
     via_prelie = tensor_lie(prelie, perm)
     via_assoc = commutator_lie(tensor_assoc(dendriform, perm))
-    # [x, y] via pre-Lie − [x, y] via the associative algebra
-    square = {"square_commutes": ("kij", ((+1, ("pre", "kij")), (-1, ("assoc", "kij"))))}
     residuals = {
-        **law_residuals(square, {"pre": via_prelie.products["bracket"],
-                                 "assoc": via_assoc.products["bracket"]}, via_prelie.dim),
+        **law_residuals(SQUARE_LAW, {"via_prelie": via_prelie.products["bracket"],
+                                     "via_assoc": via_assoc.products["bracket"]},
+                        via_prelie.dim),
         "prelie_axioms": check_axioms(prelie).residuals["pre_lie"],
         "assoc_axioms": check_axioms(dendriform_to_assoc(dendriform)).residuals[
             "associativity"
