@@ -59,6 +59,11 @@ def _scaled_products(alg: FinAlgebra) -> tuple[dict, int]:
     }, scale
 
 
+def _require_square(alg: FinAlgebra, r: Tensor2):
+    if r.dim_left != alg.dim or r.dim_right != alg.dim:
+        raise ValueError("r-matrix dimension does not match the algebra")
+
+
 def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     """Residual 3-tensor of the Yang-Baxter equation matching the algebra kind.
 
@@ -73,8 +78,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     and one Fraction is built per nonzero coefficient.
     """
     n = alg.dim
-    if r.dim_left != n or r.dim_right != n:
-        raise ValueError("r-matrix dimension does not match the algebra")
+    _require_square(alg, r)
     entries, scale_r = _scaled_entries(r)
     products, scale_a = _scaled_products(alg)
     nn = n * n
@@ -193,6 +197,7 @@ def invariance_residual(alg: FinAlgebra, s: Tensor2) -> CheckReport:
     """
     if alg.kind not in ("lie", "prelie", "assoc"):
         raise ValueError(f"no invariance notion for kind {alg.kind!r}")
+    _require_square(alg, s)
     law = {"invariance": COBOUNDARY[alg.kind]["co"]}
     residuals = law_residuals(law, {**alg.products, "r": s.coeffs}, alg.dim)
     return CheckReport.from_residuals(f"{alg.kind} invariance", residuals)
@@ -208,6 +213,7 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
     """
     if alg.kind not in COBOUNDARY:
         raise ValueError(f"no coboundary coproduct for kind {alg.kind!r}")
+    _require_square(alg, r)
     cubes = law_residuals(COBOUNDARY[alg.kind], {**alg.products, "r": r.coeffs}, alg.dim)
     return CoalgStruct(alg.kind, alg.dim, cubes)
 
@@ -359,6 +365,8 @@ def check_ooperator(bim: Bimodule, P: LinMap) -> CheckReport:
     if alg.kind not in OOPERATOR_LAWS:
         raise ValueError(f"no O-operator notion for kind {alg.kind!r}")
     n, m = alg.dim, bim.dim
+    if P.rows != n or (n and P.cols != m):
+        raise ValueError(f"operator must be {n}x{m} (module to algebra), got {P.rows}x{P.cols}")
     extents = {"i": m, "j": m, "p": m, "k": n, "a": n, "b": n}
     residuals = law_residuals(
         OOPERATOR_LAWS[alg.kind], {**alg.products, **bim.actions, "P": P.matrix}, extents

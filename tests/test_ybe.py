@@ -6,7 +6,7 @@ import pytest
 
 from dendrikit import examples
 from dendrikit.bialgebras import check_coalgebra
-from dendrikit.exact import ONE, ZERO, Tensor2, flip, sharp
+from dendrikit.exact import ONE, ZERO, LinMap, Tensor2, flip, sharp
 from dendrikit.functors import dendriform_to_prelie, tensor_assoc, tensor_lie
 from dendrikit.ybe import (
     HypothesisError,
@@ -130,6 +130,21 @@ def test_sharp_of_nonsolution_is_not_ooperator(dend_pair):
         coregular_bimodule(dend_pair), sharp(examples.r_nonsolution())
     )
     assert not rep.ok
+
+
+def test_misshaped_operator_or_tensor_is_rejected(dend_pair):
+    """A 2x3 operator or a 3x3 r on a 2-dim algebra is refused, not read."""
+    bim = coregular_bimodule(dend_pair)
+    wide = LinMap([[ONE, ZERO, ONE], [ZERO, ONE, ZERO]])
+    with pytest.raises(ValueError, match="operator must be 2x2"):
+        check_ooperator(bim, wide)
+    big = Tensor2([[ONE, ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ONE]])
+    pre = dendriform_to_prelie(dend_pair)
+    for call in (lambda: coboundary_coproduct(dend_pair, big),
+                 lambda: invariance_residual(pre, big),
+                 lambda: ybe_residual(dend_pair, big)):
+        with pytest.raises(ValueError, match="r-matrix dimension"):
+            call()
 
 
 def test_ooperator_iff_ybe_dendriform_exhaustive(dend_pair):
