@@ -18,8 +18,9 @@ keep exactly the same terms; only the discarded ones are skipped, so every
 coefficient, and with it the safe-region argument above, is the same.
 
 Accumulation is over the integers.  The completed ASI and coassociativity
-checks first scale the structure constants of D by the lcm L_D of their
-denominators and the coproduct coefficients by L_θ; the signs of ν are ±1.
+checks read the structure constants of D from its `exact.IntTable`s,
+brought to the lcm L_D of their denominators, and the coproduct
+coefficients likewise over L_θ; the signs of ν are ±1.
 Each compatibility term has degree one in each, and each coassociativity
 term degree two in θ, so a residual is an integer over L_D·L_θ or L_θ² —
 still exact.  It is turned back into a Fraction only where a failure is
@@ -418,46 +419,36 @@ def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
 # --- completed ASI bialgebra -------------------------------------------------
 
 
-def _common_denominator(cubes) -> int:
-    """The lcm of the denominators of every entry of the given cubes."""
-    return lcm(
-        *(c.denominator for cube in cubes for plane in cube for row in plane for c in row)
-    )
-
-
 def _scaled_products(D: FinAlgebra) -> tuple[dict, int]:
-    """L_D and the table (d₁, d₂) ↦ ((k, L_D·c_≻, L_D·c_≺), …) of nonzero rows."""
-    scale = _common_denominator(D.products.values())
-    gt, lt = D.products["gt"], D.products["lt"]
-    n = D.dim
-    table = {}
-    for d1 in range(n):
-        for d2 in range(n):
-            row = tuple(
-                (k, int(gt[k][d1][d2] * scale), int(lt[k][d1][d2] * scale))
-                for k in range(n)
-                if gt[k][d1][d2] or lt[k][d1][d2]
-            )
-            if row:
-                table[d1, d2] = row
-    return table, scale
+    """L_D and the table (d₁, d₂) ↦ ((k, L_D·c_≻, L_D·c_≺), …) of nonzero rows,
+    read from the algebra's tables."""
+    return _paired_rows(D.tables["gt"], D.tables["lt"], lambda k, d1, d2: ((d1, d2), (k,)))
 
 
 def _scaled_coproducts(theta: CoalgStruct) -> tuple[list, int]:
-    """L_θ and, per d, the nonzero ((d_p, d_q, L_θ·c_≻, L_θ·c_≺), …) of θ(d)."""
-    scale = _common_denominator(theta.coproducts.values())
-    gt, lt = theta.coproducts["co_gt"], theta.coproducts["co_lt"]
-    n = theta.dim
-    table = [
-        tuple(
-            (dp, dq, int(gt[d][dp][dq] * scale), int(lt[d][dp][dq] * scale))
-            for dp in range(n)
-            for dq in range(n)
-            if gt[d][dp][dq] or lt[d][dp][dq]
-        )
-        for d in range(n)
-    ]
-    return table, scale
+    """L_θ and, per d, the nonzero ((d_p, d_q, L_θ·c_≻, L_θ·c_≺), …) of θ(d),
+    read from the coalgebra's tables."""
+    rows, scale = _paired_rows(theta.tables["co_gt"], theta.tables["co_lt"],
+                               lambda d, dp, dq: (d, (dp, dq)))
+    return [rows.get(d, ()) for d in range(theta.dim)], scale
+
+
+def _paired_rows(gt, lt, split) -> tuple[dict, int]:
+    """The entries of two `IntTable`s over L, the lcm of their scales, as
+    key ↦ ((*place, L·c_gt, L·c_lt), …) with places ascending, where
+    ``split`` cuts an entry's index into (key, place)."""
+    scale = lcm(gt.scale, lt.scale)
+    cells: dict = {}
+    for col, table in enumerate((gt, lt)):
+        lift = scale // table.scale
+        for idx, v in table.entries:
+            key, place = split(*idx)
+            cells.setdefault(key, {}).setdefault(place, [0, 0])[col] = v * lift
+    rows = {
+        key: tuple((*place, g, l) for place, (g, l) in sorted(row.items()))
+        for key, row in cells.items()
+    }
+    return rows, scale
 
 
 def _times(products: dict, d1: int, b1: Mono, d2: int, b2: Mono) -> list:

@@ -5,21 +5,19 @@ Five algebra kinds are supported: dendriform (two products ``lt`` = ≺ and
 Lie (``bracket``).  A structure-constant cube ``c`` encodes a product by
 ``c[k][i][j]`` = coefficient of basis element k in bᵢ·bⱼ.
 
-The cube is the canonical form: it is what files, equality, the laws and
-the constructions read.  Each algebra also derives, once in its constructor,
-a private sparse table (i, j) ↦ ((k, cₙ, c_d), …) holding the numerator and
-denominator of each nonzero constant only; a single product, left or right
-multiplication goes through `exact.combine` over that table, which sums
-Python ints and returns reduced Fractions.
+The cube is the canonical form: it is what files, equality and repr read.
+Each algebra, and each bimodule for its action matrices, also builds once in
+its constructor one `exact.IntTable` per cube, its nonzero constants as
+integers over the lcm of their denominators.  Every law, construction and
+product reads those tables.
 
-The laws are data.  ``AXIOMS`` and ``BIMODULE_LAWS`` write each law as its
-output labels and a signed list of terms, each a product of labelled
-structure tables (product cubes, action matrices).  `law_residuals`
-evaluates a check's laws with `exact.contract`, which reads each table once
-as integers over the lcm of its denominators, sums every term over one
-common denominator and builds a Fraction only for a nonzero cell, so the
-residuals are exact; each is nested in the order of its output labels.
-Adding a law is adding a row to a table.
+The laws are data.  ``AXIOMS``, ``BIMODULE_LAWS`` and ``ROTA_BAXTER_LAW``
+write each law as its output labels and a signed list of terms, each a
+product of labelled structure tables (product cubes, action matrices, an
+operator).  `law_residuals` evaluates a check's laws with `exact.contract`,
+which sums every term over one common denominator and builds a Fraction only
+for a nonzero cell, so the residuals are exact; each is nested in the order
+of its output labels.  Adding a law is adding a row to a table.
 """
 
 from __future__ import annotations
@@ -33,12 +31,9 @@ from .exact import (
     LinMap,
     Vec,
     ZERO,
-    combine,
     contract,
     freeze_cube,
     nest,
-    nonzero,
-    transpose,
 )
 
 KIND_OPS = {
@@ -107,12 +102,16 @@ class CheckReport:
         return first_nonzero_nested(self.residuals[name]) is None
 
 
+# x·y for the vectors x, y and a product cube c, coordinate k.
+_PRODUCT = ((1, ("x", "i"), ("c", "kij"), ("y", "j")),)
+
+
 @dataclass(frozen=True)
 class FinAlgebra:
     kind: str
     dim: int
     products: dict
-    _pairs: dict = field(init=False, repr=False, compare=False)
+    tables: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: str, dim: int, products: dict):
         if kind not in KIND_OPS:
@@ -133,57 +132,16 @@ class FinAlgebra:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "products", frozen)
-        # Entry i·dim + j lists (k, numerator, denominator) of the nonzero
-        # coefficients c of bᵢ·bⱼ.
-        object.__setattr__(self, "_pairs", {
-            name: tuple(
-                tuple(
-                    (k, c.numerator, c.denominator)
-                    for k in range(dim)
-                    if (c := cube[k][i][j])
-                )
-                for i in range(dim)
-                for j in range(dim)
-            )
-            for name, cube in frozen.items()
-        })
+        object.__setattr__(self, "tables", {
+            name: IntTable(cube) for name, cube in frozen.items()})
 
     @property
     def ops(self) -> tuple[str, ...]:
         return KIND_OPS[self.kind]
 
-    def product_terms(self, op: str, i: int, j: int) -> tuple:
-        """The nonzero (k, c) with bᵢ·bⱼ = Σ c·bₖ."""
-        cube = self.products[op]
-        return tuple((k, cube[k][i][j]) for k, _n, _d in self._pairs[op][i * self.dim + j])
-
     def multiply(self, op: str, u: Vec, v: Vec) -> Vec:
-        n = self.dim
-        right = nonzero(v.coords)
-        terms = (
-            (i * n + j, an * bn, ad * bd)
-            for i, an, ad in nonzero(u.coords)
-            for j, bn, bd in right
-        )
-        return Vec(combine(terms, self._pairs[op], n))
-
-    def left_mult(self, op: str, a: Vec) -> LinMap:
-        """Matrix of v ↦ a·v."""
-        n = self.dim
-        left = nonzero(a.coords)
-        # Column j is the product a·bⱼ.
-        cols = [combine(((i * n + j, xn, xd) for i, xn, xd in left), self._pairs[op], n)
-                for j in range(n)]
-        return LinMap(transpose(cols))
-
-    def right_mult(self, op: str, a: Vec) -> LinMap:
-        """Matrix of v ↦ v·a."""
-        n = self.dim
-        right = nonzero(a.coords)
-        # Column i is the product bᵢ·a.
-        cols = [combine(((i * n + j, xn, xd) for j, xn, xd in right), self._pairs[op], n)
-                for i in range(n)]
-        return LinMap(transpose(cols))
+        tables = {"x": IntTable(u.coords), "c": self.tables[op], "y": IntTable(v.coords)}
+        return Vec(contract(_PRODUCT, tables, "k", self.dim))
 
     def basis(self, i: int) -> Vec:
         return Vec.basis(self.dim, i)
@@ -200,6 +158,7 @@ class Bimodule:
     algebra: FinAlgebra
     dim: int
     actions: dict
+    tables: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, algebra: FinAlgebra, dim: int, actions: dict):
         if algebra.kind not in KIND_BIMODULE_ACTIONS:
@@ -220,25 +179,36 @@ class Bimodule:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "actions", frozen)
+        object.__setattr__(self, "tables", {
+            name: IntTable(mats) for name, mats in frozen.items()})
+
+
+def left_matrices(cube) -> tuple:
+    """The matrices of v ↦ bᵢ·v: 𝔩(bᵢ)[p][q] = c[p][i][q]."""
+    return tuple(tuple(plane[i] for plane in cube) for i in range(len(cube)))
+
+
+def right_matrices(cube) -> tuple:
+    """The matrices of v ↦ v·bᵢ: 𝔯(bᵢ)[p][q] = c[p][q][i]."""
+    return tuple(
+        tuple(tuple(row[i] for row in plane) for plane in cube) for i in range(len(cube))
+    )
 
 
 def regular_bimodule(alg: FinAlgebra) -> Bimodule:
     """The algebra acting on itself by left and right multiplications."""
+    c = alg.products
     if alg.kind == "lie":
-        mats = {"rho": tuple(alg.left_mult("bracket", alg.basis(i)).matrix
-                             for i in range(alg.dim))}
+        mats = {"rho": left_matrices(c["bracket"])}
     elif alg.kind == "dendriform":
         mats = {
-            "l_lt": tuple(alg.left_mult("lt", alg.basis(i)).matrix for i in range(alg.dim)),
-            "r_lt": tuple(alg.right_mult("lt", alg.basis(i)).matrix for i in range(alg.dim)),
-            "l_gt": tuple(alg.left_mult("gt", alg.basis(i)).matrix for i in range(alg.dim)),
-            "r_gt": tuple(alg.right_mult("gt", alg.basis(i)).matrix for i in range(alg.dim)),
+            "l_lt": left_matrices(c["lt"]),
+            "r_lt": right_matrices(c["lt"]),
+            "l_gt": left_matrices(c["gt"]),
+            "r_gt": right_matrices(c["gt"]),
         }
     elif alg.kind in ("prelie", "assoc"):
-        mats = {
-            "l": tuple(alg.left_mult("mul", alg.basis(i)).matrix for i in range(alg.dim)),
-            "r": tuple(alg.right_mult("mul", alg.basis(i)).matrix for i in range(alg.dim)),
-        }
+        mats = {"l": left_matrices(c["mul"]), "r": right_matrices(c["mul"])}
     else:
         raise ValueError(f"no regular bimodule for kind {alg.kind!r}")
     return Bimodule(alg, alg.dim, mats)
@@ -307,13 +277,13 @@ AXIOMS = {
 def law_residuals(laws: dict, tables: dict, n) -> dict:
     """Each law's residual, nested in the order of its output labels.
 
-    ``n`` is the extent of every label, or a dict from label to extent, as
-    for `exact.contract`.
+    ``tables`` maps each table name the laws use to its `IntTable`; ``n`` is
+    the extent of every label, or a dict from label to extent, as for
+    `exact.contract`.
     """
     extent = n.get if isinstance(n, dict) else (lambda _label: n)
-    ints = {name: IntTable(t) for name, t in tables.items()}
     return {
-        name: nest(contract(terms, ints, out, n), [extent(x) for x in out])
+        name: nest(contract(terms, tables, out, n), [extent(x) for x in out])
         for name, (out, terms) in laws.items()
     }
 
@@ -325,7 +295,7 @@ def check_axioms(alg: FinAlgebra) -> CheckReport:
     vanish exactly iff the structure constants define an algebra of the
     declared kind.
     """
-    residuals = law_residuals(AXIOMS[alg.kind], alg.products, alg.dim)
+    residuals = law_residuals(AXIOMS[alg.kind], alg.tables, alg.dim)
     return CheckReport.from_residuals(f"{alg.kind} axioms", residuals)
 
 
@@ -427,9 +397,42 @@ def check_bimodule(bim: Bimodule) -> CheckReport:
     n, m = alg.dim, bim.dim
     extents = {"i": n, "j": n, "k": n, "a": m, "b": m, "c": m}
     residuals = law_residuals(
-        BIMODULE_LAWS[alg.kind], {**alg.products, **bim.actions}, extents
+        BIMODULE_LAWS[alg.kind], {**alg.tables, **bim.tables}, extents
     )
     return CheckReport.from_residuals(f"{alg.kind} bimodule", residuals)
+
+
+# The Rota-Baxter identity of weight 0 on basis pairs (a, b) = (bᵢ, bⱼ),
+# nested [i][j][k]: coordinate k of R(a)R(b) − R(R(a)b + aR(b)).  R is
+# labelled R[k][i] (column i is R(bᵢ)) and the product c[k][i][j]:
+#   R(a)R(b)   is  R ai · c kab · R bj,
+#   R(R(a)b)   is  R ai · c paj · R kp,
+#   R(aR(b))   is  R bj · c pib · R kp.
+ROTA_BAXTER_LAW = {
+    "rota_baxter": ("ijk", (
+        (+1, ("R", "ai"), ("mul", "kab"), ("R", "bj")),
+        (-1, ("R", "ai"), ("mul", "paj"), ("R", "kp")),
+        (-1, ("R", "bj"), ("mul", "pib"), ("R", "kp")))),
+}
+
+# The split products a≺b = a·R(b) and a≻b = R(a)·b as cubes c[k][i][j].
+ROTA_BAXTER_SPLIT = {
+    "lt": ("kij", ((+1, ("mul", "kib"), ("R", "bj")),)),
+    "gt": ("kij", ((+1, ("R", "ai"), ("mul", "kaj")),)),
+}
+
+
+def _rota_baxter_tables(alg: FinAlgebra, R: LinMap) -> dict:
+    n = alg.dim
+    if R.rows != n or (n and R.cols != n):
+        raise ValueError(f"operator must be {n}x{n}, got {R.rows}x{R.cols}")
+    return {"mul": alg.tables["mul"], "R": IntTable(R.matrix)}
+
+
+def rota_baxter_residual(alg: FinAlgebra, R: LinMap) -> tuple:
+    """R(a)R(b) − R(R(a)b + aR(b)) on every basis pair, nested [i][j][k]."""
+    return law_residuals(ROTA_BAXTER_LAW, _rota_baxter_tables(alg, R), alg.dim)[
+        "rota_baxter"]
 
 
 def dendriform_from_rota_baxter(alg: FinAlgebra, R: LinMap) -> FinAlgebra:
@@ -440,24 +443,11 @@ def dendriform_from_rota_baxter(alg: FinAlgebra, R: LinMap) -> FinAlgebra:
     """
     if alg.kind != "assoc":
         raise ValueError("Rota-Baxter splitting needs an associative algebra")
-    n = alg.dim
-    mul = lambda x, y: alg.multiply("mul", x, y)
-    for i in range(n):
-        for j in range(n):
-            a, b = alg.basis(i), alg.basis(j)
-            lhs = mul(R.apply(a), R.apply(b))
-            rhs = R.apply(mul(R.apply(a), b) + mul(a, R.apply(b)))
-            if not (lhs - rhs).is_zero():
-                raise ValueError(
-                    f"operator is not Rota-Baxter of weight 0: fails on basis pair ({i}, {j})"
-                )
-    lt = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    gt = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            u = mul(alg.basis(i), R.apply(alg.basis(j)))
-            v = mul(R.apply(alg.basis(i)), alg.basis(j))
-            for k in range(n):
-                lt[k][i][j] = u.coords[k]
-                gt[k][i][j] = v.coords[k]
-    return FinAlgebra("dendriform", n, {"lt": lt, "gt": gt})
+    hit = first_nonzero_nested(rota_baxter_residual(alg, R))
+    if hit is not None:
+        i, j, _k = hit[0]
+        raise ValueError(
+            f"operator is not Rota-Baxter of weight 0: fails on basis pair ({i}, {j})"
+        )
+    split = law_residuals(ROTA_BAXTER_SPLIT, _rota_baxter_tables(alg, R), alg.dim)
+    return FinAlgebra("dendriform", alg.dim, split)

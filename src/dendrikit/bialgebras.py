@@ -8,26 +8,28 @@ on basis elements, reporting exact residual tensors.
 The co-laws and the compatibility laws are data: ``COALGEBRA_LAWS`` and
 ``BIALGEBRA_LAWS`` (with the three readings of ``dbi6``) write each one as a
 signed list of products of labelled structure cubes (see `exact.contract`).
-A check reads each cube once as integers over the lcm of its denominators,
-evaluates every law with one integer contraction over a common denominator,
+Each CoalgStruct builds one `exact.IntTable` per coproduct cube in its
+constructor, as a FinAlgebra does per product cube; a check reads those
+tables, evaluates every law with one integer contraction over a common
+denominator,
 builds a Fraction only for a nonzero coefficient, and nests the result in
 the same order as the residual it reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .algebras import CheckReport, FinAlgebra, law_residuals
+from .algebras import CheckReport, FinAlgebra, first_nonzero_nested, law_residuals
 from .exact import (
     BilinForm,
+    IntTable,
     Vec,
     ZERO,
     dual_basis,
     freeze_cube,
     mat_add,
     mat_inverse,
-    mat_mul,
     mat_sub,
     transpose,
 )
@@ -53,6 +55,7 @@ class CoalgStruct:
     kind: str
     dim: int
     coproducts: dict
+    tables: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: str, dim: int, coproducts: dict):
         if kind not in KIND_COOPS:
@@ -73,6 +76,8 @@ class CoalgStruct:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coproducts", frozen)
+        object.__setattr__(self, "tables", {
+            name: IntTable(cube) for name, cube in frozen.items()})
 
     def basis_coproduct(self, name: str, i: int):
         """Coefficient matrix of the coproduct of basis element i."""
@@ -140,7 +145,7 @@ COALGEBRA_LAWS = {
 
 def check_coalgebra(coalg: CoalgStruct) -> CheckReport:
     """Verify the co-version of the defining laws on every basis element."""
-    residuals = law_residuals(COALGEBRA_LAWS[coalg.kind], coalg.coproducts, coalg.dim)
+    residuals = law_residuals(COALGEBRA_LAWS[coalg.kind], coalg.tables, coalg.dim)
     return CheckReport.from_residuals(f"{coalg.kind} coalgebra", residuals)
 
 
@@ -302,7 +307,7 @@ def check_bialgebra(
             )
         laws = {**laws, "dbi6": DBI6_READINGS[dbi6_reading]}
         subject = f"dendriform bialgebra (dbi6 reading: {dbi6_reading})"
-    residuals = law_residuals(laws, {**alg.products, **coalg.coproducts}, alg.dim)
+    residuals = law_residuals(laws, {**alg.tables, **coalg.tables}, alg.dim)
     return CheckReport.from_residuals(subject, residuals)
 
 
@@ -312,6 +317,22 @@ class QuadraticPerm:
 
     algebra: FinAlgebra
     form: BilinForm
+
+
+# The form ω is labelled w[i][j] = ω(bᵢ, bⱼ) and the perm product c[k][i][j].
+QUADRATIC_LAWS = {
+    # ω(bᵢbⱼ, bₖ) = ω(bᵢ, bⱼbₖ − bₖbⱼ), nested [i][j][k]
+    "invariance": ("ijk", (
+        (+1, ("mul", "mij"), ("w", "mk")),
+        (-1, ("w", "im"), ("mul", "mjk")),
+        (+1, ("w", "im"), ("mul", "mkj")))),
+}
+
+# ν(bᵢ) = Σ F·R_bᵢ·Fᵀ with R_bᵢ[j][k] = ω(bᵢ, bⱼbₖ) and F = (ωᵀ)⁻¹, nested
+# [i][p][q]: the coefficient of b_p⊗b_q.
+NU_COPRODUCT = {
+    "co": ("ipq", ((+1, ("w", "im"), ("mul", "mjk"), ("F", "pj"), ("F", "qk")),)),
+}
 
 
 def make_quadratic_perm(algebra: FinAlgebra, form: BilinForm) -> QuadraticPerm:
@@ -337,20 +358,12 @@ def make_quadratic_perm(algebra: FinAlgebra, form: BilinForm) -> QuadraticPerm:
         raise ValueError(
             f"form is degenerate: kernel vector with coordinates {kv.coords}"
         )
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                b1, b2, b3 = algebra.basis(i), algebra.basis(j), algebra.basis(k)
-                lhs = form.pair(algebra.multiply("mul", b1, b2), b3)
-                rhs = form.pair(
-                    b1,
-                    algebra.multiply("mul", b2, b3) - algebra.multiply("mul", b3, b2),
-                )
-                if lhs != rhs:
-                    raise ValueError(
-                        f"form is not invariant: fails on basis triple ({i}, {j}, {k})"
-                    )
+    tables = {"mul": algebra.tables["mul"], "w": IntTable(form.matrix)}
+    hit = first_nonzero_nested(
+        law_residuals(QUADRATIC_LAWS, tables, algebra.dim)["invariance"])
+    if hit is not None:
+        i, j, k = hit[0]
+        raise ValueError(f"form is not invariant: fails on basis triple ({i}, {j}, {k})")
     return QuadraticPerm(algebra, form)
 
 
@@ -366,22 +379,9 @@ def perm_coalgebra_from_quadratic(qp: QuadraticPerm) -> CoalgStruct:
     ν(b) is N_b = (Wᵀ)⁻¹·R_b·W⁻¹ with R_b[j][k] = ω(b, bⱼbₖ).
     """
     alg, form = qp.algebra, qp.form
-    n = alg.dim
-    F = mat_inverse(transpose(form.matrix))
-    cube = []
-    for i in range(n):
-        R = tuple(
-            tuple(
-                form.pair(
-                    alg.basis(i),
-                    alg.multiply("mul", alg.basis(j), alg.basis(k)),
-                )
-                for k in range(n)
-            )
-            for j in range(n)
-        )
-        cube.append(mat_mul(mat_mul(F, R), transpose(F)))
-    return CoalgStruct("perm", n, {"co": tuple(cube)})
+    tables = {"mul": alg.tables["mul"], "w": IntTable(form.matrix),
+              "F": IntTable(mat_inverse(transpose(form.matrix)))}
+    return CoalgStruct("perm", alg.dim, law_residuals(NU_COPRODUCT, tables, alg.dim))
 
 
 def dual_basis_vectors(qp: QuadraticPerm) -> list[Vec]:
@@ -534,22 +534,12 @@ def check_bialgebra_square(
     lie1, co1 = asi_to_lie_bialgebra(asi_alg, asi_co)
     pl_alg, pl_co = dendriform_to_prelie_bialgebra(dend, theta)
     lie2, co2 = induce_lie_bialgebra(pl_alg, pl_co, qp)
-    n = lie1.dim
     residuals = {
         "bracket_agree": tuple(
-            tuple(
-                tuple(
-                    lie1.products["bracket"][k][i][j]
-                    - lie2.products["bracket"][k][i][j]
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            for k in range(n)
+            mat_sub(p, q) for p, q in zip(lie1.products["bracket"], lie2.products["bracket"])
         ),
         "cobracket_agree": tuple(
-            mat_sub(co1.coproducts["co"][i], co2.coproducts["co"][i])
-            for i in range(n)
+            mat_sub(p, q) for p, q in zip(co1.coproducts["co"], co2.coproducts["co"])
         ),
     }
     return CheckReport.from_residuals("bialgebra commuting square", residuals)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from importlib.resources import files
 from pathlib import Path
 
 import click
@@ -25,7 +24,12 @@ from .affinization import (
     check_laurent_perm_axioms,
     check_nu_pairing,
 )
-from .algebras import check_axioms, first_nonzero_nested
+from .algebras import (
+    check_axioms,
+    dendriform_from_rota_baxter,
+    first_nonzero_nested,
+    rota_baxter_residual,
+)
 from .bialgebras import (
     check_bialgebra,
     check_bialgebra_square,
@@ -123,7 +127,7 @@ def _add_transfer(report: Report, check_id: str, thunk):
 
 
 def _corpus(name: str) -> Path:
-    return Path(str(files("dendrikit") / "corpus" / name))
+    return Path(__file__).parent / "corpus" / name
 
 
 def _load_corpus(report: Report, name: str) -> ParsedFile:
@@ -253,7 +257,7 @@ CONSTRUCTIONS = (
 )
 
 
-def _combined_basis(basis_a, basis_b):
+def _tensor_basis(basis_a, basis_b):
     return tuple(f"{a}*{b}" for a in basis_a for b in basis_b)
 
 
@@ -301,26 +305,26 @@ def induce(construction, algebra_file, perm_file):
         if pf.kind != "prelie":
             _usage_error("tensor-lie construction needs a pre-Lie algebra")
         alg = tensor_lie(pf.algebra, bf.algebra)
-        basis = _combined_basis(pf.basis, bf.basis)
+        basis = _tensor_basis(pf.basis, bf.basis)
     elif construction == "tensor-assoc":
         if pf.kind != "dendriform":
             _usage_error("tensor-assoc construction needs a dendriform algebra")
         alg = tensor_assoc(pf.algebra, bf.algebra)
-        basis = _combined_basis(pf.basis, bf.basis)
+        basis = _tensor_basis(pf.basis, bf.basis)
     elif construction == "lie-bialgebra":
         if pf.kind != "prelie" or pf.coalgebra is None:
             _usage_error("lie-bialgebra needs a pre-Lie algebra with coproducts")
         if bf.qperm is None:
             _usage_error("lie-bialgebra needs a quadratic form on the perm algebra")
         alg, coalg = induce_lie_bialgebra(pf.algebra, pf.coalgebra, bf.qperm)
-        basis = _combined_basis(pf.basis, bf.basis)
+        basis = _tensor_basis(pf.basis, bf.basis)
     else:  # asi-bialgebra
         if pf.kind != "dendriform" or pf.coalgebra is None:
             _usage_error("asi-bialgebra needs a dendriform algebra with coproducts")
         if bf.qperm is None:
             _usage_error("asi-bialgebra needs a quadratic form on the perm algebra")
         alg, coalg = induce_asi_bialgebra(pf.algebra, pf.coalgebra, bf.qperm)
-        basis = _combined_basis(pf.basis, bf.basis)
+        basis = _tensor_basis(pf.basis, bf.basis)
 
     ok = check_axioms(alg).ok
     if coalg is not None:
@@ -348,7 +352,7 @@ def lift(r_file, qperm_file):
     rhat = lift_r(rf.tensor, bf.qperm)
     out = ParsedFile(
         kind="tensor",
-        basis=_combined_basis(rf.basis, bf.basis),
+        basis=_tensor_basis(rf.basis, bf.basis),
         tensor=rhat,
     )
     click.echo(json.dumps(serialize_parsed(out), indent=2))
@@ -489,21 +493,7 @@ def _reproduce_ex_2_2(report):
     pf = _load_corpus(report, "assoc-truncated-rb.json")
     A, R = pf.algebra, pf.operator
     # R(a)R(b) = R(R(a)b + aR(b)), checked on all basis pairs
-    n = A.dim
-    res = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a, b = A.basis(i), A.basis(j)
-            lhs = A.multiply("mul", R.apply(a), R.apply(b))
-            rhs = R.apply(
-                A.multiply("mul", R.apply(a), b) + A.multiply("mul", a, R.apply(b))
-            )
-            row.append((lhs - rhs).coords)
-        res.append(tuple(row))
-    from .algebras import dendriform_from_rota_baxter
-
-    fv = first_nonzero_nested(res)
+    fv = first_nonzero_nested(rota_baxter_residual(A, R))
     report.add_check("rota_baxter_identity", fv is None, first_violation=fv)
     split = dendriform_from_rota_baxter(A, R)
     report.add_report(check_axioms(split), prefix="split_dendriform:")

@@ -1,34 +1,26 @@
 """Exact rational linear algebra over a fixed basis.
 
-Scalars are `fractions.Fraction` (always reduced, exact equality).  Vectors,
+Coefficients are `fractions.Fraction` (always reduced, exact equality).  Vectors,
 matrices and order-2/3 tensors are immutable nested tuples wrapped in small
 dataclasses.  Dual-space vectors are expressed in the dual basis of the
 declared primal basis.
 
-Two sparse kernels do the arithmetic, both over Python ints, which never
-overflow, so every sum they form is exact.
-
-`combine` evaluates one linear map at a time (products, actions, `mat_mul`,
-`mat_vec`): a linear combination of sparse rows that touches only nonzero
-coefficients.  The rows hold each nonzero entry as (position, numerator,
-denominator), and `combine` keeps one numerator and one denominator per
-output slot: a·c is (aₙ·cₙ)/(a_d·c_d), and adding p/q to n/d gives n + p over
-d when q = d and otherwise puts both over lcm(d, q), so a slot's denominator
-stays the lcm of its terms' denominators, not their product.  Each slot is
-reduced once, by `Fraction(n, d)`, when the result is returned.
-
-`contract` evaluates a whole law at once.  A law is a signed list of terms;
-a term is a product of labelled structure tables (product cubes, action
-matrices, coproduct cubes, an operator matrix), each axis named by a letter,
-summed over the labels that do not appear in the output.  The law tables
-beside the checks (``AXIOMS``, ``BIMODULE_LAWS``, ``COALGEBRA_LAWS``,
-``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``) and the constructions between kinds
-are written this way.  Each table is read once per call as ints L·c, L the
-lcm of its denominators (`IntTable`), so a term's products are integers over
-the product of its tables' L.  Every term is brought to D, the lcm of those
-products over all terms, the cells are summed as ints, and a `Fraction(x, D)`
-is built only for a nonzero cell; a zero cell is the shared ``ZERO``.  The
-value is the exact rational sum whatever mix of tables the terms draw on.
+One sparse form and one kernel do the arithmetic.  The form is `IntTable`:
+a nested table of Fractions read once as Python ints L·c, L the lcm of its
+denominators, listing only its nonzero entries.  Every structure
+(`FinAlgebra`, `Bimodule`, `CoalgStruct`) builds one per cube in its
+constructor.  The kernel is `contract`, which evaluates a signed list of
+terms; a term is a product of labelled tables (product cubes, action
+matrices, coproduct cubes, an operator matrix, a vector), each axis named by
+a letter, summed over the labels that do not appear in the output.  The law
+tables beside the checks (``AXIOMS``, ``BIMODULE_LAWS``, ``COALGEBRA_LAWS``,
+``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``), the constructions between kinds, a
+single product, `mat_mul` and `mat_vec` are all written this way.  A term's
+products are integers over the product of its tables' L.  Every term is
+brought to D, the lcm of those products over all terms, the cells are summed
+as ints, which never overflow, and a `Fraction(x, D)` is built only for a
+nonzero cell; a zero cell is the shared ``ZERO``.  The value is the exact
+rational sum whatever mix of tables the terms draw on.
 """
 
 from __future__ import annotations
@@ -36,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -72,43 +63,6 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c: Fraction, a):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def nonzero(coords) -> list:
-    """The (index, numerator, denominator) of the nonzero entries of a flat sequence."""
-    return [(i, x.numerator, x.denominator) for i, x in enumerate(coords) if x]
-
-
-def reshape(flat, width: int) -> tuple:
-    """Cut a flat sequence into the rows of a matrix of the given width."""
-    return tuple(tuple(flat[i : i + width]) for i in range(0, len(flat), width))
-
-
-def combine(terms, table, size: int) -> list:
-    """Σ a·table[idx] over the terms a = aₙ/a_d, as a dense list of ``size`` Fractions.
-
-    ``terms`` yields (idx, aₙ, a_d) and ``table[idx]`` lists the nonzero
-    (position, cₙ, c_d) entries of one sparse vector, all Python ints with
-    positive denominators.  The cost is the number of nonzero products a·c,
-    not ``size`` times the number of terms.
-    """
-    num = [0] * size
-    den = [1] * size
-    for idx, an, ad in terms:
-        for k, cn, cd in table[idx]:
-            d = ad * cd
-            dk = den[k]
-            if d == dk:
-                num[k] += an * cn
-            else:
-                g = gcd(d, dk)
-                num[k] = num[k] * (d // g) + an * cn * (dk // g)
-                den[k] = dk // g * d
-    return [Fraction(n, d) if n else ZERO for n, d in zip(num, den)]
-
-
 def nest(flat, dims) -> tuple:
     """Cut a flat row-major sequence into nested tuples of the given extents."""
     out = flat
@@ -123,10 +77,12 @@ def nest(flat, dims) -> tuple:
 
 
 class IntTable:
-    """A nested table of Fractions read as Python ints.
+    """A nested table of Fractions read as Python ints: the one sparse form.
 
     ``scale`` is the lcm L of the denominators of its nonzero entries c, and
-    ``entries`` lists (index tuple, L·c) for each of them.
+    ``entries`` lists (index tuple, L·c) for each of them, in row-major
+    order.  A structure builds one per cube in its constructor, so every
+    check and product on it reads the same table.
     """
 
     __slots__ = ("scale", "entries", "_groups")
@@ -147,8 +103,8 @@ class IntTable:
         """The entries as key ↦ [(offset, L·c)], keyed by their indices at
         ``key_pos``, with offset Σ index[p]·stride over ``placed`` (p, stride).
 
-        Each grouping is built once per table, so the laws of one check that
-        read a table the same way share it.
+        Each grouping is built once per table, so every law and product that
+        reads a table the same way shares it.
         """
         g = self._groups.get((key_pos, placed))
         if g is None:
@@ -276,16 +232,20 @@ def contract(terms: tuple, tables: dict, out_labels: str, n) -> list:
     return [Fraction(x, den) if x else ZERO for x in out]
 
 
+_MAT_MUL = ((1, ("a", "ik"), ("b", "kj")),)
+_MAT_VEC = ((1, ("a", "ik"), ("v", "k")),)
+
+
 def mat_mul(a, b):
-    cols = len(b[0]) if b else 0
-    rows_b = [nonzero(row) for row in b]
-    return tuple(tuple(combine(nonzero(ra), rows_b, cols)) for ra in a)
+    rows, cols = len(a), len(b[0]) if b else 0
+    tables = {"a": IntTable(a), "b": IntTable(b)}
+    extents = {"i": rows, "k": len(b), "j": cols}
+    return nest(contract(_MAT_MUL, tables, "ij", extents), (rows, cols))
 
 
 def mat_vec(a, v):
-    terms = nonzero(v)
-    cols = {k: nonzero([row[k] for row in a]) for k, _n, _d in terms}
-    return tuple(combine(terms, cols, len(a)))
+    tables = {"a": IntTable(a), "v": IntTable(v)}
+    return tuple(contract(_MAT_VEC, tables, "i", {"i": len(a), "k": len(v)}))
 
 
 def transpose(a):
@@ -417,9 +377,6 @@ class Tensor2:
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
         return Tensor2(mat_sub(self.coeffs, other.coeffs))
-
-    def scale(self, c) -> "Tensor2":
-        return Tensor2(mat_scale(_frac(c), self.coeffs))
 
     def is_zero(self) -> bool:
         return mat_is_zero(self.coeffs)

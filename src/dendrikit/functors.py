@@ -18,7 +18,7 @@ Tensor-product algebras live on the flattened basis of A⊗B with index
 from __future__ import annotations
 
 from .algebras import CheckReport, FinAlgebra, check_axioms, law_residuals
-from .exact import IntTable, contract, nest
+from .exact import contract, nest
 
 # Each construction is (output labels, terms) over the input cubes, labelled
 # c[k][i][j]; a tensor construction labels the perm cube's axes K, I, J, so
@@ -43,31 +43,30 @@ CONSTRUCTIONS = {
 
 def _construct(name: str, kind: str, op: str, tables: dict, n: int, extents) -> FinAlgebra:
     """The ``kind`` algebra of dimension ``n`` whose ``op`` cube is the
-    construction ``name`` evaluated on ``tables``."""
+    construction ``name`` evaluated on ``tables`` (`exact.IntTable` each)."""
     out, terms = CONSTRUCTIONS[name]
-    ints = {key: IntTable(t) for key, t in tables.items()}
-    return FinAlgebra(kind, n, {op: nest(contract(terms, ints, out, extents), (n, n, n))})
+    return FinAlgebra(kind, n, {op: nest(contract(terms, tables, out, extents), (n, n, n))})
 
 
 def dendriform_to_prelie(alg: FinAlgebra) -> FinAlgebra:
     """d₁⋄d₂ = d₁≻d₂ − d₂≺d₁."""
     if alg.kind != "dendriform":
         raise ValueError("expected a dendriform algebra")
-    return _construct("dendriform_to_prelie", "prelie", "mul", alg.products, alg.dim, alg.dim)
+    return _construct("dendriform_to_prelie", "prelie", "mul", alg.tables, alg.dim, alg.dim)
 
 
 def dendriform_to_assoc(alg: FinAlgebra) -> FinAlgebra:
     """d₁∗d₂ = d₁≺d₂ + d₁≻d₂."""
     if alg.kind != "dendriform":
         raise ValueError("expected a dendriform algebra")
-    return _construct("dendriform_to_assoc", "assoc", "mul", alg.products, alg.dim, alg.dim)
+    return _construct("dendriform_to_assoc", "assoc", "mul", alg.tables, alg.dim, alg.dim)
 
 
 def commutator_lie(alg: FinAlgebra) -> FinAlgebra:
     """[x, y] = x·y − y·x for an associative or pre-Lie algebra."""
     if alg.kind not in ("assoc", "prelie"):
         raise ValueError("commutator Lie algebra needs an associative or pre-Lie algebra")
-    return _construct("commutator_lie", "lie", "bracket", alg.products, alg.dim, alg.dim)
+    return _construct("commutator_lie", "lie", "bracket", alg.tables, alg.dim, alg.dim)
 
 
 def tensor_index(dim_b: int, a: int, b: int) -> int:
@@ -82,7 +81,7 @@ def tensor_lie(prelie: FinAlgebra, perm: FinAlgebra) -> FinAlgebra:
     """Lie bracket on A⊗B: [a₁⊗b₁, a₂⊗b₂] = (a₁⋄a₂)⊗(b₁b₂) − (a₂⋄a₁)⊗(b₂b₁)."""
     if prelie.kind != "prelie" or perm.kind != "perm":
         raise ValueError("expected a pre-Lie algebra and a perm algebra")
-    tables = {"mul": prelie.products["mul"], "perm": perm.products["mul"]}
+    tables = {"mul": prelie.tables["mul"], "perm": perm.tables["mul"]}
     return _construct("tensor_lie", "lie", "bracket", tables, prelie.dim * perm.dim,
                       _tensor_extents(prelie.dim, perm.dim))
 
@@ -91,7 +90,7 @@ def tensor_assoc(dendriform: FinAlgebra, perm: FinAlgebra) -> FinAlgebra:
     """Product on D⊗B: (d₁⊗b₁)∗(d₂⊗b₂) = (d₁≻d₂)⊗(b₁b₂) + (d₁≺d₂)⊗(b₂b₁)."""
     if dendriform.kind != "dendriform" or perm.kind != "perm":
         raise ValueError("expected a dendriform algebra and a perm algebra")
-    tables = {**dendriform.products, "perm": perm.products["mul"]}
+    tables = {**dendriform.tables, "perm": perm.tables["mul"]}
     return _construct("tensor_assoc", "assoc", "mul", tables, dendriform.dim * perm.dim,
                       _tensor_extents(dendriform.dim, perm.dim))
 
@@ -114,8 +113,8 @@ def check_square(dendriform: FinAlgebra, perm: FinAlgebra) -> CheckReport:
     via_prelie = tensor_lie(prelie, perm)
     via_assoc = commutator_lie(tensor_assoc(dendriform, perm))
     residuals = {
-        **law_residuals(SQUARE_LAW, {"via_prelie": via_prelie.products["bracket"],
-                                     "via_assoc": via_assoc.products["bracket"]},
+        **law_residuals(SQUARE_LAW, {"via_prelie": via_prelie.tables["bracket"],
+                                     "via_assoc": via_assoc.tables["bracket"]},
                         via_prelie.dim),
         "prelie_axioms": check_axioms(prelie).residuals["pre_lie"],
         "assoc_axioms": check_axioms(dendriform_to_assoc(dendriform)).residuals[

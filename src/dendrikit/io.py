@@ -161,6 +161,16 @@ def _parse_matrix(data, rows: int, cols: int, where: str):
     return tuple(out)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, rejecting a key that appears twice in it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_algebra(path) -> ParsedFile:
     """Load and fully validate a structure file.
 
@@ -170,8 +180,8 @@ def parse_algebra(path) -> ParsedFile:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     _require_keys(raw, {"format", "kind", "dim", "basis", "products", "coproducts",
                         "form", "entries", "matrix"}, {"format", "kind", "dim"},
@@ -193,6 +203,8 @@ def parse_algebra(path) -> ParsedFile:
     if kind == "tensor":
         _require_keys(raw, {"format", "kind", "dim", "basis", "entries"},
                       {"entries"}, str(path))
+        if not isinstance(raw["entries"], list):
+            raise FileFormatError(f"{path}: entries: expected a list of entries")
         mat = [[ZERO] * dim for _ in range(dim)]
         for pos, entry in enumerate(raw["entries"]):
             where = f"entries[{pos}]"
@@ -202,7 +214,7 @@ def parse_algebra(path) -> ParsedFile:
             mat[i][j] += parse_coeff(entry["coeff"], f"{where}.coeff")
         return ParsedFile(kind="tensor", basis=tuple(basis), tensor=Tensor2(mat))
 
-    if kind not in KIND_OPS:
+    if not isinstance(kind, str) or kind not in KIND_OPS:
         raise FileFormatError(f"{path}: unknown kind {kind!r}")
     if "entries" in raw:
         raise FileFormatError(f"{path}: 'entries' only belongs to tensor files")

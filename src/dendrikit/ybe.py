@@ -16,9 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebras import Bimodule, CheckReport, FinAlgebra, law_residuals
+from .algebras import (
+    Bimodule,
+    CheckReport,
+    FinAlgebra,
+    law_residuals,
+    left_matrices,
+    right_matrices,
+)
 from .bialgebras import CoalgStruct, QuadraticPerm, bullet, dual_basis_vectors
 from .exact import (
+    IntTable,
     LinMap,
     Tensor2,
     Tensor3,
@@ -26,7 +34,7 @@ from .exact import (
     flip,
     mat_add,
     mat_sub,
-    reshape,
+    nest,
     sharp,
     transpose,
 )
@@ -35,28 +43,6 @@ from .functors import commutator_lie, dendriform_to_prelie, tensor_assoc, tensor
 
 class HypothesisError(ValueError):
     """A transfer theorem was invoked with its hypothesis violated."""
-
-
-def _scaled_entries(r: Tensor2) -> tuple[list, int]:
-    """L_r, the lcm of the denominators of r, and the nonzero (i, j, L_r·rᵢⱼ) as ints."""
-    scale = lcm(*(c.denominator for row in r.coeffs for c in row))
-    return [
-        (i, j, c.numerator * (scale // c.denominator))
-        for i, row in enumerate(r.coeffs)
-        for j, c in enumerate(row)
-        if c
-    ], scale
-
-
-def _scaled_products(alg: FinAlgebra) -> tuple[dict, int]:
-    """L_A, the lcm of the denominators of every structure constant, and per
-    product the rows i·dim + j ↦ ((k, L_A·c), …) of its nonzero constants."""
-    pairs = alg._pairs
-    scale = lcm(*(d for table in pairs.values() for row in table for _k, _n, d in row))
-    return {
-        op: tuple(tuple((k, n * (scale // d)) for k, n, d in row) for row in table)
-        for op, table in pairs.items()
-    }, scale
 
 
 def _require_square(alg: FinAlgebra, r: Tensor2):
@@ -73,14 +59,19 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     dendriform: r₁₂≺r₁₃ + r₁₂≻r₁₃ − r₁₃≺r₂₃ − r₂₃≻r₁₂
 
     Every term has degree two in r and degree one in the structure
-    constants, so after scaling r by L_r and the constants by L_A each
-    coefficient is an integer over L_r²·L_A: the sums run over Python ints
-    and one Fraction is built per nonzero coefficient.
+    constants.  r is read as an `IntTable` over L_r and each product's rows
+    bᵢ·bⱼ ↦ [(k, L·c)] come from the algebra's own tables, brought to L_A, the
+    lcm of their scales; so each coefficient is an integer over L_r²·L_A, the
+    sums run over Python ints and one Fraction is built per nonzero
+    coefficient.
     """
     n = alg.dim
     _require_square(alg, r)
-    entries, scale_r = _scaled_entries(r)
-    products, scale_a = _scaled_products(alg)
+    rt = IntTable(r.coeffs)
+    scale_a = lcm(*(alg.tables[op].scale for op in alg.ops))
+    # per product: its rows (i, j) ↦ [(k, L·c)], and L_A / L for its scale L
+    rows = {op: alg.tables[op].grouped((1, 2), ((0, 1),)) for op in alg.ops}
+    lift = {op: scale_a // alg.tables[op].scale for op in alg.ops}
     nn = n * n
     out = [0] * (n * nn)  # cell (a, b, c) at a·n² + b·n + c
 
@@ -98,17 +89,17 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
             out[base + k * stride] += c * x
 
     if alg.kind == "lie":
-        br = lambda i, j: products["bracket"][i * n + j]
-        for x1, y1, c1 in entries:
-            for x2, y2, c2 in entries:
+        br = lambda i, j: rows["bracket"].get((i, j), ())
+        for (x1, y1), c1 in rt.entries:
+            for (x2, y2), c2 in rt.entries:
                 c = c1 * c2
                 add(0, (y1, y2), br(x1, x2), c)      # [r₁₂, r₁₃]
                 add(2, (x1, x2), br(y1, y2), c)      # [r₁₃, r₂₃]
                 add(1, (x1, y2), br(y1, x2), c)      # [r₁₂, r₂₃]
     elif alg.kind == "prelie":
-        mul = lambda i, j: products["mul"][i * n + j]
-        for x1, y1, c1 in entries:
-            for x2, y2, c2 in entries:
+        mul = lambda i, j: rows["mul"].get((i, j), ())
+        for (x1, y1), c1 in rt.entries:
+            for (x2, y2), c2 in rt.entries:
                 c = c1 * c2
                 add(0, (y2, y1), mul(x1, x2), c)      # + r₁₃⋄r₁₂
                 add(1, (x2, y1), mul(x1, y2), c)      # + r₂₃⋄r₁₂
@@ -119,27 +110,28 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(0, (x2, y1), mul(x1, y2), -c)     # − r₁₃⋄r₂₁
                 add(2, (x1, x2), mul(y1, y2), -c)     # − r₁₃⋄r₂₃
     elif alg.kind == "assoc":
-        mul = lambda i, j: products["mul"][i * n + j]
-        for x1, y1, c1 in entries:
-            for x2, y2, c2 in entries:
+        mul = lambda i, j: rows["mul"].get((i, j), ())
+        for (x1, y1), c1 in rt.entries:
+            for (x2, y2), c2 in rt.entries:
                 c = c1 * c2
                 add(0, (y1, y2), mul(x1, x2), c)      # + r₁₂∗r₁₃
                 add(2, (x1, x2), mul(y1, y2), c)      # + r₁₃∗r₂₃
                 add(1, (x2, y1), mul(x1, y2), -c)     # − r₂₃∗r₁₂
     elif alg.kind == "dendriform":
-        lt = lambda i, j: products["lt"][i * n + j]
-        gt = lambda i, j: products["gt"][i * n + j]
-        for x1, y1, c1 in entries:
-            for x2, y2, c2 in entries:
-                c = c1 * c2
-                add(0, (y1, y2), lt(x1, x2), c)       # + r₁₂≺r₁₃
-                add(0, (y1, y2), gt(x1, x2), c)       # + r₁₂≻r₁₃
-                add(2, (x1, x2), lt(y1, y2), -c)      # − r₁₃≺r₂₃
-                add(1, (x2, y1), gt(x1, y2), -c)      # − r₂₃≻r₁₂
+        lt = lambda i, j: rows["lt"].get((i, j), ())
+        gt = lambda i, j: rows["gt"].get((i, j), ())
+        for (x1, y1), c1 in rt.entries:
+            for (x2, y2), c2 in rt.entries:
+                c_lt = c1 * c2 * lift["lt"]
+                c_gt = c1 * c2 * lift["gt"]
+                add(0, (y1, y2), lt(x1, x2), c_lt)       # + r₁₂≺r₁₃
+                add(0, (y1, y2), gt(x1, x2), c_gt)       # + r₁₂≻r₁₃
+                add(2, (x1, x2), lt(y1, y2), -c_lt)      # − r₁₃≺r₂₃
+                add(1, (x2, y1), gt(x1, y2), -c_gt)      # − r₂₃≻r₁₂
     else:
         raise ValueError(f"no Yang-Baxter equation for kind {alg.kind!r}")
-    scale = scale_r * scale_r * scale_a
-    return Tensor3(reshape(reshape([Fraction(x, scale) if x else ZERO for x in out], n), n))
+    scale = rt.scale * rt.scale * scale_a
+    return Tensor3(nest([Fraction(x, scale) if x else ZERO for x in out], (n, n, n)))
 
 
 def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:
@@ -199,7 +191,7 @@ def invariance_residual(alg: FinAlgebra, s: Tensor2) -> CheckReport:
         raise ValueError(f"no invariance notion for kind {alg.kind!r}")
     _require_square(alg, s)
     law = {"invariance": COBOUNDARY[alg.kind]["co"]}
-    residuals = law_residuals(law, {**alg.products, "r": s.coeffs}, alg.dim)
+    residuals = law_residuals(law, {**alg.tables, "r": IntTable(s.coeffs)}, alg.dim)
     return CheckReport.from_residuals(f"{alg.kind} invariance", residuals)
 
 
@@ -214,7 +206,8 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
     if alg.kind not in COBOUNDARY:
         raise ValueError(f"no coboundary coproduct for kind {alg.kind!r}")
     _require_square(alg, r)
-    cubes = law_residuals(COBOUNDARY[alg.kind], {**alg.products, "r": r.coeffs}, alg.dim)
+    tables = {**alg.tables, "r": IntTable(r.coeffs)}
+    cubes = law_residuals(COBOUNDARY[alg.kind], tables, alg.dim)
     return CoalgStruct(alg.kind, alg.dim, cubes)
 
 
@@ -241,73 +234,39 @@ def coregular_bimodule(alg: FinAlgebra) -> Bimodule:
     Lie: (𝔤*, −ad*).  Pre-Lie: (A*, 𝔯*−𝔩*, 𝔯*).  Associative: (A*, 𝔯*, 𝔩*).
     Dendriform: (D*, −𝔯*_≻, 𝔩*_≺+𝔩*_≻, 𝔯*_≺+𝔯*_≻, −𝔩*_≺) in the action order
     (𝔩_≺, 𝔯_≺, 𝔩_≻, 𝔯_≻).
-    The dual of a matrix action is its transpose.
+    The dual of a matrix action is its transpose, and the actions are index
+    slices of the product cubes (`algebras.left_matrices`, `right_matrices`).
     """
     n = alg.dim
+    c = alg.products
 
-    def dual(m):
-        return transpose(m)
+    def dual(mats):
+        return tuple(transpose(m) for m in mats)
 
-    def neg(m):
-        return tuple(tuple(-x for x in row) for row in m)
+    def neg(mats):
+        return tuple(tuple(tuple(-x for x in row) for row in m) for m in mats)
+
+    def add(xs, ys):
+        return tuple(mat_add(x, y) for x, y in zip(xs, ys))
 
     if alg.kind == "lie":
-        mats = {
-            "rho": tuple(
-                neg(dual(alg.left_mult("bracket", alg.basis(i)).matrix))
-                for i in range(n)
-            )
-        }
+        mats = {"rho": neg(dual(left_matrices(c["bracket"])))}
     elif alg.kind == "prelie":
+        left, right = left_matrices(c["mul"]), right_matrices(c["mul"])
         mats = {
-            "l": tuple(
-                dual(
-                    mat_sub(
-                        alg.right_mult("mul", alg.basis(i)).matrix,
-                        alg.left_mult("mul", alg.basis(i)).matrix,
-                    )
-                )
-                for i in range(n)
-            ),
-            "r": tuple(
-                dual(alg.right_mult("mul", alg.basis(i)).matrix) for i in range(n)
-            ),
+            "l": dual(tuple(mat_sub(x, y) for x, y in zip(right, left))),
+            "r": dual(right),
         }
     elif alg.kind == "assoc":
-        mats = {
-            "l": tuple(
-                dual(alg.right_mult("mul", alg.basis(i)).matrix) for i in range(n)
-            ),
-            "r": tuple(
-                dual(alg.left_mult("mul", alg.basis(i)).matrix) for i in range(n)
-            ),
-        }
+        mats = {"l": dual(right_matrices(c["mul"])), "r": dual(left_matrices(c["mul"]))}
     elif alg.kind == "dendriform":
+        l_lt, l_gt = left_matrices(c["lt"]), left_matrices(c["gt"])
+        r_lt, r_gt = right_matrices(c["lt"]), right_matrices(c["gt"])
         mats = {
-            "l_lt": tuple(
-                neg(dual(alg.right_mult("gt", alg.basis(i)).matrix)) for i in range(n)
-            ),
-            "r_lt": tuple(
-                dual(
-                    mat_add(
-                        alg.left_mult("lt", alg.basis(i)).matrix,
-                        alg.left_mult("gt", alg.basis(i)).matrix,
-                    )
-                )
-                for i in range(n)
-            ),
-            "l_gt": tuple(
-                dual(
-                    mat_add(
-                        alg.right_mult("lt", alg.basis(i)).matrix,
-                        alg.right_mult("gt", alg.basis(i)).matrix,
-                    )
-                )
-                for i in range(n)
-            ),
-            "r_gt": tuple(
-                neg(dual(alg.left_mult("lt", alg.basis(i)).matrix)) for i in range(n)
-            ),
+            "l_lt": neg(dual(r_gt)),
+            "r_lt": dual(add(l_lt, l_gt)),
+            "l_gt": dual(add(r_lt, r_gt)),
+            "r_gt": neg(dual(l_lt)),
         }
     else:
         raise ValueError(f"no coregular bimodule for kind {alg.kind!r}")
@@ -369,7 +328,8 @@ def check_ooperator(bim: Bimodule, P: LinMap) -> CheckReport:
         raise ValueError(f"operator must be {n}x{m} (module to algebra), got {P.rows}x{P.cols}")
     extents = {"i": m, "j": m, "p": m, "k": n, "a": n, "b": n}
     residuals = law_residuals(
-        OOPERATOR_LAWS[alg.kind], {**alg.products, **bim.actions, "P": P.matrix}, extents
+        OOPERATOR_LAWS[alg.kind], {**alg.tables, **bim.tables, "P": IntTable(P.matrix)},
+        extents
     )
     return CheckReport.from_residuals(f"{alg.kind} O-operator", residuals)
 

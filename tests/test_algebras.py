@@ -11,7 +11,9 @@ from dendrikit.algebras import (
     check_bimodule,
     dendriform_from_rota_baxter,
     regular_bimodule,
+    rota_baxter_residual,
 )
+from dendrikit.exact import LinMap
 from dendrikit.functors import commutator_lie, dendriform_to_prelie
 from dendrikit.ybe import coregular_bimodule
 
@@ -112,12 +114,61 @@ def test_rota_baxter_splitting_is_dendriform():
 
 
 def test_rota_baxter_rejects_non_rb_operator():
-    from dendrikit.exact import LinMap, identity_matrix
+    from dendrikit.exact import identity_matrix
 
     with pytest.raises(ValueError, match="Rota-Baxter"):
         dendriform_from_rota_baxter(
             examples.truncated_polynomials(), LinMap(identity_matrix(3))
         )
+
+
+def _dense_rota_baxter_residual(A, R):
+    """R(a)R(b) − R(R(a)b + aR(b)) on basis pairs, nested [i][j][k], by dense sums."""
+    n, c, M = A.dim, A.products["mul"], R.matrix
+
+    def mul(x, y):
+        return [sum((x[i] * y[j] * c[k][i][j] for i in range(n) for j in range(n)),
+                    Fraction(0)) for k in range(n)]
+
+    def op(x):
+        return [sum((M[k][i] * x[i] for i in range(n)), Fraction(0)) for k in range(n)]
+
+    def basis(i):
+        return [Fraction(int(k == i)) for k in range(n)]
+
+    def residual(a, b):
+        rhs = op([x + y for x, y in zip(mul(op(a), b), mul(a, op(b)))])
+        return tuple(x - y for x, y in zip(mul(op(a), op(b)), rhs))
+
+    return tuple(tuple(residual(basis(i), basis(j)) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("site", [None] + [(p, q) for p in range(3) for q in range(3)])
+def test_rota_baxter_residual_and_failure_witness(site):
+    """The integration operator, clean and with each entry shifted by 2/3."""
+    A = examples.truncated_polynomials()
+    M = [list(row) for row in examples.integration_operator().matrix]
+    if site is not None:
+        M[site[0]][site[1]] += Fraction(2, 3)
+    R = LinMap(M)
+    dense = _dense_rota_baxter_residual(A, R)
+    assert rota_baxter_residual(A, R) == dense
+    fails = [(i, j) for i in range(3) for j in range(3) if any(dense[i][j])]
+    if not fails:
+        assert check_axioms(dendriform_from_rota_baxter(A, R)).ok
+        return
+    i, j = fails[0]
+    with pytest.raises(ValueError, match=fr"fails on basis pair \({i}, {j}\)$"):
+        dendriform_from_rota_baxter(A, R)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 4)])
+def test_misshaped_rota_baxter_operator_is_rejected(shape):
+    R = LinMap([[Fraction(1)] * shape[1] for _ in range(shape[0])])
+    with pytest.raises(ValueError, match=f"operator must be 3x3, got {shape[0]}x{shape[1]}"):
+        dendriform_from_rota_baxter(examples.truncated_polynomials(), R)
+    with pytest.raises(ValueError, match="operator must be 3x3"):
+        rota_baxter_residual(examples.truncated_polynomials(), R)
 
 
 def test_conjugated_algebras_keep_axioms():

@@ -1,9 +1,11 @@
 """Coalgebras, bialgebra compatibility, quadratic perm data and induction."""
 
+from fractions import Fraction
+
 import pytest
 
 from dendrikit import examples
-from dendrikit.algebras import check_axioms
+from dendrikit.algebras import FinAlgebra, check_axioms
 from dendrikit.bialgebras import (
     CoalgStruct,
     check_bialgebra,
@@ -165,3 +167,32 @@ def test_bialgebra_square_detects_mismatch(dend_pair, qperm_pair):
     trivial = CoalgStruct("dendriform", 2, {"co_lt": zero, "co_gt": zero})
     rep = check_bialgebra_square(dend_pair, trivial, qperm_pair)
     assert rep.ok
+
+
+@pytest.mark.parametrize("site", [(k, i, j) for k in range(2) for i in range(2) for j in range(2)])
+def test_invariance_failure_names_the_first_basis_triple(qperm_pair, site):
+    """Each perm constant of the quadratic pair shifted by 1/3, against the
+    first triple where ω(b₁b₂, b₃) ≠ ω(b₁, b₂b₃ − b₃b₂) by dense sums."""
+    c = [[list(row) for row in plane] for plane in qperm_pair.algebra.products["mul"]]
+    k, i, j = site
+    c[k][i][j] += Fraction(1, 3)
+    w = qperm_pair.form.matrix
+    n = len(w)
+
+    def left(x, y, z):  # ω(bₓb_y, b_z)
+        return sum((c[m][x][y] * w[m][z] for m in range(n)), Fraction(0))
+
+    def right(x, y, z):  # ω(bₓ, b_yb_z)
+        return sum((w[x][m] * c[m][y][z] for m in range(n)), Fraction(0))
+
+    fails = [
+        (a, b, d) for a in range(n) for b in range(n) for d in range(n)
+        if left(a, b, d) != right(a, b, d) - right(a, d, b)
+    ]
+    alg = FinAlgebra("perm", n, {"mul": c})
+    if not fails:
+        assert make_quadratic_perm(alg, qperm_pair.form).algebra == alg
+        return
+    a, b, d = fails[0]
+    with pytest.raises(ValueError, match=fr"fails on basis triple \({a}, {b}, {d}\)$"):
+        make_quadratic_perm(alg, qperm_pair.form)

@@ -79,6 +79,20 @@ def test_check_dim_above_the_limit_is_usage_error(runner, tmp_path):
     assert "exceeds the limit 64" in res.output
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"format": 1, "kind": "tensor", "dim": 1, "entries": 5}', "entries: expected a list"),
+    ('{"format": 1, "kind": ["assoc"], "dim": 1}', "unknown kind"),
+    ('{"format": 1, "kind": "assoc", "dim": 2, "dim": 3, "products": {"mul": []}}',
+     "duplicate key 'dim'"),
+])
+def test_check_malformed_file_is_usage_error(runner, tmp_path, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    res = invoke(runner, "check", str(bad))
+    assert res.exit_code == 2
+    assert message in res.output
+
+
 def test_check_json_format_is_deterministic(runner):
     a = invoke(runner, "check", corpus("ex-D-alg-iii.json"), "--format", "json")
     b = invoke(runner, "check", corpus("ex-D-alg-iii.json"), "--format", "json")

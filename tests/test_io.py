@@ -6,10 +6,16 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dendrikit.algebras import KIND_OPS, FinAlgebra
+from dendrikit.bialgebras import KIND_COOPS, CoalgStruct, QuadraticPerm
+from dendrikit.exact import LinMap, Tensor2
 from dendrikit.io import (
     MAX_DIM,
     FileFormatError,
+    ParsedFile,
     Report,
     file_sha256,
     format_coeff,
@@ -17,6 +23,8 @@ from dendrikit.io import (
     parse_coeff,
     serialize_parsed,
 )
+
+from conftest import conjugate_algebra, conjugate_form
 
 CORPUS = Path(str(files("dendrikit") / "corpus"))
 CORPUS_FILES = sorted(CORPUS.glob("*.json"))
@@ -45,6 +53,63 @@ def test_round_trip_is_identity(path, tmp_path):
         assert pf2.tensor.coeffs == pf.tensor.coeffs
     if pf.operator is not None:
         assert pf2.operator.matrix == pf.operator.matrix
+
+
+def _coeffs(draw, shape):
+    """A nested list of the given shape of sparse random rationals."""
+    if len(shape) == 1:
+        return [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+                if draw(st.booleans()) else Fraction(0)
+                for _ in range(shape[0])]
+    return [_coeffs(draw, shape[1:]) for _ in range(shape[0])]
+
+
+@st.composite
+def parsed_files(draw):
+    """A random structure of any kind, with optional coproducts and operator
+    matrix; a perm algebra may carry its form (the corpus quadratic perm
+    algebra after a random change of basis, since the form must be
+    invariant)."""
+    kind = draw(st.sampled_from(sorted(KIND_OPS) + ["tensor"]))
+    n = draw(st.integers(1, 3))
+    basis = tuple(draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)))
+    if kind == "tensor":
+        return ParsedFile(kind, basis=basis, tensor=Tensor2(_coeffs(draw, (n, n))))
+    qperm = None
+    if kind == "perm" and draw(st.booleans()):
+        qp = parse_algebra(CORPUS / "perm-quadratic.json").qperm
+        n = qp.algebra.dim
+        basis = tuple(f"e{i}" for i in range(n))
+        # S = U·L, U upper triangular with nonzero diagonal a, d and L unit
+        # lower triangular, is invertible
+        a, d = (draw(st.sampled_from([Fraction(x, y) for x in (-2, -1, 1, 3) for y in (1, 2)]))
+                for _ in range(2))
+        b, c = _coeffs(draw, (2,))
+        S = ((a + b * c, b), (d * c, d))
+        qperm = QuadraticPerm(conjugate_algebra(qp.algebra, S), conjugate_form(qp.form, S))
+    if qperm is not None:
+        algebra = qperm.algebra
+    else:
+        algebra = FinAlgebra(kind, n, {op: _coeffs(draw, (n, n, n)) for op in KIND_OPS[kind]})
+    coalgebra = None
+    if draw(st.booleans()):
+        coalgebra = CoalgStruct(kind, n, {co: _coeffs(draw, (n, n, n))
+                                          for co in KIND_COOPS[kind]})
+    operator = LinMap(_coeffs(draw, (n, n))) if draw(st.booleans()) else None
+    return ParsedFile(kind, algebra=algebra, coalgebra=coalgebra, qperm=qperm,
+                      basis=basis, operator=operator)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(parsed_files(), st.sampled_from(CORPUS_FILES).map(parse_algebra)))
+def test_parse_serialize_parse_is_the_identity(tmp_path, pf):
+    obj = serialize_parsed(pf)
+    path = tmp_path / "round.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    again = parse_algebra(path)
+    assert again == pf
+    assert serialize_parsed(again) == obj
 
 
 # --- coefficient strings ------------------------------------------------------
@@ -206,6 +271,34 @@ def test_invalid_json_raises(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     with pytest.raises(FileFormatError):
+        parse_algebra(p)
+
+
+def test_entries_must_be_a_list(tmp_path):
+    tensor = {"format": 1, "kind": "tensor", "dim": 1, "entries": 5}
+    with pytest.raises(FileFormatError, match="entries: expected a list"):
+        parse_algebra(_write(tmp_path, tensor))
+
+
+@pytest.mark.parametrize("kind", [["assoc"], {"assoc": 1}, 1, None])
+def test_kind_must_be_a_string(tmp_path, kind):
+    with pytest.raises(FileFormatError, match="unknown kind"):
+        parse_algebra(_write(tmp_path, dict(BASE, kind=kind)))
+
+
+# The same key twice in one object: at the top level, and inside an entry.
+DUPLICATED_KEYS = [
+    ('{"format": 1, "kind": "assoc", "dim": 2, "dim": 3}', "'dim'"),
+    ('{"format": 1, "kind": "tensor", "dim": 1, "entries": '
+     '[{"left": 0, "right": 0, "coeff": "1", "coeff": "2"}]}', "'coeff'"),
+]
+
+
+@pytest.mark.parametrize("text,key", DUPLICATED_KEYS)
+def test_duplicate_key_rejected(tmp_path, text, key):
+    p = tmp_path / "dup.json"
+    p.write_text(text)
+    with pytest.raises(FileFormatError, match=f"duplicate key {key}"):
         parse_algebra(p)
 
 

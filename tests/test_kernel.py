@@ -1,37 +1,39 @@
-"""The sparse contraction kernels against the dense textbook formulas.
+"""The sparse contraction kernel against the dense textbook formulas.
 
-Every single product and multiplication matrix is evaluated through
-`exact.combine` over a sparse table derived from the structure constants;
-actions, coproducts and whole laws through `exact.contract`, which sums
-integer-scaled tables; and the Yang-Baxter residual sums scaled integers.
-Here each one is compared,
-exactly, with the dense sum written out inline, on random rational
-constants of every density from all-zero to full, in dimensions 1 to 4, and
-after a random change of basis.  Every coordinate returned must be a
-`Fraction`, never a bare int, since reports render Fractions.
+Every structure reads its cubes as `exact.IntTable`s built once in its
+constructor; single products, `mat_mul`, `mat_vec`, actions, coproducts and
+whole laws are evaluated by `exact.contract`, which sums integer-scaled
+tables; the multiplication matrices of the regular and coregular bimodules
+are index slices of the product cubes; and the Yang-Baxter residual sums
+scaled integers.  Here each one is compared, exactly, with the dense sum
+written out inline, on random rational constants of every density from
+all-zero to full, in dimensions 1 to 4, and after a random change of basis.
+Every coordinate returned must be a `Fraction`, never a bare int, since
+reports render Fractions.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendrikit.algebras import KIND_OPS, Bimodule, FinAlgebra
+from dendrikit.algebras import KIND_OPS, Bimodule, FinAlgebra, regular_bimodule
 from dendrikit.bialgebras import CoalgStruct
 from dendrikit.exact import (
     IntTable,
     LinMap,
     Tensor2,
     Vec,
-    combine,
     contract,
     determinant,
     mat_mul,
     nest,
+    transpose,
 )
-from dendrikit.ybe import ybe_residual
+from dendrikit.ybe import coregular_bimodule, ybe_residual
 
 from conftest import conjugate_algebra, int_matrix
 
@@ -82,32 +84,49 @@ def algebras(draw):
     return alg, rng, density
 
 
+def _acting(mats, u):
+    """Σᵢ uᵢ·mats[i], summed densely."""
+    rows, cols = len(mats[0]), len(mats[0][0])
+    return tuple(
+        tuple(sum((u.coords[i] * m[p][q] for i, m in enumerate(mats)), Fraction(0))
+              for q in range(cols))
+        for p in range(rows)
+    )
+
+
 def _check_products(alg, rng, density):
     n, c = alg.dim, alg.products["mul"]
     u, v = _vector(rng, n, density), _vector(rng, n, 0.7)
     assert _fractions(alg.multiply("mul", u, v).coords)
-    assert _fractions(alg.left_mult("mul", u).matrix)
-    assert _fractions(alg.right_mult("mul", u).matrix)
     assert alg.multiply("mul", u, v).coords == tuple(
         sum((u.coords[i] * v.coords[j] * c[k][i][j] for i in range(n) for j in range(n)),
             Fraction(0))
         for k in range(n)
     )
-    assert alg.left_mult("mul", u).matrix == tuple(
+    # the matrices of v ↦ u·v and v ↦ v·u
+    left = tuple(
         tuple(sum((u.coords[i] * c[k][i][j] for i in range(n)), Fraction(0))
               for j in range(n))
         for k in range(n)
     )
-    assert alg.right_mult("mul", u).matrix == tuple(
+    right = tuple(
         tuple(sum((u.coords[j] * c[k][i][j] for j in range(n)), Fraction(0))
               for i in range(n))
         for k in range(n)
     )
-    for i in range(n):
-        for j in range(n):
-            terms = alg.product_terms("mul", i, j)
-            assert all(x != 0 for _, x in terms)
-            assert dict(terms) == {k: c[k][i][j] for k in range(n) if c[k][i][j]}
+    reg, coreg = regular_bimodule(alg).actions, coregular_bimodule(alg).actions
+    assert _fractions(reg["l"]) and _fractions(reg["r"])
+    assert _fractions(coreg["l"]) and _fractions(coreg["r"])
+    assert _acting(reg["l"], u) == left and _acting(reg["r"], u) == right
+    # (A*, 𝔯*, 𝔩*): the duals are the transposes
+    assert _acting(coreg["l"], u) == transpose(right)
+    assert _acting(coreg["r"], u) == transpose(left)
+    table = alg.tables["mul"]
+    nonzero = {(k, i, j): c[k][i][j]
+               for k in range(n) for i in range(n) for j in range(n) if c[k][i][j]}
+    assert table.scale == lcm(*(x.denominator for x in nonzero.values()))
+    assert all(type(x) is int and x for _idx, x in table.entries)
+    assert {idx: Fraction(x, table.scale) for idx, x in table.entries} == nonzero
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,17 +264,6 @@ def test_contract_chains_three_factors(rng, n, m, density):
     )
 
 
-def test_combine_slot_keeps_an_lcm_denominator():
-    """500 terms with denominators 1–7 summed into one slot, which moves
-    between unequal denominators many times, give the Fraction sum exactly."""
-    rng = random.Random(7)
-    table = [((0, 1, 1),)]
-    terms = [(0, rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(500)]
-    (got,) = combine(terms, table, 1)
-    assert got == sum((Fraction(a, d) for _i, a, d in terms), Fraction(0))
-    assert type(got) is Fraction
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.randoms(use_true_random=False),
@@ -347,7 +355,13 @@ def test_equality_ignores_the_derived_table(sample):
     n, cube = alg.dim, alg.products["mul"]
     same = FinAlgebra("assoc", n, {"mul": cube})
     assert same == alg and repr(same) == repr(alg)
-    assert "_pairs" not in repr(alg)
+    assert same.tables is not alg.tables
+    coalg = CoalgStruct("assoc", n, {"co": cube})
+    for x, y in ((regular_bimodule(same), regular_bimodule(alg)),
+                 (coalg, CoalgStruct("assoc", n, {"co": cube}))):
+        assert x == y and repr(x) == repr(y) and x.tables is not y.tables
+    for x in (alg, regular_bimodule(alg), coalg):
+        assert "tables" not in repr(x) and "IntTable" not in repr(x)
     k, i, j = (rng.randrange(n) for _ in range(3))
     changed = [[list(row) for row in plane] for plane in cube]
     changed[k][i][j] += 1
