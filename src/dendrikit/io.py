@@ -4,8 +4,8 @@ Files are UTF-8 JSON with a top-level ``"format": 1``.  Structure constants
 are stored as sparse entry lists; coefficients are exact rationals rendered
 as strings (``"3"``, ``"-5/7"``) in canonical form: ASCII digits, no
 surrounding whitespace, no leading zeros or ``-0``, lowest terms.  Unknown
-keys anywhere in a file are rejected so that typos cannot silently change
-meaning.
+keys anywhere in a file, and a key repeated in one object, are rejected so
+that typos cannot silently change meaning.
 
 Reports serialize with a fixed field order so identical inputs always produce
 byte-identical JSON.

@@ -87,7 +87,6 @@ def parsed_files(draw):
         b, c = _coeffs(draw, (2,))
         S = ((a + b * c, b), (d * c, d))
         qperm = QuadraticPerm(conjugate_algebra(qp.algebra, S), conjugate_form(qp.form, S))
-    if qperm is not None:
         algebra = qperm.algebra
     else:
         algebra = FinAlgebra(kind, n, {op: _coeffs(draw, (n, n, n)) for op in KIND_OPS[kind]})
@@ -299,6 +298,14 @@ def test_duplicate_key_rejected(tmp_path, text, key):
     p = tmp_path / "dup.json"
     p.write_text(text)
     with pytest.raises(FileFormatError, match=f"duplicate key {key}"):
+        parse_algebra(p)
+
+
+def test_overlong_integer_rejected(tmp_path):
+    """An integer literal past Python's digit limit is a format error, not a crash."""
+    p = tmp_path / "long.json"
+    p.write_text('{"format": 1, "kind": "assoc", "dim": ' + "9" * 5000 + "}")
+    with pytest.raises(FileFormatError, match="digits"):
         parse_algebra(p)
 
 
