@@ -95,6 +95,21 @@ CASES = {
     "coassoc/N2/co_gt0-2/5": _with_coproducts(
         check_completed_coassociativity, 2, coproduct=C_GT0
     ),
+    "nu/N4": _window_only(check_nu_pairing, 4),
+    "cpc/N4": _window_only(check_completed_perm_coalgebra, 4),
+    "aa/N4": _with_algebra(check_affine_associativity, 4),
+    "aa/N3/lt+1/3": _with_algebra(check_affine_associativity, 3, product=P_LT),
+    "asi/N4": _with_coproducts(check_completed_asi, 4),
+    "asi/N4/gt-2/5": _with_coproducts(check_completed_asi, 4, product=P_GT),
+    "asi/N4/co_lt+1/3": _with_coproducts(check_completed_asi, 4, coproduct=C_LT),
+    "asi/N4/co_gt0-2/5": _with_coproducts(check_completed_asi, 4, coproduct=C_GT0),
+    "coassoc/N4": _with_coproducts(check_completed_coassociativity, 4),
+    "coassoc/N4/co_lt+1/3": _with_coproducts(
+        check_completed_coassociativity, 4, coproduct=C_LT
+    ),
+    "coassoc/N4/co_gt0-2/5": _with_coproducts(
+        check_completed_coassociativity, 4, coproduct=C_GT0
+    ),
 }
 
 # (checked, SHA-256 of repr(failures))
@@ -102,28 +117,48 @@ PINNED = {
     "aa/N2": (64, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "aa/N2/gt-2/5": (64, "cefb18e65a267945d4b47f08e45b00c0680b0b56ea11576dda7a2f2e146369f4"),
     "aa/N2/lt+1/3": (64, "7a81dcca9bf01583536562dd34252d16cb06e2f0e21ba355f3001ecf12d1f4a6"),
+    "aa/N3/lt+1/3": (46656, "32c4ed43cb4d90562ea479e29e172e1047fc51babd81e4f6ef3f64146a832c02"),
+    "aa/N4": (1000000, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "asi/N2": (20, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "asi/N2/co_gt-2/5": (20, "647607f4fbaa2aef0a4928b23afd4705bec25d9bd234cfea5c7faf66269fe00e"),
     "asi/N2/co_lt+1/3": (20, "0af95fa36a9016e042131d32c8aeccfc95e770462d27edb00417ed9de2839e8c"),
     "asi/N2/gt-2/5,co_lt+1/3": (20, "d46ab63fc965c7baeb93fd1a37868813c82a028a83f8000c72437e2b71e9c53b"),
     "asi/N2/gt0+1/3": (20, "0baa4a147ba020e7ab5ece4f0e256c511e8da5580d48f2eb829cc8dfd3b577f8"),
     "asi/N2/lt+1/3": (20, "8f5e878a74b9486a939546a7c6ad864053e916dddf7bd0feab9095fbfc1654e6"),
+    "asi/N4": (10100, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "asi/N4/co_gt0-2/5": (10100, "87cc207cc596863a13b618230c74b02dbf57f1f0d35baa78930f6b4eb1ca5329"),
+    "asi/N4/co_lt+1/3": (10100, "2e0121f54e62ad8a940404bed7e6f71533e7fc1bda94cd4f86bdb21a72415f8f"),
+    "asi/N4/gt-2/5": (10100, "ebd7971bfc1f0836e79910f221363ada0d8fadc9b47e4096536b6acea5e4a728"),
     "coassoc/N2": (4, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "coassoc/N2/co_gt0-2/5": (4, "530252db1ddd2bc13d0d509be6c6654603f068b7727b72c453b33b0cdb6fdce6"),
     "coassoc/N2/co_lt+1/3": (4, "a6a5916a8e92e09d1749c41a7acf612f01a9977721e02c5d274d4fd8df5d85c8"),
+    "coassoc/N4": (100, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "coassoc/N4/co_gt0-2/5": (100, "0cfa776d9e8a3e5392e4fab897a05a4d80291f37cda81565d65cccdcc2154752"),
+    "coassoc/N4/co_lt+1/3": (100, "04004e9730a504f8172e35e438081692b788c44a99ac639be3b6a0f2b75fe87b"),
     "cpc/N2": (4872, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "cpc/N3": (174472, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "cpc/N4": (1321800, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "gf/N2": (8332, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "gf/N3": (134604, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "lpa/N2": (8, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "lpa/N3": (5832, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "nu/N2": (45000, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "nu/N3": (480200, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "nu/N4": (2571912, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
 }
 
 
 def _digest(rep):
-    return rep.checked, hashlib.sha256(repr(rep.failures).encode()).hexdigest()
+    """``checked`` and the SHA-256 of ``repr(rep.failures)``, hashed one failure
+    at a time so that a long failure list is never held as a single string."""
+    failures = rep.failures
+    h = hashlib.sha256(b"(")
+    for i, failure in enumerate(failures):
+        if i:
+            h.update(b", ")
+        h.update(repr(failure).encode())
+    h.update(b",)" if len(failures) == 1 else b")")
+    return rep.checked, h.hexdigest()
 
 
 def test_every_case_is_pinned():
