@@ -8,19 +8,23 @@ A composition of depth k is only verified where all intermediate exponents
 provably stay inside the window ("safe region"), so truncation can never turn
 a failure into a pass or vice versa.
 
-Enumeration is in closed form.  A term u⊗v of ν(b) satisfies
-u.i + v.i = b.i + δ coordinatewise, where δ is the unit shift of u's
-∂-index, so the terms with |u| ≤ first and |v| ≤ second have, in each
-coordinate, exactly the exponents max(−first, c − second) … min(first,
-c + second) with c = b.i + δ.  The checks enumerate those ranges directly.
-Walking the whole box and discarding the terms that leave the window would
-keep exactly the same terms; only the discarded ones are skipped, so every
-coefficient, and with it the safe-region argument above, is the same.
+The windowed laws are decided once per coincidence pattern.  A product is a
+unit shift, x^{i}∂ₛ·x^{j}∂ₜ = x^{i+j+eₛ}∂ₜ with eₛ the unit vector of xₛ,
+and ν(x^{c}∂ₜ) = Σₛ ±Σᵤ x^{u}∂ₛ ⊗ x^{c+e₃₋ₛ−u}∂ₜ covers a full
+anti-diagonal: every u occurs, once.  So each term of a composed law has a
+fixed ∂-index in each slot, and the exponents of its slots add up to those of
+the sources plus a fixed offset; it gives one coefficient, the same for all of
+them, to every monomial tuple with those ∂-indices and that sum.  Every
+intermediate exponent is fixed by the target and the sources, so for
+safe-region sources the coefficient of a window target is the exact one, a
+finite sum that no truncation changes.  A check therefore tabulates, once per
+call, the residual of each pattern: the ∂-indices and basis indices of D of
+the sources, and those of the target with its offset.  It visits window
+targets only where that residual is nonzero, and counts the others.
 
-Accumulation is over the integers.  The completed ASI and coassociativity
-checks read the structure constants of D from its `exact.IntTable`s,
-brought to the lcm L_D of their denominators, and the coproduct
-coefficients likewise over L_θ; the signs of ν are ±1.
+Accumulation is over the integers.  The structure constants of D are read
+from its `exact.IntTable`s, brought to the lcm L_D of their denominators, the
+coproduct coefficients likewise over L_θ, and the signs of ν and ϖ are ±1.
 Each compatibility term has degree one in each, and each coassociativity
 term degree two in θ, so a residual is an integer over L_D·L_θ or L_θ² —
 still exact.  It is turned back into a Fraction only where a failure is
@@ -32,7 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import lcm
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .algebras import FinAlgebra
@@ -58,11 +64,14 @@ _mono = partial(tuple.__new__, Mono)
 # form by the source convention).
 GRADING_M = -2
 
-# Largest window the CLI accepts.  The windowed checks enumerate source pairs
-# and window terms, so their cost grows steeply with N: N = 4 is the largest
-# window measured (the completed ASI check takes about 46 s there on two
-# vCPUs), and a larger one is refused before any check runs.
-MAX_WINDOW = 4
+# Largest window the CLI accepts; a larger one is refused before any check
+# runs.  Deciding per pattern makes a passing check cheap at any N: each of
+# `affine --check assoc|coalg|asi` on the corpus D-bialgebra takes under 0.2 s
+# at N = 5 on two vCPUs, interpreter start-up included.  A failing input gets
+# one failure per window target, and their number grows steeply with N: one
+# coproduct coefficient shifted by 1/3 gives 2.5 million at N = 4 and
+# 11.7 million at N = 5.
+MAX_WINDOW = 5
 
 
 class InsufficientWindowError(ValueError):
@@ -140,30 +149,9 @@ def laurent_dual_basis(m: Mono) -> tuple[Mono, int]:
     return Mono(-m.i1, -m.i2, 1), -1
 
 
-def _nu_partner(b: Mono, u: Mono) -> tuple[Mono, int]:
-    """The unique (v, sign) with ν(b) ∋ sign·(u⊗v), for a fixed first slot."""
-    if u.s == 1:
-        return Mono(b.i1 - u.i1, b.i2 - u.i2 + 1, b.s), 1
-    return Mono(b.i1 - u.i1 + 1, b.i2 - u.i2, b.s), -1
-
-
-def _nu_window(b: Mono, first: int | None, second: int | None = None):
-    """The terms (u, v, ±1) of ν(b) with |u| ≤ ``first`` and |v| ≤ ``second``.
-
-    ``None`` leaves a slot unbounded; at most one may be ``None``.  Since
-    u.i + v.i = c with c = b.i plus the shift of u's ∂-index, each exponent
-    of u runs over max(−first, c − second) … min(first, c + second).
-    """
-    spread = max(abs(b.i1), abs(b.i2)) + 1
-    if first is None:
-        first = second + spread
-    if second is None:
-        second = first + spread
-    t = b.s
-    for s, sign, c1, c2 in ((1, 1, b.i1, b.i2 + 1), (2, -1, b.i1 + 1, b.i2)):
-        for i1 in range(max(-first, c1 - second), min(first, c1 + second) + 1):
-            for i2 in range(max(-first, c2 - second), min(first, c2 + second) + 1):
-                yield _mono((i1, i2, s)), _mono((c1 - i1, c2 - i2, t)), sign
+def _form_sign(s: int, t: int) -> int:
+    """ϖ(x^{i}∂ₛ, x^{−i}∂ₜ): the form on two ∂-indices where the exponents cancel."""
+    return _form(_mono((0, 0, s)), _mono((0, 0, t)))
 
 
 def _add(d: dict, key, val):
@@ -173,6 +161,113 @@ def _add(d: dict, key, val):
 def _support(d: dict) -> dict:
     """The entries of ``d`` with a nonzero value."""
     return {key: c for key, c in d.items() if c}
+
+
+# --- coincidence patterns ----------------------------------------------------
+#
+# A pattern slot stands for every monomial with a given ∂-index (in the D⊗B
+# checks, a pair (d, s) of a basis index of D and a ∂-index).  A pattern term
+# (slots…, offset, c) stands for every tensor of monomials with the slots'
+# ∂-indices whose exponents add up to those of the sources plus ``offset``, each
+# with coefficient c.
+
+# eₛ: the exponent vector a product by ∂ₛ raises
+_UNIT = {1: (1, 0), 2: (0, 1)}
+
+# ν(x^{c}∂ₜ) = Σ sign·x^{u}∂ₛ ⊗ x^{c+shift−u}∂ₜ over all u: (s, shift, sign)
+_NU = ((1, (0, 1), 1), (2, (1, 0), -1))
+
+
+def _plus(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _pattern_nu(t: int) -> list:
+    """ν of a slot with ∂-index t, as terms (first ∂, second ∂, offset, sign)."""
+    return [(s, t, shift, sign) for s, shift, sign in _NU]
+
+
+def _pattern_product(P: dict, x: tuple, y: tuple) -> list:
+    """L_D·(x∗y) for slots x = (d₁, s), y = (d₂, t), as terms (slot, offset, c).
+
+    (d₁⊗x^{i}∂ₛ)∗(d₂⊗x^{j}∂ₜ) = (d₁≻d₂)⊗x^{i+j+eₛ}∂ₜ + (d₁≺d₂)⊗x^{i+j+eₜ}∂ₛ.
+    """
+    (d1, s), (d2, t) = x, y
+    out = []
+    for k, cg, cl in P.get((d1, d2), ()):
+        if cg:
+            out.append(((k, t), _UNIT[s], cg))
+        if cl:
+            out.append(((k, s), _UNIT[t], cl))
+    return out
+
+
+def _pattern_delta(Q: list, x: tuple) -> list:
+    """L_θ·Δ(x) for a slot x = (d, t), as terms (first slot, second slot, offset, c).
+
+    Δ(d⊗b) = θ_≻(d)·ν(b) + θ_≺(d)·τ̂ν(b).
+    """
+    d, t = x
+    out = []
+    for dp, dq, cg, cl in Q[d]:
+        for s, _, shift, sign in _pattern_nu(t):
+            if cg:
+                out.append(((dp, s), (dq, t), shift, sign * cg))
+            if cl:
+                # τ̂ν part: the first display slot sits in the second slot of ν(b)
+                out.append(((dp, t), (dq, s), shift, sign * cl))
+    return out
+
+
+def _slots(dim: int) -> list:
+    return [(d, s) for d in range(dim) for s in (1, 2)]
+
+
+def _splits(total: int, N: int, k: int) -> list:
+    """The k-tuples of exponents in [−N, N] that add up to ``total``, each
+    exponent e given as its grid index e + N."""
+    if k == 1:
+        return [(total + N,)] if -N <= total <= N else []
+    return [
+        (e + N, *rest)
+        for e in range(max(-N, total - (k - 1) * N), min(N, total + (k - 1) * N) + 1)
+        for rest in _splits(total - e, N, k - 1)
+    ]
+
+
+def _mono_grid(N: int) -> dict:
+    """Every window monomial x^{i}∂ₛ, as grid[s][i₁ + N][i₂ + N]."""
+    r = range(-N, N + 1)
+    return {s: [[_mono((i1, i2, s)) for i2 in r] for i1 in r] for s in (1, 2)}
+
+
+def _slot_grid(N: int, dim: int) -> dict:
+    """Every window cell (d, x^{i}∂ₛ) of D⊗B, as grid[d, s][i₁ + N][i₂ + N]."""
+    monos = _mono_grid(N)
+    return {(d, s): [[(d, m) for m in row] for row in monos[s]] for d, s in _slots(dim)}
+
+
+def _window_keys(slots, total: tuple, N: int, grid: dict) -> list:
+    """The tuples of window cells, one per slot, whose exponents add up to
+    ``total``.  The cells are read from ``grid``, so each is built once per
+    call."""
+    k = len(slots)
+    second = _splits(total[1], N, k)
+    keys = []
+    for xs in _splits(total[0], N, k):
+        rows = [grid[slot][x] for slot, x in zip(slots, xs)]
+        keys += [tuple(map(list.__getitem__, rows, ys)) for ys in second]
+    return keys
+
+
+def _window_count(slots, total: tuple, N: int) -> int:
+    k = len(slots)
+    return len(_splits(total[0], N, k)) * len(_splits(total[1], N, k))
+
+
+def _box_size(bound: int) -> int:
+    """The number of monomials ``iter_box(bound)`` yields."""
+    return 2 * (2 * bound + 1) ** 2
 
 
 def _acc(d: dict, key, val):
@@ -263,66 +358,71 @@ def check_graded_form(w: Window) -> AffineReport:
 def check_nu_pairing(w: Window) -> AffineReport:
     """Defining relation ϖ̂(ν(b₁), b₂⊗b₃) = −ϖ(b₁, b₂b₃) on window triples.
 
-    For fixed b₂⊗b₃ only one first-slot monomial of ν(b₁) can pair nonzero,
-    so each evaluation is a finite exact sum.
+    For fixed b₂⊗b₃ only one term u⊗v of ν(b₁) pairs nonzero, and both sides
+    vanish unless b₁ + b₂ + b₃ plus an offset fixed by the ∂-indices is zero;
+    so each ∂-triple is decided by one sign per offset.
     """
     bound = w.safe_bound(1)
+    monos = _mono_grid(w.N)
     failures = []
-    checked = 0
-    box = list(iter_box(w.N))
-    products = [[mono_product(b2, b3) for b3 in box] for b2 in box]
-    for b1 in iter_box(bound):
-        for b2, row in zip(box, products):
-            # the only e with ϖ(e, b₂) ≠ 0 has opposite ∂-index and
-            # negated exponents
-            e = Mono(-b2.i1, -b2.i2, 3 - b2.s)
-            v, sign = _nu_partner(b1, e)
-            sign *= _form(e, b2)
-            for b3, m in zip(box, row):
-                checked += 1
-                lhs = sign * _form(v, b3)
-                rhs = -_form(b1, m)
-                if lhs != rhs:
-                    failures.append(("nu_pairing", (b1, b2, b3), Fraction(lhs - rhs)))
+    for parts in product((1, 2), repeat=3):
+        s1, s2, s3 = parts
+        res: dict = {}
+        # ϖ(u, b₂)ϖ(v, b₃) with u + v = b₁ + shift
+        for s, _, shift, sign in _pattern_nu(s1):
+            _add(res, shift, sign * _form_sign(s, s2) * _form_sign(s1, s3))
+        # minus −ϖ(b₁, b₂b₃), b₂b₃ = x^{b₂+b₃+e_{s₂}}∂_{s₃}
+        _add(res, _UNIT[s2], _form_sign(s1, s3))
+        for offset, c in _support(res).items():
+            value = Fraction(c)
+            for b1 in iter_box(bound):
+                if b1.s == s1:
+                    total = (-offset[0] - b1.i1, -offset[1] - b1.i2)
+                    for b2, b3 in _window_keys(parts[1:], total, w.N, monos):
+                        failures.append(("nu_pairing", (b1, b2, b3), value))
+    failures.sort(key=itemgetter(1))
     return AffineReport(
-        "completed coproduct pairing", w.N, f"sources |i| <= {bound}", checked,
-        tuple(failures),
+        "completed coproduct pairing", w.N, f"sources |i| <= {bound}",
+        _box_size(bound) * _box_size(w.N) ** 2, tuple(failures),
     )
 
 
 def check_completed_perm_coalgebra(w: Window) -> AffineReport:
     """Perm coalgebra laws (ν⊗̂id)ν = (id⊗̂ν)ν = (τ̂⊗̂id)(id⊗̂ν)ν, windowed.
 
-    Both sides are expanded coefficientwise; targets are triples of window
-    monomials, sources stay in the depth-2 safe region.
+    Both sides are tabulated per pattern; targets are triples of window
+    monomials, sources stay in the depth-2 safe region.  One comparison is
+    counted per target that is nonzero on either side.
     """
     bound = w.safe_bound(2)
-    N = w.N
+    laws = {}
+    for t in (1, 2):
+        lhs: dict = {}
+        for g, v, o, c in _pattern_nu(t):  # (ν⊗̂id)ν: the first slot is split again
+            for p, q, o2, c2 in _pattern_nu(g):
+                _add(lhs, ((p, q, v), _plus(o, o2)), c * c2)
+        mid: dict = {}
+        for p, g, o, c in _pattern_nu(t):  # (id⊗̂ν)ν: the second slot is split again
+            for q, v, o2, c2 in _pattern_nu(g):
+                _add(mid, ((p, q, v), _plus(o, o2)), c * c2)
+        lhs, mid = _support(lhs), _support(mid)
+        twisted = {((q, p, v), o): c for ((p, q, v), o), c in mid.items()}
+        laws[t] = (("co_perm_assoc", lhs, mid), ("co_perm_left_commute", mid, twisted))
+    monos = _mono_grid(w.N)
     failures = []
     checked = 0
     for b in iter_box(bound):
-        lhs: dict = {}
-        # (ν⊗̂id)ν: first slot g is split again, so it ranges over a widened box
-        for g, v, cf in _nu_window(b, 2 * N + 1, N):
-            for p, q, cf2 in _nu_window(g, N, N):
-                _add(lhs, (p, q, v), cf * cf2)
-        mid: dict = {}
-        # (id⊗̂ν)ν: first slot p is final, second slot is re-expanded
-        for p, g, cf in _nu_window(b, N):
-            for q, v, cf2 in _nu_window(g, N, N):
-                _add(mid, (p, q, v), cf * cf2)
-        lhs, mid = _support(lhs), _support(mid)
-        twisted = {(q, p, v): c for (p, q, v), c in mid.items()}
-        # one comparison per coefficient that is nonzero on either side
-        for label, one, other in (
-            ("co_perm_assoc", lhs, mid),
-            ("co_perm_left_commute", mid, twisted),
-        ):
-            keys = one.keys() | other.keys()
-            checked += len(keys)
-            diffs = {key: one.get(key, 0) - other.get(key, 0) for key in keys}
-            for key in sorted(key for key, c in diffs.items() if c):
-                failures.append((label, (b, key), Fraction(diffs[key])))
+        for label, one, other in laws[b.s]:
+            found = []
+            for pattern in one.keys() | other.keys():
+                parts, offset = pattern
+                total = _plus((b.i1, b.i2), offset)
+                checked += _window_count(parts, total, w.N)
+                diff = one.get(pattern, 0) - other.get(pattern, 0)
+                if diff:
+                    value = Fraction(diff)
+                    found.extend((key, value) for key in _window_keys(parts, total, w.N, monos))
+            failures.extend((label, (b, key), value) for key, value in sorted(found))
     return AffineReport(
         "completed perm coalgebra", w.N, f"sources |i| <= {bound}", checked,
         tuple(failures),
@@ -371,48 +471,50 @@ ASSOC_LOCALIZATION_TARGET = Mono(2, 0, 2)
 def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
     """Associativity of the affine product on all safe-region triples.
 
-    The products are exact single-term index shifts, so the window only
-    bounds the enumeration; failures carry the full triple and target.
+    The products are exact single-term index shifts, so each pattern of three
+    sources has one residual per target slot and offset, and the window only
+    bounds the sources; failures carry the full triple and target.
     """
     if D.kind != "dendriform":
         raise ValueError("expected a dendriform algebra")
     bound = w.safe_bound(2)
+    P, scale = _scaled_products(D)
+    live: dict = {}
+    for x, y, z in product(_slots(D.dim), repeat=3):
+        res: dict = {}
+        for m, o, c in _pattern_product(P, x, y):  # (a₁∗a₂)∗a₃
+            for k, o2, c2 in _pattern_product(P, m, z):
+                _add(res, (k, _plus(o, o2)), c * c2)
+        for m, o, c in _pattern_product(P, y, z):  # a₁∗(a₂∗a₃)
+            for k, o2, c2 in _pattern_product(P, x, m):
+                _add(res, (k, _plus(o, o2)), -c * c2)
+        if res := _support(res):
+            # the target (k, x^{b₁+b₂+b₃+offset}∂ₛ) sorts as (k, offset, s)
+            # does, whatever the sources
+            targets = sorted((k, offset, s, c) for ((k, s), offset), c in res.items())
+            live.setdefault((x[0], y[0], z[0]), {})[x[1], y[1], z[1]] = [
+                (k, offset, s, Fraction(c, scale * scale)) for k, offset, s, c in targets
+            ]
     failures = []
-    checked = 0
     monos = list(iter_box(bound))
-    n = D.dim
-    for d1 in range(n):
-        for d2 in range(n):
-            for d3 in range(n):
-                for b1 in monos:
-                    for b2 in monos:
-                        for b3 in monos:
-                            checked += 1
-                            left = _product_expand(
-                                D,
-                                affine_assoc_product(D, (d1, b1), (d2, b2)),
-                                (d3, b3),
-                            )
-                            inner = affine_assoc_product(D, (d2, b2), (d3, b3))
-                            right: dict = {}
-                            for (dk, mk), c in inner.items():
-                                for key, c2 in affine_assoc_product(
-                                    D, (d1, b1), (dk, mk)
-                                ).items():
-                                    _acc(right, key, c * c2)
-                            for key in sorted(set(left) | set(right)):
-                                diff = left.get(key, ZERO) - right.get(key, ZERO)
-                                if diff != 0:
-                                    failures.append(
-                                        (
-                                            "associativity",
-                                            ((d1, b1), (d2, b2), (d3, b3)),
-                                            (key, diff),
-                                        )
-                                    )
+    for ds in product(range(D.dim), repeat=3):
+        by_parts = live.get(ds)
+        if by_parts is None:
+            continue
+        for bs in product(monos, repeat=3):
+            targets = by_parts.get(tuple(b.s for b in bs))
+            if targets is None:
+                continue
+            i1 = sum(b.i1 for b in bs)
+            i2 = sum(b.i2 for b in bs)
+            source = tuple(zip(ds, bs))
+            failures.extend(
+                ("associativity", source, ((k, _mono((i1 + o1, i2 + o2, s))), value))
+                for k, (o1, o2), s, value in targets
+            )
     return AffineReport(
-        "affine associativity", w.N, f"sources |i| <= {bound}", checked,
-        tuple(failures),
+        "affine associativity", w.N, f"sources |i| <= {bound}",
+        D.dim ** 3 * len(monos) ** 3, tuple(failures),
     )
 
 
@@ -451,51 +553,6 @@ def _paired_rows(gt, lt, split) -> tuple[dict, int]:
     return rows, scale
 
 
-def _times(products: dict, d1: int, b1: Mono, d2: int, b2: Mono) -> list:
-    """The terms (k, m, c) of L_D·((d₁⊗b₁)∗(d₂⊗b₂)), one per nonzero constant."""
-    row = products.get((d1, d2))
-    if row is None:
-        return []
-    m_gt = mono_product(b1, b2)
-    m_lt = mono_product(b2, b1)
-    out = []
-    for k, cg, cl in row:
-        if cg:
-            out.append((k, m_gt, cg))
-        if cl:
-            out.append((k, m_lt, cl))
-    return out
-
-
-def _delta_expand(
-    coproducts: list, d: int, b: Mono, first: int, second: int | None = None
-) -> list:
-    """The terms (d_u, u, d_v, v, c) of L_θ·Δ(d⊗b) with |u| ≤ first, |v| ≤ second.
-
-    Δ(d⊗b) = θ_≻(d)·ν(b) + θ_≺(d)·τ̂ν(b); ``second=None`` leaves the second
-    slot unbounded.  A key may repeat; the terms add up.
-    """
-    out = []
-    nu = twisted = None
-    for dp, dq, cg, cl in coproducts[d]:
-        if cg:
-            if nu is None:
-                nu = list(_nu_window(b, first, second))
-            out.extend((dp, u, dq, v, sign * cg) for u, v, sign in nu)
-        if cl:
-            # τ̂ν part: the first display slot sits in the second slot of ν(b)
-            if twisted is None:
-                twisted = [(u, v, sign) for v, u, sign in _nu_window(b, second, first)]
-            out.extend((dp, u, dq, v, sign * cl) for u, v, sign in twisted)
-    return out
-
-
-def _diff_failures(label, source, residual: dict, scale: int, failures: list):
-    """Record the nonzero coefficients of ``residual``/``scale``, sorted by key."""
-    for key in sorted(key for key, c in residual.items() if c):
-        failures.append((label, source, (key, Fraction(residual[key], scale))))
-
-
 # Verified correspondence between the windowed completed laws and the finite
 # dendriform bialgebra conditions (by exact row-space comparison of the
 # residuals as linear functionals of the coproducts): the casi1 coefficients
@@ -507,62 +564,51 @@ CASI_FINITE_SPAN = {
 }
 
 
-def _source_deltas(Q: list, a, w: Window) -> tuple[list, list]:
-    """Δ(a) with first slot g in the widened box |g| ≤ 2N − 1 and second slot
-    in the window, and Δ(a) with first slot in the window.
-
-    The wide first slot is multiplied by the other source b, |b| ≤
-    safe_bound(2), and a product shifts one exponent by one, so a target in
-    the window needs |g| ≤ N + safe_bound(2) + 1 = 2N − 1.
-    """
-    d, b = a
-    wide = w.N + w.safe_bound(2) + 1
-    return _delta_expand(Q, d, b, wide, w.N), _delta_expand(Q, d, b, w.N)
-
-
-def _check_pair(w: Window, P: dict, Q: list, a1, a2, delta1, delta2) -> tuple[dict, dict]:
-    """The casi1 and casi2 residuals of one source pair, scaled by L_D·L_θ.
-
-    ``delta1``/``delta2`` are the ``_source_deltas`` of a₁ and a₂.
-    """
-    (d1, b1), (d2, b2) = a1, a2
-    wide1, narrow1 = delta1
-    wide2, narrow2 = delta2
-    contains = w.contains
+def _compatibility_patterns(P: dict, Q: list, x: tuple, y: tuple) -> tuple[dict, dict]:
+    """The nonzero casi1 and casi2 residuals, scaled by L_D·L_θ, of sources
+    a₁, a₂ with slots x, y, keyed by (target slots, offset)."""
     # casi1: Δ(a₁∗a₂) − (𝔯(a₂)⊗̂id)(Δ(a₁)) − (id⊗̂𝔩(a₁))(Δ(a₂))
     res1: dict = {}
-    for dk, mk, c in _times(P, d1, b1, d2, b2):
-        for dp, p, dq, q, c2 in _delta_expand(Q, dk, mk, w.N, w.N):
-            _add(res1, ((dp, p), (dq, q)), c * c2)
-    # intermediates of the right side need a wider box
-    for dg, g, dv, v, c in wide1:
-        for dk, mk, c2 in _times(P, dg, g, d2, b2):
-            if contains(mk):
-                _add(res1, ((dk, mk), (dv, v)), -c * c2)
-    for dp, p, dh, h, c in narrow2:
-        for dk, mk, c2 in _times(P, d1, b1, dh, h):
-            if contains(mk):
-                _add(res1, ((dp, p), (dk, mk)), -c * c2)
+    for m, o, c in _pattern_product(P, x, y):
+        for p, q, o2, c2 in _pattern_delta(Q, m):
+            _add(res1, ((p, q), _plus(o, o2)), c * c2)
+    for g, v, o, c in _pattern_delta(Q, x):
+        for m, o2, c2 in _pattern_product(P, g, y):
+            _add(res1, ((m, v), _plus(o, o2)), -c * c2)
+    for p, h, o, c in _pattern_delta(Q, y):
+        for m, o2, c2 in _pattern_product(P, x, h):
+            _add(res1, ((p, m), _plus(o, o2)), -c * c2)
     # casi2: (𝔩(a₁)⊗̂id − id⊗̂𝔯(a₁))(Δ(a₂)) − τ̂((id⊗̂𝔯(a₂) − 𝔩(a₂)⊗̂id)(Δ(a₁)))
     res2: dict = {}
-    for dg, g, dv, v, c in wide2:
-        for dk, mk, c2 in _times(P, d1, b1, dg, g):
-            if contains(mk):
-                _add(res2, ((dk, mk), (dv, v)), c * c2)
-    for dp, p, dh, h, c in narrow2:
-        for dk, mk, c2 in _times(P, dh, h, d1, b1):
-            if contains(mk):
-                _add(res2, ((dp, p), (dk, mk)), -c * c2)
-    # the τ̂ of the mirrored expression: keys are written already swapped
-    for dp, p, dh, h, c in narrow1:
-        for dk, mk, c2 in _times(P, dh, h, d2, b2):
-            if contains(mk):
-                _add(res2, ((dk, mk), (dp, p)), -c * c2)
-    for dg, g, dv, v, c in wide1:
-        for dk, mk, c2 in _times(P, d2, b2, dg, g):
-            if contains(mk):
-                _add(res2, ((dv, v), (dk, mk)), c * c2)
-    return res1, res2
+    for g, v, o, c in _pattern_delta(Q, y):
+        for m, o2, c2 in _pattern_product(P, x, g):
+            _add(res2, ((m, v), _plus(o, o2)), c * c2)
+    for p, h, o, c in _pattern_delta(Q, y):
+        for m, o2, c2 in _pattern_product(P, h, x):
+            _add(res2, ((p, m), _plus(o, o2)), -c * c2)
+    # the τ̂ of the mirrored expression: slots are written already swapped
+    for p, h, o, c in _pattern_delta(Q, x):
+        for m, o2, c2 in _pattern_product(P, h, y):
+            _add(res2, ((m, p), _plus(o, o2)), -c * c2)
+    for g, v, o, c in _pattern_delta(Q, x):
+        for m, o2, c2 in _pattern_product(P, y, g):
+            _add(res2, ((v, m), _plus(o, o2)), c * c2)
+    return _support(res1), _support(res2)
+
+
+def _target_failures(label, source, patterns: dict, base: tuple, N: int, scale: int,
+                     grid: dict, failures: list):
+    """Append a failure for every window target of each pattern, sorted by key.
+
+    ``patterns`` maps (target slots, offset) to a nonzero residual over
+    ``scale``; the targets' exponents add up to ``base`` plus the offset.
+    """
+    found = {}
+    for (slots, offset), c in patterns.items():
+        value = Fraction(c, scale)
+        for key in _window_keys(slots, _plus(base, offset), N, grid):
+            found[key] = value
+    failures.extend((label, source, (key, found[key])) for key in sorted(found))
 
 
 def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineReport:
@@ -580,18 +626,26 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
     bound = w.safe_bound(2)
     P, scale_d = _scaled_products(D)
     Q, scale_t = _scaled_coproducts(theta)
-    scale = scale_d * scale_t
+    live = {}
+    for x, y in product(_slots(D.dim), repeat=2):
+        res = _compatibility_patterns(P, Q, x, y)
+        if any(res):
+            live[x, y] = res
+    grid = _slot_grid(w.N, D.dim)
     failures: list = []
     sources = [(d, b) for d in range(D.dim) for b in iter_box(bound)]
-    deltas = [_source_deltas(Q, a, w) for a in sources]
-    for a1, delta1 in zip(sources, deltas):
-        for a2, delta2 in zip(sources, deltas):
-            res1, res2 = _check_pair(w, P, Q, a1, a2, delta1, delta2)
-            _diff_failures("casi1", (a1, a2), res1, scale, failures)
-            _diff_failures("casi2", (a1, a2), res2, scale, failures)
+    for a1, a2 in product(sources, repeat=2):
+        (d1, b1), (d2, b2) = a1, a2
+        res = live.get(((d1, b1.s), (d2, b2.s)))
+        if res is None:
+            continue
+        base = (b1.i1 + b2.i1, b1.i2 + b2.i2)
+        for label, patterns in zip(("casi1", "casi2"), res):
+            _target_failures(label, (a1, a2), patterns, base, w.N, scale_d * scale_t,
+                             grid, failures)
     checked = len(sources) ** 2
     # completed coassociativity, one source at a time
-    checked += _coassoc_failures(D, theta, w, failures)
+    checked += _coassoc_failures(theta, w, failures)
 
     return AffineReport(
         "completed ASI bialgebra", w.N, f"sources |i| <= {bound}", checked,
@@ -599,26 +653,25 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
     )
 
 
-def _coassoc_failures(
-    D: FinAlgebra, theta: CoalgStruct, w: Window, failures: list
-) -> int:
+def _coassoc_failures(theta: CoalgStruct, w: Window, failures: list) -> int:
     """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check; appends failures, returns count."""
-    bound = w.safe_bound(2)
-    N = w.N
     Q, scale = _scaled_coproducts(theta)
-    checked = 0
-    for d in range(D.dim):
-        for b in iter_box(bound):
-            checked += 1
-            res: dict = {}
-            for dg, g, dv, v, c in _delta_expand(Q, d, b, 2 * N + 1, N):
-                for dp, p, dq, q, c2 in _delta_expand(Q, dg, g, N, N):
-                    _add(res, ((dp, p), (dq, q), (dv, v)), c * c2)
-            for dp, p, dg, g, c in _delta_expand(Q, d, b, N):
-                for dq, q, dv, v, c2 in _delta_expand(Q, dg, g, N, N):
-                    _add(res, ((dp, p), (dq, q), (dv, v)), -c * c2)
-            _diff_failures("coassoc", (d, b), res, scale * scale, failures)
-    return checked
+    live = {}
+    for x in _slots(theta.dim):
+        res: dict = {}
+        for g, v, o, c in _pattern_delta(Q, x):  # (Δ⊗̂id)Δ
+            for p, q, o2, c2 in _pattern_delta(Q, g):
+                _add(res, ((p, q, v), _plus(o, o2)), c * c2)
+        for p, g, o, c in _pattern_delta(Q, x):  # (id⊗̂Δ)Δ
+            for q, v, o2, c2 in _pattern_delta(Q, g):
+                _add(res, ((p, q, v), _plus(o, o2)), -c * c2)
+        live[x] = _support(res)
+    grid = _slot_grid(w.N, theta.dim)
+    sources = [(d, b) for d in range(theta.dim) for b in iter_box(w.safe_bound(2))]
+    for d, b in sources:
+        _target_failures("coassoc", (d, b), live[d, b.s], (b.i1, b.i2), w.N,
+                         scale * scale, grid, failures)
+    return len(sources)
 
 
 def check_completed_coassociativity(
@@ -630,7 +683,7 @@ def check_completed_coassociativity(
     if D.dim != theta.dim:
         raise ValueError("algebra and coproducts must share dimension")
     failures: list = []
-    checked = _coassoc_failures(D, theta, w, failures)
+    checked = _coassoc_failures(theta, w, failures)
     return AffineReport(
         "completed coassociativity", w.N, f"sources |i| <= {w.safe_bound(2)}",
         checked, tuple(failures),

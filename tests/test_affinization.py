@@ -1,5 +1,9 @@
 """Windowed Laurent-series checks and proof-predicted failure localization."""
 
+import random
+from collections import defaultdict
+from fractions import Fraction
+
 import pytest
 
 from dendrikit.affinization import (
@@ -10,11 +14,7 @@ from dendrikit.affinization import (
     Mono,
     Window,
     _acc,
-    _check_pair,
     _product_expand,
-    _scaled_coproducts,
-    _scaled_products,
-    _source_deltas,
     affine_assoc_product,
     check_affine_associativity,
     check_completed_asi,
@@ -24,6 +24,7 @@ from dendrikit.affinization import (
     check_laurent_perm_axioms,
     check_nu_pairing,
     graded_form,
+    iter_box,
     laurent_dual_basis,
     mono_degree,
     mono_product,
@@ -158,16 +159,12 @@ def test_completed_asi_passes(dend_pair, dend_theta):
 
 
 def test_completed_asi_pair_at_window_4_has_no_spurious_residual(dend_pair, dend_theta):
-    # Target (0, x₁⁻⁴x₂⁻⁴∂₁)⊗(0, x₁x₂⁴∂₁) of casi1 needs the intermediate
-    # first slot x₁⁻³x₂⁻⁶ of Δ(a₁), beyond N + 1 but within 2N − 1.
-    w = Window(4)
-    P, _ = _scaled_products(dend_pair)
-    Q, _ = _scaled_coproducts(dend_theta)
-    a1, a2 = (0, Mono(-2, -2, 1)), (0, Mono(-2, 1, 1))
-    res1, res2 = _check_pair(
-        w, P, Q, a1, a2, _source_deltas(Q, a1, w), _source_deltas(Q, a2, w)
-    )
-    assert not any(res1.values()) and not any(res2.values())
+    # Target (0, x₁⁻⁴x₂⁻⁴∂₁)⊗(0, x₁x₂⁴∂₁) of casi1 for the sources
+    # (0, x₁⁻²x₂⁻²∂₁), (0, x₁⁻²x₂∂₁) needs the intermediate first slot
+    # x₁⁻³x₂⁻⁶ of Δ(a₁), beyond N + 1; no source pair may leave a residual.
+    rep = check_completed_asi(dend_pair, dend_theta, Window(4))
+    assert rep.ok, rep.failures[:1]
+    assert rep.checked == 10100
 
 
 def test_coproduct_perturbations_tracked_by_finite_checks(dend_pair, dend_theta):
@@ -218,3 +215,155 @@ def test_product_perturbation_breaks_completed_asi(dend_pair, dend_theta):
 def test_mono_product_shifts_one_exponent():
     assert mono_product(Mono(1, 0, 1), Mono(0, 2, 2)) == Mono(2, 2, 2)
     assert mono_product(Mono(1, 0, 2), Mono(0, 2, 1)) == Mono(1, 3, 1)
+
+
+# --- the pattern decisions against a direct expansion ----------------------------
+
+
+def _nu(b, R):
+    """The terms (e, dual(e)·b, sign) of ν(b) = Σ_e e⊗dual(e)·b with |e| ≤ R."""
+    for e in iter_box(R):
+        f, sign = laurent_dual_basis(e)
+        yield e, mono_product(f, b), sign
+
+
+def _delta(theta, a, R):
+    """Δ(d⊗b) = θ_≻(d)·ν(b) + θ_≺(d)·τ̂ν(b), over the terms of ν(b) with |e| ≤ R."""
+    d, b = a
+    gt, lt = theta.coproducts["co_gt"][d], theta.coproducts["co_lt"][d]
+    out = defaultdict(Fraction)
+    for e, v, sign in _nu(b, R):
+        for dp in range(theta.dim):
+            for dq in range(theta.dim):
+                if gt[dp][dq]:
+                    out[(dp, e), (dq, v)] += sign * gt[dp][dq]
+                if lt[dp][dq]:
+                    out[(dp, v), (dq, e)] += sign * lt[dp][dq]
+    return out
+
+
+def _direct_failures(w, label, source, res, failures):
+    inside = [key for key, c in res.items() if c and all(w.contains(m) for _, m in key)]
+    failures.extend((label, source, (key, res[key])) for key in sorted(inside))
+
+
+def _direct_coassoc(w, sources, wide, narrow, failures):
+    for a in sources:
+        res = defaultdict(Fraction)
+        for (x1, x2), c in wide[a].items():
+            if w.contains(x2[1]):  # (Δ⊗̂id)Δ
+                for (p, q), c2 in narrow(x1).items():
+                    res[p, q, x2] += c * c2
+            if w.contains(x1[1]):  # (id⊗̂Δ)Δ
+                for (q, v), c2 in narrow(x2).items():
+                    res[x1, q, v] -= c * c2
+        _direct_failures(w, "coassoc", a, res, failures)
+
+
+def _direct_asi(D, theta, w):
+    """The failures of the completed ASI laws, expanded term by term.
+
+    A first slot that is multiplied again reaches |g| ≤ 2N − 1 and a second
+    one N + |b| + 1, so ν is expanded over |e| ≤ 3N for the sources and over
+    the window for the coproducts whose two slots are targets.
+    """
+    sources = [(d, b) for d in range(D.dim) for b in iter_box(w.safe_bound(2))]
+    wide = {a: _delta(theta, a, 3 * w.N) for a in sources}
+    expanded = {}
+
+    def narrow(a):
+        """Δ(a) on window targets only."""
+        if a not in expanded:
+            expanded[a] = {
+                key: c for key, c in _delta(theta, a, w.N).items()
+                if w.contains(key[0][1]) and w.contains(key[1][1])
+            }
+        return expanded[a]
+
+    def times(x, y):
+        return affine_assoc_product(D, x, y).items()
+
+    failures = []
+    for a1 in sources:
+        for a2 in sources:
+            res1, res2 = defaultdict(Fraction), defaultdict(Fraction)
+            # casi1: Δ(a₁∗a₂) − (𝔯(a₂)⊗̂id)(Δ(a₁)) − (id⊗̂𝔩(a₁))(Δ(a₂))
+            for m, c in times(a1, a2):
+                for key, c2 in narrow(m).items():
+                    res1[key] += c * c2
+            # casi2: (𝔩(a₁)⊗̂id − id⊗̂𝔯(a₁))(Δ(a₂)) − τ̂((id⊗̂𝔯(a₂) − 𝔩(a₂)⊗̂id)(Δ(a₁)))
+            for (x1, x2), c in wide[a1].items():
+                if w.contains(x2[1]):
+                    for m, c2 in times(x1, a2):
+                        res1[m, x2] -= c * c2
+                    for m, c2 in times(a2, x1):
+                        res2[x2, m] += c * c2
+                if w.contains(x1[1]):
+                    for m, c2 in times(x2, a2):
+                        res2[m, x1] -= c * c2
+            for (x1, x2), c in wide[a2].items():
+                if w.contains(x1[1]):
+                    for m, c2 in times(a1, x2):
+                        res1[x1, m] -= c * c2
+                    for m, c2 in times(x2, a1):
+                        res2[x1, m] -= c * c2
+                if w.contains(x2[1]):
+                    for m, c2 in times(a1, x1):
+                        res2[m, x2] += c * c2
+            _direct_failures(w, "casi1", (a1, a2), res1, failures)
+            _direct_failures(w, "casi2", (a1, a2), res2, failures)
+    _direct_coassoc(w, sources, wide, narrow, failures)
+    return tuple(failures)
+
+
+def _direct_assoc(D, w):
+    monos = list(iter_box(w.safe_bound(2)))
+    failures = []
+    for d1 in range(D.dim):
+        for d2 in range(D.dim):
+            for d3 in range(D.dim):
+                for b1 in monos:
+                    for b2 in monos:
+                        for b3 in monos:
+                            source = ((d1, b1), (d2, b2), (d3, b3))
+                            diff = _associator(D, *source)
+                            failures.extend(("associativity", source, (key, diff[key]))
+                                            for key in sorted(diff))
+    return tuple(failures)
+
+
+def _shifted(structure, cubes, rng, count):
+    """A copy of ``structure`` with ``count`` random constants shifted."""
+    deltas = (Fraction(1, 2), Fraction(-1, 3), Fraction(2), Fraction(-1), Fraction(3, 5))
+    n = structure.dim
+    for _ in range(count):
+        name = rng.choice(sorted(cubes(structure)))
+        idx = [rng.randrange(n) for _ in range(3)]
+        if cubes is _products:
+            structure = perturb_product(structure, name, *idx, rng.choice(deltas))
+        else:
+            structure = perturb_coproduct(structure, name, *idx, rng.choice(deltas))
+    return structure
+
+
+def _products(D):
+    return D.products
+
+
+def _coproducts(theta):
+    return theta.coproducts
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pattern_decisions_match_a_direct_expansion(dend_pair, dend_theta, seed):
+    """Random shifts of a few constants of D and θ at once: every failure, its
+    value and its order agree with the laws expanded term by term."""
+    rng = random.Random(seed)
+    D = _shifted(dend_pair, _products, rng, 2)
+    theta = _shifted(dend_theta, _coproducts, rng, 2)
+    w = Window(2)
+    asi = check_completed_asi(D, theta, w)
+    assert asi.failures == _direct_asi(D, theta, w)
+    coassoc = check_completed_coassociativity(D, theta, w)
+    assert coassoc.failures == tuple(f for f in asi.failures if f[0] == "coassoc")
+    assert check_affine_associativity(D, w).failures == _direct_assoc(D, w)

@@ -4,7 +4,8 @@
 wrappers at run time, looking each one up by name.  Renaming or deleting one
 of them would break the traced benchmark runs (``bench/run.py --trace 1``),
 so here the tracer is installed on the package, one call of each finite
-operation family runs under it, and it is uninstalled again.
+operation family and of each windowed affine check runs under it, and it is
+uninstalled again.
 """
 
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dendrikit import algebras, bialgebras, examples, exact, functors, ybe
+from dendrikit import affinization, algebras, bialgebras, examples, exact, functors, ybe
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -70,3 +71,39 @@ def test_tracer_installs_runs_and_uninstalls(spans):
                          ybe.check_ooperator, functors.check_square, functors.tensor_lie,
                          exact.mat_mul, exact.Vec.__init__, algebras.FinAlgebra.multiply,
                          algebras.CheckReport.from_residuals)
+
+
+def test_tracer_wraps_every_affine_check(spans):
+    """Each of the seven affine checks the benchmark traces runs at N = 2 under
+    the tracer, and ``Window.contains`` and ``iter_box`` are put back after."""
+    D, theta = examples.dendriform_pair(), examples.dendriform_pair_coalgebra()
+    w = affinization.Window(2)
+    args = {
+        "check_laurent_perm_axioms": (w,),
+        "check_graded_form": (w,),
+        "check_nu_pairing": (w,),
+        "check_completed_perm_coalgebra": (w,),
+        "check_affine_associativity": (D, w),
+        "check_completed_asi": (D, theta, w),
+        "check_completed_coassociativity": (D, theta, w),
+    }
+    assert set(args) == set(spans.AFFINE_CHECKS)
+    contains = affinization.Window.__dict__["contains"]
+    iter_box = affinization.iter_box
+    tracer = spans.Tracer()
+    reports = {}
+    try:
+        spans.install(tracer)
+        for name, call_args in args.items():
+            with tracer.root(name):
+                reports[name] = getattr(affinization, name)(*call_args)
+    finally:
+        tracer.uninstall()
+    assert all(rep.ok for rep in reports.values())
+    names = {s.name for s in tracer.spans}
+    for name, rep in reports.items():
+        assert f"affinization.{name}" in names
+        assert tracer.count[f"affinization.{name}.checked"] == rep.checked > 0
+        assert tracer.count[f"affinization.{name}.failures"] == 0
+    assert affinization.Window.__dict__["contains"] is contains
+    assert affinization.iter_box is iter_box
