@@ -260,6 +260,20 @@ def _window_keys(slots, total: tuple, N: int, grid: dict) -> list:
     return keys
 
 
+def _window_residuals(patterns: dict, base: tuple, N: int, scale: int, grid: dict) -> list:
+    """(key, residual) for every window target of each pattern, sorted by key.
+
+    ``patterns`` maps (target slots, offset) to a nonzero residual over
+    ``scale``; the targets' exponents add up to ``base`` plus the offset.
+    """
+    found = {}
+    for (slots, offset), c in patterns.items():
+        value = Fraction(c, scale)
+        for key in _window_keys(slots, _plus(base, offset), N, grid):
+            found[key] = value
+    return [(key, found[key]) for key in sorted(found)]
+
+
 def _window_count(slots, total: tuple, N: int) -> int:
     k = len(slots)
     return len(_splits(total[0], N, k)) * len(_splits(total[1], N, k))
@@ -412,17 +426,17 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
     failures = []
     checked = 0
     for b in iter_box(bound):
+        base = (b.i1, b.i2)
         for label, one, other in laws[b.s]:
-            found = []
+            diffs = {}
             for pattern in one.keys() | other.keys():
-                parts, offset = pattern
-                total = _plus((b.i1, b.i2), offset)
-                checked += _window_count(parts, total, w.N)
-                diff = one.get(pattern, 0) - other.get(pattern, 0)
-                if diff:
-                    value = Fraction(diff)
-                    found.extend((key, value) for key in _window_keys(parts, total, w.N, monos))
-            failures.extend((label, (b, key), value) for key, value in sorted(found))
+                slots, offset = pattern
+                checked += _window_count(slots, _plus(base, offset), w.N)
+                diffs[pattern] = one.get(pattern, 0) - other.get(pattern, 0)
+            failures.extend(
+                (label, (b, key), value)
+                for key, value in _window_residuals(_support(diffs), base, w.N, 1, monos)
+            )
     return AffineReport(
         "completed perm coalgebra", w.N, f"sources |i| <= {bound}", checked,
         tuple(failures),
@@ -596,21 +610,6 @@ def _compatibility_patterns(P: dict, Q: list, x: tuple, y: tuple) -> tuple[dict,
     return _support(res1), _support(res2)
 
 
-def _target_failures(label, source, patterns: dict, base: tuple, N: int, scale: int,
-                     grid: dict, failures: list):
-    """Append a failure for every window target of each pattern, sorted by key.
-
-    ``patterns`` maps (target slots, offset) to a nonzero residual over
-    ``scale``; the targets' exponents add up to ``base`` plus the offset.
-    """
-    found = {}
-    for (slots, offset), c in patterns.items():
-        value = Fraction(c, scale)
-        for key in _window_keys(slots, _plus(base, offset), N, grid):
-            found[key] = value
-    failures.extend((label, source, (key, found[key])) for key in sorted(found))
-
-
 def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineReport:
     """Windowed verification of the completed ASI bialgebra laws on D⊗B.
 
@@ -641,8 +640,10 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
             continue
         base = (b1.i1 + b2.i1, b1.i2 + b2.i2)
         for label, patterns in zip(("casi1", "casi2"), res):
-            _target_failures(label, (a1, a2), patterns, base, w.N, scale_d * scale_t,
-                             grid, failures)
+            failures.extend(
+                (label, (a1, a2), kv)
+                for kv in _window_residuals(patterns, base, w.N, scale_d * scale_t, grid)
+            )
     checked = len(sources) ** 2
     # completed coassociativity, one source at a time
     checked += _coassoc_failures(theta, w, failures)
@@ -669,8 +670,10 @@ def _coassoc_failures(theta: CoalgStruct, w: Window, failures: list) -> int:
     grid = _slot_grid(w.N, theta.dim)
     sources = [(d, b) for d in range(theta.dim) for b in iter_box(w.safe_bound(2))]
     for d, b in sources:
-        _target_failures("coassoc", (d, b), live[d, b.s], (b.i1, b.i2), w.N,
-                         scale * scale, grid, failures)
+        failures.extend(
+            ("coassoc", (d, b), kv)
+            for kv in _window_residuals(live[d, b.s], (b.i1, b.i2), w.N, scale * scale, grid)
+        )
     return len(sources)
 
 
