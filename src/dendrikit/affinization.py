@@ -174,17 +174,15 @@ def _support(d: dict) -> dict:
 # eₛ: the exponent vector a product by ∂ₛ raises
 _UNIT = {1: (1, 0), 2: (0, 1)}
 
-# ν(x^{c}∂ₜ) = Σ sign·x^{u}∂ₛ ⊗ x^{c+shift−u}∂ₜ over all u: (s, shift, sign)
-_NU = ((1, (0, 1), 1), (2, (1, 0), -1))
-
 
 def _plus(a: tuple, b: tuple) -> tuple:
     return a[0] + b[0], a[1] + b[1]
 
 
 def _pattern_nu(t: int) -> list:
-    """ν of a slot with ∂-index t, as terms (first ∂, second ∂, offset, sign)."""
-    return [(s, t, shift, sign) for s, shift, sign in _NU]
+    """ν(x^{c}∂ₜ) = Σᵤ x^{u}∂₁ ⊗ x^{c+e₂−u}∂ₜ − Σᵤ x^{u}∂₂ ⊗ x^{c+e₁−u}∂ₜ, as
+    terms (first ∂, second ∂, offset, sign)."""
+    return [(1, t, _UNIT[2], 1), (2, t, _UNIT[1], -1)]
 
 
 def _pattern_product(P: dict, x: tuple, y: tuple) -> list:
