@@ -110,6 +110,10 @@ CASES = {
     "coassoc/N4/co_gt0-2/5": _with_coproducts(
         check_completed_coassociativity, 4, coproduct=C_GT0
     ),
+    "lpa/N4": _window_only(check_laurent_perm_axioms, 4),
+    "lpa/N5": _window_only(check_laurent_perm_axioms, 5),
+    "gf/N4": _window_only(check_graded_form, 4),
+    "gf/N5": _window_only(check_graded_form, 5),
 }
 
 # (checked, SHA-256 of repr(failures))
@@ -140,8 +144,12 @@ PINNED = {
     "cpc/N4": (1321800, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "gf/N2": (8332, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "gf/N3": (134604, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "gf/N4": (967436, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "gf/N5": (4310092, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "lpa/N2": (8, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "lpa/N3": (5832, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "lpa/N4": (125000, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "lpa/N5": (941192, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "nu/N2": (45000, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "nu/N3": (480200, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
     "nu/N4": (2571912, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
