@@ -8,19 +8,23 @@ A composition of depth k is only verified where all intermediate exponents
 provably stay inside the window ("safe region"), so truncation can never turn
 a failure into a pass or vice versa.
 
-The windowed laws are decided once per coincidence pattern.  A product is a
-unit shift, x^{i}∂ₛ·x^{j}∂ₜ = x^{i+j+eₛ}∂ₜ with eₛ the unit vector of xₛ,
-and ν(x^{c}∂ₜ) = Σₛ ±Σᵤ x^{u}∂ₛ ⊗ x^{c+e₃₋ₛ−u}∂ₜ covers a full
-anti-diagonal: every u occurs, once.  So each term of a composed law has a
-fixed ∂-index in each slot, and the exponents of its slots add up to those of
-the sources plus a fixed offset; it gives one coefficient, the same for all of
-them, to every monomial tuple with those ∂-indices and that sum.  Every
+Every windowed law is decided once per coincidence pattern.  A product is a
+unit shift, x^{i}∂ₛ·x^{j}∂ₜ = x^{i+j+eₛ}∂ₜ with eₛ the unit vector of xₛ;
+ϖ(x^{i}∂ₛ, x^{j}∂ₜ) is zero unless i + j = 0, with a value fixed by s and t;
+and ν(x^{c}∂ₜ) = Σₛ ±Σᵤ x^{u}∂ₛ ⊗ x^{c+e₃₋ₛ−u}∂ₜ covers a full anti-diagonal:
+every u occurs, once.  So each term of a law has a fixed ∂-index in each slot,
+and the exponents of its slots (of its form arguments, for ϖ) add up to those
+of the sources plus a fixed offset; it gives one coefficient, the same for all
+of them, to every monomial tuple with those ∂-indices and that sum.  The perm
+axioms and the form laws are thus decided on x⁰∂ₛ representatives of each
+∂-pattern, through the module's own product, form, degree and dual.  Every
 intermediate exponent is fixed by the target and the sources, so for
 safe-region sources the coefficient of a window target is the exact one, a
 finite sum that no truncation changes.  A check therefore tabulates, once per
 call, the residual of each pattern: the ∂-indices and basis indices of D of
 the sources, and those of the target with its offset.  It visits window
-targets only where that residual is nonzero, and counts the others.
+sources and targets only where that residual is nonzero, and counts the
+others in closed form.
 
 Accumulation is over the integers.  The structure constants of D are read
 from its `exact.IntTable`s, brought to the lcm L_D of their denominators, the
@@ -149,9 +153,14 @@ def laurent_dual_basis(m: Mono) -> tuple[Mono, int]:
     return Mono(-m.i1, -m.i2, 1), -1
 
 
+def _zero(s: int) -> Mono:
+    """x⁰∂ₛ, the representative of every monomial with ∂-index s."""
+    return _mono((0, 0, s))
+
+
 def _form_sign(s: int, t: int) -> int:
     """ϖ(x^{i}∂ₛ, x^{−i}∂ₜ): the form on two ∂-indices where the exponents cancel."""
-    return _form(_mono((0, 0, s)), _mono((0, 0, t)))
+    return _form(_zero(s), _zero(t))
 
 
 def _add(d: dict, key, val):
@@ -272,9 +281,16 @@ def _window_residuals(patterns: dict, base: tuple, N: int, scale: int, grid: dic
     return [(key, found[key]) for key in sorted(found)]
 
 
-def _window_count(slots, total: tuple, N: int) -> int:
-    k = len(slots)
-    return len(_splits(total[0], N, k)) * len(_splits(total[1], N, k))
+def _split_counts(N: int, k: int) -> dict:
+    """total ↦ len(_splits(total, N, k)), for every total that has a split."""
+    counts = {0: 1}
+    for _ in range(k):
+        wider: dict = {}
+        for total, c in counts.items():
+            for e in range(-N, N + 1):
+                _add(wider, total + e, c)
+        counts = wider
+    return counts
 
 
 def _box_size(bound: int) -> int:
@@ -310,60 +326,96 @@ class AffineReport:
         return not self.failures
 
 
+def _part(bound: int, s: int) -> list:
+    """The monomials of ``iter_box(bound)`` with ∂-index s, in box order."""
+    return [m for m in iter_box(bound) if m.s == s]
+
+
 def check_laurent_perm_axioms(w: Window) -> AffineReport:
-    """Perm identities b₁(b₂b₃) = (b₁b₂)b₃ = (b₂b₁)b₃ on all window triples."""
+    """Perm identities b₁(b₂b₃) = (b₁b₂)b₃ = (b₂b₁)b₃ on all window triples.
+
+    A product is a unit shift, so each side is the monomial of the exponent sum
+    b₁ + b₂ + b₃ plus an offset, with a ∂-index, both fixed by the ∂-triple.
+    Two sides then agree on every triple of a ∂-triple or on none, so each law
+    is decided once per ∂-triple, on x⁰∂ₛ representatives, and window triples
+    are visited only where it fails.
+    """
     bound = w.safe_bound(2)
     failures = []
-    checked = 0
-    monos = list(iter_box(bound))
-    for a in monos:
-        for b in monos:
-            for c in monos:
-                checked += 1
-                left = mono_product(a, mono_product(b, c))
-                mid = mono_product(mono_product(a, b), c)
-                perm = mono_product(mono_product(b, a), c)
-                if left != mid:
-                    failures.append(("perm_assoc", (a, b, c), (left, mid)))
-                if mid != perm:
-                    failures.append(("perm_left_commute", (a, b, c), (mid, perm)))
+    for parts in product((1, 2), repeat=3):
+        a, b, c = map(_zero, parts)
+        left = mono_product(a, mono_product(b, c))
+        mid = mono_product(mono_product(a, b), c)
+        perm = mono_product(mono_product(b, a), c)
+        laws = [
+            law for law in (("perm_assoc", left, mid), ("perm_left_commute", mid, perm))
+            if law[1] != law[2]
+        ]
+        if not laws:
+            continue
+        for src in product(*(_part(bound, s) for s in parts)):
+            i1 = sum(m.i1 for m in src)
+            i2 = sum(m.i2 for m in src)
+            failures.extend(
+                (label, src, tuple(_mono((m.i1 + i1, m.i2 + i2, m.s)) for m in sides))
+                for label, *sides in laws
+            )
+    failures.sort(key=itemgetter(1))
     return AffineReport(
-        "Laurent perm axioms", w.N, f"|i| <= {bound}", checked, tuple(failures)
+        "Laurent perm axioms", w.N, f"|i| <= {bound}", _box_size(bound) ** 3,
+        tuple(failures),
     )
 
 
 def check_graded_form(w: Window) -> AffineReport:
-    """Antisymmetry, grading, and invariance of ϖ on window tuples."""
-    failures = []
-    checked = 0
-    box = list(iter_box(w.N))
-    for a in box:
-        for b in box:
-            checked += 1
-            ab = _form(a, b)
-            if ab != -_form(b, a):
-                failures.append(("antisymmetry", (a, b), Fraction(ab)))
-            if ab != 0 and mono_degree(a) + mono_degree(b) + GRADING_M != 0:
-                failures.append(("grading", (a, b), Fraction(ab)))
+    """Antisymmetry, grading, and invariance of ϖ on window tuples; dual basis.
+
+    ϖ(a, b) is nonzero only where the exponents cancel, a + b = 0, with a value
+    fixed by the ∂-indices, so antisymmetry and grading are decided once per
+    ∂-pair on that anti-diagonal (off it both sides vanish).  In
+    ϖ(ab, c) − ϖ(a, bc) + ϖ(a, cb) each product adds an offset fixed by the
+    ∂-indices, so each term is nonzero only where a + b + c cancels it, and the
+    residual of a ∂-triple is one value per offset.  The dual of x^{i}∂ₛ has
+    the exponent −i, so ϖ(dual(e), e) depends only on the ∂-index of e.  Each
+    pattern is decided on x⁰∂ₛ representatives, and window tuples are visited
+    only where its residual is nonzero.
+    """
     bound = w.safe_bound(1)
-    inner = list(iter_box(bound))
-    products = {(a, b): mono_product(a, b) for a in inner for b in inner}
-    for a in inner:
-        for b in inner:
-            ab = products[a, b]
-            for c in inner:
-                checked += 1
-                lhs = _form(ab, c)
-                rhs = _form(a, products[b, c]) - _form(a, products[c, b])
-                if lhs != rhs:
-                    failures.append(("invariance", (a, b, c), Fraction(lhs - rhs)))
-    # dual basis: ϖ(dual(e), e) = 1 and ϖ(dual(e), e') = 0 for e' ≠ e in the box
-    for e in box:
+    pairs, triples, duals = [], [], []
+    for sa, sb in product((1, 2), repeat=2):
+        ab = _form_sign(sa, sb)
+        labels = []
+        if ab != -_form_sign(sb, sa):
+            labels.append("antisymmetry")
+        if ab and mono_degree(_zero(sa)) + mono_degree(_zero(sb)) + GRADING_M:
+            labels.append("grading")
+        if labels:
+            for a in _part(w.N, sa):
+                b = _mono((-a.i1, -a.i2, sb))
+                pairs.extend((label, (a, b), Fraction(ab)) for label in labels)
+    for sa, sb, sc in product((1, 2), repeat=3):
+        a, b, c = _zero(sa), _zero(sb), _zero(sc)
+        res: dict = {}
+        for x, y, sign in ((mono_product(a, b), c, 1), (a, mono_product(b, c), -1),
+                           (a, mono_product(c, b), 1)):
+            _add(res, (x.i1 + y.i1, x.i2 + y.i2), sign * _form_sign(x.s, y.s))
+        for (o1, o2), v in _support(res).items():
+            value = Fraction(v)
+            for a, b in product(_part(bound, sa), _part(bound, sb)):
+                c = _mono((-o1 - a.i1 - b.i1, -o2 - a.i2 - b.i2, sc))
+                if abs(c.i1) <= bound and abs(c.i2) <= bound:
+                    triples.append(("invariance", (a, b, c), value))
+    for s in (1, 2):
+        e = _zero(s)
         f, sign = laurent_dual_basis(e)
         if sign * _form(f, e) != 1:
-            failures.append(("dual_pairing", (e,), Fraction(_form(f, e))))
+            value = Fraction(_form(f, e))
+            duals.extend(("dual_pairing", (m,), value) for m in _part(w.N, s))
+    for part in pairs, triples, duals:
+        part.sort(key=itemgetter(1))
     return AffineReport(
-        "graded bilinear form", w.N, f"|i| <= {w.N}", checked, tuple(failures)
+        "graded bilinear form", w.N, f"|i| <= {w.N}",
+        _box_size(w.N) ** 2 + _box_size(bound) ** 3, tuple(pairs + triples + duals),
     )
 
 
@@ -387,11 +439,10 @@ def check_nu_pairing(w: Window) -> AffineReport:
         _add(res, _UNIT[s2], _form_sign(s1, s3))
         for offset, c in _support(res).items():
             value = Fraction(c)
-            for b1 in iter_box(bound):
-                if b1.s == s1:
-                    total = (-offset[0] - b1.i1, -offset[1] - b1.i2)
-                    for b2, b3 in _window_keys(parts[1:], total, w.N, monos):
-                        failures.append(("nu_pairing", (b1, b2, b3), value))
+            for b1 in _part(bound, s1):
+                total = (-offset[0] - b1.i1, -offset[1] - b1.i2)
+                for b2, b3 in _window_keys(parts[1:], total, w.N, monos):
+                    failures.append(("nu_pairing", (b1, b2, b3), value))
     failures.sort(key=itemgetter(1))
     return AffineReport(
         "completed coproduct pairing", w.N, f"sources |i| <= {bound}",
@@ -407,7 +458,12 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
     counted per target that is nonzero on either side.
     """
     bound = w.safe_bound(2)
+    # the window exponent triples of one axis adding up to i + o, for each o,
+    # summed over the sources' exponents i: the count is separable in the axes
+    counts = _split_counts(w.N, 3)
+    reach = range(-bound, bound + 1)
     laws = {}
+    checked = 0
     for t in (1, 2):
         lhs: dict = {}
         for g, v, o, c in _pattern_nu(t):  # (ν⊗̂id)ν: the first slot is split again
@@ -419,21 +475,24 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
                 _add(mid, ((p, q, v), _plus(o, o2)), c * c2)
         lhs, mid = _support(lhs), _support(mid)
         twisted = {((q, p, v), o): c for ((p, q, v), o), c in mid.items()}
-        laws[t] = (("co_perm_assoc", lhs, mid), ("co_perm_left_commute", mid, twisted))
+        laws[t] = []
+        for label, one, other in (("co_perm_assoc", lhs, mid),
+                                  ("co_perm_left_commute", mid, twisted)):
+            diff = {}
+            for pattern in one.keys() | other.keys():
+                _, (o1, o2) = pattern
+                checked += (sum(counts.get(i + o1, 0) for i in reach)
+                            * sum(counts.get(i + o2, 0) for i in reach))
+                diff[pattern] = one.get(pattern, 0) - other.get(pattern, 0)
+            laws[t].append((label, _support(diff)))
     monos = _mono_grid(w.N)
     failures = []
-    checked = 0
     for b in iter_box(bound):
         base = (b.i1, b.i2)
-        for label, one, other in laws[b.s]:
-            diffs = {}
-            for pattern in one.keys() | other.keys():
-                slots, offset = pattern
-                checked += _window_count(slots, _plus(base, offset), w.N)
-                diffs[pattern] = one.get(pattern, 0) - other.get(pattern, 0)
+        for label, diff in laws[b.s]:
             failures.extend(
                 (label, (b, key), value)
-                for key, value in _window_residuals(_support(diffs), base, w.N, 1, monos)
+                for key, value in _window_residuals(diff, base, w.N, 1, monos)
             )
     return AffineReport(
         "completed perm coalgebra", w.N, f"sources |i| <= {bound}", checked,
@@ -644,7 +703,7 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
             )
     checked = len(sources) ** 2
     # completed coassociativity, one source at a time
-    checked += _coassoc_failures(theta, w, failures)
+    checked += _coassoc_failures(Q, scale_t, w, grid, failures)
 
     return AffineReport(
         "completed ASI bialgebra", w.N, f"sources |i| <= {bound}", checked,
@@ -652,11 +711,12 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
     )
 
 
-def _coassoc_failures(theta: CoalgStruct, w: Window, failures: list) -> int:
-    """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check; appends failures, returns count."""
-    Q, scale = _scaled_coproducts(theta)
+def _coassoc_failures(Q: list, scale: int, w: Window, grid: dict, failures: list) -> int:
+    """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check over the coproduct rows ``Q`` of
+    `_scaled_coproducts` and the cells ``grid`` of `_slot_grid`; appends
+    failures, returns count."""
     live = {}
-    for x in _slots(theta.dim):
+    for x in _slots(len(Q)):
         res: dict = {}
         for g, v, o, c in _pattern_delta(Q, x):  # (Δ⊗̂id)Δ
             for p, q, o2, c2 in _pattern_delta(Q, g):
@@ -665,8 +725,7 @@ def _coassoc_failures(theta: CoalgStruct, w: Window, failures: list) -> int:
             for q, v, o2, c2 in _pattern_delta(Q, g):
                 _add(res, ((p, q, v), _plus(o, o2)), -c * c2)
         live[x] = _support(res)
-    grid = _slot_grid(w.N, theta.dim)
-    sources = [(d, b) for d in range(theta.dim) for b in iter_box(w.safe_bound(2))]
+    sources = [(d, b) for d in range(len(Q)) for b in iter_box(w.safe_bound(2))]
     for d, b in sources:
         failures.extend(
             ("coassoc", (d, b), kv)
@@ -684,7 +743,8 @@ def check_completed_coassociativity(
     if D.dim != theta.dim:
         raise ValueError("algebra and coproducts must share dimension")
     failures: list = []
-    checked = _coassoc_failures(theta, w, failures)
+    Q, scale = _scaled_coproducts(theta)
+    checked = _coassoc_failures(Q, scale, w, _slot_grid(w.N, theta.dim), failures)
     return AffineReport(
         "completed coassociativity", w.N, f"sources |i| <= {w.safe_bound(2)}",
         checked, tuple(failures),

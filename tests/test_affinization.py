@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dendrikit import affinization
 from dendrikit.affinization import (
     ASSOC_LOCALIZATION,
     ASSOC_LOCALIZATION_TARGET,
@@ -358,3 +359,112 @@ def test_pattern_decisions_match_a_direct_expansion(dend_pair, dend_theta, seed)
     coassoc = check_completed_coassociativity(D, theta, w)
     assert coassoc.failures == tuple(f for f in asi.failures if f[0] == "coassoc")
     assert check_affine_associativity(D, w).failures == _direct_assoc(D, w)
+
+
+# --- the perm axioms and the form against every window tuple ---------------------
+
+
+def _tuple_perm_axioms(w):
+    """check_laurent_perm_axioms as a loop over every window triple, reading the
+    module's names at call time."""
+    bound = w.safe_bound(2)
+    failures = []
+    checked = 0
+    monos = list(affinization.iter_box(bound))
+    for a in monos:
+        for b in monos:
+            for c in monos:
+                checked += 1
+                left = affinization.mono_product(a, affinization.mono_product(b, c))
+                mid = affinization.mono_product(affinization.mono_product(a, b), c)
+                perm = affinization.mono_product(affinization.mono_product(b, a), c)
+                if left != mid:
+                    failures.append(("perm_assoc", (a, b, c), (left, mid)))
+                if mid != perm:
+                    failures.append(("perm_left_commute", (a, b, c), (mid, perm)))
+    return checked, tuple(failures)
+
+
+def _tuple_graded_form(w):
+    """check_graded_form as a loop over every window pair and triple, reading
+    the module's names at call time."""
+    form, times = affinization._form, affinization.mono_product
+    failures = []
+    checked = 0
+    box = list(affinization.iter_box(w.N))
+    for a in box:
+        for b in box:
+            checked += 1
+            ab = form(a, b)
+            if ab != -form(b, a):
+                failures.append(("antisymmetry", (a, b), Fraction(ab)))
+            degrees = affinization.mono_degree(a) + affinization.mono_degree(b)
+            if ab != 0 and degrees + affinization.GRADING_M != 0:
+                failures.append(("grading", (a, b), Fraction(ab)))
+    inner = list(affinization.iter_box(w.safe_bound(1)))
+    for a in inner:
+        for b in inner:
+            for c in inner:
+                checked += 1
+                lhs = form(times(a, b), c)
+                rhs = form(a, times(b, c)) - form(a, times(c, b))
+                if lhs != rhs:
+                    failures.append(("invariance", (a, b, c), Fraction(lhs - rhs)))
+    for e in box:
+        f, sign = affinization.laurent_dual_basis(e)
+        if sign * form(f, e) != 1:
+            failures.append(("dual_pairing", (e,), Fraction(form(f, e))))
+    return checked, tuple(failures)
+
+
+def _unit(s):
+    return (1, 0) if s == 1 else (0, 1)
+
+
+def _keep_left(a, b):
+    """A unit shift that keeps the ∂-index of the left factor."""
+    e1, e2 = _unit(a.s)
+    return Mono(a.i1 + b.i1 + e1, a.i2 + b.i2 + e2, a.s)
+
+
+def _shift_right(a, b):
+    """A unit shift by e_t, the ∂-index of the right factor, instead of e_s."""
+    e1, e2 = _unit(b.s)
+    return Mono(a.i1 + b.i1 + e1, a.i2 + b.i2 + e2, b.s)
+
+
+def _symmetric_form(a, b):
+    """ϖ made symmetric on its own support."""
+    return 0 if a.s == b.s or a.i1 + b.i1 or a.i2 + b.i2 else 1
+
+
+def _flipped_dual(m):
+    """laurent_dual_basis with the sign of the dual of x^{i}∂₂ flipped."""
+    if m.s == 1:
+        return Mono(-m.i1, -m.i2, 2), 1
+    return Mono(-m.i1, -m.i2, 1), 1
+
+
+FAULTS = {
+    "none": {},
+    "product-keeps-left-d": {"mono_product": _keep_left},
+    "product-shifts-by-e_t": {"mono_product": _shift_right},
+    "symmetric-form": {"_form": _symmetric_form},
+    "grading-m-1": {"GRADING_M": -1},
+    "dual-d2-sign-flipped": {"laurent_dual_basis": _flipped_dual},
+}
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_per_pattern_form_and_perm_checks_match_every_tuple(monkeypatch, fault, N):
+    """With one of the functions they are built from broken, the per-pattern
+    checks report the same count and the same failures, values and order as a
+    loop over every window tuple."""
+    for name, value in FAULTS[fault].items():
+        monkeypatch.setattr(affinization, name, value)
+    w = Window(N)
+    perm = check_laurent_perm_axioms(w)
+    assert (perm.checked, perm.failures) == _tuple_perm_axioms(w)
+    form = check_graded_form(w)
+    assert (form.checked, form.failures) == _tuple_graded_form(w)
