@@ -15,9 +15,7 @@ and ν(x^{c}∂ₜ) = Σₛ ±Σᵤ x^{u}∂ₛ ⊗ x^{c+e₃₋ₛ−u}∂ₜ c
 every u occurs, once.  So each term of a law has a fixed ∂-index in each slot,
 and the exponents of its slots (of its form arguments, for ϖ) add up to those
 of the sources plus a fixed offset; it gives one coefficient, the same for all
-of them, to every monomial tuple with those ∂-indices and that sum.  The perm
-axioms and the form laws are thus decided on x⁰∂ₛ representatives of each
-∂-pattern, through the module's own product, form, degree and dual.  Every
+of them, to every monomial tuple with those ∂-indices and that sum.  Every
 intermediate exponent is fixed by the target and the sources, so for
 safe-region sources the coefficient of a window target is the exact one, a
 finite sum that no truncation changes.  A check therefore tabulates, once per
@@ -347,10 +345,8 @@ def check_laurent_perm_axioms(w: Window) -> AffineReport:
         left = mono_product(a, mono_product(b, c))
         mid = mono_product(mono_product(a, b), c)
         perm = mono_product(mono_product(b, a), c)
-        laws = [
-            law for law in (("perm_assoc", left, mid), ("perm_left_commute", mid, perm))
-            if law[1] != law[2]
-        ]
+        laws = [law for law in (("perm_assoc", left, mid), ("perm_left_commute", mid, perm))
+                if law[1] != law[2]]
         if not laws:
             continue
         for src in product(*(_part(bound, s) for s in parts)):
@@ -370,15 +366,14 @@ def check_laurent_perm_axioms(w: Window) -> AffineReport:
 def check_graded_form(w: Window) -> AffineReport:
     """Antisymmetry, grading, and invariance of ϖ on window tuples; dual basis.
 
-    ϖ(a, b) is nonzero only where the exponents cancel, a + b = 0, with a value
-    fixed by the ∂-indices, so antisymmetry and grading are decided once per
-    ∂-pair on that anti-diagonal (off it both sides vanish).  In
-    ϖ(ab, c) − ϖ(a, bc) + ϖ(a, cb) each product adds an offset fixed by the
-    ∂-indices, so each term is nonzero only where a + b + c cancels it, and the
-    residual of a ∂-triple is one value per offset.  The dual of x^{i}∂ₛ has
-    the exponent −i, so ϖ(dual(e), e) depends only on the ∂-index of e.  Each
-    pattern is decided on x⁰∂ₛ representatives, and window tuples are visited
-    only where its residual is nonzero.
+    ϖ(a, b) is nonzero only where a + b = 0, with a value fixed by the
+    ∂-indices, and there the degrees add up to a constant: antisymmetry and
+    grading are decided once per ∂-pair.  Each product adds an offset fixed by
+    the ∂-indices, so each term of ϖ(ab, c) − ϖ(a, bc) + ϖ(a, cb) is nonzero
+    only where a + b + c cancels its offset, and the residual of a ∂-triple is
+    one value per offset.  dual(x^{i}∂ₛ) has the exponent −i.  Each pattern is
+    decided on x⁰∂ₛ representatives, and window tuples are visited only where
+    its residual is nonzero.
     """
     bound = w.safe_bound(1)
     pairs, triples, duals = [], [], []
