@@ -14,6 +14,17 @@ reproduce every residual, its nesting, its law order and its exact values.
 The O-operator inputs pair random bimodules (and the coregular bimodule of
 the valid structure) with random operators P; the commuting-square inputs
 pair random dendriform algebras with random perm algebras.
+
+The induced, derived and lifted structures of the bialgebra constructions
+(the induced ASI and Lie coproducts, the coproducts of the derived Lie and
+pre-Lie bialgebras, r̂ and κ) are pinned by their cubes on random inputs.
+Their quadratic perm algebras are built as ``QuadraticPerm(perm, form)``
+directly, from random perm products and random nondegenerate forms, so the
+form is neither antisymmetric nor invariant and the quadratic perm
+identities, the bialgebra square and the lifted transfers have nonzero
+residuals.  Each transfer theorem is pinned on random r that is symmetric or
+skew-symmetric where that is its only hypothesis, and on the corpus inputs
+otherwise.
 """
 
 import hashlib
@@ -35,11 +46,18 @@ from dendrikit.algebras import (
 from dendrikit.bialgebras import (
     KIND_COOPS,
     CoalgStruct,
+    QuadraticPerm,
+    asi_to_lie_bialgebra,
     check_bialgebra,
+    check_bialgebra_square,
     check_coalgebra,
+    check_quadratic_perm_identities,
+    dendriform_to_prelie_bialgebra,
+    induce_asi_bialgebra,
+    induce_lie_bialgebra,
     perm_coalgebra_from_quadratic,
 )
-from dendrikit.exact import LinMap, Tensor2
+from dendrikit.exact import BilinForm, LinMap, Tensor2, sharp
 from dendrikit.functors import (
     check_square,
     commutator_lie,
@@ -48,7 +66,23 @@ from dendrikit.functors import (
     tensor_assoc,
     tensor_lie,
 )
-from dendrikit.ybe import check_ooperator, coboundary_coproduct, coregular_bimodule
+from dendrikit.ybe import (
+    check_ooperator,
+    coboundary_coproduct,
+    coregular_bimodule,
+    kappa_tensor,
+    lift_r,
+    transfer_assoc_cobound_to_lie,
+    transfer_assoc_ooperator_to_lie,
+    transfer_aybe_to_cybe,
+    transfer_dend_cobound_to_prelie,
+    transfer_dend_ooperator_to_prelie,
+    transfer_dybe_lift,
+    transfer_dybe_to_plybe,
+    transfer_induced_asi_coproduct,
+    transfer_induced_lie_cobracket,
+    transfer_plybe_lift,
+)
 
 DIMS = (1, 2, 3)
 SHIFT = Fraction(-2, 7)
@@ -238,6 +272,137 @@ def _coboundaries():
             yield coboundary_coproduct(alg, r).coproducts
 
 
+def _qperm_variants(seed):
+    """Random perm algebras with random nondegenerate forms, in dimensions 1
+    and 2, then the valid corpus pair."""
+    for n in (1, 2):
+        rng = random.Random(f"{seed}/qperm/{n}")
+        perm = FinAlgebra("perm", n, _random_cubes(rng, ("mul",), n))
+        form = BilinForm(_matrix(rng, n, n))
+        while form.kernel_vector() is not None:
+            form = BilinForm(_matrix(rng, n, n))
+        yield QuadraticPerm(perm, form)
+    yield examples.perm_pair_quadratic()
+
+
+def _bialgebra_variants(kind, seed):
+    return zip(_algebra_variants(kind, f"{seed}/algebra"),
+               _coalgebra_variants(kind, f"{seed}/coalgebra"))
+
+
+def _induced():
+    """The cubes of the induced and derived bialgebras on random inputs."""
+    for dend, theta in _bialgebra_variants("dendriform", "induced"):
+        for qp in _qperm_variants(f"induced/{dend.dim}"):
+            assoc, delta = induce_asi_bialgebra(dend, theta, qp)
+            yield assoc.products, delta.coproducts
+        pre, vartheta = dendriform_to_prelie_bialgebra(dend, theta)
+        yield pre.products, vartheta.coproducts
+    for pre, theta in _bialgebra_variants("prelie", "induced"):
+        for qp in _qperm_variants(f"induced/prelie/{pre.dim}"):
+            lie, delta = induce_lie_bialgebra(pre, theta, qp)
+            yield lie.products, delta.coproducts
+    for assoc, delta in _bialgebra_variants("assoc", "induced"):
+        lie, cobr = asi_to_lie_bialgebra(assoc, delta)
+        yield lie.products, cobr.coproducts
+
+
+def _lifts():
+    """κ and the lift r̂ of random and corpus r-matrices."""
+    for n in DIMS:
+        r = Tensor2(_matrix(random.Random(f"lift/{n}"), n, n))
+        for qp in _qperm_variants(f"lift/{n}"):
+            yield kappa_tensor(qp).coeffs, lift_r(r, qp).coeffs
+    yield lift_r(examples.r_corner(), examples.perm_pair_quadratic()).coeffs
+
+
+def _quadratic_perm_reports():
+    for seed in ("qperm/a", "qperm/b", "qperm/c"):
+        for qp in _qperm_variants(seed):
+            yield check_quadratic_perm_identities(qp)
+
+
+def _bialgebra_square_reports():
+    for dend, theta in _bialgebra_variants("dendriform", "bialgebra_square"):
+        for qp in _qperm_variants(f"bialgebra_square/{dend.dim}"):
+            yield check_bialgebra_square(dend, theta, qp)
+    yield check_bialgebra_square(examples.dendriform_pair(),
+                                 examples.dendriform_pair_coalgebra(),
+                                 examples.perm_pair_quadratic())
+
+
+def _random_r(alg, seed, sign):
+    """A random r on the algebra's basis with τ(r) = sign·r."""
+    rng = random.Random(f"{seed}/{alg.kind}/{alg.dim}")
+    m = _matrix(rng, alg.dim, alg.dim)
+    return Tensor2([[m[i][j] + sign * m[j][i] for j in range(alg.dim)]
+                    for i in range(alg.dim)])
+
+
+CORPUS_R = (examples.r_corner, lambda: examples.r_family(1, 1),
+            lambda: examples.r_family(0, 1))
+
+
+def _corpus_asi():
+    """The corpus ASI bialgebra on D⊗B and the lift of r = e₁⊗e₁."""
+    qp = examples.perm_pair_quadratic()
+    assoc, _delta = induce_asi_bialgebra(
+        examples.dendriform_pair(), examples.dendriform_pair_coalgebra(), qp)
+    return assoc, lift_r(examples.r_corner(), qp)
+
+
+def _skew_r_reports(check, seed):
+    """check(A, r) on random associative algebras with random skew r, then on
+    the corpus ASI bialgebra with r̂."""
+    for alg in _algebra_variants("assoc", seed):
+        yield check(alg, _random_r(alg, seed, -1))
+    yield check(*_corpus_asi())
+
+
+def _symmetric_r_reports(check, seed):
+    """check(D, r) on random dendriform algebras with random symmetric r,
+    then on the corpus pair with the corpus r."""
+    for alg in _algebra_variants("dendriform", seed):
+        yield check(alg, _random_r(alg, seed, 1))
+    for make_r in CORPUS_R:
+        yield check(examples.dendriform_pair(), make_r())
+
+
+def _lift_reports(check, alg, seed):
+    """check(alg, r, qp) for the corpus r and every quadratic perm variant."""
+    for make_r in CORPUS_R:
+        for qp in _qperm_variants(seed):
+            yield check(alg, make_r(), qp)
+
+
+def _ooperator_transfer_reports():
+    D = examples.dendriform_pair()
+    for make_r in CORPUS_R:
+        yield transfer_dend_ooperator_to_prelie(D, sharp(make_r()))
+    assoc, rhat = _corpus_asi()
+    yield transfer_assoc_ooperator_to_lie(assoc, sharp(rhat))
+
+
+TRANSFER_CASES = {
+    "transfer/aybe_to_cybe": lambda: _skew_r_reports(transfer_aybe_to_cybe, "aybe"),
+    "transfer/assoc_cobound_to_lie": lambda: _skew_r_reports(
+        transfer_assoc_cobound_to_lie, "assoc_cobound"),
+    "transfer/dybe_to_plybe": lambda: _symmetric_r_reports(transfer_dybe_to_plybe, "dybe"),
+    "transfer/dend_cobound_to_prelie": lambda: _symmetric_r_reports(
+        transfer_dend_cobound_to_prelie, "dend_cobound"),
+    "transfer/plybe_lift": lambda: _lift_reports(
+        transfer_plybe_lift, dendriform_to_prelie(examples.dendriform_pair()), "plybe_lift"),
+    "transfer/induced_lie_cobracket": lambda: _lift_reports(
+        transfer_induced_lie_cobracket, dendriform_to_prelie(examples.dendriform_pair()),
+        "induced_lie"),
+    "transfer/dybe_lift": lambda: _lift_reports(
+        transfer_dybe_lift, examples.dendriform_pair(), "dybe_lift"),
+    "transfer/induced_asi_coproduct": lambda: _lift_reports(
+        transfer_induced_asi_coproduct, examples.dendriform_pair(), "induced_asi"),
+    "transfer/ooperator": _ooperator_transfer_reports,
+}
+
+
 CASES = {
     **{f"axioms/{k}": (lambda k=k: _axiom_reports(k)) for k in KIND_OPS},
     **{f"bimodule/{k}": (lambda k=k: _bimodule_reports(k)) for k in KIND_BIMODULE_ACTIONS},
@@ -248,6 +413,9 @@ CASES = {
        for r in ("corrected", "symmetric", "literal")},
     **{f"ooperator/{k}": (lambda k=k: _ooperator_reports(k)) for k in KIND_BIMODULE_ACTIONS},
     "square": _square_reports,
+    "quadratic_perm_identities": _quadratic_perm_reports,
+    "bialgebra_square": _bialgebra_square_reports,
+    **TRANSFER_CASES,
 }
 
 LAW_SHA256 = {
@@ -262,6 +430,7 @@ LAW_SHA256 = {
     "bialgebra/dendriform/symmetric": "2304ffe91cd57637f6d7a6b47a951050e3b7bb5162175148a8ed9b1c0fff328e",
     "bialgebra/lie": "3fc8eee39a282210772905b2accb8eeb08ffb9c1c368e5b451f0baa0a3248c25",
     "bialgebra/prelie": "09efdb33f70af74c68c4209162b7df6a177adf3dd5a9acbd0fee8d0b2d3d4fa0",
+    "bialgebra_square": "aa1a21693ecf8fffeaf80de092cb81a9f37022075d6bb46a9b6ee6418ffcf794",
     "bimodule/assoc": "7cec636cbada7cc4e88697dd28b969700fa348070f338f0d7c655172fedce848",
     "bimodule/dendriform": "ef49f37c6aa02ebeb12f8969ef54013663c8dbf6100ed20e87d055568279c4e1",
     "bimodule/lie": "b2943921b0a1ff85ff763eba7486e87ea49aa50cc9141f18c8d85eb01f2a8691",
@@ -275,10 +444,22 @@ LAW_SHA256 = {
     "ooperator/dendriform": "3baee793890137d69969886801b2d14d68beda363a5720b2541f9b67a73b28a7",
     "ooperator/lie": "84358f4bca96abe9ab9aa6cbc057cb4ef3473f440efe4c5b13103a84dbea33eb",
     "ooperator/prelie": "e09f88412002434851174b1d55c5368066e4d9ac84be2ab5414bed0d81bf0c4d",
+    "quadratic_perm_identities": "fbff744add1d7d187b616e6aec74a6c9c6a800943db5a93b5fe80fb425e5d32a",
     "square": "f680deb9f2093a52076dfc0f6762777c14f18d36336f0876a0b27413fce2e77c",
+    "transfer/assoc_cobound_to_lie": "95956299f9f0fe9c2a94352886fe988cafa38f5eb88a9457be87178e5653c1da",
+    "transfer/aybe_to_cybe": "086b2cd9d6a441ca79baf80efeb8bb6e5b1ade3eb8b48602bc7eaafa186bcbe1",
+    "transfer/dend_cobound_to_prelie": "b995e6c7d4cf0dc17194e5d9d0536904a98a6a80c38b4c26811e3ca6cfecb441",
+    "transfer/dybe_lift": "c1cc13a173753172c5483a5f72f290d86c83193cb90729fd493520cb82714955",
+    "transfer/dybe_to_plybe": "fe1a361ca3ab0f2893f6ff8623b50b2fea9b442e4d11ab4fb3158c025d6026d9",
+    "transfer/induced_asi_coproduct": "d449b5e84e6d3683f193f0b986f5f210c9bd986443c2005bbd4eaf9c6f0aeffa",
+    "transfer/induced_lie_cobracket": "33648f3da3d780a40770603e07ed08125bfa7a73b369a12cbacbd9a2f3e116fe",
+    "transfer/ooperator": "3d72e6b925075ee186fbf3181e1629e56e06f1d72bf418d721cf390fe2ecc636",
+    "transfer/plybe_lift": "a40eb9b15ced7a8934a6aeb68aa822623d47c4b5a20f0d7ee79b5c23bee5c4b4",
 }
 
 CONSTRUCTIONS_SHA256 = "42d29c3b82c96469c3894afc1c1d9d7bda3f305008a40beb90c476f847112114"
+INDUCED_SHA256 = "764e354c0675549562d9c8465f7d72757b2726072a7143f5f64c337e745f69a8"
+LIFT_SHA256 = "dd73bfc89474990cee7c365744cb47abb7b1fe73ee4c4d2578f208083f312ee2"
 COBOUNDARY_SHA256 = "2c5e612a1fe338046711095befa1150d2b584c37d76c50b8b696bdf25fbe1f58"
 
 
@@ -305,6 +486,20 @@ def test_construction_cubes_are_stable():
     for cubes in _constructions():
         h.update(repr(cubes).encode())
     assert h.hexdigest() == CONSTRUCTIONS_SHA256
+
+
+def test_induced_cubes_are_stable():
+    h = hashlib.sha256()
+    for cubes in _induced():
+        h.update(repr(cubes).encode())
+    assert h.hexdigest() == INDUCED_SHA256
+
+
+def test_lift_cubes_are_stable():
+    h = hashlib.sha256()
+    for cubes in _lifts():
+        h.update(repr(cubes).encode())
+    assert h.hexdigest() == LIFT_SHA256
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
