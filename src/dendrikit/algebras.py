@@ -98,9 +98,6 @@ class CheckReport:
                 break
         return CheckReport(subject, residuals, first is None, first)
 
-    def law_ok(self, name: str) -> bool:
-        return first_nonzero_nested(self.residuals[name]) is None
-
 
 # x·y for the vectors x, y and a product cube c, coordinate k.
 _PRODUCT = ((1, ("x", "i"), ("c", "kij"), ("y", "j")),)

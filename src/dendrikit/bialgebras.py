@@ -8,6 +8,10 @@ on basis elements, reporting exact residual tensors.
 The co-laws and the compatibility laws are data: ``COALGEBRA_LAWS`` and
 ``BIALGEBRA_LAWS`` (with the three readings of ``dbi6``) write each one as a
 signed list of products of labelled structure cubes (see `exact.contract`).
+So are the quadratic perm structure (``QUADRATIC_LAWS``, ``NU_COPRODUCT``,
+``QUADRATIC_PERM_IDENTITIES``), the coproducts of the induced and derived
+bialgebras (``COPRODUCT_CONSTRUCTIONS``, on the flattened tensor-product
+basis) and the bialgebra square (``BIALGEBRA_SQUARE_LAWS``).
 Each CoalgStruct builds one `exact.IntTable` per coproduct cube in its
 constructor, as a FinAlgebra does per product cube; a check reads those
 tables, evaluates every law with one integer contraction over a common
@@ -25,19 +29,16 @@ from .exact import (
     BilinForm,
     IntTable,
     Vec,
-    ZERO,
+    contract,
     dual_basis,
     freeze_cube,
-    mat_add,
-    mat_inverse,
-    mat_sub,
-    transpose,
+    nest,
 )
 from .functors import (
     commutator_lie,
     dendriform_to_prelie,
     tensor_assoc,
-    tensor_index,
+    tensor_extents,
     tensor_lie,
 )
 
@@ -328,10 +329,11 @@ QUADRATIC_LAWS = {
         (+1, ("w", "im"), ("mul", "mkj")))),
 }
 
-# ν(bᵢ) = Σ F·R_bᵢ·Fᵀ with R_bᵢ[j][k] = ω(bᵢ, bⱼbₖ) and F = (ωᵀ)⁻¹, nested
-# [i][p][q]: the coefficient of b_p⊗b_q.
+# ν(bᵢ) = Fᵀ·R_bᵢ·F with R_bᵢ[j][k] = ω(bᵢ, bⱼbₖ) and F = ω⁻¹ the dual basis
+# (`exact.dual_basis`: column j is fⱼ), nested [i][p][q]: the coefficient of
+# b_p⊗b_q.
 NU_COPRODUCT = {
-    "co": ("ipq", ((+1, ("w", "im"), ("mul", "mjk"), ("F", "pj"), ("F", "qk")),)),
+    "co": ("ipq", ((+1, ("w", "im"), ("mul", "mjk"), ("F", "jp"), ("F", "kq")),)),
 }
 
 
@@ -378,9 +380,9 @@ def perm_coalgebra_from_quadratic(qp: QuadraticPerm) -> CoalgStruct:
     r-matrix.  Writing W for the form matrix, the coefficient matrix of
     ν(b) is N_b = (Wᵀ)⁻¹·R_b·W⁻¹ with R_b[j][k] = ω(b, bⱼbₖ).
     """
-    alg, form = qp.algebra, qp.form
-    tables = {"mul": alg.tables["mul"], "w": IntTable(form.matrix),
-              "F": IntTable(mat_inverse(transpose(form.matrix)))}
+    alg = qp.algebra
+    tables = {"mul": alg.tables["mul"], "w": IntTable(qp.form.matrix),
+              "F": IntTable(dual_basis(qp.form).matrix)}
     return CoalgStruct("perm", alg.dim, law_residuals(NU_COPRODUCT, tables, alg.dim))
 
 
@@ -388,6 +390,30 @@ def dual_basis_vectors(qp: QuadraticPerm) -> list[Vec]:
     """Vectors fⱼ with ω(eᵢ, fⱼ) = δᵢⱼ."""
     F = dual_basis(qp.form).matrix
     return [Vec(tuple(F[i][j] for i in range(qp.algebra.dim))) for j in range(qp.algebra.dim)]
+
+
+# The identities of `check_quadratic_perm_identities`, over ν (labelled
+# nu[b][p][q]), the perm product c[k][i][j] and the dual basis F[x][j]
+# (coordinate x of fⱼ); eⱼ = bⱼ.  Nested [b][p][q], the coefficient of
+# b_p⊗b_q; canonical_antisymmetry is nested [p][q].
+QUADRATIC_PERM_IDENTITIES = {
+    # ν(b) = Σⱼ eⱼ⊗(fⱼb)
+    "nu_left_expansion": ("bpq", ((+1, ("nu", "bpq")), (-1, ("F", "xp"), ("mul", "qxb")))),
+    # τ(ν(b)) = −Σⱼ (eⱼb)⊗fⱼ
+    "nu_right_expansion": ("bpq", ((+1, ("nu", "bqp")), (+1, ("mul", "pjb"), ("F", "qj")))),
+    # Σⱼ (beⱼ)⊗fⱼ = ν(b) − τ(ν(b))
+    "mixed_expansion_left": ("bpq", (
+        (+1, ("mul", "pbj"), ("F", "qj")),
+        (-1, ("nu", "bpq")),
+        (+1, ("nu", "bqp")))),
+    # Σⱼ eⱼ⊗(bfⱼ) = ν(b) − τ(ν(b))
+    "mixed_expansion_right": ("bpq", (
+        (+1, ("F", "xp"), ("mul", "qbx")),
+        (-1, ("nu", "bpq")),
+        (+1, ("nu", "bqp")))),
+    # Σⱼ eⱼ⊗fⱼ = −Σⱼ fⱼ⊗eⱼ
+    "canonical_antisymmetry": ("pq", ((+1, ("F", "qp")), (+1, ("F", "pq")))),
+}
 
 
 def check_quadratic_perm_identities(qp: QuadraticPerm) -> CheckReport:
@@ -399,62 +425,39 @@ def check_quadratic_perm_identities(qp: QuadraticPerm) -> CheckReport:
       (iii) Σⱼ (beⱼ)⊗fⱼ = Σⱼ eⱼ⊗(bfⱼ) = Σ(b₍₁₎⊗b₍₂₎ − b₍₂₎⊗b₍₁₎)
       (iv)  Σⱼ eⱼ⊗fⱼ = −Σⱼ fⱼ⊗eⱼ
     """
-    alg = qp.algebra
-    n = alg.dim
-    nu = perm_coalgebra_from_quadratic(qp)
-    fs = dual_basis_vectors(qp)
-    es = [alg.basis(j) for j in range(n)]
-    mul = lambda x, y: alg.multiply("mul", x, y)
-
-    def outer_sum(pairs):
-        acc = [[ZERO] * n for _ in range(n)]
-        for u, v in pairs:
-            for p in range(n):
-                for q in range(n):
-                    acc[p][q] += u.coords[p] * v.coords[q]
-        return tuple(tuple(row) for row in acc)
-
-    res_i, res_ii, res_iii_a, res_iii_b = [], [], [], []
-    for b_idx in range(n):
-        b = alg.basis(b_idx)
-        nub = nu.basis_coproduct("co", b_idx)
-        rhs_i = outer_sum((es[j], mul(fs[j], b)) for j in range(n))
-        res_i.append(mat_sub(nub, rhs_i))
-        # ν(b)ᵀ − (−Σⱼ (eⱼb)⊗fⱼ)
-        res_ii.append(mat_add(transpose(nub), outer_sum((mul(es[j], b), fs[j]) for j in range(n))))
-        anti = mat_sub(nub, transpose(nub))
-        res_iii_a.append(
-            mat_sub(outer_sum((mul(b, es[j]), fs[j]) for j in range(n)), anti)
-        )
-        res_iii_b.append(
-            mat_sub(outer_sum((es[j], mul(b, fs[j])) for j in range(n)), anti)
-        )
-    can = outer_sum((es[j], fs[j]) for j in range(n))
-    res_iv = mat_add(can, transpose(can))
-    residuals = {
-        "nu_left_expansion": tuple(res_i),
-        "nu_right_expansion": tuple(res_ii),
-        "mixed_expansion_left": tuple(res_iii_a),
-        "mixed_expansion_right": tuple(res_iii_b),
-        "canonical_antisymmetry": res_iv,
-    }
+    tables = {"mul": qp.algebra.tables["mul"],
+              "nu": perm_coalgebra_from_quadratic(qp).tables["co"],
+              "F": IntTable(dual_basis(qp.form).matrix)}
+    residuals = law_residuals(QUADRATIC_PERM_IDENTITIES, tables, qp.algebra.dim)
     return CheckReport.from_residuals("quadratic perm identities", residuals)
 
 
-def bullet(ta, tb, dim_a: int, dim_b: int):
-    """(Σ a'⊗a'') • (Σ b'⊗b'') = Σ (a'⊗b')⊗(a''⊗b'') on flattened indices."""
-    n = dim_a * dim_b
-    out = [[ZERO] * n for _ in range(n)]
-    for a1 in range(dim_a):
-        for a2 in range(dim_a):
-            c = ta[a1][a2]
-            if c != 0:
-                for b1 in range(dim_b):
-                    for b2 in range(dim_b):
-                        out[tensor_index(dim_b, a1, b1)][
-                            tensor_index(dim_b, a2, b2)
-                        ] += c * tb[b1][b2]
-    return tuple(tuple(row) for row in out)
+# The coproducts of the bialgebra constructions, nested [i][p][q] like a
+# coproduct cube; τ swaps p and q.  On D⊗B (or A⊗B) the labels of B are upper
+# case, so "iIpPqQ" is the cube on the flattened basis i·dim(B) + I, and a
+# product of a factor over i, p, q by ν over I, P, Q is the • of their
+# coefficient matrices: (Σ a'⊗a'')•(Σ b'⊗b'') = Σ (a'⊗b')⊗(a''⊗b'').
+COPRODUCT_CONSTRUCTIONS = {
+    # Δ(d⊗b) = θ_≻(d)•ν(b) + θ_≺(d)•τ(ν(b))
+    "induce_asi": ("iIpPqQ", (
+        (+1, ("co_gt", "ipq"), ("nu", "IPQ")),
+        (+1, ("co_lt", "ipq"), ("nu", "IQP")))),
+    # δ(a⊗b) = (id − τ)(ϑ(a)•ν(b))
+    "induce_lie": ("iIpPqQ", (
+        (+1, ("co", "ipq"), ("nu", "IPQ")),
+        (-1, ("co", "iqp"), ("nu", "IQP")))),
+    # δ = Δ − τΔ
+    "asi_to_lie": ("ipq", ((+1, ("co", "ipq")), (-1, ("co", "iqp")))),
+    # ϑ = θ_≻ − τθ_≺
+    "dendriform_to_prelie": ("ipq", ((+1, ("co_gt", "ipq")), (-1, ("co_lt", "iqp")))),
+}
+
+
+def _coconstruct(name: str, kind: str, tables: dict, n: int, extents) -> CoalgStruct:
+    """The ``kind`` coalgebra of dimension ``n`` whose coproduct is the
+    construction ``name`` evaluated on ``tables`` (`exact.IntTable` each)."""
+    out, terms = COPRODUCT_CONSTRUCTIONS[name]
+    return CoalgStruct(kind, n, {"co": nest(contract(terms, tables, out, extents), (n, n, n))})
 
 
 def induce_lie_bialgebra(
@@ -463,17 +466,11 @@ def induce_lie_bialgebra(
     """Lie bialgebra on A⊗B: δ(a⊗b) = (id − τ)(ϑ(a) • ν(b))."""
     if prelie.kind != "prelie" or theta.kind != "prelie":
         raise ValueError("expected a pre-Lie algebra with a pre-Lie coproduct")
-    nu = perm_coalgebra_from_quadratic(qp)
     na, nb = prelie.dim, qp.algebra.dim
-    lie = tensor_lie(prelie, qp.algebra)
-    n = na * nb
-    cube = []
-    for a in range(na):
-        for b in range(nb):
-            t = bullet(theta.basis_coproduct("co", a), nu.basis_coproduct("co", b), na, nb)
-            cube.append(mat_sub(t, transpose(t)))
-    # reorder: flattened basis index is a*nb + b, which matches the fill order
-    return lie, CoalgStruct("lie", n, {"co": tuple(cube)})
+    tables = {"co": theta.tables["co"], "nu": perm_coalgebra_from_quadratic(qp).tables["co"]}
+    cobracket = _coconstruct("induce_lie", "lie", tables, na * nb,
+                             tensor_extents("iIpPqQ", na, nb))
+    return tensor_lie(prelie, qp.algebra), cobracket
 
 
 def induce_asi_bialgebra(
@@ -482,19 +479,11 @@ def induce_asi_bialgebra(
     """ASI bialgebra on D⊗B: Δ(d⊗b) = θ_≻(d) • ν(b) + θ_≺(d) • τ(ν(b))."""
     if dend.kind != "dendriform" or theta.kind != "dendriform":
         raise ValueError("expected a dendriform algebra with dendriform coproducts")
-    nu = perm_coalgebra_from_quadratic(qp)
     nd, nb = dend.dim, qp.algebra.dim
-    assoc = tensor_assoc(dend, qp.algebra)
-    cube = []
-    for d in range(nd):
-        for b in range(nb):
-            nub = nu.basis_coproduct("co", b)
-            t = mat_add(
-                bullet(theta.basis_coproduct("co_gt", d), nub, nd, nb),
-                bullet(theta.basis_coproduct("co_lt", d), transpose(nub), nd, nb),
-            )
-            cube.append(t)
-    return assoc, CoalgStruct("assoc", nd * nb, {"co": tuple(cube)})
+    tables = {**theta.tables, "nu": perm_coalgebra_from_quadratic(qp).tables["co"]}
+    coproduct = _coconstruct("induce_asi", "assoc", tables, nd * nb,
+                             tensor_extents("iIpPqQ", nd, nb))
+    return tensor_assoc(dend, qp.algebra), coproduct
 
 
 def asi_to_lie_bialgebra(
@@ -503,10 +492,8 @@ def asi_to_lie_bialgebra(
     """Commutator Lie algebra with cocommutator δ = Δ − τΔ."""
     if assoc.kind != "assoc" or delta.kind != "assoc":
         raise ValueError("expected an associative algebra with a coproduct")
-    cube = tuple(
-        mat_sub(m, transpose(m)) for m in delta.coproducts["co"]
-    )
-    return commutator_lie(assoc), CoalgStruct("lie", assoc.dim, {"co": cube})
+    cobracket = _coconstruct("asi_to_lie", "lie", delta.tables, assoc.dim, assoc.dim)
+    return commutator_lie(assoc), cobracket
 
 
 def dendriform_to_prelie_bialgebra(
@@ -515,11 +502,15 @@ def dendriform_to_prelie_bialgebra(
     """Pre-Lie bialgebra with coproduct ϑ = θ_≻ − τθ_≺."""
     if dend.kind != "dendriform" or theta.kind != "dendriform":
         raise ValueError("expected a dendriform algebra with dendriform coproducts")
-    cube = tuple(
-        mat_sub(g, transpose(l))
-        for g, l in zip(theta.coproducts["co_gt"], theta.coproducts["co_lt"])
-    )
-    return dendriform_to_prelie(dend), CoalgStruct("prelie", dend.dim, {"co": cube})
+    coproduct = _coconstruct("dendriform_to_prelie", "prelie", theta.tables, dend.dim, dend.dim)
+    return dendriform_to_prelie(dend), coproduct
+
+
+# The two routes' Lie bialgebras on D⊗B: route 1 − route 2.
+BIALGEBRA_SQUARE_LAWS = {
+    "bracket_agree": ("kij", ((+1, ("bracket1", "kij")), (-1, ("bracket2", "kij")))),
+    "cobracket_agree": ("ipq", ((+1, ("co1", "ipq")), (-1, ("co2", "ipq")))),
+}
 
 
 def check_bialgebra_square(
@@ -530,16 +521,9 @@ def check_bialgebra_square(
     Route 1: induce the ASI bialgebra on D⊗B, then take commutators.
     Route 2: pass to the pre-Lie bialgebra, then induce the Lie bialgebra.
     """
-    asi_alg, asi_co = induce_asi_bialgebra(dend, theta, qp)
-    lie1, co1 = asi_to_lie_bialgebra(asi_alg, asi_co)
-    pl_alg, pl_co = dendriform_to_prelie_bialgebra(dend, theta)
-    lie2, co2 = induce_lie_bialgebra(pl_alg, pl_co, qp)
-    residuals = {
-        "bracket_agree": tuple(
-            mat_sub(p, q) for p, q in zip(lie1.products["bracket"], lie2.products["bracket"])
-        ),
-        "cobracket_agree": tuple(
-            mat_sub(p, q) for p, q in zip(co1.coproducts["co"], co2.coproducts["co"])
-        ),
-    }
+    lie1, co1 = asi_to_lie_bialgebra(*induce_asi_bialgebra(dend, theta, qp))
+    lie2, co2 = induce_lie_bialgebra(*dendriform_to_prelie_bialgebra(dend, theta), qp)
+    tables = {"bracket1": lie1.tables["bracket"], "bracket2": lie2.tables["bracket"],
+              "co1": co1.tables["co"], "co2": co2.tables["co"]}
+    residuals = law_residuals(BIALGEBRA_SQUARE_LAWS, tables, lie1.dim)
     return CheckReport.from_residuals("bialgebra commuting square", residuals)

@@ -57,6 +57,7 @@ from .io import (
 )
 from .ybe import (
     HypothesisError,
+    blockwise_product,
     check_ooperator,
     coboundary_coproduct,
     coregular_bimodule,
@@ -576,30 +577,24 @@ def _reproduce_ex_3_13(report):
         examples.expected_lift_sharp().matrix,
     )
     # blockwise Kronecker identity r̂♯ = r♯⊗κ♯
-    from .bialgebras import bullet
-
-    kron = bullet(sharp(r).matrix, sharp(kappa_tensor(qp)).matrix, 2, 2)
+    kron = blockwise_product(sharp(r).matrix, sharp(kappa_tensor(qp)).matrix)
     _check_matrix_match(
         report, "lift_sharp_is_blockwise_product", sharp(rhat).matrix, kron
     )
 
 
-def _reproduce_ex_4_2(report, window_n=2):
+def _reproduce_ex_4_2(report):
+    _add_affine(report, "laurent_perm_axioms", check_laurent_perm_axioms(Window(2)))
+
+
+def _reproduce_ex_4_5(report):
     _add_affine(
-        report, "laurent_perm_axioms", check_laurent_perm_axioms(Window(window_n))
+        report, "completed_perm_coalgebra", check_completed_perm_coalgebra(Window(2))
     )
 
 
-def _reproduce_ex_4_5(report, window_n=2):
-    _add_affine(
-        report,
-        "completed_perm_coalgebra",
-        check_completed_perm_coalgebra(Window(window_n)),
-    )
-
-
-def _reproduce_ex_4_9(report, window_n=2):
-    w = Window(window_n)
+def _reproduce_ex_4_9(report):
+    w = Window(2)
     _add_affine(report, "graded_form", check_graded_form(w))
     _add_affine(report, "nu_pairing", check_nu_pairing(w))
 

@@ -14,8 +14,9 @@ terms; a term is a product of labelled tables (product cubes, action
 matrices, coproduct cubes, an operator matrix, a vector), each axis named by
 a letter, summed over the labels that do not appear in the output.  The law
 tables beside the checks (``AXIOMS``, ``BIMODULE_LAWS``, ``COALGEBRA_LAWS``,
-``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``), the constructions between kinds, a
-single product, `mat_mul` and `mat_vec` are all written this way.  A term's
+``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``, ``TRANSFER_LAWS``), the constructions
+between kinds and of bialgebras, the lift of an r-matrix, a single product,
+`mat_mul` and `mat_vec` are all written this way.  A term's
 products are integers over the product of its tables' L.  Every term is
 brought to D, the lcm of those products over all terms, the cells are summed
 as ints, which never overflow, and a `Fraction(x, D)` is built only for a
@@ -517,20 +518,6 @@ def flip(r: Tensor2) -> Tensor2:
     if r.dim_left != r.dim_right:
         raise ValueError("flip requires a square tensor")
     return Tensor2(transpose(r.coeffs))
-
-
-def flip3(t: Tensor3, slots: tuple[int, int]) -> Tensor3:
-    """Swap two tensor slots of a rank-3 tensor (τ⊗id, id⊗τ, or outer swap)."""
-    d = t.dims
-    out = [[[ZERO] * d[2] for _ in range(d[1])] for _ in range(d[0])]
-    for i in range(d[0]):
-        for j in range(d[1]):
-            for k in range(d[2]):
-                idx = [i, j, k]
-                a, b = slots
-                idx[a], idx[b] = idx[b], idx[a]
-                out[idx[0]][idx[1]][idx[2]] = t.coeffs[i][j][k]
-    return Tensor3(out)
 
 
 def sharp(r: Tensor2) -> LinMap:

@@ -69,12 +69,10 @@ def commutator_lie(alg: FinAlgebra) -> FinAlgebra:
     return _construct("commutator_lie", "lie", "bracket", alg.tables, alg.dim, alg.dim)
 
 
-def tensor_index(dim_b: int, a: int, b: int) -> int:
-    return a * dim_b + b
-
-
-def _tensor_extents(na: int, nb: int) -> dict:
-    return {"k": na, "i": na, "j": na, "K": nb, "I": nb, "J": nb}
+def tensor_extents(labels: str, na: int, nb: int) -> dict:
+    """Extents of the labels of a table on A⊗B: a lower-case label runs over
+    the basis of A, an upper-case one over the basis of B."""
+    return {x: na if x.islower() else nb for x in labels}
 
 
 def tensor_lie(prelie: FinAlgebra, perm: FinAlgebra) -> FinAlgebra:
@@ -83,7 +81,7 @@ def tensor_lie(prelie: FinAlgebra, perm: FinAlgebra) -> FinAlgebra:
         raise ValueError("expected a pre-Lie algebra and a perm algebra")
     tables = {"mul": prelie.tables["mul"], "perm": perm.tables["mul"]}
     return _construct("tensor_lie", "lie", "bracket", tables, prelie.dim * perm.dim,
-                      _tensor_extents(prelie.dim, perm.dim))
+                      tensor_extents("kKiIjJ", prelie.dim, perm.dim))
 
 
 def tensor_assoc(dendriform: FinAlgebra, perm: FinAlgebra) -> FinAlgebra:
@@ -92,7 +90,7 @@ def tensor_assoc(dendriform: FinAlgebra, perm: FinAlgebra) -> FinAlgebra:
         raise ValueError("expected a dendriform algebra and a perm algebra")
     tables = {**dendriform.tables, "perm": perm.tables["mul"]}
     return _construct("tensor_assoc", "assoc", "mul", tables, dendriform.dim * perm.dim,
-                      _tensor_extents(dendriform.dim, perm.dim))
+                      tensor_extents("kKiIjJ", dendriform.dim, perm.dim))
 
 
 # The two routes' brackets on D⊗B: [x, y] via pre-Lie − [x, y] via the

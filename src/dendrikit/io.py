@@ -227,7 +227,10 @@ def parse_algebra(path) -> ParsedFile:
         if kind != "perm":
             raise FileFormatError(f"{path}: 'form' requires a perm algebra")
         matrix = _parse_matrix(raw["form"], dim, dim, "form")
-        qperm = make_quadratic_perm(algebra, BilinForm(matrix))
+        try:
+            qperm = make_quadratic_perm(algebra, BilinForm(matrix))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
     operator = None
     if "matrix" in raw:
         operator = LinMap(_parse_matrix(raw["matrix"], dim, dim, "matrix"))
@@ -330,14 +333,9 @@ class Report:
 
     def add_report(self, rep, prefix: str = ""):
         """Fold in a residual-style check report, one entry per named law."""
-        for name in rep.residuals:
-            ok = rep.law_ok(name)
-            fv = None
-            if not ok and rep.first_violation and rep.first_violation[0] == name:
-                fv = (rep.first_violation[1], rep.first_violation[2])
-            if not ok and fv is None:
-                fv = first_nonzero_nested(rep.residuals[name])
-            self.add_check(f"{prefix}{name}", ok, first_violation=fv,
+        for name, residual in rep.residuals.items():
+            fv = first_nonzero_nested(residual)
+            self.add_check(f"{prefix}{name}", fv is None, first_violation=fv,
                            detail=rep.subject)
 
     def record_file(self, path):

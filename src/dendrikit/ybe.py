@@ -5,9 +5,13 @@ Yang-Baxter residual is computed term by term from the defining expansion in
 simple tensors, exactly; r is a solution iff the residual 3-tensor vanishes.
 
 The coboundary coproducts (``COBOUNDARY``, which also give the invariance
-residual) and the O-operator identity (``OOPERATOR_LAWS``, whose terms have
-degree 2 in the operator P and are chained contractions) are term tables
+residual), the O-operator identity (``OOPERATOR_LAWS``, whose terms have
+degree 2 in the operator P and are chained contractions), the lift
+r̂ = r•κ (``LIFT``) and the agreement residuals of the transfer theorems
+(``TRANSFER_LAWS``, slot flips written as swapped labels) are term tables
 evaluated by `exact.contract`, like the laws in `algebras` and `bialgebras`.
+`ybe_residual` keeps its own integer loop: at the corpus sizes it is faster
+than a term table.
 """
 
 from __future__ import annotations
@@ -24,13 +28,20 @@ from .algebras import (
     left_matrices,
     right_matrices,
 )
-from .bialgebras import CoalgStruct, QuadraticPerm, bullet, dual_basis_vectors
+from .bialgebras import (
+    CoalgStruct,
+    QuadraticPerm,
+    induce_asi_bialgebra,
+    induce_lie_bialgebra,
+)
 from .exact import (
     IntTable,
     LinMap,
     Tensor2,
     Tensor3,
     ZERO,
+    contract,
+    dual_basis,
     flip,
     mat_add,
     mat_sub,
@@ -38,7 +49,13 @@ from .exact import (
     sharp,
     transpose,
 )
-from .functors import commutator_lie, dendriform_to_prelie, tensor_assoc, tensor_lie
+from .functors import (
+    commutator_lie,
+    dendriform_to_prelie,
+    tensor_assoc,
+    tensor_extents,
+    tensor_lie,
+)
 
 
 class HypothesisError(ValueError):
@@ -212,20 +229,30 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
 
 
 def kappa_tensor(qp: QuadraticPerm) -> Tensor2:
-    """κ = Σⱼ eⱼ⊗fⱼ built from the ω-dual basis; satisfies τ(κ) = −κ."""
-    n = qp.algebra.dim
-    fs = dual_basis_vectors(qp)
-    out = [[ZERO] * n for _ in range(n)]
-    for j in range(n):
-        for q in range(n):
-            out[j][q] += fs[j].coords[q]
-    return Tensor2(out)
+    """κ = Σⱼ eⱼ⊗fⱼ built from the ω-dual basis; satisfies τ(κ) = −κ.
+
+    Its coefficient matrix is Fᵀ, F = `exact.dual_basis` (column j is fⱼ).
+    """
+    return Tensor2(transpose(dual_basis(qp.form).matrix))
+
+
+# r•κ = Σ (x⊗e)⊗(y⊗f) for r = Σ x⊗y and κ = Σ e⊗f, on the flattened basis
+# a·dim(B) + A of A⊗B.
+LIFT = ("aAbB", ((+1, ("r", "ab"), ("kappa", "AB")),))
+
+
+def blockwise_product(r, kappa) -> tuple:
+    """The matrix of r•κ (``LIFT``) for square coefficient matrices r and κ:
+    entry (a·m + A, b·m + B) is r[a][b]·κ[A][B], m the size of κ."""
+    n, m = len(r), len(kappa)
+    out, terms = LIFT
+    tables = {"r": IntTable(r), "kappa": IntTable(kappa)}
+    return nest(contract(terms, tables, out, tensor_extents(out, n, m)), (n * m, n * m))
 
 
 def lift_r(r: Tensor2, qp: QuadraticPerm) -> Tensor2:
     """r̂ = Σᵢⱼ (xᵢ⊗eⱼ)⊗(yᵢ⊗fⱼ) on the flattened A⊗B basis."""
-    kap = kappa_tensor(qp)
-    return Tensor2(bullet(r.coeffs, kap.coeffs, r.dim_left, qp.algebra.dim))
+    return Tensor2(blockwise_product(r.coeffs, kappa_tensor(qp).coeffs))
 
 
 def coregular_bimodule(alg: FinAlgebra) -> Bimodule:
@@ -367,6 +394,35 @@ def _require(cond: bool, msg: str):
         raise HypothesisError(f"hypothesis failed: {msg}")
 
 
+# The agreement residuals of the transfer theorems, over the tensors they
+# compare.  A label order other than the output's permutes tensor slots:
+# "iqp" is τ on a coproduct cube, "ikj" is id⊗τ on a 3-tensor.
+TRANSFER_LAWS = {
+    # C_r − (A_r − (id⊗τ)(A_r))
+    "cybe_from_aybe": ("ijk", ((+1, ("C", "ijk")), (-1, ("A", "ijk")), (+1, ("A", "ikj")))),
+    # PL_r − (τ₁₃(D_r) − σ(D_r)), τ₁₃(x⊗y⊗z) = z⊗y⊗x and σ(x⊗y⊗z) = z⊗x⊗y
+    "plybe_from_dybe": ("ijk", ((+1, ("PL", "ijk")), (-1, ("D", "kji")), (+1, ("D", "jki")))),
+    # Δ_r − τΔ_r − δ_r
+    "cobracket_agree": ("ipq", ((+1, ("co", "ipq")), (-1, ("co", "iqp")), (-1, ("lie", "ipq")))),
+    # θ_≻,r − τθ_≺,r − ϑ_r
+    "coproduct_agree": ("ipq", (
+        (+1, ("co_gt", "ipq")), (-1, ("co_lt", "iqp")), (-1, ("prelie", "ipq")))),
+    # r̂ + τ(r̂)
+    "lift_skew": ("ab", ((+1, ("rhat", "ab")), (+1, ("rhat", "ba")))),
+    # the induced coproduct − the coboundary coproduct of r̂
+    "induced_cobracket_is_coboundary": ("ipq", (
+        (+1, ("induced", "ipq")), (-1, ("coboundary", "ipq")))),
+    "induced_coproduct_is_coboundary": ("ipq", (
+        (+1, ("induced", "ipq")), (-1, ("coboundary", "ipq")))),
+}
+
+
+def _transfer_residuals(names: tuple, tables: dict, n: int) -> dict:
+    """The residuals of the named ``TRANSFER_LAWS`` on ``tables``
+    (`exact.IntTable` each), every label of extent ``n``."""
+    return law_residuals({name: TRANSFER_LAWS[name] for name in names}, tables, n)
+
+
 def transfer_aybe_to_cybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     """C_r = A_r − (id⊗τ)(A_r) in the commutator Lie algebra.
 
@@ -378,15 +434,11 @@ def transfer_aybe_to_cybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
         invariance_residual(alg, s).ok,
         "r + τ(r) is not invariant under the associative actions",
     )
-    lie = commutator_lie(alg)
-    c_res = ybe_residual(lie, r)
-    a_res = ybe_residual(alg, r)
-    from .exact import flip3
-
-    rhs = a_res - flip3(a_res, (1, 2))
+    tables = {"C": IntTable(ybe_residual(commutator_lie(alg), r).coeffs),
+              "A": IntTable(ybe_residual(alg, r).coeffs)}
     return CheckReport.from_residuals(
         "associative-to-Lie Yang-Baxter transfer",
-        {"cybe_from_aybe": (c_res - rhs).coeffs},
+        _transfer_residuals(("cybe_from_aybe",), tables, alg.dim),
     )
 
 
@@ -394,16 +446,11 @@ def transfer_dybe_to_plybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     """PL_r is a signed slot-permutation combination of D_r, for symmetric r."""
     _require(alg.kind == "dendriform", "expected a dendriform algebra")
     _require((r - flip(r)).is_zero(), "r is not symmetric")
-    prelie = dendriform_to_prelie(alg)
-    pl_res = ybe_residual(prelie, r)
-    d_res = ybe_residual(alg, r)
-    from .exact import flip3
-
-    term1 = flip3(flip3(flip3(d_res, (1, 2)), (0, 1)), (1, 2))
-    term2 = flip3(flip3(d_res, (1, 2)), (0, 1))
+    tables = {"PL": IntTable(ybe_residual(dendriform_to_prelie(alg), r).coeffs),
+              "D": IntTable(ybe_residual(alg, r).coeffs)}
     return CheckReport.from_residuals(
         "dendriform-to-pre-Lie Yang-Baxter transfer",
-        {"plybe_from_dybe": (pl_res - (term1 - term2)).coeffs},
+        _transfer_residuals(("plybe_from_dybe",), tables, alg.dim),
     )
 
 
@@ -414,18 +461,11 @@ def transfer_assoc_cobound_to_lie(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     """
     _require(alg.kind == "assoc", "expected an associative algebra")
     _require((r + flip(r)).is_zero(), "r is not skew-symmetric")
-    delta = coboundary_coproduct(alg, r)
-    lie = commutator_lie(alg)
-    delta_lie = coboundary_coproduct(lie, r)
-    res = tuple(
-        mat_sub(
-            mat_sub(delta.coproducts["co"][i], transpose(delta.coproducts["co"][i])),
-            delta_lie.coproducts["co"][i],
-        )
-        for i in range(alg.dim)
-    )
+    tables = {"co": coboundary_coproduct(alg, r).tables["co"],
+              "lie": coboundary_coproduct(commutator_lie(alg), r).tables["co"]}
     return CheckReport.from_residuals(
-        "associative-to-Lie coboundary transfer", {"cobracket_agree": res}
+        "associative-to-Lie coboundary transfer",
+        _transfer_residuals(("cobracket_agree",), tables, alg.dim),
     )
 
 
@@ -436,21 +476,11 @@ def transfer_dend_cobound_to_prelie(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     """
     _require(alg.kind == "dendriform", "expected a dendriform algebra")
     _require((r - flip(r)).is_zero(), "r is not symmetric")
-    theta = coboundary_coproduct(alg, r)
-    prelie = dendriform_to_prelie(alg)
-    theta_pl = coboundary_coproduct(prelie, r)
-    res = tuple(
-        mat_sub(
-            mat_sub(
-                theta.coproducts["co_gt"][i],
-                transpose(theta.coproducts["co_lt"][i]),
-            ),
-            theta_pl.coproducts["co"][i],
-        )
-        for i in range(alg.dim)
-    )
+    tables = {**coboundary_coproduct(alg, r).tables,
+              "prelie": coboundary_coproduct(dendriform_to_prelie(alg), r).tables["co"]}
     return CheckReport.from_residuals(
-        "dendriform-to-pre-Lie coboundary transfer", {"coproduct_agree": res}
+        "dendriform-to-pre-Lie coboundary transfer",
+        _transfer_residuals(("coproduct_agree",), tables, alg.dim),
     )
 
 
@@ -491,18 +521,11 @@ def transfer_induced_lie_cobracket(
     _require(is_ybe_solution(alg, r), "r does not solve the pre-Lie Yang-Baxter equation")
     rhat = lift_r(r, qp)
     lie = tensor_lie(alg, qp.algebra)
-    from .bialgebras import induce_lie_bialgebra
-
-    theta = coboundary_coproduct(alg, r)
-    _, induced = induce_lie_bialgebra(alg, theta, qp)
-    delta_rhat = coboundary_coproduct(lie, rhat)
-    residuals = {
-        "lift_skew": (rhat + flip(rhat)).coeffs,
-        "induced_cobracket_is_coboundary": tuple(
-            mat_sub(induced.coproducts["co"][i], delta_rhat.coproducts["co"][i])
-            for i in range(lie.dim)
-        ),
-    }
+    _, induced = induce_lie_bialgebra(alg, coboundary_coproduct(alg, r), qp)
+    tables = {"rhat": IntTable(rhat.coeffs), "induced": induced.tables["co"],
+              "coboundary": coboundary_coproduct(lie, rhat).tables["co"]}
+    residuals = _transfer_residuals(
+        ("lift_skew", "induced_cobracket_is_coboundary"), tables, lie.dim)
     return CheckReport.from_residuals("induced Lie cobracket", residuals)
 
 
@@ -521,7 +544,7 @@ def transfer_dybe_lift(alg: FinAlgebra, r: Tensor2, qp: QuadraticPerm) -> CheckR
     rhat = lift_r(r, qp)
     assoc = tensor_assoc(alg, qp.algebra)
     residuals = {
-        "lift_skew": (rhat + flip(rhat)).coeffs,
+        **_transfer_residuals(("lift_skew",), {"rhat": IntTable(rhat.coeffs)}, assoc.dim),
         "lift_solves_aybe": ybe_residual(assoc, rhat).coeffs,
     }
     return CheckReport.from_residuals("dendriform-to-associative lift", residuals)
@@ -538,17 +561,10 @@ def transfer_induced_asi_coproduct(
     )
     rhat = lift_r(r, qp)
     assoc = tensor_assoc(alg, qp.algebra)
-    from .bialgebras import induce_asi_bialgebra
-
-    theta = coboundary_coproduct(alg, r)
-    _, induced = induce_asi_bialgebra(alg, theta, qp)
-    delta_rhat = coboundary_coproduct(assoc, rhat)
-    residuals = {
-        "induced_coproduct_is_coboundary": tuple(
-            mat_sub(induced.coproducts["co"][i], delta_rhat.coproducts["co"][i])
-            for i in range(assoc.dim)
-        ),
-    }
+    _, induced = induce_asi_bialgebra(alg, coboundary_coproduct(alg, r), qp)
+    tables = {"induced": induced.tables["co"],
+              "coboundary": coboundary_coproduct(assoc, rhat).tables["co"]}
+    residuals = _transfer_residuals(("induced_coproduct_is_coboundary",), tables, assoc.dim)
     return CheckReport.from_residuals("induced ASI coproduct", residuals)
 
 

@@ -93,6 +93,35 @@ def test_check_malformed_file_is_usage_error(runner, tmp_path, text, message):
     assert message in res.output
 
 
+def _form_not_antisymmetric(obj):
+    obj["form"] = [["1", "1"], ["-1", "0"]]
+
+
+def _form_degenerate(obj):
+    obj["form"] = [["0", "0"], ["0", "0"]]
+
+
+def _form_not_invariant(obj):
+    # x₁x₁ = x₁ breaks ω(x₁x₁, x₂) = ω(x₁, x₁x₂ − x₂x₁)
+    obj["products"]["mul"].append(
+        {"left": 0, "right": 0, "result": [{"index": 0, "coeff": "1"}]})
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_form_not_antisymmetric, "form is not antisymmetric: fails at entry (0, 0)"),
+    (_form_degenerate, "form is degenerate: kernel vector"),
+    (_form_not_invariant, "form is not invariant: fails on basis triple (0, 0, 1)"),
+])
+def test_invalid_quadratic_form_is_usage_error(runner, tmp_path, mutate, message):
+    obj = json.loads(Path(corpus("perm-quadratic.json")).read_text())
+    mutate(obj)
+    bad = tmp_path / "qperm.json"
+    bad.write_text(json.dumps(obj))
+    res = invoke(runner, "check", str(bad))
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
 def test_check_json_format_is_deterministic(runner):
     a = invoke(runner, "check", corpus("ex-D-alg-iii.json"), "--format", "json")
     b = invoke(runner, "check", corpus("ex-D-alg-iii.json"), "--format", "json")

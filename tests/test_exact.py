@@ -15,14 +15,12 @@ from dendrikit.exact import (
     determinant,
     dual_basis,
     flip,
-    flip3,
     identity_matrix,
     mat_inverse,
     mat_mul,
     sharp,
     tensor_product_elem,
     transpose,
-    Tensor3,
 )
 
 
@@ -57,12 +55,6 @@ def test_flip_is_involution():
     r = Tensor2(((ONE, Fraction(2)), (Fraction(3), ZERO)))
     assert flip(flip(r)).coeffs == r.coeffs
     assert flip(r).coeffs == transpose(r.coeffs)
-
-
-def test_flip3_slot_swaps():
-    t = Tensor3([[[Fraction(i * 9 + j * 3 + k) for k in range(3)] for j in range(3)] for i in range(3)])
-    assert flip3(flip3(t, (0, 1)), (0, 1)).coeffs == t.coeffs
-    assert flip3(t, (0, 2)).coeffs[0][1][2] == t.coeffs[2][1][0]
 
 
 def test_sharp_pairing_convention():

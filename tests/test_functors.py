@@ -10,7 +10,6 @@ from dendrikit.functors import (
     dendriform_to_assoc,
     dendriform_to_prelie,
     tensor_assoc,
-    tensor_index,
     tensor_lie,
 )
 
@@ -50,11 +49,6 @@ def test_tensor_lie_matches_expected(dend_pair, perm_pair):
     tl = tensor_lie(dendriform_to_prelie(dend_pair), perm_pair)
     assert tl.products == examples.expected_tensor_lie().products
     assert check_axioms(tl).ok
-
-
-def test_tensor_index_flattening():
-    assert tensor_index(2, 1, 0) == 2
-    assert tensor_index(3, 1, 2) == 5
 
 
 def test_square_commutes_on_both_dendriform_algebras(perm_pair):
