@@ -22,7 +22,10 @@ finite sum that no truncation changes.  A check therefore tabulates, once per
 call, the residual of each pattern: the ∂-indices and basis indices of D of
 the sources, and those of the target with its offset.  It visits window
 sources and targets only where that residual is nonzero, and counts the
-others in closed form.
+others in closed form.  Failures are listed in the order of their targets:
+every window cell has an integer rank, its position in sorted order, so a
+target is one int and its cells are built once, after the sort (`_grid`,
+`_window_residuals`).
 
 Accumulation is over the integers.  The structure constants of D are read
 from its `exact.IntTable`s, brought to the lcm L_D of their denominators, the
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import product, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -71,8 +74,9 @@ GRADING_M = -2
 # `affine --check assoc|coalg|asi` on the corpus D-bialgebra takes under 0.2 s
 # at N = 5 on two vCPUs, interpreter start-up included.  A failing input gets
 # one failure per window target, and their number grows steeply with N: one
-# coproduct coefficient shifted by 1/3 gives 2.5 million at N = 4 and
-# 11.7 million at N = 5.
+# coproduct coefficient shifted by 1/3 gives 2.5 million at N = 4, which
+# `check_completed_asi` lists in about 6.5 s at a peak RSS of 525 MB on the
+# same host, and 11.7 million at N = 5.
 MAX_WINDOW = 5
 
 
@@ -228,59 +232,75 @@ def _slots(dim: int) -> list:
     return [(d, s) for d in range(dim) for s in (1, 2)]
 
 
-def _splits(total: int, N: int, k: int) -> list:
-    """The k-tuples of exponents in [−N, N] that add up to ``total``, each
-    exponent e given as its grid index e + N."""
-    if k == 1:
-        return [(total + N,)] if -N <= total <= N else []
+def _splits(total: int, N: int, weights: list) -> list:
+    """Σⱼ wⱼ·(eⱼ + N) for every tuple (e₁, …, e_k) of exponents in [−N, N] that
+    adds up to ``total``, with k = len(weights)."""
+    w, *rest = weights
+    if not rest:
+        return [w * (total + N)] if -N <= total <= N else []
+    reach = len(rest) * N
     return [
-        (e + N, *rest)
-        for e in range(max(-N, total - (k - 1) * N), min(N, total + (k - 1) * N) + 1)
-        for rest in _splits(total - e, N, k - 1)
+        w * (e + N) + tail
+        for e in range(max(-N, total - reach), min(N, total + reach) + 1)
+        for tail in _splits(total - e, N, rest)
     ]
 
 
-def _mono_grid(N: int) -> dict:
-    """Every window monomial x^{i}∂ₛ, as grid[s][i₁ + N][i₂ + N]."""
+def _grid(N: int, dim: int | None = None) -> tuple[list, dict]:
+    """The window cells in sorted order, and the rank of each slot's first cell.
+
+    A cell is a monomial x^{i}∂ₛ or, given ``dim``, a pair (d, x^{i}∂ₛ) of D⊗B.
+    Its rank, its position in the list, is ((d·W + i₁+N)·W + i₂+N)·2 + s − 1
+    with W = 2N + 1 (d = 0 for a monomial), so a slot s or (d, s) starts at the
+    rank of i = (−N, −N) and each exponent adds a fixed step to it.
+    """
     r = range(-N, N + 1)
-    return {s: [[_mono((i1, i2, s)) for i2 in r] for i1 in r] for s in (1, 2)}
+    monos = [_mono(i) for i in product(r, r, (1, 2))]
+    if dim is None:
+        return monos, {s: s - 1 for s in (1, 2)}
+    return ([(d, m) for d in range(dim) for m in monos],
+            {(d, s): 2 * d * len(r) ** 2 + s - 1 for d, s in _slots(dim)})
 
 
-def _slot_grid(N: int, dim: int) -> dict:
-    """Every window cell (d, x^{i}∂ₛ) of D⊗B, as grid[d, s][i₁ + N][i₂ + N]."""
-    monos = _mono_grid(N)
-    return {(d, s): [[(d, m) for m in row] for row in monos[s]] for d, s in _slots(dim)}
-
-
-def _window_keys(slots, total: tuple, N: int, grid: dict) -> list:
-    """The tuples of window cells, one per slot, whose exponents add up to
-    ``total``.  The cells are read from ``grid``, so each is built once per
-    call."""
-    k = len(slots)
-    second = _splits(total[1], N, k)
-    keys = []
-    for xs in _splits(total[0], N, k):
-        rows = [grid[slot][x] for slot, x in zip(slots, xs)]
-        keys += [tuple(map(list.__getitem__, rows, ys)) for ys in second]
-    return keys
-
-
-def _window_residuals(patterns: dict, base: tuple, N: int, scale: int, grid: dict) -> list:
+def _window_residuals(patterns: dict, base: tuple, N: int, scale: int, grid: tuple) -> list:
     """(key, residual) for every window target of each pattern, sorted by key.
 
     ``patterns`` maps (target slots, offset) to a nonzero residual over
-    ``scale``; the targets' exponents add up to ``base`` plus the offset.
+    ``scale``; the targets' exponents add up to ``base`` plus the offset, and
+    their cells are read from ``grid`` (`_grid`).  A key of k cells of ranks
+    r₁, …, r_k is numbered Σⱼ rⱼ·R^{k−j} with R the number of cells, which
+    sorts as the key does; rank is affine in the exponents, so a pattern's
+    numbers are its slots' first ranks plus one split of each axis.  The
+    numbers, times the number P of patterns plus the pattern's index, are
+    sorted as ints, and each key is built once, in output order.
     """
-    found = {}
-    for (slots, offset), c in patterns.items():
-        value = Fraction(c, scale)
-        for key in _window_keys(slots, _plus(base, offset), N, grid):
-            found[key] = value
-    return [(key, found[key]) for key in sorted(found)]
+    if not patterns:
+        return []
+    cells, first = grid
+    R, P = len(cells), len(patterns)
+    k = len(next(iter(patterns))[0])
+    place = [P * R ** (k - 1 - j) for j in range(k)]
+    # an exponent step is 2·W ranks on the first axis and 2 on the second
+    step1 = [2 * (2 * N + 1) * w for w in place]
+    step2 = [2 * w for w in place]
+    codes, values = [], []
+    for p, ((slots, offset), c) in enumerate(patterns.items()):
+        values.append(Fraction(c, scale))
+        start = sum(first[slot] * w for slot, w in zip(slots, place)) + p
+        ys = _splits(base[1] + offset[1], N, step2)
+        codes += [start + x + y for x in _splits(base[0] + offset[0], N, step1) for y in ys]
+    codes.sort()
+    if k == 2:
+        return [((cells[n // R], cells[n % R]), values[p])
+                for n, p in map(divmod, codes, repeat(P))]
+    RR = R * R
+    return [((cells[n // RR], cells[n // R % R], cells[n % R]), values[p])
+            for n, p in map(divmod, codes, repeat(P))]
 
 
 def _split_counts(N: int, k: int) -> dict:
-    """total ↦ len(_splits(total, N, k)), for every total that has a split."""
+    """total ↦ the number of k-tuples of exponents in [−N, N] that add up to
+    it, for every total that has one."""
     counts = {0: 1}
     for _ in range(k):
         wider: dict = {}
@@ -294,16 +314,6 @@ def _split_counts(N: int, k: int) -> dict:
 def _box_size(bound: int) -> int:
     """The number of monomials ``iter_box(bound)`` yields."""
     return 2 * (2 * bound + 1) ** 2
-
-
-def _acc(d: dict, key, val):
-    if val == 0:
-        return
-    new = d.get(key, 0) + val
-    if new == 0:
-        d.pop(key, None)
-    else:
-        d[key] = new
 
 
 # --- graded perm algebra checks ---------------------------------------------
@@ -422,23 +432,26 @@ def check_nu_pairing(w: Window) -> AffineReport:
     so each ∂-triple is decided by one sign per offset.
     """
     bound = w.safe_bound(1)
-    monos = _mono_grid(w.N)
-    failures = []
-    for parts in product((1, 2), repeat=3):
-        s1, s2, s3 = parts
+    # per ∂-index of b₁: ((s₂, s₃), −offset) ↦ residual, where b₂ + b₃ = −b₁ − offset
+    patterns: dict = {1: {}, 2: {}}
+    for s1, s2, s3 in product((1, 2), repeat=3):
         res: dict = {}
         # ϖ(u, b₂)ϖ(v, b₃) with u + v = b₁ + shift
         for s, _, shift, sign in _pattern_nu(s1):
             _add(res, shift, sign * _form_sign(s, s2) * _form_sign(s1, s3))
         # minus −ϖ(b₁, b₂b₃), b₂b₃ = x^{b₂+b₃+e_{s₂}}∂_{s₃}
         _add(res, _UNIT[s2], _form_sign(s1, s3))
-        for offset, c in _support(res).items():
-            value = Fraction(c)
-            for b1 in _part(bound, s1):
-                total = (-offset[0] - b1.i1, -offset[1] - b1.i2)
-                for b2, b3 in _window_keys(parts[1:], total, w.N, monos):
-                    failures.append(("nu_pairing", (b1, b2, b3), value))
-    failures.sort(key=itemgetter(1))
+        for (o1, o2), c in _support(res).items():
+            patterns[s1][(s2, s3), (-o1, -o2)] = c
+    failures = []
+    if any(patterns.values()):
+        grid = _grid(w.N)
+        for b1 in iter_box(bound):  # in sorted order
+            failures.extend(
+                ("nu_pairing", (b1, *key), value)
+                for key, value in _window_residuals(
+                    patterns[b1.s], (-b1.i1, -b1.i2), w.N, 1, grid)
+            )
     return AffineReport(
         "completed coproduct pairing", w.N, f"sources |i| <= {bound}",
         _box_size(bound) * _box_size(w.N) ** 2, tuple(failures),
@@ -480,14 +493,14 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
                             * sum(counts.get(i + o2, 0) for i in reach))
                 diff[pattern] = one.get(pattern, 0) - other.get(pattern, 0)
             laws[t].append((label, _support(diff)))
-    monos = _mono_grid(w.N)
+    grid = _grid(w.N)
     failures = []
     for b in iter_box(bound):
         base = (b.i1, b.i2)
         for label, diff in laws[b.s]:
             failures.extend(
                 (label, (b, key), value)
-                for key, value in _window_residuals(diff, base, w.N, 1, monos)
+                for key, value in _window_residuals(diff, base, w.N, 1, grid)
             )
     return AffineReport(
         "completed perm coalgebra", w.N, f"sources |i| <= {bound}", checked,
@@ -496,32 +509,6 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
 
 
 # --- affine associative algebra ---------------------------------------------
-
-
-def affine_assoc_product(D: FinAlgebra, t1, t2) -> dict:
-    """(d₁⊗b₁)∗(d₂⊗b₂) = (d₁≻d₂)⊗(b₁b₂) + (d₁≺d₂)⊗(b₂b₁) as a finite sum.
-
-    ``t1``/``t2`` are pairs (dendriform basis index, GradedPermIndex); the
-    result maps such pairs to coefficients.
-    """
-    if D.kind != "dendriform":
-        raise ValueError("expected a dendriform algebra")
-    (d1, b1), (d2, b2) = t1, t2
-    out: dict = {}
-    m_gt = mono_product(b1, b2)
-    m_lt = mono_product(b2, b1)
-    for k in range(D.dim):
-        _acc(out, (k, m_gt), D.products["gt"][k][d1][d2])
-        _acc(out, (k, m_lt), D.products["lt"][k][d1][d2])
-    return out
-
-
-def _product_expand(D: FinAlgebra, left: dict, t2) -> dict:
-    out: dict = {}
-    for (d, m), c in left.items():
-        for key, c2 in affine_assoc_product(D, (d, m), t2).items():
-            _acc(out, key, c * c2)
-    return out
 
 
 # Proof-predicted localization of the dendriform axioms inside affine
@@ -682,7 +669,7 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
         res = _compatibility_patterns(P, Q, x, y)
         if any(res):
             live[x, y] = res
-    grid = _slot_grid(w.N, D.dim)
+    grid = _grid(w.N, D.dim)
     failures: list = []
     sources = [(d, b) for d in range(D.dim) for b in iter_box(bound)]
     for a1, a2 in product(sources, repeat=2):
@@ -692,10 +679,8 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
             continue
         base = (b1.i1 + b2.i1, b1.i2 + b2.i2)
         for label, patterns in zip(("casi1", "casi2"), res):
-            failures.extend(
-                (label, (a1, a2), kv)
-                for kv in _window_residuals(patterns, base, w.N, scale_d * scale_t, grid)
-            )
+            kvs = _window_residuals(patterns, base, w.N, scale_d * scale_t, grid)
+            failures.extend(zip(repeat(label), repeat((a1, a2)), kvs))
     checked = len(sources) ** 2
     # completed coassociativity, one source at a time
     checked += _coassoc_failures(Q, scale_t, w, grid, failures)
@@ -706,9 +691,9 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
     )
 
 
-def _coassoc_failures(Q: list, scale: int, w: Window, grid: dict, failures: list) -> int:
+def _coassoc_failures(Q: list, scale: int, w: Window, grid: tuple, failures: list) -> int:
     """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check over the coproduct rows ``Q`` of
-    `_scaled_coproducts` and the cells ``grid`` of `_slot_grid`; appends
+    `_scaled_coproducts` and the cells ``grid`` of `_grid`; appends
     failures, returns count."""
     live = {}
     for x in _slots(len(Q)):
@@ -722,10 +707,8 @@ def _coassoc_failures(Q: list, scale: int, w: Window, grid: dict, failures: list
         live[x] = _support(res)
     sources = [(d, b) for d in range(len(Q)) for b in iter_box(w.safe_bound(2))]
     for d, b in sources:
-        failures.extend(
-            ("coassoc", (d, b), kv)
-            for kv in _window_residuals(live[d, b.s], (b.i1, b.i2), w.N, scale * scale, grid)
-        )
+        kvs = _window_residuals(live[d, b.s], (b.i1, b.i2), w.N, scale * scale, grid)
+        failures.extend(zip(repeat("coassoc"), repeat((d, b)), kvs))
     return len(sources)
 
 
@@ -739,7 +722,7 @@ def check_completed_coassociativity(
         raise ValueError("algebra and coproducts must share dimension")
     failures: list = []
     Q, scale = _scaled_coproducts(theta)
-    checked = _coassoc_failures(Q, scale, w, _slot_grid(w.N, theta.dim), failures)
+    checked = _coassoc_failures(Q, scale, w, _grid(w.N, theta.dim), failures)
     return AffineReport(
         "completed coassociativity", w.N, f"sources |i| <= {w.safe_bound(2)}",
         checked, tuple(failures),

@@ -28,6 +28,7 @@ from .algebras import CheckReport, FinAlgebra, first_nonzero_nested, law_residua
 from .exact import (
     BilinForm,
     IntTable,
+    LinMap,
     Vec,
     contract,
     dual_basis,
@@ -314,10 +315,26 @@ def check_bialgebra(
 
 @dataclass(frozen=True)
 class QuadraticPerm:
-    """A perm algebra with an antisymmetric, invariant, nondegenerate form."""
+    """A perm algebra with an antisymmetric, invariant, nondegenerate form.
+
+    The dual basis F = ω⁻¹ (`exact.dual_basis`: column j is fⱼ) and the perm
+    coproduct ν of `perm_coalgebra_from_quadratic` are built once, in the
+    constructor, in derived fields that equality and repr do not read.
+    """
 
     algebra: FinAlgebra
     form: BilinForm
+    dual: LinMap = field(init=False, repr=False, compare=False)
+    nu: CoalgStruct = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        F = dual_basis(self.form)
+        n = self.algebra.dim
+        tables = {"mul": self.algebra.tables["mul"], "w": IntTable(self.form.matrix),
+                  "F": IntTable(F.matrix)}
+        object.__setattr__(self, "dual", F)
+        object.__setattr__(self, "nu", CoalgStruct(
+            "perm", n, law_residuals(NU_COPRODUCT, tables, n)))
 
 
 # The form ω is labelled w[i][j] = ω(bᵢ, bⱼ) and the perm product c[k][i][j].
@@ -378,17 +395,15 @@ def perm_coalgebra_from_quadratic(qp: QuadraticPerm) -> CoalgStruct:
     normalization under which the induced Lie/ASI coproducts of triangular
     structures coincide with the coboundary coproducts of the lifted
     r-matrix.  Writing W for the form matrix, the coefficient matrix of
-    ν(b) is N_b = (Wᵀ)⁻¹·R_b·W⁻¹ with R_b[j][k] = ω(b, bⱼbₖ).
+    ν(b) is N_b = (Wᵀ)⁻¹·R_b·W⁻¹ with R_b[j][k] = ω(b, bⱼbₖ) (`NU_COPRODUCT`,
+    evaluated once by the `QuadraticPerm` constructor).
     """
-    alg = qp.algebra
-    tables = {"mul": alg.tables["mul"], "w": IntTable(qp.form.matrix),
-              "F": IntTable(dual_basis(qp.form).matrix)}
-    return CoalgStruct("perm", alg.dim, law_residuals(NU_COPRODUCT, tables, alg.dim))
+    return qp.nu
 
 
 def dual_basis_vectors(qp: QuadraticPerm) -> list[Vec]:
     """Vectors fⱼ with ω(eᵢ, fⱼ) = δᵢⱼ."""
-    F = dual_basis(qp.form).matrix
+    F = qp.dual.matrix
     return [Vec(tuple(F[i][j] for i in range(qp.algebra.dim))) for j in range(qp.algebra.dim)]
 
 
@@ -425,9 +440,8 @@ def check_quadratic_perm_identities(qp: QuadraticPerm) -> CheckReport:
       (iii) Σⱼ (beⱼ)⊗fⱼ = Σⱼ eⱼ⊗(bfⱼ) = Σ(b₍₁₎⊗b₍₂₎ − b₍₂₎⊗b₍₁₎)
       (iv)  Σⱼ eⱼ⊗fⱼ = −Σⱼ fⱼ⊗eⱼ
     """
-    tables = {"mul": qp.algebra.tables["mul"],
-              "nu": perm_coalgebra_from_quadratic(qp).tables["co"],
-              "F": IntTable(dual_basis(qp.form).matrix)}
+    tables = {"mul": qp.algebra.tables["mul"], "nu": qp.nu.tables["co"],
+              "F": IntTable(qp.dual.matrix)}
     residuals = law_residuals(QUADRATIC_PERM_IDENTITIES, tables, qp.algebra.dim)
     return CheckReport.from_residuals("quadratic perm identities", residuals)
 
@@ -467,7 +481,7 @@ def induce_lie_bialgebra(
     if prelie.kind != "prelie" or theta.kind != "prelie":
         raise ValueError("expected a pre-Lie algebra with a pre-Lie coproduct")
     na, nb = prelie.dim, qp.algebra.dim
-    tables = {"co": theta.tables["co"], "nu": perm_coalgebra_from_quadratic(qp).tables["co"]}
+    tables = {"co": theta.tables["co"], "nu": qp.nu.tables["co"]}
     cobracket = _coconstruct("induce_lie", "lie", tables, na * nb,
                              tensor_extents("iIpPqQ", na, nb))
     return tensor_lie(prelie, qp.algebra), cobracket
@@ -480,7 +494,7 @@ def induce_asi_bialgebra(
     if dend.kind != "dendriform" or theta.kind != "dendriform":
         raise ValueError("expected a dendriform algebra with dendriform coproducts")
     nd, nb = dend.dim, qp.algebra.dim
-    tables = {**theta.tables, "nu": perm_coalgebra_from_quadratic(qp).tables["co"]}
+    tables = {**theta.tables, "nu": qp.nu.tables["co"]}
     coproduct = _coconstruct("induce_asi", "assoc", tables, nd * nb,
                              tensor_extents("iIpPqQ", nd, nb))
     return tensor_assoc(dend, qp.algebra), coproduct

@@ -41,7 +41,6 @@ from .exact import (
     Tensor3,
     ZERO,
     contract,
-    dual_basis,
     flip,
     mat_add,
     mat_sub,
@@ -231,9 +230,9 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
 def kappa_tensor(qp: QuadraticPerm) -> Tensor2:
     """κ = Σⱼ eⱼ⊗fⱼ built from the ω-dual basis; satisfies τ(κ) = −κ.
 
-    Its coefficient matrix is Fᵀ, F = `exact.dual_basis` (column j is fⱼ).
+    Its coefficient matrix is Fᵀ, F = `QuadraticPerm.dual` (column j is fⱼ).
     """
-    return Tensor2(transpose(dual_basis(qp.form).matrix))
+    return Tensor2(transpose(qp.dual.matrix))
 
 
 # r•κ = Σ (x⊗e)⊗(y⊗f) for r = Σ x⊗y and κ = Σ e⊗f, on the flattened basis

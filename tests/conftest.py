@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 from dendrikit import examples
+from dendrikit.affinization import mono_product
 from dendrikit.algebras import FinAlgebra
 from dendrikit.exact import (
     ZERO,
@@ -90,3 +92,31 @@ def conjugate_operator(P: LinMap, S) -> LinMap:
 
 def int_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def affine_product(D: FinAlgebra, t1, t2) -> dict:
+    """(d₁⊗b₁)∗(d₂⊗b₂) = (d₁≻d₂)⊗(b₁b₂) + (d₁≺d₂)⊗(b₂b₁) as a finite sum.
+
+    ``t1``/``t2`` are pairs (basis index of the dendriform algebra D,
+    GradedPermIndex); the result maps such pairs to nonzero coefficients.  It
+    reads D's cubes term by term, an oracle independent of the pattern tables
+    of `dendrikit.affinization`.
+    """
+    (d1, b1), (d2, b2) = t1, t2
+    out = defaultdict(Fraction)
+    for k in range(D.dim):
+        out[k, mono_product(b1, b2)] += D.products["gt"][k][d1][d2]
+        out[k, mono_product(b2, b1)] += D.products["lt"][k][d1][d2]
+    return {key: c for key, c in out.items() if c}
+
+
+def affine_associator(D: FinAlgebra, t1, t2, t3) -> dict:
+    """The nonzero coefficients of (a₁∗a₂)∗a₃ − a₁∗(a₂∗a₃), by `affine_product`."""
+    out = defaultdict(Fraction)
+    for m, c in affine_product(D, t1, t2).items():
+        for key, c2 in affine_product(D, m, t3).items():
+            out[key] += c * c2
+    for m, c in affine_product(D, t2, t3).items():
+        for key, c2 in affine_product(D, t1, m).items():
+            out[key] -= c * c2
+    return {key: c for key, c in out.items() if c}

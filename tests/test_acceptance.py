@@ -59,7 +59,13 @@ from dendrikit.ybe import (
     ybe_residual,
 )
 
-from conftest import conjugate_algebra, conjugate_form, conjugate_tensor, int_matrix
+from conftest import (
+    affine_associator,
+    conjugate_algebra,
+    conjugate_form,
+    conjugate_tensor,
+    int_matrix,
+)
 
 CORPUS = Path(str(files("dendrikit") / "corpus"))
 
@@ -228,19 +234,6 @@ def test_criterion_6_affinization_window():
                         check_affine_associativity(bad, w).ok
 
     # the failing coefficient sits exactly where the proof localizes it
-    from dendrikit.affinization import _acc, _product_expand, affine_assoc_product
-
-    def associator(alg, t1, t2, t3):
-        left = _product_expand(alg, affine_assoc_product(alg, t1, t2), t3)
-        right = {}
-        for key_mid, c in affine_assoc_product(alg, t2, t3).items():
-            for key, c2 in affine_assoc_product(alg, t1, key_mid).items():
-                _acc(right, key, c * c2)
-        return {
-            key: left.get(key, ZERO) - right.get(key, ZERO)
-            for key in set(left) | set(right)
-        }
-
     for op, k, i, j in (("lt", 0, 0, 0), ("gt", 1, 1, 1)):
         bad = perturb_product(D, op, k, i, j, 1)
         finite = check_axioms(bad)
@@ -253,7 +246,7 @@ def test_criterion_6_affinization_window():
                             (d, Mono(0, 0, s))
                             for d, s in zip((d1, d2, d3), pattern)
                         )
-                        diff = associator(bad, *sources)
+                        diff = affine_associator(bad, *sources)
                         for kk in range(2):
                             got = diff.get((kk, ASSOC_LOCALIZATION_TARGET), ZERO)
                             assert got == sign * finite.residuals[axiom][d1][d2][d3][kk]

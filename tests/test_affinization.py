@@ -3,6 +3,8 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
+from operator import itemgetter
 
 import pytest
 
@@ -14,9 +16,6 @@ from dendrikit.affinization import (
     InsufficientWindowError,
     Mono,
     Window,
-    _acc,
-    _product_expand,
-    affine_assoc_product,
     check_affine_associativity,
     check_completed_asi,
     check_completed_coassociativity,
@@ -35,6 +34,8 @@ from dendrikit.affinization import (
 from dendrikit.algebras import check_axioms
 from dendrikit.bialgebras import check_bialgebra, check_coalgebra
 from dendrikit.exact import ZERO
+
+from conftest import affine_associator, affine_product
 
 
 # --- graded perm algebra and its form ----------------------------------------
@@ -87,21 +88,6 @@ def test_affine_associativity_passes(dend_pair, rb_dendriform):
     assert check_affine_associativity(rb_dendriform, Window(2)).ok
 
 
-def _associator(D, t1, t2, t3):
-    left = _product_expand(D, affine_assoc_product(D, t1, t2), t3)
-    inner = affine_assoc_product(D, t2, t3)
-    right: dict = {}
-    for (dk, mk), c in inner.items():
-        for key, c2 in affine_assoc_product(D, t1, (dk, mk)).items():
-            _acc(right, key, c * c2)
-    out: dict = {}
-    for key in set(left) | set(right):
-        diff = left.get(key, ZERO) - right.get(key, ZERO)
-        if diff:
-            out[key] = diff
-    return out
-
-
 # orientation of the finite residual relative to the affine associator
 _LOCALIZATION_SIGN = {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): -1}
 
@@ -131,7 +117,7 @@ def test_perturbation_localizes_to_predicted_coefficient(dend_pair, op, k, i, j)
                         (d, Mono(0, 0, s))
                         for d, s in zip((d1, d2, d3), pattern)
                     )
-                    assoc = _associator(bad, *sources)
+                    assoc = affine_associator(bad, *sources)
                     for kk in range(2):
                         got = assoc.get((kk, ASSOC_LOCALIZATION_TARGET), ZERO)
                         assert got == sign * res[d1][d2][d3][kk]
@@ -282,7 +268,7 @@ def _direct_asi(D, theta, w):
         return expanded[a]
 
     def times(x, y):
-        return affine_assoc_product(D, x, y).items()
+        return affine_product(D, x, y).items()
 
     failures = []
     for a1 in sources:
@@ -328,7 +314,7 @@ def _direct_assoc(D, w):
                     for b2 in monos:
                         for b3 in monos:
                             source = ((d1, b1), (d2, b2), (d3, b3))
-                            diff = _associator(D, *source)
+                            diff = affine_associator(D, *source)
                             failures.extend(("associativity", source, (key, diff[key]))
                                             for key in sorted(diff))
     return tuple(failures)
@@ -468,3 +454,120 @@ def test_per_pattern_form_and_perm_checks_match_every_tuple(monkeypatch, fault, 
     assert (perm.checked, perm.failures) == _tuple_perm_axioms(w)
     form = check_graded_form(w)
     assert (form.checked, form.failures) == _tuple_graded_form(w)
+
+
+# --- ranked window targets against a sort of the built keys ----------------------
+#
+# The window residuals before targets were numbered by the ranks of their cells:
+# every key built as a tuple of grid cells, collected in a dict and sorted.
+
+
+def _old_splits(total, N, k):
+    if k == 1:
+        return [(total + N,)] if -N <= total <= N else []
+    return [
+        (e + N, *rest)
+        for e in range(max(-N, total - (k - 1) * N), min(N, total + (k - 1) * N) + 1)
+        for rest in _old_splits(total - e, N, k - 1)
+    ]
+
+
+def _old_mono_grid(N):
+    r = range(-N, N + 1)
+    return {s: [[Mono(i1, i2, s) for i2 in r] for i1 in r] for s in (1, 2)}
+
+
+def _old_slot_grid(N, dim):
+    monos = _old_mono_grid(N)
+    return {(d, s): [[(d, m) for m in row] for row in monos[s]]
+            for d in range(dim) for s in (1, 2)}
+
+
+def _old_window_keys(slots, total, N, grid):
+    k = len(slots)
+    second = _old_splits(total[1], N, k)
+    keys = []
+    for xs in _old_splits(total[0], N, k):
+        rows = [grid[slot][x] for slot, x in zip(slots, xs)]
+        keys += [tuple(map(list.__getitem__, rows, ys)) for ys in second]
+    return keys
+
+
+def _old_window_residuals(patterns, base, N, scale, grid):
+    found = {}
+    for (slots, offset), c in patterns.items():
+        value = Fraction(c, scale)
+        for key in _old_window_keys(slots, (base[0] + offset[0], base[1] + offset[1]), N, grid):
+            found[key] = value
+    return [(key, found[key]) for key in sorted(found)]
+
+
+@pytest.mark.parametrize("N", (1, 2, 3, 4))
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("dim", (None, 1, 2, 3))
+def test_ranked_targets_match_a_sort_of_the_keys(dim, k, N):
+    """Random pattern sets, several sharing their slots, with sums that reach
+    past the window edge; ``dim=None`` is the monomial grid of the perm
+    coalgebra check.  The repr is compared too, so cell types must agree."""
+    rng = random.Random(f"{dim}/{k}/{N}")
+    slots = (1, 2) if dim is None else [(d, s) for d in range(dim) for s in (1, 2)]
+    grid = affinization._grid(N, dim)
+    old_grid = _old_mono_grid(N) if dim is None else _old_slot_grid(N, dim)
+    reach = k * N + 2
+    sizes = []
+    for _ in range(20):
+        shared = [tuple(rng.choice(slots) for _ in range(k)) for _ in range(3)]
+        patterns = {
+            (rng.choice(shared), (rng.randint(-3, 3), rng.randint(-3, 3))):
+                rng.choice((-3, -1, 1, 2, 5))
+            for _ in range(rng.randint(1, 8))
+        }
+        base = (rng.randint(-reach, reach), rng.randint(-reach, reach))
+        scale = rng.choice((1, 3, 10))
+        new = affinization._window_residuals(patterns, base, N, scale, grid)
+        old = _old_window_residuals(patterns, base, N, scale, old_grid)
+        assert repr(new) == repr(old)
+        sizes.append(len(new))
+    assert 0 in sizes and max(sizes) > 0
+
+
+def _old_nu_pairing(w):
+    """check_nu_pairing with its failures sorted by source after they were
+    built, reading the module's names at call time."""
+    af = affinization
+    bound = w.safe_bound(1)
+    monos = _old_mono_grid(w.N)
+    failures = []
+    for parts in product((1, 2), repeat=3):
+        s1, s2, s3 = parts
+        res = {}
+        for s, _, shift, sign in af._pattern_nu(s1):
+            af._add(res, shift, sign * af._form_sign(s, s2) * af._form_sign(s1, s3))
+        af._add(res, af._UNIT[s2], af._form_sign(s1, s3))
+        for offset, c in af._support(res).items():
+            value = Fraction(c)
+            for b1 in af._part(bound, s1):
+                total = (-offset[0] - b1.i1, -offset[1] - b1.i2)
+                for b2, b3 in _old_window_keys(parts[1:], total, w.N, monos):
+                    failures.append(("nu_pairing", (b1, b2, b3), value))
+    failures.sort(key=itemgetter(1))
+    return tuple(failures)
+
+
+NU_FAULTS = {
+    "none": {},
+    "symmetric-form": {"_form_sign": lambda s, t: 0 if s == t else 1},
+    "nu-signs-equal": {"_pattern_nu": lambda t: [(1, t, (0, 1), 1), (2, t, (1, 0), 1)]},
+    "nu-shift-swapped": {"_pattern_nu": lambda t: [(1, t, (1, 0), 1), (2, t, (0, 1), -1)]},
+}
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("fault", sorted(NU_FAULTS))
+def test_ranked_nu_pairing_matches_a_sort_by_source(monkeypatch, fault, N):
+    for name, value in NU_FAULTS[fault].items():
+        monkeypatch.setattr(affinization, name, value)
+    rep = check_nu_pairing(Window(N))
+    old = _old_nu_pairing(Window(N))
+    assert repr(rep.failures) == repr(old)
+    assert bool(old) == (fault != "none")
