@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .exact import (
@@ -53,19 +54,40 @@ KIND_BIMODULE_ACTIONS = {
 
 
 def first_nonzero_nested(x, path=()):
-    """Depth-first search for the first nonzero scalar in nested containers."""
+    """The first nonzero scalar of nested containers, depth first, as (index
+    path, value), or None.
+
+    Nested tuples are flattened once: ``count`` compares by identity first,
+    so a block of the shared ZERO costs no Python-level call.  If the tuples
+    are rectangular, the first cell that is neither ZERO nor equal to 0 (a
+    `mat_sub` may leave a Fraction(0) of its own) is unravelled into its
+    path.  Dicts are searched in sorted key order, and a row that is not a
+    tuple, or a block whose rows differ in length, on its own.
+    """
     if isinstance(x, Fraction):
         return (path, x) if x != 0 else None
     if isinstance(x, dict):
         items = ((k, x[k]) for k in sorted(x))
     else:
-        # Flatten nested rows and pass over the whole block at once when
-        # every scalar in it is zero; ``count`` compares by identity first,
-        # so the shared ZERO costs no Python-level call.
-        flat = x
+        flat, dims = x, [len(x)]
         while flat and type(flat[0]) is tuple:
-            flat = [y for row in flat for y in row]
+            dims.append(len(flat[0]))
+            flat = list(chain.from_iterable(flat))
         if flat.count(ZERO) == len(flat):
+            return None
+        if _rectangular(x, dims):
+            for p, y in enumerate(flat):
+                if y is not ZERO and y != 0:
+                    idx = []
+                    for d in reversed(dims):
+                        p, r = divmod(p, d)
+                        idx.append(r)
+                    at = path + tuple(reversed(idx))
+                    if isinstance(y, Fraction):
+                        return at, y
+                    hit = first_nonzero_nested(y, at)
+                    if hit is not None:
+                        return hit
             return None
         items = enumerate(x)
     for i, y in items:
@@ -73,6 +95,16 @@ def first_nonzero_nested(x, path=()):
         if hit is not None:
             return hit
     return None
+
+
+def _rectangular(x, dims: list) -> bool:
+    """Whether every row of ``x`` at depth d has length dims[d]."""
+    rows = [x]
+    for width in dims:
+        if min(map(len, rows)) != width or max(map(len, rows)) != width:
+            return False
+        rows = list(chain.from_iterable(rows))
+    return True
 
 
 @dataclass(frozen=True)
@@ -139,9 +171,6 @@ class FinAlgebra:
     def multiply(self, op: str, u: Vec, v: Vec) -> Vec:
         tables = {"x": IntTable(u.coords), "c": self.tables[op], "y": IntTable(v.coords)}
         return Vec(contract(_PRODUCT, tables, "k", self.dim))
-
-    def basis(self, i: int) -> Vec:
-        return Vec.basis(self.dim, i)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .exact import (
     BilinForm,
     IntTable,
     LinMap,
-    Vec,
     contract,
     dual_basis,
     freeze_cube,
@@ -80,10 +79,6 @@ class CoalgStruct:
         object.__setattr__(self, "coproducts", frozen)
         object.__setattr__(self, "tables", {
             name: IntTable(cube) for name, cube in frozen.items()})
-
-    def basis_coproduct(self, name: str, i: int):
-        """Coefficient matrix of the coproduct of basis element i."""
-        return self.coproducts[name][i]
 
 
 # Co-laws on each basis element bᵢ, nested [i][p][q][r]: the coefficient of
@@ -318,8 +313,16 @@ class QuadraticPerm:
     """A perm algebra with an antisymmetric, invariant, nondegenerate form.
 
     The dual basis F = ω⁻¹ (`exact.dual_basis`: column j is fⱼ) and the perm
-    coproduct ν of `perm_coalgebra_from_quadratic` are built once, in the
-    constructor, in derived fields that equality and repr do not read.
+    coproduct ν defined by ω-duality are built once, in the constructor, in
+    derived fields that equality and repr do not read.
+
+    ν(b) is determined by ⟨ν(b), b₂⊗b₃⟩ = ω(b, b₂b₃), where the pairing of
+    2-tensors is the product of the pairwise form values.  Equivalently
+    ν(b) = Σⱼ eⱼ⊗(fⱼ·b) for a dual basis with ω(eᵢ, fⱼ) = δᵢⱼ; this is the
+    normalization under which the induced Lie/ASI coproducts of triangular
+    structures coincide with the coboundary coproducts of the lifted
+    r-matrix.  Writing W for the form matrix, the coefficient matrix of
+    ν(b) is N_b = (Wᵀ)⁻¹·R_b·W⁻¹ with R_b[j][k] = ω(b, bⱼbₖ) (`NU_COPRODUCT`).
     """
 
     algebra: FinAlgebra
@@ -384,27 +387,6 @@ def make_quadratic_perm(algebra: FinAlgebra, form: BilinForm) -> QuadraticPerm:
         i, j, k = hit[0]
         raise ValueError(f"form is not invariant: fails on basis triple ({i}, {j}, {k})")
     return QuadraticPerm(algebra, form)
-
-
-def perm_coalgebra_from_quadratic(qp: QuadraticPerm) -> CoalgStruct:
-    """The perm coproduct ν defined by ω-duality.
-
-    ν(b) is determined by ⟨ν(b), b₂⊗b₃⟩ = ω(b, b₂b₃), where the pairing of
-    2-tensors is the product of the pairwise form values.  Equivalently
-    ν(b) = Σⱼ eⱼ⊗(fⱼ·b) for a dual basis with ω(eᵢ, fⱼ) = δᵢⱼ; this is the
-    normalization under which the induced Lie/ASI coproducts of triangular
-    structures coincide with the coboundary coproducts of the lifted
-    r-matrix.  Writing W for the form matrix, the coefficient matrix of
-    ν(b) is N_b = (Wᵀ)⁻¹·R_b·W⁻¹ with R_b[j][k] = ω(b, bⱼbₖ) (`NU_COPRODUCT`,
-    evaluated once by the `QuadraticPerm` constructor).
-    """
-    return qp.nu
-
-
-def dual_basis_vectors(qp: QuadraticPerm) -> list[Vec]:
-    """Vectors fⱼ with ω(eᵢ, fⱼ) = δᵢⱼ."""
-    F = qp.dual.matrix
-    return [Vec(tuple(F[i][j] for i in range(qp.algebra.dim))) for j in range(qp.algebra.dim)]
 
 
 # The identities of `check_quadratic_perm_identities`, over ν (labelled

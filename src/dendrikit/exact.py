@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm, prod
 from typing import Iterable, Sequence
 
@@ -100,49 +101,47 @@ class IntTable:
         self.entries = entries
         self._groups = {}
 
-    def grouped(self, key_pos: tuple, placed: tuple) -> dict:
-        """The entries as key ↦ [(offset, L·c)], keyed by their indices at
-        ``key_pos``, with offset Σ index[p]·stride over ``placed`` (p, stride).
+    def grouped(self, key: tuple, placed: tuple) -> dict:
+        """The entries as key ↦ [(offset, L·c)]: the key is Σ index[p]·stride
+        over the (p, stride) pairs of ``key``, the offset the same sum over
+        ``placed``.
 
         Each grouping is built once per table, so every law and product that
-        reads a table the same way shares it.
+        reads a table the same way shares it.  It is stored under the number
+        `_grouping` gives (key, placed), which a compiled plan holds.
         """
-        g = self._groups.get((key_pos, placed))
+        gid = _grouping(key, placed)
+        g = self._groups.get(gid)
         if g is None:
             g = {}
             for idx, v in self.entries:
-                key = tuple([idx[p] for p in key_pos])
-                g.setdefault(key, []).append((sum([idx[p] * s for p, s in placed]), v))
-            self._groups[key_pos, placed] = g
+                k = off = 0
+                for p, s in key:
+                    k += idx[p] * s
+                for p, s in placed:
+                    off += idx[p] * s
+                row = g.get(k)
+                if row is None:
+                    g[k] = [(off, v)]
+                else:
+                    row.append((off, v))
+            self._groups[gid] = g
         return g
 
 
-@lru_cache(maxsize=None)
-def _plan(terms: tuple, out_labels: str) -> tuple:
-    """Per term: its sign, its factors, one step per factor after the first
-    (factor, the labels both sides of the step share, the labels the step
-    keeps), and the output labels the term does not carry.  A step keeps a
-    label that is an output label or is read by a later factor, and sums
-    over the others."""
-    plans = []
-    for sign, *factors in terms:
-        labels = factors[0][1]
-        steps = []
-        for t, (name, right) in enumerate(factors[1:], 2):
-            later = "".join(lab for _name, lab in factors[t:])
-            shared = "".join(x for x in right if x in labels)
-            keep = "".join(dict.fromkeys(
-                x for x in labels + right if x in out_labels or x in later))
-            steps.append(((name, right), shared, keep))
-            labels = keep
-        if any(x not in out_labels for x in labels):
-            raise ValueError(f"term {factors} leaves a label outside {out_labels!r}")
-        missing = tuple(x for x in out_labels if x not in labels)
-        plans.append((sign, tuple(factors), tuple(steps), missing))
-    return tuple(plans)
+_GROUPINGS: dict = {}
 
 
-def _strides(labels: str, extent) -> tuple[dict, int]:
+def _grouping(key: tuple, placed: tuple) -> int:
+    """The number of the grouping (key, placed), one per distinct pair.
+
+    A table's groupings are stored under it, because hashing an int on every
+    lookup costs far less than hashing the nested pairs.  The numbers depend
+    on the laws alone, so there are as many as the compiled plans need."""
+    return _GROUPINGS.setdefault((key, placed), len(_GROUPINGS))
+
+
+def _strides(labels, extent) -> tuple[dict, int]:
     strides, size = {}, 1
     for x in reversed(labels):
         strides[x] = size
@@ -150,13 +149,105 @@ def _strides(labels: str, extent) -> tuple[dict, int]:
     return strides, size
 
 
-def _unravel(p: int, dims: list) -> tuple:
-    """The index tuple of flat row-major position ``p`` in extents ``dims``."""
-    idx = []
-    for d in reversed(dims):
-        p, r = divmod(p, d)
-        idx.append(r)
-    return tuple(reversed(idx))
+def _spec(labels: str, key_strides: dict, strides: dict, skip: str = "") -> tuple:
+    """How a factor labelled ``labels`` is grouped: (grouping number, key,
+    placed), the key over the labels in ``key_strides`` and the offset over
+    those in ``strides`` and not in ``skip``."""
+    key = tuple((p, key_strides[x]) for p, x in enumerate(labels) if x in key_strides)
+    placed = tuple((p, strides[x]) for p, x in enumerate(labels)
+                   if x in strides and x not in skip)
+    return _grouping(key, placed), key, placed
+
+
+@lru_cache(maxsize=None)
+def _compile(terms: tuple, out_labels: str, extents) -> tuple:
+    """The output size and, per term, (sign, table names, first, steps,
+    shifts), every step resolved for ``extents``.
+
+    ``first`` is (table, grouping number, key, placed), how the first factor
+    is grouped (`IntTable.grouped`).  Each step contracts the factors so far
+    with the next one, (table, grouping number, key, placed, regroup): it
+    keeps a label that is an output label or is read by a later factor and
+    sums over the others.  The last step adds into the output, and its
+    ``regroup`` is None.  An earlier step fills a flat intermediate laid out
+    as (labels the next factor reads and no later step keeps, labels it reads
+    that are kept, labels it does not read), so the next key of a cell p is
+    p // cut; ``regroup`` is (width, cut, ((stride, extent, next stride), …))
+    over the labels the next step keeps.  ``shifts`` spreads a term that
+    lacks output labels over them, or is None.
+
+    The cache key is the law (its terms and output labels) and ``extents``,
+    an int or sorted (label, extent) pairs; it holds no table, scale or
+    value.  So the cache holds one plan per law table and extents seen: a law
+    over one dimension n has at most ``io.MAX_DIM`` plans.
+    """
+    extent = dict(extents).__getitem__ if isinstance(extents, tuple) else lambda _x: extents
+    out_strides, size = _strides(out_labels, extent)
+    plans = []
+    for sign, *factors in terms:
+        names = tuple(name for name, _labels in factors)
+        labelings = [labels for _name, labels in factors]
+        keeps, labels = [], labelings[0]
+        for t in range(1, len(labelings)):
+            later = "".join(labelings[t + 1:])
+            labels = "".join(dict.fromkeys(
+                x for x in labels + labelings[t] if x in out_labels or x in later))
+            keeps.append(labels)
+        if any(x not in out_labels for x in labels):
+            raise ValueError(f"term {tuple(factors)} leaves a label outside {out_labels!r}")
+        # the space each step fills: an intermediate for all but the last
+        spaces = []
+        for t, keep in enumerate(keeps[:-1]):
+            nxt, kept = labelings[t + 2], keeps[t + 1]
+            layout = ([x for x in keep if x in nxt and x not in kept]
+                      + [x for x in keep if x in nxt and x in kept]
+                      + [x for x in keep if x not in nxt])
+            spaces.append((*_strides(layout, extent),
+                           prod([extent(x) for x in keep if x not in nxt]) or 1))
+        spaces.append((out_strides, size, None))
+        left = labelings[0]
+        if not keeps:
+            first = (names[0], *_spec(left, {}, out_strides))
+        else:
+            key_strides = _strides([x for x in left if x in labelings[1]], extent)[0]
+            first = (names[0], *_spec(left, key_strides, spaces[0][0]))
+        steps = []
+        for t, keep in enumerate(keeps):
+            strides, width, cut = spaces[t]
+            steps.append((names[t + 1],
+                          *_spec(labelings[t + 1], key_strides, strides, left),
+                          None if cut is None else (width, cut, tuple(
+                              (strides[x], extent(x), spaces[t + 1][0][x])
+                              for x in keep if x in keeps[t + 1]))))
+            if cut is not None:
+                key_strides = {x: strides[x] // cut for x in keep if x in labelings[t + 2]}
+            left = keep
+        shifts = None
+        missing = [x for x in out_labels if x not in labels]
+        if missing:
+            shifts = [0]
+            for x in missing:
+                shifts = [s + i * out_strides[x] for s in shifts for i in range(extent(x))]
+            shifts = tuple(shifts)
+        plans.append((sign, names, first, tuple(steps), shifts))
+    return size, tuple(plans)
+
+
+def _regroup(acc: list, width: int, cut: int, parts: tuple) -> dict:
+    """The nonzero cells of an intermediate as key ↦ [(offset, value)] for
+    the next step (see `_compile`)."""
+    g = {}
+    for p in compress(range(width), acc):
+        off = 0
+        for s, e, t in parts:
+            off += p // s % e * t
+        k = p // cut
+        row = g.get(k)
+        if row is None:
+            g[k] = [(off, acc[p])]
+        else:
+            row.append((off, acc[p]))
+    return g
 
 
 def contract(terms: tuple, tables: dict, out_labels: str, n) -> list:
@@ -173,61 +264,51 @@ def contract(terms: tuple, tables: dict, out_labels: str, n) -> list:
     (it is broadcast).  ``n`` is the extent of every label, or a dict from
     label to extent.  ``terms`` is a tuple, as in the law tables.
 
-    ``tables`` maps each name to its `IntTable`: Python ints L·c, L the lcm
-    of the table's denominators, so a term's products carry the denominator
-    L₁·L₂⋯.  Every term is scaled to D, the lcm of those denominators over
-    all terms, and the cells are summed as ints; the result x/D is then the
-    exact rational value, whatever mix of tables the terms draw on.
+    The steps are compiled once per law and extents (`_compile`), so a call
+    only reads the tables' groupings and adds integers.  ``tables`` maps each
+    name to its `IntTable`: Python ints L·c, L the lcm of the table's
+    denominators, so a term's products carry the denominator L₁·L₂⋯.  Every
+    term is scaled to D, the lcm of those denominators over all terms, and
+    the cells are summed as ints; the result x/D is then the exact rational
+    value, whatever mix of tables the terms draw on.
     """
-    extent = n.get if isinstance(n, dict) else (lambda _label: n)
-    strides, size = _strides(out_labels, extent)
-    plans = _plan(terms, out_labels)
-    scales = [prod([tables[name].scale for name, _labels in factors])
-              for _sign, factors, _steps, _missing in plans]
+    size, plan = _compile(terms, out_labels,
+                          n if isinstance(n, int) else tuple(sorted(n.items())))
+    scales = [prod([tables[name].scale for name in names]) for _sign, names, *_ in plan]
     den = lcm(*scales)
-
     out = [0] * size
-    for (sign, factors, steps, missing), scale in zip(plans, scales):
+    for (sign, _names, (name, gid, key, placed), steps, shifts), scale in zip(plan, scales):
         m = sign * (den // scale)
-        name, labels = factors[0]
+        term = out if shifts is None else [0] * size
         table = tables[name]
-        term = out if not missing else [0] * size
+        g1 = table._groups.get(gid)
+        if g1 is None:
+            g1 = table.grouped(key, placed)
         if not steps:
-            placed = tuple((p, strides[x]) for p, x in enumerate(labels))
-            for off, v in table.grouped((), placed).get((), ()):
+            for off, v in g1.get(0, ()):
                 term[off] += m * v
-        for t, ((right_name, right), shared, keep) in enumerate(steps, 1):
-            last = t == len(steps)
-            place, width = (strides, size) if last else _strides(keep, extent)
-            other = tables[right_name]
-            g1 = table.grouped(tuple(labels.index(x) for x in shared),
-                               tuple((p, place[x]) for p, x in enumerate(labels) if x in keep))
-            g2 = other.grouped(tuple(right.index(x) for x in shared),
-                               tuple((p, place[x]) for p, x in enumerate(right)
-                                     if x in keep and x not in labels))
+        for right, gid, key, placed, regroup in steps:
+            table = tables[right]
+            g2 = table._groups.get(gid)
+            if g2 is None:
+                g2 = table.grouped(key, placed)
             # The last step adds the scaled term into the output; earlier
-            # steps build an intermediate table over the labels they keep.
-            acc, mult = (term, m) if last else ([0] * width, 1)
-            for key, pairs in g1.items():
-                rows = g2.get(key)
+            # steps fill an intermediate, regrouped for the next step.
+            acc, mult = (term, m) if regroup is None else ([0] * regroup[0], 1)
+            for k, pairs in g1.items():
+                rows = g2.get(k)
                 if rows:
                     for p1, v1 in pairs:
                         mv = mult * v1
                         for p2, v2 in rows:
                             acc[p1 + p2] += mv * v2
-            if not last:
-                dims = [extent(x) for x in keep]
-                table = IntTable(scale=table.scale * other.scale, entries=[
-                    (_unravel(p, dims), v) for p, v in enumerate(acc) if v])
-                labels = keep
-        if missing:
-            shifts = [0]
-            for x in missing:
-                shifts = [s + i * strides[x] for s in shifts for i in range(extent(x))]
-            for p, v in enumerate(term):
-                if v:
-                    for s in shifts:
-                        out[p + s] += v
+            if regroup is not None:
+                g1 = _regroup(acc, *regroup)
+        if shifts is not None:
+            for p in compress(range(size), term):
+                v = term[p]
+                for s in shifts:
+                    out[p + s] += v
     if not any(out):
         return [ZERO] * size
     return [Fraction(x, den) if x else ZERO for x in out]

@@ -85,8 +85,8 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     _require_square(alg, r)
     rt = IntTable(r.coeffs)
     scale_a = lcm(*(alg.tables[op].scale for op in alg.ops))
-    # per product: its rows (i, j) ↦ [(k, L·c)], and L_A / L for its scale L
-    rows = {op: alg.tables[op].grouped((1, 2), ((0, 1),)) for op in alg.ops}
+    # per product: its rows i·n + j ↦ [(k, L·c)], and L_A / L for its scale L
+    rows = {op: alg.tables[op].grouped(((1, n), (2, 1)), ((0, 1),)) for op in alg.ops}
     lift = {op: scale_a // alg.tables[op].scale for op in alg.ops}
     nn = n * n
     out = [0] * (n * nn)  # cell (a, b, c) at a·n² + b·n + c
@@ -105,7 +105,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
             out[base + k * stride] += c * x
 
     if alg.kind == "lie":
-        br = lambda i, j: rows["bracket"].get((i, j), ())
+        br = lambda i, j: rows["bracket"].get(i * n + j, ())
         for (x1, y1), c1 in rt.entries:
             for (x2, y2), c2 in rt.entries:
                 c = c1 * c2
@@ -113,7 +113,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(2, (x1, x2), br(y1, y2), c)      # [r₁₃, r₂₃]
                 add(1, (x1, y2), br(y1, x2), c)      # [r₁₂, r₂₃]
     elif alg.kind == "prelie":
-        mul = lambda i, j: rows["mul"].get((i, j), ())
+        mul = lambda i, j: rows["mul"].get(i * n + j, ())
         for (x1, y1), c1 in rt.entries:
             for (x2, y2), c2 in rt.entries:
                 c = c1 * c2
@@ -126,7 +126,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(0, (x2, y1), mul(x1, y2), -c)     # − r₁₃⋄r₂₁
                 add(2, (x1, x2), mul(y1, y2), -c)     # − r₁₃⋄r₂₃
     elif alg.kind == "assoc":
-        mul = lambda i, j: rows["mul"].get((i, j), ())
+        mul = lambda i, j: rows["mul"].get(i * n + j, ())
         for (x1, y1), c1 in rt.entries:
             for (x2, y2), c2 in rt.entries:
                 c = c1 * c2
@@ -134,8 +134,8 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
                 add(2, (x1, x2), mul(y1, y2), c)      # + r₁₃∗r₂₃
                 add(1, (x2, y1), mul(x1, y2), -c)     # − r₂₃∗r₁₂
     elif alg.kind == "dendriform":
-        lt = lambda i, j: rows["lt"].get((i, j), ())
-        gt = lambda i, j: rows["gt"].get((i, j), ())
+        lt = lambda i, j: rows["lt"].get(i * n + j, ())
+        gt = lambda i, j: rows["gt"].get(i * n + j, ())
         for (x1, y1), c1 in rt.entries:
             for (x2, y2), c2 in rt.entries:
                 c_lt = c1 * c2 * lift["lt"]

@@ -31,11 +31,9 @@ from dendrikit.bialgebras import (
     check_coalgebra,
     check_quadratic_perm_identities,
     dendriform_to_prelie_bialgebra,
-    dual_basis_vectors,
     induce_asi_bialgebra,
     induce_lie_bialgebra,
     make_quadratic_perm,
-    perm_coalgebra_from_quadratic,
 )
 from dendrikit.cli import main
 from dendrikit.exact import ONE, ZERO, Tensor2, Vec, sharp
@@ -290,7 +288,7 @@ def test_criterion_7_structural_invariants():
     for alg in (P, A, L, split, ta, tl):
         assert check_axioms(alg).ok, alg.kind
 
-    nu = perm_coalgebra_from_quadratic(qp)
+    nu = qp.nu
     cob = coboundary_coproduct(D, r)
     Pb, Ptheta = dendriform_to_prelie_bialgebra(D, theta)
     lie, cobr = induce_lie_bialgebra(Pb, Ptheta, qp)
@@ -310,7 +308,7 @@ def test_criterion_7_structural_invariants():
     assert len(qperms) >= 2
     for q in qperms:
         n = q.algebra.dim
-        fs = dual_basis_vectors(q)
+        fs = [Vec(column) for column in zip(*q.dual.matrix)]  # column j is fⱼ
         for i in range(n):
             for j in range(n):
                 expected = ONE if i == j else ZERO

@@ -456,6 +456,83 @@ def test_per_pattern_form_and_perm_checks_match_every_tuple(monkeypatch, fault, 
     assert (form.checked, form.failures) == _tuple_graded_form(w)
 
 
+def _nu_terms(b, R):
+    """ν(b) term by term, from the module's _pattern_nu read at call time:
+    {(x^{u}∂_g, x^{c+o−u}∂_v): sign} for every term (g, v, o, sign) and every
+    |u| ≤ R."""
+    out = defaultdict(int)
+    for g, v, (o1, o2), sign in affinization._pattern_nu(b.s):
+        for u1, u2 in product(range(-R, R + 1), repeat=2):
+            out[Mono(u1, u2, g), Mono(b.i1 + o1 - u1, b.i2 + o2 - u2, v)] += sign
+    return out
+
+
+def _tuple_perm_coalgebra(w):
+    """check_completed_perm_coalgebra with (ν⊗̂id)ν and (id⊗̂ν)ν expanded term
+    by term on every source: one comparison per window triple that either
+    side reaches with a nonzero coefficient.  A slot that is split again
+    reaches |u| ≤ 2N − 1, so the sources are expanded over |u| ≤ 3N."""
+    narrowed = {}
+
+    def narrow(x):
+        """ν(x) on window pairs only."""
+        if x not in narrowed:
+            narrowed[x] = {key: c for key, c in _nu_terms(x, w.N).items()
+                           if c and w.contains(key[0]) and w.contains(key[1])}
+        return narrowed[x]
+
+    checked, failures = 0, []
+    for b in iter_box(w.safe_bound(2)):
+        split_first, split_second = defaultdict(int), defaultdict(int)
+        for (x1, x2), c in _nu_terms(b, 3 * w.N).items():
+            if c and w.contains(x2):  # (ν⊗̂id)ν
+                for (p, q), c2 in narrow(x1).items():
+                    split_first[p, q, x2] += c * c2
+            if c and w.contains(x1):  # (id⊗̂ν)ν
+                for (q, v), c2 in narrow(x2).items():
+                    split_second[x1, q, v] += c * c2
+        twisted = {(q, p, v): c for (p, q, v), c in split_second.items()}
+        for label, one, other in (("co_perm_assoc", split_first, split_second),
+                                  ("co_perm_left_commute", split_second, twisted)):
+            reached = [key for key in one.keys() | other.keys()
+                       if one.get(key, 0) or other.get(key, 0)]
+            checked += len(reached)
+            diff = {key: one.get(key, 0) - other.get(key, 0) for key in reached}
+            failures.extend((label, (b, key), Fraction(diff[key]))
+                            for key in sorted(diff) if diff[key])
+    return checked, tuple(failures)
+
+
+# Broken forms of _pattern_nu, and the perm coalgebra laws each one breaks.
+# Equal signs with swapped shifts leave both laws true: it is the ν of the
+# other sign convention.
+PERM_COALGEBRA_FAULTS = {
+    "none": (None, set()),
+    "signs-equal-shifts-swapped": (
+        lambda t: [(1, t, (1, 0), 1), (2, t, (0, 1), 1)], set()),
+    "second-d-always-d1": (
+        lambda t: [(1, 1, (0, 1), 1), (2, 1, (1, 0), -1)], {"co_perm_assoc"}),
+    "d-indices-swapped": (
+        lambda t: [(t, 1, (0, 1), 1), (t, 2, (1, 0), -1)], {"co_perm_left_commute"}),
+}
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("fault", sorted(PERM_COALGEBRA_FAULTS))
+def test_per_pattern_perm_coalgebra_check_matches_a_term_expansion(monkeypatch, fault, N):
+    """With ν broken or not, the per-pattern perm coalgebra check reports the
+    count, failures, values and order of the two laws expanded term by term."""
+    broken, laws = PERM_COALGEBRA_FAULTS[fault]
+    if broken is not None:
+        monkeypatch.setattr(affinization, "_pattern_nu", broken)
+    w = Window(N)
+    rep = check_completed_perm_coalgebra(w)
+    checked, failures = _tuple_perm_coalgebra(w)
+    assert rep.checked == checked
+    assert rep.failures == failures
+    assert {f[0] for f in failures} == laws
+
+
 # --- ranked window targets against a sort of the built keys ----------------------
 #
 # The window residuals before targets were numbered by the ranks of their cells:

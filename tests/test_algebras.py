@@ -13,7 +13,7 @@ from dendrikit.algebras import (
     regular_bimodule,
     rota_baxter_residual,
 )
-from dendrikit.exact import LinMap
+from dendrikit.exact import LinMap, Vec
 from dendrikit.functors import commutator_lie, dendriform_to_prelie
 from dendrikit.ybe import coregular_bimodule
 
@@ -101,7 +101,7 @@ def test_rota_baxter_splitting_is_dendriform():
     R = examples.integration_operator()
     for i in range(3):
         for j in range(3):
-            a, b = A.basis(i), A.basis(j)
+            a, b = Vec.basis(3, i), Vec.basis(3, j)
             lt = split.multiply("lt", a, b)
             gt = split.multiply("gt", a, b)
             assert lt.coords == A.multiply("mul", a, R.apply(b)).coords

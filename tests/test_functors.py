@@ -4,6 +4,7 @@ import pytest
 
 from dendrikit import examples
 from dendrikit.algebras import check_axioms
+from dendrikit.exact import Vec
 from dendrikit.functors import (
     check_square,
     commutator_lie,
@@ -25,9 +26,9 @@ def test_dendriform_to_assoc_sums_the_halves(dend_pair):
     assert check_axioms(A).ok
     for i in range(2):
         for j in range(2):
-            total = dend_pair.multiply("lt", dend_pair.basis(i), dend_pair.basis(j)) + \
-                dend_pair.multiply("gt", dend_pair.basis(i), dend_pair.basis(j))
-            assert A.multiply("mul", A.basis(i), A.basis(j)).coords == total.coords
+            a, b = Vec.basis(2, i), Vec.basis(2, j)
+            total = dend_pair.multiply("lt", a, b) + dend_pair.multiply("gt", a, b)
+            assert A.multiply("mul", a, b).coords == total.coords
 
 
 def test_commutator_lie_of_truncated_polynomials_is_abelian():

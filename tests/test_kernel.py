@@ -14,22 +14,34 @@ reports render Fractions.
 
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendrikit.algebras import KIND_OPS, Bimodule, FinAlgebra, regular_bimodule
-from dendrikit.bialgebras import CoalgStruct
+from dendrikit import examples
+from dendrikit.affinization import perturb_coproduct, perturb_product
+from dendrikit.algebras import (
+    KIND_OPS,
+    Bimodule,
+    FinAlgebra,
+    first_nonzero_nested,
+    regular_bimodule,
+)
+from dendrikit.bialgebras import BIALGEBRA_LAWS, CoalgStruct, check_bialgebra
 from dendrikit.exact import (
+    ZERO,
     IntTable,
     LinMap,
     Tensor2,
     Vec,
+    _compile,
     contract,
     determinant,
     mat_mul,
+    mat_sub,
     nest,
     transpose,
 )
@@ -366,3 +378,201 @@ def test_equality_ignores_the_derived_table(sample):
     changed = [[list(row) for row in plane] for plane in cube]
     changed[k][i][j] += 1
     assert FinAlgebra("assoc", n, {"mul": changed}) != alg
+
+
+# --- contract against a sum over every label assignment --------------------------
+
+LETTERS = "abcde"
+DENOMINATORS = (1, 1, 2, 3, 5, 7)
+
+
+def _table(rng, shape, density):
+    """A nested tuple of Fractions of the given shape."""
+    if not shape:
+        if rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.randint(-5, 5), rng.choice(DENOMINATORS))
+    return tuple(_table(rng, shape[1:], density) for _ in range(shape[0]))
+
+
+@st.composite
+def term_tables(draw):
+    """Random terms of 1 to 3 factors over a few letters, their tables (some
+    read twice, some all zero, with mixed denominators), the output labels
+    and the extents, an int or a dict."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        extent = lambda _x: n  # noqa: E731
+    else:
+        n = {x: draw(st.integers(1, 3)) for x in LETTERS}
+        extent = n.get
+    out = "".join(draw(st.permutations(LETTERS))[:draw(st.integers(0, 3))])
+    tables, terms = {}, []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            labels = "".join(draw(st.permutations(LETTERS))[:draw(st.integers(1, 3))])
+            name = f"t{len(tables)}"
+            reuse = [t for t, (lab, _tab) in tables.items() if len(lab) == len(labels)
+                     and [extent(x) for x in lab] == [extent(x) for x in labels]]
+            if reuse and draw(st.booleans()):
+                name = draw(st.sampled_from(reuse))
+            else:
+                density = draw(st.sampled_from(DENSITIES))
+                tables[name] = (labels, _table(rng, [extent(x) for x in labels], density))
+            factors.append((name, labels))
+        if len(factors) == 1 and any(x not in out for x in factors[0][1]):
+            # a lone factor cannot sum a label: broadcast over the output instead
+            factors = [(factors[0][0], factors[0][1])]
+            out = out + "".join(x for x in factors[0][1] if x not in out)
+        terms.append((draw(st.sampled_from((1, -1, 2))), *factors))
+    return tuple(terms), {t: tab for t, (_lab, tab) in tables.items()}, out, n, extent
+
+
+def _by_every_assignment(terms, tables, out, extent):
+    """The flat residual of ``contract`` as Σ over every value of every label."""
+    res = [Fraction(0)] * prod(extent(x) for x in out)
+    for sign, *factors in terms:
+        labels = sorted(set("".join(lab for _name, lab in factors)) | set(out))
+        for values in product(*(range(extent(x)) for x in labels)):
+            at = dict(zip(labels, values))
+            value = Fraction(sign)
+            for name, lab in factors:
+                cell = tables[name]
+                for x in lab:
+                    cell = cell[at[x]]
+                value *= cell
+            pos = 0
+            for x in out:
+                pos = pos * extent(x) + at[x]
+            res[pos] += value
+    return res
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_tables())
+def test_contract_matches_a_sum_over_every_label_assignment(sample):
+    """Shared, summed and broadcast labels, int and dict extents, mixed
+    denominators and all-zero tables: the compiled contraction is the sum
+    over every assignment of values to the labels."""
+    terms, tables, out, n, extent = sample
+    got = contract(terms, {t: IntTable(tab) for t, tab in tables.items()}, out, n)
+    assert all(type(x) is Fraction for x in got)
+    assert all(x is ZERO for x in got if x == 0)
+    assert got == _by_every_assignment(terms, tables, out, extent)
+
+
+def test_a_lone_factor_cannot_sum_a_label():
+    with pytest.raises(ValueError, match="leaves a label outside"):
+        contract(((1, ("a", "ij")),), {"a": IntTable(((ZERO,),))}, "i", 1)
+
+
+def test_the_plan_cache_is_keyed_on_the_law_and_the_extents():
+    """A second dendriform pair of the same dimension compiles nothing new; a
+    new dimension compiles one plan per law."""
+    laws = len(BIALGEBRA_LAWS["dendriform"]) + 1  # and one reading of dbi6
+    D, theta = examples.dendriform_pair(), examples.dendriform_pair_coalgebra()
+    shifted = (perturb_product(D, "gt", 0, 1, 1, Fraction(1, 3)),
+               perturb_coproduct(theta, "co_lt", 1, 0, 1, Fraction(-2, 5)))
+    D3 = examples.rota_baxter_dendriform()
+    theta3 = CoalgStruct("dendriform", 3, {
+        name: _cube(random.Random(3), 3, 0.3) for name in ("co_lt", "co_gt")})
+    _compile.cache_clear()
+    check_bialgebra(D, theta)
+    assert _compile.cache_info().currsize == laws
+    assert not check_bialgebra(*shifted).ok
+    assert _compile.cache_info().currsize == laws
+    check_bialgebra(D3, theta3)
+    assert _compile.cache_info().currsize == 2 * laws
+
+
+# --- the first nonzero cell, flat against recursive ------------------------------
+
+
+def _recursive_first_nonzero(x, path=()):
+    """first_nonzero_nested as it was before the flat scan: a depth-first
+    recursion that re-flattens each block it enters."""
+    if isinstance(x, Fraction):
+        return (path, x) if x != 0 else None
+    if isinstance(x, dict):
+        items = ((k, x[k]) for k in sorted(x))
+    else:
+        flat = x
+        while flat and type(flat[0]) is tuple:
+            flat = [y for row in flat for y in row]
+        if flat.count(ZERO) == len(flat):
+            return None
+        items = enumerate(x)
+    for i, y in items:
+        hit = _recursive_first_nonzero(y, path + (i,))
+        if hit is not None:
+            return hit
+    return None
+
+
+def _same_first(x):
+    got = first_nonzero_nested(x)
+    assert got == _recursive_first_nonzero(x)
+    return got
+
+
+def test_first_nonzero_of_a_4d_residual_in_its_last_cell():
+    n = 3
+    flat = [ZERO] * (n ** 4 - 1) + [Fraction(-2, 7)]
+    assert _same_first(nest(flat, (n,) * 4)) == ((2, 2, 2, 2), Fraction(-2, 7))
+    assert _same_first(nest([ZERO] * n ** 4, (n,) * 4)) is None
+
+
+def test_first_nonzero_skips_a_zero_of_its_own():
+    """mat_sub leaves Fraction(0) cells that are not the shared ZERO."""
+    a = ((Fraction(1, 2), Fraction(3)), (Fraction(-1), Fraction(2, 3)))
+    zero = mat_sub(a, a)
+    assert all(x == 0 and x is not ZERO for row in zero for x in row)
+    assert _same_first(zero) is None
+    b = ((Fraction(1, 2), Fraction(3)), (Fraction(-1), Fraction(5, 3)))
+    assert _same_first(mat_sub(b, a)) == ((1, 1), Fraction(1))
+    assert _same_first((zero, mat_sub(b, a))) == ((1, 1, 1), Fraction(1))
+
+
+def test_first_nonzero_of_dicts_scalars_and_small_shapes():
+    one, half = Fraction(1), Fraction(1, 2)
+    cases = [
+        (), ((), ()), (ZERO,), (ZERO, half), (ZERO, ZERO, one),
+        half, Fraction(0), ZERO,
+        {}, {"b": (one,), "a": (ZERO, half)}, {"b": (ZERO,), "a": (ZERO,)},
+        {2: {"y": half}, 1: {"x": (ZERO, ZERO)}},
+        ({"k": (ZERO, one)}, {"k": (half,)}),
+        ((ZERO, ZERO), (ZERO, half, one)),  # ragged rows
+        ((ZERO, ZERO, ZERO), (half,), (one, ZERO)),
+        [(ZERO, ZERO), (one, ZERO)],  # a list on top
+        ((ZERO, one), [ZERO, half]),  # a row that is a list
+    ]
+    expected = [
+        None, None, None, ((1,), half), ((2,), one),
+        ((), half), None, None,
+        None, (("a", 1), half), None,
+        ((2, "y"), half),
+        ((0, "k", 1), one),
+        ((1, 1), half),
+        ((1, 0), half),
+        ((1, 0), one),
+        ((0, 1), one),
+    ]
+    for x, want in zip(cases, expected):
+        assert _same_first(x) == want, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.sampled_from((0.0, 0.02, 0.1, 0.5)), st.booleans())
+def test_first_nonzero_matches_the_recursive_search(rng, shape, density, own_zeros):
+    """Random residuals, with the zeros the shared ZERO or Fractions of their
+    own: the flat scan finds the cell the recursion finds."""
+    size = prod(shape)
+    flat = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < density
+            else (Fraction(0) if own_zeros and rng.random() < 0.5 else ZERO)
+            for _ in range(size)]
+    hit = _same_first(nest(flat, shape))
+    nonzero = [p for p, x in enumerate(flat) if x != 0]
+    assert (hit is None) == (not nonzero)

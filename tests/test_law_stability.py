@@ -55,7 +55,6 @@ from dendrikit.bialgebras import (
     dendriform_to_prelie_bialgebra,
     induce_asi_bialgebra,
     induce_lie_bialgebra,
-    perm_coalgebra_from_quadratic,
 )
 from dendrikit.exact import BilinForm, LinMap, Tensor2, sharp
 from dendrikit.functors import (
@@ -142,7 +141,7 @@ VALID_ALGEBRAS = {
 VALID_COALGEBRAS = {
     "dendriform": examples.dendriform_pair_coalgebra,
     "prelie": examples.prelie_pair_coalgebra,
-    "perm": lambda: perm_coalgebra_from_quadratic(examples.perm_pair_quadratic()),
+    "perm": lambda: examples.perm_pair_quadratic().nu,
     "assoc": examples.expected_asi_coproduct,
     "lie": examples.expected_lie_cobracket,
 }
