@@ -22,6 +22,13 @@ brought to D, the lcm of those products over all terms, the cells are summed
 as ints, which never overflow, and a `Fraction(x, D)` is built only for a
 nonzero cell; a zero cell is the shared ``ZERO``.  The value is the exact
 rational sum whatever mix of tables the terms draw on.
+
+Each law is compiled once per extents (`_compile`): the plan resolves how
+every factor is grouped, where each product lands, how an intermediate is
+laid out and regrouped for the next factor, and how a term without some
+output label is broadcast.  It is cached on the law and the extents only,
+never on a table or a value, so there is one plan per law table and
+extents seen, and a call of `contract` only reads groupings and adds ints.
 """
 
 from __future__ import annotations
