@@ -9,22 +9,28 @@ The cube is the canonical form: it is what files, equality and repr read.
 Each algebra, and each bimodule for its action matrices, also builds once in
 its constructor one `exact.IntTable` per cube, its nonzero constants as
 integers over the lcm of their denominators.  Every law, construction and
-product reads those tables.
+product reads those tables.  A structure built by a construction
+(`_structure`) takes its tables from the integers of the contraction
+instead, so it neither re-freezes its cubes nor reads them back.
 
 The laws are data.  ``AXIOMS``, ``BIMODULE_LAWS`` and ``ROTA_BAXTER_LAW``
 write each law as its output labels and a signed list of terms, each a
 product of labelled structure tables (product cubes, action matrices, an
-operator).  `law_residuals` evaluates a check's laws with `exact.contract`,
-which sums every term over one common denominator and builds a Fraction only
-for a nonzero cell, so the residuals are exact; each is nested in the order
-of its output labels.  Adding a law is adding a row to a table.
+operator).  `law_residuals` evaluates a check's laws with
+`exact.contract_cells`, which sums every term over one common denominator,
+so the residuals are exact; each is nested in the order of its output
+labels, with a Fraction only in a nonzero cell.  The law's first violation
+is the first nonzero integer cell, unravelled by the law's extents, and
+travels with the residuals (`Residuals`) into the `CheckReport`, so no
+report scans a nested residual again.  Adding a law is adding a row to a
+table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, count
 from typing import Optional
 
 from .exact import (
@@ -32,9 +38,14 @@ from .exact import (
     LinMap,
     Vec,
     ZERO,
+    _unchecked,
+    cube_table,
     contract,
+    contract_cells,
+    fractions,
     freeze_cube,
     nest,
+    unravel,
 )
 
 KIND_OPS = {
@@ -78,11 +89,7 @@ def first_nonzero_nested(x, path=()):
         if _rectangular(x, dims):
             for p, y in enumerate(flat):
                 if y is not ZERO and y != 0:
-                    idx = []
-                    for d in reversed(dims):
-                        p, r = divmod(p, d)
-                        idx.append(r)
-                    at = path + tuple(reversed(idx))
+                    at = path + unravel(p, dims)
                     if isinstance(y, Fraction):
                         return at, y
                     hit = first_nonzero_nested(y, at)
@@ -107,28 +114,54 @@ def _rectangular(x, dims: list) -> bool:
     return True
 
 
+class Residuals(dict):
+    """Law name ↦ residual, nested in the order of its output labels, as
+    `law_residuals` returns it.
+
+    ``violations`` maps each law to its first violation (index path, value)
+    in row-major order, or None where the law holds.  It is found on the
+    flat integer cells before they are nested, so no report scans the
+    nested residual again.
+    """
+
+    __slots__ = ("violations",)
+
+    def __init__(self):
+        super().__init__()
+        self.violations = {}
+
+    def add(self, name: str, residual: tuple, violation: Optional[tuple]):
+        self[name] = residual
+        self.violations[name] = violation
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of an exhaustive basis-wise axiom check.
 
     ``residuals`` maps each named law to its full residual tensor (nested
-    tuples of Fractions, identically zero iff the law holds).
+    tuples of Fractions, identically zero iff the law holds), and
+    ``violations`` each law to its first violation (index path, value), or
+    None.  ``first_violation`` is (law, index path, value) for the first law
+    that fails.
     """
 
     subject: str
     residuals: dict
     ok: bool
     first_violation: Optional[tuple]
+    violations: dict = field(repr=False, compare=False)
 
     @staticmethod
     def from_residuals(subject: str, residuals: dict) -> "CheckReport":
-        first = None
-        for name, res in residuals.items():
-            hit = first_nonzero_nested(res)
-            if hit is not None:
-                first = (name, hit[0], hit[1])
-                break
-        return CheckReport(subject, residuals, first is None, first)
+        """The report on ``residuals``: a `Residuals` brings its laws' first
+        violations, and any other dict is scanned (`first_nonzero_nested`)."""
+        violations = getattr(residuals, "violations", None)
+        if violations is None:
+            violations = {name: first_nonzero_nested(res) for name, res in residuals.items()}
+        first = next(((name, *hit) for name, hit in violations.items() if hit is not None),
+                     None)
+        return CheckReport(subject, residuals, first is None, first, violations)
 
 
 # x·y for the vectors x, y and a product cube c, coordinate k.
@@ -300,18 +333,46 @@ AXIOMS = {
 }
 
 
-def law_residuals(laws: dict, tables: dict, n) -> dict:
-    """Each law's residual, nested in the order of its output labels.
+def law_residuals(laws: dict, tables: dict, n) -> Residuals:
+    """Each law's residual, nested in the order of its output labels, with
+    its first violation.
 
     ``tables`` maps each table name the laws use to its `IntTable`; ``n`` is
     the extent of every label, or a dict from label to extent, as for
-    `exact.contract`.
+    `exact.contract`.  The first violation is the first nonzero cell of
+    `exact.contract_cells`' flat result, unravelled by the law's extents.
     """
     extent = n.get if isinstance(n, dict) else (lambda _label: n)
-    return {
-        name: nest(contract(terms, tables, out, n), [extent(x) for x in out])
-        for name, (out, terms) in laws.items()
-    }
+    residuals = Residuals()
+    for name, (out, terms) in laws.items():
+        dims = [extent(x) for x in out]
+        cells, den = contract_cells(terms, tables, out, n)
+        values = fractions(cells, den)
+        p = next(compress(count(), cells), None)
+        residuals.add(name, nest(values, dims),
+                      None if p is None else (unravel(p, dims), values[p]))
+    return residuals
+
+
+def _structure(cls, kind: str, dim: int, laws: dict, tables: dict, n):
+    """The ``cls`` (`FinAlgebra` or `bialgebras.CoalgStruct`) of ``kind``
+    and dimension ``dim`` whose cube under each name of ``laws`` is that
+    construction, (output labels, terms) over a dim³ cube, evaluated on
+    ``tables`` with the extents ``n`` (as for `exact.contract`).
+
+    Each cube is nested from `exact.contract_cells`' ints, and its table is
+    built straight from them (`exact.cube_table`), so the new structure
+    neither re-freezes its cubes nor reads them back.  The constructions
+    name a kind's own products or coproducts, so nothing is validated
+    again.
+    """
+    shape = (dim, dim, dim)
+    flat = {name: contract_cells(terms, tables, out, n) for name, (out, terms) in laws.items()}
+    cubes = {name: nest(fractions(cells, den), shape) for name, (cells, den) in flat.items()}
+    tables = {name: cube_table(cells, den, dim) for name, (cells, den) in flat.items()}
+    # both structures' fields are (kind, dim, cubes, tables)
+    return _unchecked(cls, **dict(zip([f.name for f in fields(cls)],
+                                      (kind, dim, cubes, tables))))
 
 
 def check_axioms(alg: FinAlgebra) -> CheckReport:
@@ -469,11 +530,11 @@ def dendriform_from_rota_baxter(alg: FinAlgebra, R: LinMap) -> FinAlgebra:
     """
     if alg.kind != "assoc":
         raise ValueError("Rota-Baxter splitting needs an associative algebra")
-    hit = first_nonzero_nested(rota_baxter_residual(alg, R))
+    tables = _rota_baxter_tables(alg, R)
+    hit = law_residuals(ROTA_BAXTER_LAW, tables, alg.dim).violations["rota_baxter"]
     if hit is not None:
         i, j, _k = hit[0]
         raise ValueError(
             f"operator is not Rota-Baxter of weight 0: fails on basis pair ({i}, {j})"
         )
-    split = law_residuals(ROTA_BAXTER_SPLIT, _rota_baxter_tables(alg, R), alg.dim)
-    return FinAlgebra("dendriform", alg.dim, split)
+    return _structure(FinAlgebra, "dendriform", alg.dim, ROTA_BAXTER_SPLIT, tables, alg.dim)

@@ -13,9 +13,11 @@ So are the quadratic perm structure (``QUADRATIC_LAWS``, ``NU_COPRODUCT``,
 bialgebras (``COPRODUCT_CONSTRUCTIONS``, on the flattened tensor-product
 basis) and the bialgebra square (``BIALGEBRA_SQUARE_LAWS``).
 Each CoalgStruct builds one `exact.IntTable` per coproduct cube in its
-constructor, as a FinAlgebra does per product cube; a check reads those
-tables, evaluates every law with one integer contraction over a common
-denominator,
+constructor, as a FinAlgebra does per product cube; a coproduct constructed
+here (ν, the induced and derived coproducts) reads its table straight from
+the integers of the contraction instead (`algebras._structure`).  A check
+reads those tables, evaluates every law with one integer contraction over a
+common denominator, finds each law's first violation on the integer cells,
 builds a Fraction only for a nonzero coefficient, and nests the result in
 the same order as the residual it reports.
 """
@@ -24,15 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebras import CheckReport, FinAlgebra, first_nonzero_nested, law_residuals
+from .algebras import CheckReport, FinAlgebra, _structure, law_residuals
 from .exact import (
     BilinForm,
     IntTable,
     LinMap,
-    contract,
     dual_basis,
     freeze_cube,
-    nest,
 )
 from .functors import (
     commutator_lie,
@@ -336,8 +336,8 @@ class QuadraticPerm:
         tables = {"mul": self.algebra.tables["mul"], "w": IntTable(self.form.matrix),
                   "F": IntTable(F.matrix)}
         object.__setattr__(self, "dual", F)
-        object.__setattr__(self, "nu", CoalgStruct(
-            "perm", n, law_residuals(NU_COPRODUCT, tables, n)))
+        object.__setattr__(self, "nu", _structure(CoalgStruct, "perm", n, NU_COPRODUCT,
+                                                  tables, n))
 
 
 # The form ω is labelled w[i][j] = ω(bᵢ, bⱼ) and the perm product c[k][i][j].
@@ -381,8 +381,7 @@ def make_quadratic_perm(algebra: FinAlgebra, form: BilinForm) -> QuadraticPerm:
             f"form is degenerate: kernel vector with coordinates {kv.coords}"
         )
     tables = {"mul": algebra.tables["mul"], "w": IntTable(form.matrix)}
-    hit = first_nonzero_nested(
-        law_residuals(QUADRATIC_LAWS, tables, algebra.dim)["invariance"])
+    hit = law_residuals(QUADRATIC_LAWS, tables, algebra.dim).violations["invariance"]
     if hit is not None:
         i, j, k = hit[0]
         raise ValueError(f"form is not invariant: fails on basis triple ({i}, {j}, {k})")
@@ -452,8 +451,8 @@ COPRODUCT_CONSTRUCTIONS = {
 def _coconstruct(name: str, kind: str, tables: dict, n: int, extents) -> CoalgStruct:
     """The ``kind`` coalgebra of dimension ``n`` whose coproduct is the
     construction ``name`` evaluated on ``tables`` (`exact.IntTable` each)."""
-    out, terms = COPRODUCT_CONSTRUCTIONS[name]
-    return CoalgStruct(kind, n, {"co": nest(contract(terms, tables, out, extents), (n, n, n))})
+    return _structure(CoalgStruct, kind, n, {"co": COPRODUCT_CONSTRUCTIONS[name]}, tables,
+                      extents)
 
 
 def induce_lie_bialgebra(

@@ -18,10 +18,14 @@ tables beside the checks (``AXIOMS``, ``BIMODULE_LAWS``, ``COALGEBRA_LAWS``,
 between kinds and of bialgebras, the lift of an r-matrix, a single product,
 `mat_mul` and `mat_vec` are all written this way.  A term's
 products are integers over the product of its tables' L.  Every term is
-brought to D, the lcm of those products over all terms, the cells are summed
-as ints, which never overflow, and a `Fraction(x, D)` is built only for a
-nonzero cell; a zero cell is the shared ``ZERO``.  The value is the exact
-rational sum whatever mix of tables the terms draw on.
+brought to D, the lcm of those products over all terms, and the cells are
+summed as ints, which never overflow.  `contract_cells` returns them as
+(cells, D), the form the finite layer passes on: a check finds a law's
+first violation on them, and a construction builds its structure's
+`IntTable` from them (`cube_table`, one gcd) without a pass over Fractions.
+`contract` builds a `Fraction(x, D)` only for a nonzero cell; a zero cell is
+the shared ``ZERO``.  The value is the exact rational sum whatever mix of
+tables the terms draw on.
 
 Each law is compiled once per extents (`_compile`): the plan resolves how
 every factor is grouped, where each product lands, how an intermediate is
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -258,8 +262,15 @@ def _regroup(acc: list, width: int, cut: int, parts: tuple) -> dict:
 
 
 def contract(terms: tuple, tables: dict, out_labels: str, n) -> list:
-    """Σ sign·(product of the factors) over the terms, as a flat row-major
-    list of Fractions in the order of ``out_labels``.
+    """`contract_cells` as a flat row-major list of Fractions, the shared
+    ``ZERO`` in a zero cell."""
+    return fractions(*contract_cells(terms, tables, out_labels, n))
+
+
+def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple[list, int]:
+    """Σ sign·(product of the factors) over the terms, as (cells, D): a flat
+    row-major list of ints in the order of ``out_labels``, cell x standing
+    for x/D.
 
     A term is ``(sign, (table, labels), (table, labels), …)``.  ``labels``
     names the axes of ``tables[table]`` in storage order, one letter each:
@@ -276,8 +287,8 @@ def contract(terms: tuple, tables: dict, out_labels: str, n) -> list:
     name to its `IntTable`: Python ints L·c, L the lcm of the table's
     denominators, so a term's products carry the denominator L₁·L₂⋯.  Every
     term is scaled to D, the lcm of those denominators over all terms, and
-    the cells are summed as ints; the result x/D is then the exact rational
-    value, whatever mix of tables the terms draw on.
+    the cells are summed as ints; x/D is then the exact rational value,
+    whatever mix of tables the terms draw on.
     """
     size, plan = _compile(terms, out_labels,
                           n if isinstance(n, int) else tuple(sorted(n.items())))
@@ -316,9 +327,38 @@ def contract(terms: tuple, tables: dict, out_labels: str, n) -> list:
                 v = term[p]
                 for s in shifts:
                     out[p + s] += v
-    if not any(out):
-        return [ZERO] * size
-    return [Fraction(x, den) if x else ZERO for x in out]
+    return out, den
+
+
+def fractions(cells: list, den: int) -> list:
+    """The Fractions x/den of integer cells, the shared ``ZERO`` for x = 0."""
+    if not any(cells):
+        return [ZERO] * len(cells)
+    return [Fraction(x, den) if x else ZERO for x in cells]
+
+
+def unravel(p: int, dims) -> tuple:
+    """The index tuple of cell p of a row-major table of extents ``dims``."""
+    idx = []
+    for d in reversed(dims):
+        p, r = divmod(p, d)
+        idx.append(r)
+    return tuple(reversed(idx))
+
+
+def cube_table(cells: list, den: int, n: int) -> IntTable:
+    """The `IntTable` of the n³ cube of Fractions x/den over the row-major
+    ``cells``, read straight from the ints.
+
+    With g = gcd(den, x₁, x₂, …), the lcm of the reduced denominators is
+    den/g and each entry is x/g, so one gcd gives the ``scale`` and
+    ``entries`` that `IntTable` gives on the nested Fractions.
+    """
+    g = gcd(den, *cells)
+    nn = n * n
+    return IntTable(scale=den // g, entries=[
+        ((p // nn, p // n % n, p % n), cells[p] // g)
+        for p in compress(range(len(cells)), cells)])
 
 
 _MAT_MUL = ((1, ("a", "ik"), ("b", "kj")),)
@@ -367,6 +407,20 @@ def first_nonzero_cube(t):
                 if x != 0:
                     return (i, j, k), x
     return None
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    they are, without running its constructor.
+
+    For values the package has just built in their final form (nested
+    tuples of Fractions, a structure's tables), which the constructor would
+    otherwise walk and read again.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class DegenerateFormError(ValueError):

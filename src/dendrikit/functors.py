@@ -9,7 +9,8 @@ Every construction is a signed sum of structure cubes, written as
 cubes with their input axes possibly swapped, and the tensor constructions
 multiply an op cube of the first factor by the perm cube, one loop over the
 pairs of nonzero constants.  The new constants are summed as integers over
-one common denominator, so they are exact.
+one common denominator, so they are exact, and the new algebra's table is
+read straight from those integers (`algebras._structure`).
 
 Tensor-product algebras live on the flattened basis of A⊗B with index
 ``a*dim(B) + b`` (algebra factor first).
@@ -17,8 +18,7 @@ Tensor-product algebras live on the flattened basis of A⊗B with index
 
 from __future__ import annotations
 
-from .algebras import CheckReport, FinAlgebra, check_axioms, law_residuals
-from .exact import contract, nest
+from .algebras import CheckReport, FinAlgebra, _structure, check_axioms, law_residuals
 
 # Each construction is (output labels, terms) over the input cubes, labelled
 # c[k][i][j]; a tensor construction labels the perm cube's axes K, I, J, so
@@ -44,8 +44,7 @@ CONSTRUCTIONS = {
 def _construct(name: str, kind: str, op: str, tables: dict, n: int, extents) -> FinAlgebra:
     """The ``kind`` algebra of dimension ``n`` whose ``op`` cube is the
     construction ``name`` evaluated on ``tables`` (`exact.IntTable` each)."""
-    out, terms = CONSTRUCTIONS[name]
-    return FinAlgebra(kind, n, {op: nest(contract(terms, tables, out, extents), (n, n, n))})
+    return _structure(FinAlgebra, kind, n, {op: CONSTRUCTIONS[name]}, tables, extents)
 
 
 def dendriform_to_prelie(alg: FinAlgebra) -> FinAlgebra:
@@ -110,14 +109,13 @@ def check_square(dendriform: FinAlgebra, perm: FinAlgebra) -> CheckReport:
     prelie = dendriform_to_prelie(dendriform)
     via_prelie = tensor_lie(prelie, perm)
     via_assoc = commutator_lie(tensor_assoc(dendriform, perm))
-    residuals = {
-        **law_residuals(SQUARE_LAW, {"via_prelie": via_prelie.tables["bracket"],
-                                     "via_assoc": via_assoc.tables["bracket"]},
-                        via_prelie.dim),
-        "prelie_axioms": check_axioms(prelie).residuals["pre_lie"],
-        "assoc_axioms": check_axioms(dendriform_to_assoc(dendriform)).residuals[
-            "associativity"
-        ],
-        "tensor_lie_jacobi": check_axioms(via_prelie).residuals["jacobi"],
-    }
+    residuals = law_residuals(SQUARE_LAW, {"via_prelie": via_prelie.tables["bracket"],
+                                           "via_assoc": via_assoc.tables["bracket"]},
+                              via_prelie.dim)
+    for name, rep, law in (
+        ("prelie_axioms", check_axioms(prelie), "pre_lie"),
+        ("assoc_axioms", check_axioms(dendriform_to_assoc(dendriform)), "associativity"),
+        ("tensor_lie_jacobi", check_axioms(via_prelie), "jacobi"),
+    ):
+        residuals.add(name, rep.residuals[law], rep.violations[law])
     return CheckReport.from_residuals("dendriform/perm commuting square", residuals)

@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .algebras import KIND_OPS, FinAlgebra, first_nonzero_nested
+from .algebras import KIND_OPS, FinAlgebra
 from .bialgebras import (
     KIND_COOPS,
     CoalgStruct,
@@ -49,16 +50,19 @@ def parse_coeff(text: str, where: str = "coeff") -> Fraction:
     """Parse an exact rational string, rejecting anything but its canonical form."""
     if not isinstance(text, str) or not _COEFF_RE.match(text):
         raise FileFormatError(f"{where}: {text!r} is not a rational string")
-    if "/" in text:
-        num_s, den_s = text.split("/")
-        num, den = int(num_s), int(den_s)
+    num_s, _, den_s = text.partition("/")
+    try:
+        num, den = int(num_s), int(den_s or "1")
+    except ValueError as exc:
+        # int() refuses a string of more digits than this limit
+        raise FileFormatError(f"{where}: a coefficient of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
+    if den_s:
         if den == 0:
             raise FileFormatError(f"{where}: zero denominator in {text!r}")
         if den == 1 or gcd(abs(num), den) != 1:
             raise FileFormatError(f"{where}: {text!r} is not reduced")
-        value = Fraction(num, den)
-    else:
-        value = Fraction(int(text))
+    value = Fraction(num, den)
     if format_coeff(value) != text:
         raise FileFormatError(
             f"{where}: {text!r} is not canonical (write {format_coeff(value)!r})"
@@ -181,7 +185,8 @@ def parse_algebra(path) -> ParsedFile:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder's stack
         raise FileFormatError(f"{path}: {exc}") from exc
     _require_keys(raw, {"format", "kind", "dim", "basis", "products", "coproducts",
                         "form", "entries", "matrix"}, {"format", "kind", "dim"},
@@ -333,8 +338,7 @@ class Report:
 
     def add_report(self, rep, prefix: str = ""):
         """Fold in a residual-style check report, one entry per named law."""
-        for name, residual in rep.residuals.items():
-            fv = first_nonzero_nested(residual)
+        for name, fv in rep.violations.items():
             self.add_check(f"{prefix}{name}", fv is None, first_violation=fv,
                            detail=rep.subject)
 

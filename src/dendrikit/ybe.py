@@ -24,6 +24,7 @@ from .algebras import (
     Bimodule,
     CheckReport,
     FinAlgebra,
+    _structure,
     law_residuals,
     left_matrices,
     right_matrices,
@@ -39,9 +40,10 @@ from .exact import (
     LinMap,
     Tensor2,
     Tensor3,
-    ZERO,
+    _unchecked,
     contract,
     flip,
+    fractions,
     mat_add,
     mat_sub,
     nest,
@@ -79,7 +81,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     bᵢ·bⱼ ↦ [(k, L·c)] come from the algebra's own tables, brought to L_A, the
     lcm of their scales; so each coefficient is an integer over L_r²·L_A, the
     sums run over Python ints and one Fraction is built per nonzero
-    coefficient.
+    coefficient, nested straight into the returned tensor.
     """
     n = alg.dim
     _require_square(alg, r)
@@ -147,7 +149,9 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     else:
         raise ValueError(f"no Yang-Baxter equation for kind {alg.kind!r}")
     scale = rt.scale * rt.scale * scale_a
-    return Tensor3(nest([Fraction(x, scale) if x else ZERO for x in out], (n, n, n)))
+    # the nested Fractions are final, so Tensor3's constructor need not
+    # freeze them again
+    return _unchecked(Tensor3, coeffs=nest(fractions(out, scale), (n, n, n)))
 
 
 def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:
@@ -223,8 +227,7 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
         raise ValueError(f"no coboundary coproduct for kind {alg.kind!r}")
     _require_square(alg, r)
     tables = {**alg.tables, "r": IntTable(r.coeffs)}
-    cubes = law_residuals(COBOUNDARY[alg.kind], tables, alg.dim)
-    return CoalgStruct(alg.kind, alg.dim, cubes)
+    return _structure(CoalgStruct, alg.kind, alg.dim, COBOUNDARY[alg.kind], tables, alg.dim)
 
 
 def kappa_tensor(qp: QuadraticPerm) -> Tensor2:

@@ -93,6 +93,26 @@ def test_check_malformed_file_is_usage_error(runner, tmp_path, text, message):
     assert message in res.output
 
 
+@pytest.mark.parametrize("coeff", ["9" * 5000, "1/" + "7" * 5000],
+                         ids=["long-numerator", "long-denominator"])
+def test_check_coefficient_beyond_the_digit_limit_is_usage_error(runner, tmp_path, coeff):
+    obj = json.loads(Path(corpus("ex-D-alg-iii.json")).read_text())
+    obj["products"]["lt"][0]["result"][0]["coeff"] = coeff
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(obj))
+    res = invoke(runner, "check", str(bad))
+    assert res.exit_code == 2, res.output
+    assert "products.lt[0].result[0].coeff: a coefficient of more than" in res.output
+
+
+def test_check_deeply_nested_file_is_usage_error(runner, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    res = invoke(runner, "check", str(bad))
+    assert res.exit_code == 2, res.output
+    assert "internal error" not in res.output
+
+
 def _form_not_antisymmetric(obj):
     obj["form"] = [["1", "1"], ["-1", "0"]]
 

@@ -5,7 +5,8 @@ wrappers at run time, looking each one up by name.  Renaming or deleting one
 of them would break the traced benchmark runs (``bench/run.py --trace 1``),
 so here the tracer is installed on the package, one call of each finite
 operation family and of each windowed affine check runs under it, and it is
-uninstalled again.
+uninstalled again.  On failing inputs, its count of nonzero residual
+coefficients must match the residuals the calls return.
 """
 
 import sys
@@ -71,6 +72,52 @@ def test_tracer_installs_runs_and_uninstalls(spans):
                          ybe.check_ooperator, functors.check_square, functors.tensor_lie,
                          exact.mat_mul, exact.Vec.__init__, algebras.FinAlgebra.multiply,
                          algebras.CheckReport.from_residuals)
+
+
+def _failing_families():
+    """One call per finite family of the benchmark on an input that fails,
+    with the residuals whose nonzero coefficients ``residual_nonzero`` must
+    count: each report's own, and for the square also those of the three
+    axiom checks it runs and reports again."""
+    dend, perm = examples.dendriform_pair(), examples.perm_pair()
+    bad = affinization.perturb_product(dend, "lt", 0, 1, 0, 1)
+    trunc = affinization.perturb_product(examples.truncated_polynomials(), "mul", 1, 2, 0, 3)
+    r = examples.r_nonsolution()
+    yield "axioms", lambda: algebras.check_axioms(trunc), lambda rep: [rep.residuals]
+    yield ("bimodule", lambda: algebras.check_bimodule(algebras.regular_bimodule(bad)),
+           lambda rep: [rep.residuals])
+    yield "ybe", lambda: ybe.ybe_residual(dend, r), lambda res: [res.coeffs]
+    yield ("bialgebra", lambda: bialgebras.check_bialgebra(
+        dend, ybe.coboundary_coproduct(bad, examples.r_corner())),
+        lambda rep: [rep.residuals])
+    yield ("ooperator", lambda: ybe.check_ooperator(
+        ybe.coregular_bimodule(dend), exact.sharp(r)), lambda rep: [rep.residuals])
+    yield ("square", lambda: functors.check_square(bad, perm), lambda rep: [
+        rep.residuals,
+        *(rep.residuals[k] for k in ("prelie_axioms", "assoc_axioms", "tensor_lie_jacobi"))])
+
+
+def test_tracer_counts_the_nonzero_residuals_of_failing_inputs(spans):
+    """On a failing input of each family, ``algebras.residual_nonzero`` grows
+    by the nonzero coefficients of the residuals the call returned: a report
+    built without passing through ``CheckReport.from_residuals`` would leave
+    it short."""
+    from outcomes import nonzero_count
+
+    tracer = spans.Tracer()
+    counted, expected = {}, {}
+    try:
+        spans.install(tracer)
+        for name, call, residuals in _failing_families():
+            before = tracer.count["algebras.residual_nonzero"]
+            with tracer.root(name):
+                result = call()
+            counted[name] = tracer.count["algebras.residual_nonzero"] - before
+            expected[name] = sum(nonzero_count(res) for res in residuals(result))
+    finally:
+        tracer.uninstall()
+    assert counted == expected
+    assert all(counted.values()), counted
 
 
 def test_tracer_wraps_every_affine_check(spans):
