@@ -3,6 +3,9 @@
 Exit codes: 0 = all checks pass, 1 = a verification check failed,
 2 = usage or input-file error.  Reports print to stdout as text (default)
 or as deterministic JSON (``--format json``).
+
+`affinization`, `ybe` and `examples` are imported inside the commands and
+replays that use them, so ``check``, ``induce`` and ``square`` start faster.
 """
 
 from __future__ import annotations
@@ -13,17 +16,6 @@ from pathlib import Path
 
 import click
 
-from .affinization import (
-    MAX_WINDOW,
-    Window,
-    check_affine_associativity,
-    check_completed_asi,
-    check_completed_coassociativity,
-    check_completed_perm_coalgebra,
-    check_graded_form,
-    check_laurent_perm_axioms,
-    check_nu_pairing,
-)
 from .algebras import (
     check_axioms,
     dendriform_from_rota_baxter,
@@ -55,27 +47,6 @@ from .io import (
     parse_algebra,
     serialize_parsed,
 )
-from .ybe import (
-    HypothesisError,
-    blockwise_product,
-    check_ooperator,
-    coboundary_coproduct,
-    coregular_bimodule,
-    invariance_residual,
-    kappa_tensor,
-    lift_r,
-    transfer_aybe_to_cybe,
-    transfer_assoc_cobound_to_lie,
-    transfer_assoc_ooperator_to_lie,
-    transfer_dend_cobound_to_prelie,
-    transfer_dend_ooperator_to_prelie,
-    transfer_dybe_lift,
-    transfer_dybe_to_plybe,
-    transfer_induced_asi_coproduct,
-    transfer_induced_lie_cobracket,
-    ybe_residual,
-)
-from . import examples
 
 YBE_KIND = {"cybe": "lie", "aybe": "assoc", "plybe": "prelie", "dybe": "dendriform"}
 
@@ -119,6 +90,8 @@ def _add_affine(report: Report, check_id: str, rep):
 
 def _add_transfer(report: Report, check_id: str, thunk):
     """Run a transfer theorem, folding hypothesis failures into the report."""
+    from .ybe import HypothesisError
+
     try:
         rep = thunk()
     except HypothesisError as exc:
@@ -193,6 +166,8 @@ def check(file, fmt):
 @_format_option
 def ybe(eq, algebra_file, r_file, fmt):
     """Evaluate a Yang-Baxter residual for an algebra and an r-matrix."""
+    from .ybe import ybe_residual
+
     pf = _load(algebra_file)
     rf = _load(r_file)
     if pf.kind != YBE_KIND[eq]:
@@ -225,6 +200,8 @@ def ybe(eq, algebra_file, r_file, fmt):
 @_format_option
 def invariance(algebra_file, r_file, fmt):
     """Check invariance of a 2-tensor under the algebra's actions."""
+    from .ybe import invariance_residual
+
     pf = _load(algebra_file)
     rf = _load(r_file)
     if rf.kind != "tensor":
@@ -344,6 +321,8 @@ def induce(construction, algebra_file, perm_file):
               type=click.Path(exists=True, dir_okay=False))
 def lift(r_file, qperm_file):
     """Lift an r-matrix through a quadratic perm algebra; print the result."""
+    from .ybe import lift_r
+
     rf = _load(r_file)
     bf = _load(qperm_file)
     if rf.kind != "tensor":
@@ -365,6 +344,8 @@ def lift(r_file, qperm_file):
 @_format_option
 def ooperator(spec_file, fmt):
     """Check the operator in FILE against the algebra's dual-space bimodule."""
+    from .ybe import check_ooperator, coregular_bimodule
+
     pf = _load(spec_file)
     if pf.kind == "tensor" or pf.operator is None:
         _usage_error("--spec must be an algebra file with an operator matrix")
@@ -424,6 +405,9 @@ def square(dend_file, qperm_file, bialgebra, fmt):
 @_format_option
 def affine(dend_file, window_n, which, fmt):
     """Windowed checks of the Laurent-series affinization of D."""
+    from .affinization import (MAX_WINDOW, Window, check_affine_associativity,
+                               check_completed_asi, check_completed_coassociativity)
+
     pf = _load(dend_file)
     if pf.kind != "dendriform":
         _usage_error("--dendriform must be a dendriform algebra file")
@@ -491,6 +475,8 @@ def _check_matrix_match(report, check_id, got, expected):
 
 def _reproduce_ex_2_2(report):
     """Splitting an associative product with a Rota-Baxter operator."""
+    from . import examples
+
     pf = _load_corpus(report, "assoc-truncated-rb.json")
     A, R = pf.algebra, pf.operator
     # R(a)R(b) = R(R(a)b + aR(b)), checked on all basis pairs
@@ -511,6 +497,8 @@ def _reproduce_ex_2_2(report):
 
 def _reproduce_ex_2_13(report):
     """Tensor-product associative and Lie algebras on D⊗B and A⊗B."""
+    from . import examples
+
     D = _load_corpus(report, "ex-D-alg-iii.json").algebra
     B = _load_corpus(report, "perm-quadratic.json").algebra
     P = dendriform_to_prelie(D)
@@ -529,6 +517,10 @@ def _reproduce_ex_2_13(report):
 
 def _reproduce_ex_3_13(report):
     """Induced Lie bialgebra from a symmetric pre-Lie Yang-Baxter solution."""
+    from . import examples
+    from .ybe import (blockwise_product, coboundary_coproduct, kappa_tensor, lift_r,
+                      transfer_induced_lie_cobracket, ybe_residual)
+
     D = _load_corpus(report, "ex-D-alg-iii.json").algebra
     qp = _load_corpus(report, "perm-quadratic.json").qperm
     r = _load_corpus(report, "r-e1e1.json").tensor
@@ -584,16 +576,22 @@ def _reproduce_ex_3_13(report):
 
 
 def _reproduce_ex_4_2(report):
+    from .affinization import Window, check_laurent_perm_axioms
+
     _add_affine(report, "laurent_perm_axioms", check_laurent_perm_axioms(Window(2)))
 
 
 def _reproduce_ex_4_5(report):
+    from .affinization import Window, check_completed_perm_coalgebra
+
     _add_affine(
         report, "completed_perm_coalgebra", check_completed_perm_coalgebra(Window(2))
     )
 
 
 def _reproduce_ex_4_9(report):
+    from .affinization import Window, check_graded_form, check_nu_pairing
+
     w = Window(2)
     _add_affine(report, "graded_form", check_graded_form(w))
     _add_affine(report, "nu_pairing", check_nu_pairing(w))
@@ -601,6 +599,10 @@ def _reproduce_ex_4_9(report):
 
 def _reproduce_ex_4_27(report):
     """Symmetric dendriform Yang-Baxter families and the induced bialgebra."""
+    from . import examples
+    from .ybe import (coboundary_coproduct, transfer_dybe_lift,
+                      transfer_induced_asi_coproduct, ybe_residual)
+
     D = _load_corpus(report, "ex-D-alg-iii.json").algebra
     qp = _load_corpus(report, "perm-quadratic.json").qperm
     r0 = _load_corpus(report, "r-e1e1.json").tensor
@@ -638,6 +640,10 @@ def _reproduce_ex_4_27(report):
 
 def _reproduce_ex_5_13(report):
     """All six faces of the three-dimensional construction diagram."""
+    from .ybe import (lift_r, transfer_assoc_cobound_to_lie, transfer_assoc_ooperator_to_lie,
+                      transfer_aybe_to_cybe, transfer_dend_cobound_to_prelie,
+                      transfer_dend_ooperator_to_prelie, transfer_dybe_to_plybe)
+
     D = _load_corpus(report, "ex-D-alg-iii.json").algebra
     theta = _load_corpus(report, "ex-dendind-bialgebra.json").coalgebra
     qp = _load_corpus(report, "perm-quadratic.json").qperm

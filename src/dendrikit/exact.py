@@ -14,10 +14,10 @@ terms; a term is a product of labelled tables (product cubes, action
 matrices, coproduct cubes, an operator matrix, a vector), each axis named by
 a letter, summed over the labels that do not appear in the output.  The law
 tables beside the checks (``AXIOMS``, ``BIMODULE_LAWS``, ``COALGEBRA_LAWS``,
-``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``, ``TRANSFER_LAWS``), the constructions
-between kinds and of bialgebras, the lift of an r-matrix, a single product,
-`mat_mul` and `mat_vec` are all written this way.  A term's
-products are integers over the product of its tables' L.  Every term is
+``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``, ``TRANSFER_LAWS``, ``YBE_LAWS``),
+the constructions between kinds and of bialgebras, the lift of an r-matrix,
+a single product, `mat_mul` and `mat_vec` are all written this way.  A
+term's products are integers over the product of its tables' L.  Every term is
 brought to D, the lcm of those products over all terms, and the cells are
 summed as ints, which never overflow.  `contract_cells` returns them as
 (cells, D), the form the finite layer passes on: a check finds a law's
@@ -112,31 +112,29 @@ class IntTable:
         self.entries = entries
         self._groups = {}
 
-    def grouped(self, key: tuple, placed: tuple) -> dict:
+    def grouped(self, gid: int, key: tuple, placed: tuple) -> dict:
         """The entries as key ↦ [(offset, L·c)]: the key is Σ index[p]·stride
         over the (p, stride) pairs of ``key``, the offset the same sum over
         ``placed``.
 
-        Each grouping is built once per table, so every law and product that
-        reads a table the same way shares it.  It is stored under the number
-        `_grouping` gives (key, placed), which a compiled plan holds.
+        It is stored under ``gid``, the number `_grouping` gives (key,
+        placed), which a compiled plan holds.  `contract_cells` builds each
+        grouping once per table, on its first read, so every law and product
+        that reads a table the same way shares it.
         """
-        gid = _grouping(key, placed)
-        g = self._groups.get(gid)
-        if g is None:
-            g = {}
-            for idx, v in self.entries:
-                k = off = 0
-                for p, s in key:
-                    k += idx[p] * s
-                for p, s in placed:
-                    off += idx[p] * s
-                row = g.get(k)
-                if row is None:
-                    g[k] = [(off, v)]
-                else:
-                    row.append((off, v))
-            self._groups[gid] = g
+        g = {}
+        for idx, v in self.entries:
+            k = off = 0
+            for p, s in key:
+                k += idx[p] * s
+            for p, s in placed:
+                off += idx[p] * s
+            row = g.get(k)
+            if row is None:
+                g[k] = [(off, v)]
+            else:
+                row.append((off, v))
+        self._groups[gid] = g
         return g
 
 
@@ -301,7 +299,7 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple[list
         table = tables[name]
         g1 = table._groups.get(gid)
         if g1 is None:
-            g1 = table.grouped(key, placed)
+            g1 = table.grouped(gid, key, placed)
         if not steps:
             for off, v in g1.get(0, ()):
                 term[off] += m * v
@@ -309,7 +307,7 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple[list
             table = tables[right]
             g2 = table._groups.get(gid)
             if g2 is None:
-                g2 = table.grouped(key, placed)
+                g2 = table.grouped(gid, key, placed)
             # The last step adds the scaled term into the output; earlier
             # steps fill an intermediate, regrouped for the next step.
             acc, mult = (term, m) if regroup is None else ([0] * regroup[0], 1)

@@ -72,8 +72,22 @@ def parse_coeff(text: str, where: str = "coeff") -> Fraction:
 
 def format_coeff(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def _decimal(x: int) -> str:
+    """The decimal digits of x, also past the int digit limit that
+    `parse_coeff` keeps for its input: a longer x is cut at a power of ten
+    of about half its digits, and each half written the same way."""
+    try:
+        return str(x)
+    except ValueError:
+        if x < 0:
+            return "-" + _decimal(-x)
+        k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        hi, lo = divmod(x, 10 ** k)
+        return _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str):

@@ -1,24 +1,22 @@
 """Yang-Baxter equations, invariance, O-operators and transfer theorems.
 
-An r-matrix r ∈ A⊗A is stored as a Tensor2 over the algebra basis.  Each
-Yang-Baxter residual is computed term by term from the defining expansion in
-simple tensors, exactly; r is a solution iff the residual 3-tensor vanishes.
+An r-matrix r ∈ A⊗A is stored as a Tensor2 over the algebra basis; r is a
+solution iff the residual 3-tensor of its Yang-Baxter equation vanishes.
 
-The coboundary coproducts (``COBOUNDARY``, which also give the invariance
-residual), the O-operator identity (``OOPERATOR_LAWS``, whose terms have
-degree 2 in the operator P and are chained contractions), the lift
-r̂ = r•κ (``LIFT``) and the agreement residuals of the transfer theorems
-(``TRANSFER_LAWS``, slot flips written as swapped labels) are term tables
-evaluated by `exact.contract`, like the laws in `algebras` and `bialgebras`.
-`ybe_residual` keeps its own integer loop: at the corpus sizes it is faster
-than a term table.
+The Yang-Baxter residuals (``YBE_LAWS``, r·op·r terms contracted through
+the product cube), the coboundary coproducts (``COBOUNDARY``, which also
+give the invariance residual), the O-operator identity (``OOPERATOR_LAWS``,
+whose terms have degree 2 in the operator P and are chained contractions),
+the lift r̂ = r•κ (``LIFT``) and the agreement residuals of the transfer
+theorems (``TRANSFER_LAWS``, slot flips written as swapped labels) are term
+tables evaluated by `exact.contract`, like the laws in `algebras` and
+`bialgebras`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .algebras import (
     Bimodule,
@@ -42,6 +40,8 @@ from .exact import (
     Tensor3,
     _unchecked,
     contract,
+    contract_cells,
+    cube_table,
     flip,
     fractions,
     mat_add,
@@ -68,90 +68,64 @@ def _require_square(alg: FinAlgebra, r: Tensor2):
         raise ValueError("r-matrix dimension does not match the algebra")
 
 
-def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
-    """Residual 3-tensor of the Yang-Baxter equation matching the algebra kind.
+# The Yang-Baxter residuals as terms over r[x][y] and the product cubes
+# c[k][i][j], nested [a][b][c]: the coefficient of bₐ⊗b_b⊗b_c.  With
+# r = Σ xₜ⊗yₜ, the product of two legs lands in the slot its r-indices leave
+# free, so r₁₂∗r₁₃ = Σ (x₁∗x₂)⊗y₁⊗y₂ is r ib · c aij · r jc.  Each term reads
+# r, then a product cube, then r, and the kernel sums over the first r-leg
+# before it reads the second.
+YBE_LAWS = {
+    # [r₁₂,r₁₃] + [r₁₃,r₂₃] + [r₁₂,r₂₃]
+    "lie": ("abc", (
+        (+1, ("r", "ib"), ("bracket", "aij"), ("r", "jc")),
+        (+1, ("r", "ai"), ("bracket", "cij"), ("r", "bj")),
+        (+1, ("r", "ai"), ("bracket", "bij"), ("r", "jc")))),
+    # r₁₃⋄r₁₂ + r₂₃⋄r₁₂ + r₂₁⋄r₁₃ + r₂₃⋄r₁₃
+    #   − r₂₃⋄r₂₁ − r₁₂⋄r₂₃ − r₁₃⋄r₂₁ − r₁₃⋄r₂₃
+    "prelie": ("abc", (
+        (+1, ("r", "ic"), ("mul", "aij"), ("r", "jb")),
+        (+1, ("r", "ic"), ("mul", "bij"), ("r", "aj")),
+        (+1, ("r", "bi"), ("mul", "aij"), ("r", "jc")),
+        (+1, ("r", "bi"), ("mul", "cij"), ("r", "aj")),
+        (-1, ("r", "ic"), ("mul", "bij"), ("r", "ja")),
+        (-1, ("r", "ai"), ("mul", "bij"), ("r", "jc")),
+        (-1, ("r", "ic"), ("mul", "aij"), ("r", "bj")),
+        (-1, ("r", "ai"), ("mul", "cij"), ("r", "bj")))),
+    # r₁₂∗r₁₃ + r₁₃∗r₂₃ − r₂₃∗r₁₂
+    "assoc": ("abc", (
+        (+1, ("r", "ib"), ("mul", "aij"), ("r", "jc")),
+        (+1, ("r", "ai"), ("mul", "cij"), ("r", "bj")),
+        (-1, ("r", "ic"), ("mul", "bij"), ("r", "aj")))),
+    # r₁₂≺r₁₃ + r₁₂≻r₁₃ − r₁₃≺r₂₃ − r₂₃≻r₁₂
+    "dendriform": ("abc", (
+        (+1, ("r", "ib"), ("lt", "aij"), ("r", "jc")),
+        (+1, ("r", "ib"), ("gt", "aij"), ("r", "jc")),
+        (-1, ("r", "ai"), ("lt", "cij"), ("r", "bj")),
+        (-1, ("r", "ic"), ("gt", "bij"), ("r", "aj")))),
+}
 
-    Lie: [r₁₂,r₁₃] + [r₁₃,r₂₃] + [r₁₂,r₂₃]
-    pre-Lie: the eight-term pre-Lie analogue
-    associative: r₁₂∗r₁₃ + r₁₃∗r₂₃ − r₂₃∗r₁₂
-    dendriform: r₁₂≺r₁₃ + r₁₂≻r₁₃ − r₁₃≺r₂₃ − r₂₃≻r₁₂
+
+def _ybe_cells(alg: FinAlgebra, r: Tensor2) -> tuple[list, int]:
+    """The Yang-Baxter residual of r as `exact.contract_cells`' (cells, D)."""
+    _require_square(alg, r)
+    if alg.kind not in YBE_LAWS:
+        raise ValueError(f"no Yang-Baxter equation for kind {alg.kind!r}")
+    out, terms = YBE_LAWS[alg.kind]
+    return contract_cells(terms, {**alg.tables, "r": IntTable(r.coeffs)}, out, alg.dim)
+
+
+def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
+    """Residual 3-tensor of the Yang-Baxter equation matching the algebra
+    kind (``YBE_LAWS``).
 
     Every term has degree two in r and degree one in the structure
-    constants.  r is read as an `IntTable` over L_r and each product's rows
-    bᵢ·bⱼ ↦ [(k, L·c)] come from the algebra's own tables, brought to L_A, the
-    lcm of their scales; so each coefficient is an integer over L_r²·L_A, the
-    sums run over Python ints and one Fraction is built per nonzero
-    coefficient, nested straight into the returned tensor.
+    constants, and is contracted through the product cube: O(n⁴) on a
+    dense r.
     """
     n = alg.dim
-    _require_square(alg, r)
-    rt = IntTable(r.coeffs)
-    scale_a = lcm(*(alg.tables[op].scale for op in alg.ops))
-    # per product: its rows i·n + j ↦ [(k, L·c)], and L_A / L for its scale L
-    rows = {op: alg.tables[op].grouped(((1, n), (2, 1)), ((0, 1),)) for op in alg.ops}
-    lift = {op: scale_a // alg.tables[op].scale for op in alg.ops}
-    nn = n * n
-    out = [0] * (n * nn)  # cell (a, b, c) at a·n² + b·n + c
-
-    def add(vec_slot: int, fixed, terms, c: int):
-        """Accumulate c · (tensor with Σ x·bₖ over ``terms`` in vec_slot and
-        basis indices elsewhere)."""
-        p, q = fixed
-        if vec_slot == 0:
-            base, stride = p * n + q, nn
-        elif vec_slot == 1:
-            base, stride = p * nn + q, n
-        else:
-            base, stride = p * nn + q * n, 1
-        for k, x in terms:
-            out[base + k * stride] += c * x
-
-    if alg.kind == "lie":
-        br = lambda i, j: rows["bracket"].get(i * n + j, ())
-        for (x1, y1), c1 in rt.entries:
-            for (x2, y2), c2 in rt.entries:
-                c = c1 * c2
-                add(0, (y1, y2), br(x1, x2), c)      # [r₁₂, r₁₃]
-                add(2, (x1, x2), br(y1, y2), c)      # [r₁₃, r₂₃]
-                add(1, (x1, y2), br(y1, x2), c)      # [r₁₂, r₂₃]
-    elif alg.kind == "prelie":
-        mul = lambda i, j: rows["mul"].get(i * n + j, ())
-        for (x1, y1), c1 in rt.entries:
-            for (x2, y2), c2 in rt.entries:
-                c = c1 * c2
-                add(0, (y2, y1), mul(x1, x2), c)      # + r₁₃⋄r₁₂
-                add(1, (x2, y1), mul(x1, y2), c)      # + r₂₃⋄r₁₂
-                add(0, (x1, y2), mul(y1, x2), c)      # + r₂₁⋄r₁₃
-                add(2, (x2, x1), mul(y1, y2), c)      # + r₂₃⋄r₁₃
-                add(1, (y2, y1), mul(x1, x2), -c)     # − r₂₃⋄r₂₁
-                add(1, (x1, y2), mul(y1, x2), -c)     # − r₁₂⋄r₂₃
-                add(0, (x2, y1), mul(x1, y2), -c)     # − r₁₃⋄r₂₁
-                add(2, (x1, x2), mul(y1, y2), -c)     # − r₁₃⋄r₂₃
-    elif alg.kind == "assoc":
-        mul = lambda i, j: rows["mul"].get(i * n + j, ())
-        for (x1, y1), c1 in rt.entries:
-            for (x2, y2), c2 in rt.entries:
-                c = c1 * c2
-                add(0, (y1, y2), mul(x1, x2), c)      # + r₁₂∗r₁₃
-                add(2, (x1, x2), mul(y1, y2), c)      # + r₁₃∗r₂₃
-                add(1, (x2, y1), mul(x1, y2), -c)     # − r₂₃∗r₁₂
-    elif alg.kind == "dendriform":
-        lt = lambda i, j: rows["lt"].get(i * n + j, ())
-        gt = lambda i, j: rows["gt"].get(i * n + j, ())
-        for (x1, y1), c1 in rt.entries:
-            for (x2, y2), c2 in rt.entries:
-                c_lt = c1 * c2 * lift["lt"]
-                c_gt = c1 * c2 * lift["gt"]
-                add(0, (y1, y2), lt(x1, x2), c_lt)       # + r₁₂≺r₁₃
-                add(0, (y1, y2), gt(x1, x2), c_gt)       # + r₁₂≻r₁₃
-                add(2, (x1, x2), lt(y1, y2), -c_lt)      # − r₁₃≺r₂₃
-                add(1, (x2, y1), gt(x1, y2), -c_gt)      # − r₂₃≻r₁₂
-    else:
-        raise ValueError(f"no Yang-Baxter equation for kind {alg.kind!r}")
-    scale = rt.scale * rt.scale * scale_a
     # the nested Fractions are final, so Tensor3's constructor need not
     # freeze them again
-    return _unchecked(Tensor3, coeffs=nest(fractions(out, scale), (n, n, n)))
+    return _unchecked(Tensor3, coeffs=nest(fractions(*_ybe_cells(alg, r)), (n, n, n)))
 
 
 def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:
@@ -436,8 +410,8 @@ def transfer_aybe_to_cybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
         invariance_residual(alg, s).ok,
         "r + τ(r) is not invariant under the associative actions",
     )
-    tables = {"C": IntTable(ybe_residual(commutator_lie(alg), r).coeffs),
-              "A": IntTable(ybe_residual(alg, r).coeffs)}
+    tables = {"C": cube_table(*_ybe_cells(commutator_lie(alg), r), alg.dim),
+              "A": cube_table(*_ybe_cells(alg, r), alg.dim)}
     return CheckReport.from_residuals(
         "associative-to-Lie Yang-Baxter transfer",
         _transfer_residuals(("cybe_from_aybe",), tables, alg.dim),
@@ -448,8 +422,8 @@ def transfer_dybe_to_plybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     """PL_r is a signed slot-permutation combination of D_r, for symmetric r."""
     _require(alg.kind == "dendriform", "expected a dendriform algebra")
     _require((r - flip(r)).is_zero(), "r is not symmetric")
-    tables = {"PL": IntTable(ybe_residual(dendriform_to_prelie(alg), r).coeffs),
-              "D": IntTable(ybe_residual(alg, r).coeffs)}
+    tables = {"PL": cube_table(*_ybe_cells(dendriform_to_prelie(alg), r), alg.dim),
+              "D": cube_table(*_ybe_cells(alg, r), alg.dim)}
     return CheckReport.from_residuals(
         "dendriform-to-pre-Lie Yang-Baxter transfer",
         _transfer_residuals(("plybe_from_dybe",), tables, alg.dim),

@@ -120,3 +120,51 @@ def affine_associator(D: FinAlgebra, t1, t2, t3) -> dict:
         for key, c2 in affine_product(D, t1, m).items():
             out[key] -= c * c2
     return {key: c for key, c in out.items() if c}
+
+
+def ybe_residual_loop(alg: FinAlgebra, r: Tensor2) -> tuple:
+    """The Yang-Baxter residual of r, nested [a][b][c], summed term by term
+    over pairs of nonzero entries of r in Fractions.
+
+    An oracle independent of the term tables of `dendrikit.ybe`: each term
+    places the product of two legs in the slot the other legs leave free.
+    """
+    n = alg.dim
+    entries = [((x, y), c) for x, row in enumerate(r.coeffs) for y, c in enumerate(row) if c]
+    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+
+    def add(slot: int, fixed, op: str, i: int, j: int, c):
+        """Add c · (the product bᵢ·bⱼ in ``slot``, basis indices elsewhere)."""
+        p, q = fixed
+        for k in range(n):
+            x = alg.products[op][k][i][j]
+            if x:
+                a, b, cc = ((k, p, q), (p, k, q), (p, q, k))[slot]
+                out[a][b][cc] += c * x
+
+    for (x1, y1), c1 in entries:
+        for (x2, y2), c2 in entries:
+            c = c1 * c2
+            if alg.kind == "lie":
+                add(0, (y1, y2), "bracket", x1, x2, c)      # [r₁₂, r₁₃]
+                add(2, (x1, x2), "bracket", y1, y2, c)      # [r₁₃, r₂₃]
+                add(1, (x1, y2), "bracket", y1, x2, c)      # [r₁₂, r₂₃]
+            elif alg.kind == "prelie":
+                add(0, (y2, y1), "mul", x1, x2, c)          # + r₁₃⋄r₁₂
+                add(1, (x2, y1), "mul", x1, y2, c)          # + r₂₃⋄r₁₂
+                add(0, (x1, y2), "mul", y1, x2, c)          # + r₂₁⋄r₁₃
+                add(2, (x2, x1), "mul", y1, y2, c)          # + r₂₃⋄r₁₃
+                add(1, (y2, y1), "mul", x1, x2, -c)         # − r₂₃⋄r₂₁
+                add(1, (x1, y2), "mul", y1, x2, -c)         # − r₁₂⋄r₂₃
+                add(0, (x2, y1), "mul", x1, y2, -c)         # − r₁₃⋄r₂₁
+                add(2, (x1, x2), "mul", y1, y2, -c)         # − r₁₃⋄r₂₃
+            elif alg.kind == "assoc":
+                add(0, (y1, y2), "mul", x1, x2, c)          # + r₁₂∗r₁₃
+                add(2, (x1, x2), "mul", y1, y2, c)          # + r₁₃∗r₂₃
+                add(1, (x2, y1), "mul", x1, y2, -c)         # − r₂₃∗r₁₂
+            elif alg.kind == "dendriform":
+                add(0, (y1, y2), "lt", x1, x2, c)           # + r₁₂≺r₁₃
+                add(0, (y1, y2), "gt", x1, x2, c)           # + r₁₂≻r₁₃
+                add(2, (x1, x2), "lt", y1, y2, -c)          # − r₁₃≺r₂₃
+                add(1, (x2, y1), "gt", x1, y2, -c)          # − r₂₃≻r₁₂
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)

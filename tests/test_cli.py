@@ -1,15 +1,22 @@
 """End-to-end CLI tests: every subcommand, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from dendrikit import cli
+from dendrikit import affinization
 from dendrikit.affinization import MAX_WINDOW
+from dendrikit.algebras import check_axioms
 from dendrikit.cli import REPRODUCERS, main
+from dendrikit.io import parse_algebra
 
 CORPUS = Path(str(files("dendrikit") / "corpus"))
 
@@ -103,6 +110,36 @@ def test_check_coefficient_beyond_the_digit_limit_is_usage_error(runner, tmp_pat
     res = invoke(runner, "check", str(bad))
     assert res.exit_code == 2, res.output
     assert "products.lt[0].result[0].coeff: a coefficient of more than" in res.output
+
+
+def _exact(value: Fraction) -> str:
+    """``value`` written out by `decimal`, which has no digit limit."""
+    num = str(Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("op", ["lt", "gt"])
+def test_check_value_beyond_the_digit_limit_is_printed_in_full(runner, tmp_path, op, fmt):
+    """A coefficient under the input limit can give a residual over it; the
+    report prints it exactly and the check fails with exit 1."""
+    obj = json.loads(Path(corpus("ex-D-alg-iii.json")).read_text())
+    obj["products"][op][0]["result"][0]["coeff"] = "3" * 2500
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    res = invoke(runner, "check", str(path), "--format", fmt)
+    assert res.exit_code == 1, res.output
+    rep = check_axioms(parse_algebra(path).algebra)
+    indices, value = next(fv for fv in rep.violations.values() if fv is not None)
+    expected = _exact(value)
+    if op == "lt":
+        assert len(expected) > sys.get_int_max_str_digits()
+    if fmt == "json":
+        failed = next(c for c in json.loads(res.output)["checks"]
+                      if not c["residual_is_zero"])
+        assert failed["first_violation"] == {"indices": list(indices), "value": expected}
+    else:
+        assert f"first violation at {list(indices)} value {expected}\n" in res.output
 
 
 def test_check_deeply_nested_file_is_usage_error(runner, tmp_path):
@@ -323,7 +360,7 @@ def test_affine_window_above_the_limit_is_usage_error(runner, monkeypatch, windo
 
     for name in ("Window", "check_affine_associativity", "check_completed_asi",
                  "check_completed_coassociativity"):
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(affinization, name, refuse)
     for which in ("assoc", "coalg", "asi"):
         res = invoke(runner, "affine", "--dendriform", corpus("ex-dendind-bialgebra.json"),
                      "--window", window, "--check", which)
@@ -335,13 +372,13 @@ def test_affine_window_at_the_limit_runs_the_check(runner, monkeypatch):
     """N = MAX_WINDOW is accepted and reaches the check; the check itself is
     replaced by its N = 2 run."""
     seen = []
-    real = cli.check_affine_associativity
+    real = affinization.check_affine_associativity
 
     def at_window_2(D, w):
         seen.append(w.N)
-        return real(D, cli.Window(2))
+        return real(D, affinization.Window(2))
 
-    monkeypatch.setattr(cli, "check_affine_associativity", at_window_2)
+    monkeypatch.setattr(affinization, "check_affine_associativity", at_window_2)
     res = invoke(runner, "affine", "--dendriform", corpus("ex-D-alg-iii.json"),
                  "--window", str(MAX_WINDOW), "--check", "assoc")
     assert res.exit_code == 0, res.output
@@ -399,10 +436,8 @@ def test_internal_error_exits_3_with_one_line(runner, monkeypatch):
 
 
 def test_internal_error_message_is_kept_on_one_line(runner, monkeypatch):
-    import dendrikit.cli as cli
-
     monkeypatch.setattr(
-        cli, "check_completed_asi", _raise(RuntimeError("first\n  second"))
+        affinization, "check_completed_asi", _raise(RuntimeError("first\n  second"))
     )
     res = invoke(
         runner, "affine", "--dendriform", corpus("ex-dendind-bialgebra.json"),
@@ -415,3 +450,39 @@ def test_internal_error_message_is_kept_on_one_line(runner, monkeypatch):
 def test_usage_errors_keep_exit_2(runner):
     assert invoke(runner, "ybe", "--eq", "dybe").exit_code == 2
     assert invoke(runner, "reproduce", "no-such-id").exit_code == 2
+
+
+# --- start-up -------------------------------------------------------------------
+
+LAZY = ("affinization", "ybe", "examples")
+
+
+@pytest.mark.parametrize("args,loaded", [
+    ((), ()),
+    (("check", corpus("ex-dendind-bialgebra.json")), ()),
+    (("square", "--dendriform", corpus("ex-dendind-bialgebra.json"),
+      "--qperm", corpus("perm-quadratic.json"), "--bialgebra"), ()),
+    (("affine", "--dendriform", corpus("ex-D-alg-iii.json"), "--check", "assoc"),
+     ("affinization",)),
+    (("reproduce", "ex-4.9"), ("affinization",)),
+    (("ybe", "--eq", "dybe", "--algebra", corpus("ex-D-alg-iii.json"),
+      "--r", corpus("r-e1e1.json")), ("ybe",)),
+    (("reproduce", "ex-2.2"), ("examples",)),
+], ids=["import", "check", "square", "affine", "ex-4.9", "ybe", "ex-2.2"])
+def test_commands_import_only_the_modules_they_use(args, loaded):
+    """A fresh process that imports the command line, and runs one command
+    when given one, holds only the lazily imported modules it needs."""
+    code = (
+        "import sys\n"
+        "from dendrikit.cli import main\n"
+        "try:\n"
+        f"    main({list(args)!r}, prog_name='dendrikit') if {list(args)!r} else None\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"print([m for m in {LAZY!r} if 'dendrikit.' + m in sys.modules], file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip().splitlines()[-1] == repr(list(loaded))

@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrikit import examples
+from dendrikit.algebras import KIND_OPS, FinAlgebra
 from dendrikit.bialgebras import check_coalgebra
 from dendrikit.exact import ONE, ZERO, LinMap, Tensor2, flip, sharp
 from dendrikit.functors import dendriform_to_prelie, tensor_assoc, tensor_lie
 from dendrikit.ybe import (
+    YBE_LAWS,
     HypothesisError,
     check_ooperator,
     coboundary_coproduct,
@@ -30,6 +34,8 @@ from dendrikit.ybe import (
     transfer_plybe_lift,
     ybe_residual,
 )
+
+from conftest import ybe_residual_loop
 
 
 # --- residuals ---------------------------------------------------------------
@@ -73,6 +79,46 @@ def test_lift_is_skew(dend_pair, qperm_pair):
 def test_kappa_is_antisymmetric(qperm_pair):
     kap = kappa_tensor(qperm_pair)
     assert (kap + flip(kap)).is_zero()
+
+
+# zero, sparse and dense structure constants and r-matrices
+DENSITIES = (0.0, 0.2, 1.0)
+
+
+@st.composite
+def ybe_inputs(draw):
+    """An algebra of a kind with a Yang-Baxter equation (no law is imposed
+    on its constants) and an r-matrix, both with denominators up to 7."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(sorted(YBE_LAWS)))
+    n = draw(st.integers(1, 5))
+    density, r_density = draw(st.sampled_from(DENSITIES)), draw(st.sampled_from(DENSITIES))
+    max_den = draw(st.integers(1, 7))
+
+    def matrix(d):
+        return [[Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
+                 if rng.random() < d else ZERO for _ in range(n)] for _ in range(n)]
+
+    alg = FinAlgebra(kind, n, {op: [matrix(density) for _ in range(n)]
+                               for op in KIND_OPS[kind]})
+    return alg, Tensor2(matrix(r_density))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ybe_inputs())
+def test_ybe_residual_matches_the_term_by_term_loop(inputs):
+    alg, r = inputs
+    residual = ybe_residual(alg, r).coeffs
+    assert residual == ybe_residual_loop(alg, r)
+    assert all(type(x) is Fraction for plane in residual for row in plane for x in row)
+
+
+def test_ybe_residual_refuses_a_missized_r_and_a_kind_without_an_equation(dend_pair, perm_pair):
+    wide = Tensor2([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
+    with pytest.raises(ValueError, match="r-matrix dimension"):
+        ybe_residual(dend_pair, wide)
+    with pytest.raises(ValueError, match="no Yang-Baxter equation for kind 'perm'"):
+        ybe_residual(perm_pair, examples.r_corner())
 
 
 # --- coboundary coproducts ---------------------------------------------------
