@@ -27,13 +27,27 @@ every window cell has an integer rank, its position in sorted order, so a
 target is one int and its cells are built once, after the sort (`_grid`,
 `_window_residuals`).
 
-Accumulation is over the integers.  The structure constants of D are read
-from its `exact.IntTable`s, brought to the lcm L_D of their denominators, the
-coproduct coefficients likewise over L_θ, and the signs of ν and ϖ are ±1.
-Each compatibility term has degree one in each, and each coassociativity
-term degree two in θ, so a residual is an integer over L_D·L_θ or L_θ² —
-still exact.  It is turned back into a Fraction only where a failure is
-recorded.
+The laws of D⊗B are the finite laws read on a skeleton.  Slot 2d + s − 1 of
+a space of dimension 2·dim D stands for every d⊗x^{i}∂ₛ, and each table gains
+a last axis, the unit shift (e₁ or e₂) of its term.  The product and the
+coproduct of D⊗B are `functors.CONSTRUCTIONS["tensor_assoc"]` and
+`bialgebras.COPRODUCT_CONSTRUCTIONS["induce_asi"]` on D, θ and two 2-slot
+tables of B, its product on x⁰∂ₛ and ν, built once at import.  Affine
+associativity, casi1, casi2 and completed coassociativity are
+`AXIOMS["assoc"]["associativity"]`, `BIALGEBRA_LAWS["assoc"]["asi_bi_1"]`
+and ``["asi_bi_2"]``, and `COALGEBRA_LAWS["assoc"]["coassociativity"]`, with
+a shift axis on each factor.  `exact.contract_cells` evaluates each over the
+integers with one common denominator, and a cell, its two shifts folded into
+the offset, is the residual of one pattern.  It is turned back into a
+Fraction only where a failure is recorded.
+
+The checks on B alone stay written out.  `check_laurent_perm_axioms` reports
+the two side monomials of a failing identity, which a residual, their
+difference, does not carry.  `check_completed_perm_coalgebra` counts the
+patterns that are nonzero on either side, so it needs the sides apart.
+`check_graded_form` and `check_nu_pairing` pair exponents that cancel rather
+than shift.  Each reads `mono_product`, `_form` or `_pattern_nu` at call time
+and loops over at most eight ∂-triples.
 """
 
 from __future__ import annotations
@@ -41,14 +55,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product, repeat
-from math import lcm
+from itertools import compress, product, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .algebras import FinAlgebra
-from .bialgebras import CoalgStruct
-from .exact import ONE, ZERO
+from .algebras import AXIOMS, FinAlgebra
+from .bialgebras import BIALGEBRA_LAWS, COALGEBRA_LAWS, COPRODUCT_CONSTRUCTIONS, CoalgStruct
+from .exact import ONE, ZERO, IntTable, contract_cells, cube_table, unravel
+from .functors import CONSTRUCTIONS, tensor_extents
 
 
 class GradedPermIndex(NamedTuple):
@@ -194,38 +208,6 @@ def _pattern_nu(t: int) -> list:
     """ν(x^{c}∂ₜ) = Σᵤ x^{u}∂₁ ⊗ x^{c+e₂−u}∂ₜ − Σᵤ x^{u}∂₂ ⊗ x^{c+e₁−u}∂ₜ, as
     terms (first ∂, second ∂, offset, sign)."""
     return [(1, t, _UNIT[2], 1), (2, t, _UNIT[1], -1)]
-
-
-def _pattern_product(P: dict, x: tuple, y: tuple) -> list:
-    """L_D·(x∗y) for slots x = (d₁, s), y = (d₂, t), as terms (slot, offset, c).
-
-    (d₁⊗x^{i}∂ₛ)∗(d₂⊗x^{j}∂ₜ) = (d₁≻d₂)⊗x^{i+j+eₛ}∂ₜ + (d₁≺d₂)⊗x^{i+j+eₜ}∂ₛ.
-    """
-    (d1, s), (d2, t) = x, y
-    out = []
-    for k, cg, cl in P.get((d1, d2), ()):
-        if cg:
-            out.append(((k, t), _UNIT[s], cg))
-        if cl:
-            out.append(((k, s), _UNIT[t], cl))
-    return out
-
-
-def _pattern_delta(Q: list, x: tuple) -> list:
-    """L_θ·Δ(x) for a slot x = (d, t), as terms (first slot, second slot, offset, c).
-
-    Δ(d⊗b) = θ_≻(d)·ν(b) + θ_≺(d)·τ̂ν(b).
-    """
-    d, t = x
-    out = []
-    for dp, dq, cg, cl in Q[d]:
-        for s, _, shift, sign in _pattern_nu(t):
-            if cg:
-                out.append(((dp, s), (dq, t), shift, sign * cg))
-            if cl:
-                # τ̂ν part: the first display slot sits in the second slot of ν(b)
-                out.append(((dp, t), (dq, s), shift, sign * cl))
-    return out
 
 
 def _slots(dim: int) -> list:
@@ -508,17 +490,107 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
     )
 
 
-# --- affine associative algebra ---------------------------------------------
+# --- the skeleton of D⊗B -----------------------------------------------------
+#
+# Slot a = 2d + s − 1 of the skeleton stands for every d⊗x^{i}∂ₛ, and a
+# table on it carries one more axis, last: the unit shift of its term, 0 for
+# e₁ and 1 for e₂.  The product and the coproduct of D⊗B are the finite
+# constructions with a shift axis on B's factor; a law is the finite law with
+# a shift axis on each factor, "u" on the first and "v" on the second (every
+# term of these laws has two, and neither letter is one of the law's own).
 
 
-# Proof-predicted localization of the dendriform axioms inside affine
-# associativity: comparing the coefficient of x₁²∂₂ in the stated ∂-triples.
-ASSOC_LOCALIZATION = {
-    (2, 1, 1): "dendriform_1",
-    (1, 2, 1): "dendriform_2",
-    (1, 1, 2): "dendriform_3",
+def _with_shift(construction: tuple, factor: str) -> tuple:
+    """A construction on D⊗B with the shift axis "u" last on the factor
+    ``factor`` and last in the output."""
+    out, terms = construction
+    return out + "u", tuple(
+        (sign, *((name, labels + "u" if name == factor else labels) for name, labels in factors))
+        for sign, *factors in terms)
+
+
+def _on_skeleton(law: tuple) -> tuple:
+    """A law read on the skeleton: the shift axes "u" and "v" last on each
+    term's two factors and last in the output."""
+    out, terms = law
+    return out + "uv", tuple(
+        (sign, *((name, labels + x) for (name, labels), x in zip(factors, "uv")))
+        for sign, *factors in terms)
+
+
+_SKELETON_MUL = _with_shift(CONSTRUCTIONS["tensor_assoc"], "perm")
+_SKELETON_CO = _with_shift(COPRODUCT_CONSTRUCTIONS["induce_asi"], "nu")
+_SKELETON_LAWS = {
+    "associativity": _on_skeleton(AXIOMS["assoc"]["associativity"]),
+    "casi1": _on_skeleton(BIALGEBRA_LAWS["assoc"]["asi_bi_1"]),
+    "casi2": _on_skeleton(BIALGEBRA_LAWS["assoc"]["asi_bi_2"]),
+    "coassoc": _on_skeleton(COALGEBRA_LAWS["assoc"]["coassociativity"]),
 }
-ASSOC_LOCALIZATION_TARGET = Mono(2, 0, 2)
+
+
+def _skeleton_b() -> dict:
+    """B on the 2-slot skeleton x⁰∂₁, x⁰∂₂: its product perm[t][s][s'][u]
+    read from `mono_product` and ν as nu[t][p][q][u] from `_pattern_nu`."""
+    shift = {o: s - 1 for s, o in _UNIT.items()}
+    perm = []
+    for s, t in product((1, 2), repeat=2):
+        m = mono_product(_zero(s), _zero(t))
+        perm.append(((m.s - 1, s - 1, t - 1, shift[m.i1, m.i2]), 1))
+    nu = [((t - 1, p - 1, q - 1, shift[o]), sign)
+          for t in (1, 2) for p, q, o, sign in _pattern_nu(t)]
+    return {"perm": IntTable(entries=sorted(perm)), "nu": IntTable(entries=sorted(nu))}
+
+
+# input-free, so built once, and each grouping the constructions read is
+# kept on the tables
+_B = _skeleton_b()
+
+
+def _skeleton_table(construction: tuple, tables: dict, dim: int) -> IntTable:
+    """The table of a construction on D⊗B, for dim D = ``dim``, on the
+    skeleton: extents (2·dim)³ × 2."""
+    out, terms = construction
+    n = 2 * dim
+    extents = {**tensor_extents(out, dim, 2), "u": 2}
+    return cube_table(*contract_cells(terms, tables, out, extents), (n, n, n, 2))
+
+
+def _patterns(law: str, tables: dict, dim: int, sources: int) -> tuple[dict, int]:
+    """The nonzero residuals x/den of a skeleton law as (live, den): the source
+    slots ↦ {(target slots, offset): x}, a slot a pair (d, s).
+
+    The law's output is ``sources`` source slots, then its target slots, then
+    the shifts (u, v) of its two factors.  A term shifts the exponents by
+    e_u + e_v = (2 − w, w), w the number of e₂ among them, so the four shift
+    cells of a slot tuple are folded into three offsets before any is tested
+    for zero: a law that holds can leave single (u, v) cells nonzero.
+    """
+    out, terms = _SKELETON_LAWS[law]
+    n = 2 * dim
+    extents = {x: 2 if x in "uv" else n
+               for _sign, *factors in terms for _name, labels in factors for x in labels}
+    cells, den = contract_cells(terms, tables, out, extents)
+    slot = [(a // 2, a % 2 + 1) for a in range(n)]
+    dims = (n,) * (len(out) - 2)
+    live: dict = {}
+    # cell 4p + 2u + v is shift (u, v) of slot tuple p
+    for p in sorted({q >> 2 for q in compress(range(len(cells)), cells)}):
+        c11, c12, c21, c22 = cells[4 * p:4 * p + 4]
+        at = [slot[a] for a in unravel(p, dims)]
+        for w, c in enumerate((c11, c12 + c21, c22)):
+            if c:
+                live.setdefault(tuple(at[:sources]), {})[tuple(at[sources:]), (2 - w, w)] = c
+    return live, den
+
+
+def _require_dendriform_pair(D: FinAlgebra, theta: CoalgStruct):
+    if D.kind != "dendriform" or theta.kind != "dendriform":
+        raise ValueError("expected a dendriform algebra with dendriform coproducts")
+    if D.dim != theta.dim:
+        raise ValueError("algebra and coproducts must share dimension")
+
+
+# --- affine associative algebra ---------------------------------------------
 
 
 def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
@@ -531,23 +603,17 @@ def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
     if D.kind != "dendriform":
         raise ValueError("expected a dendriform algebra")
     bound = w.safe_bound(2)
-    P, scale = _scaled_products(D)
+    tables = {"mul": _skeleton_table(_SKELETON_MUL, {**D.tables, **_B}, D.dim)}
+    patterns, den = _patterns("associativity", tables, D.dim, 3)
     live: dict = {}
-    for x, y, z in product(_slots(D.dim), repeat=3):
-        res: dict = {}
-        for m, o, c in _pattern_product(P, x, y):  # (a₁∗a₂)∗a₃
-            for k, o2, c2 in _pattern_product(P, m, z):
-                _add(res, (k, _plus(o, o2)), c * c2)
-        for m, o, c in _pattern_product(P, y, z):  # a₁∗(a₂∗a₃)
-            for k, o2, c2 in _pattern_product(P, x, m):
-                _add(res, (k, _plus(o, o2)), -c * c2)
-        if res := _support(res):
-            # the target (k, x^{b₁+b₂+b₃+offset}∂ₛ) sorts as (k, offset, s)
-            # does, whatever the sources
-            targets = sorted((k, offset, s, c) for ((k, s), offset), c in res.items())
-            live.setdefault((x[0], y[0], z[0]), {})[x[1], y[1], z[1]] = [
-                (k, offset, s, Fraction(c, scale * scale)) for k, offset, s, c in targets
-            ]
+    for (x, y, z), res in patterns.items():
+        # the target (k, x^{b₁+b₂+b₃+offset}∂ₛ) sorts as (k, offset, s) does,
+        # whatever the sources; the law is a₁∗(a₂∗a₃) − (a₁∗a₂)∗a₃, the
+        # negated associator
+        targets = sorted((k, offset, s, c) for (((k, s),), offset), c in res.items())
+        live.setdefault((x[0], y[0], z[0]), {})[x[1], y[1], z[1]] = [
+            (k, offset, s, Fraction(-c, den)) for k, offset, s, c in targets
+        ]
     failures = []
     monos = list(iter_box(bound))
     for ds in product(range(D.dim), repeat=3):
@@ -574,38 +640,6 @@ def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
 # --- completed ASI bialgebra -------------------------------------------------
 
 
-def _scaled_products(D: FinAlgebra) -> tuple[dict, int]:
-    """L_D and the table (d₁, d₂) ↦ ((k, L_D·c_≻, L_D·c_≺), …) of nonzero rows,
-    read from the algebra's tables."""
-    return _paired_rows(D.tables["gt"], D.tables["lt"], lambda k, d1, d2: ((d1, d2), (k,)))
-
-
-def _scaled_coproducts(theta: CoalgStruct) -> tuple[list, int]:
-    """L_θ and, per d, the nonzero ((d_p, d_q, L_θ·c_≻, L_θ·c_≺), …) of θ(d),
-    read from the coalgebra's tables."""
-    rows, scale = _paired_rows(theta.tables["co_gt"], theta.tables["co_lt"],
-                               lambda d, dp, dq: (d, (dp, dq)))
-    return [rows.get(d, ()) for d in range(theta.dim)], scale
-
-
-def _paired_rows(gt, lt, split) -> tuple[dict, int]:
-    """The entries of two `IntTable`s over L, the lcm of their scales, as
-    key ↦ ((*place, L·c_gt, L·c_lt), …) with places ascending, where
-    ``split`` cuts an entry's index into (key, place)."""
-    scale = lcm(gt.scale, lt.scale)
-    cells: dict = {}
-    for col, table in enumerate((gt, lt)):
-        lift = scale // table.scale
-        for idx, v in table.entries:
-            key, place = split(*idx)
-            cells.setdefault(key, {}).setdefault(place, [0, 0])[col] = v * lift
-    rows = {
-        key: tuple((*place, g, l) for place, (g, l) in sorted(row.items()))
-        for key, row in cells.items()
-    }
-    return rows, scale
-
-
 # Verified correspondence between the windowed completed laws and the finite
 # dendriform bialgebra conditions (by exact row-space comparison of the
 # residuals as linear functionals of the coproducts): the casi1 coefficients
@@ -617,38 +651,6 @@ CASI_FINITE_SPAN = {
 }
 
 
-def _compatibility_patterns(P: dict, Q: list, x: tuple, y: tuple) -> tuple[dict, dict]:
-    """The nonzero casi1 and casi2 residuals, scaled by L_D·L_θ, of sources
-    a₁, a₂ with slots x, y, keyed by (target slots, offset)."""
-    # casi1: Δ(a₁∗a₂) − (𝔯(a₂)⊗̂id)(Δ(a₁)) − (id⊗̂𝔩(a₁))(Δ(a₂))
-    res1: dict = {}
-    for m, o, c in _pattern_product(P, x, y):
-        for p, q, o2, c2 in _pattern_delta(Q, m):
-            _add(res1, ((p, q), _plus(o, o2)), c * c2)
-    for g, v, o, c in _pattern_delta(Q, x):
-        for m, o2, c2 in _pattern_product(P, g, y):
-            _add(res1, ((m, v), _plus(o, o2)), -c * c2)
-    for p, h, o, c in _pattern_delta(Q, y):
-        for m, o2, c2 in _pattern_product(P, x, h):
-            _add(res1, ((p, m), _plus(o, o2)), -c * c2)
-    # casi2: (𝔩(a₁)⊗̂id − id⊗̂𝔯(a₁))(Δ(a₂)) − τ̂((id⊗̂𝔯(a₂) − 𝔩(a₂)⊗̂id)(Δ(a₁)))
-    res2: dict = {}
-    for g, v, o, c in _pattern_delta(Q, y):
-        for m, o2, c2 in _pattern_product(P, x, g):
-            _add(res2, ((m, v), _plus(o, o2)), c * c2)
-    for p, h, o, c in _pattern_delta(Q, y):
-        for m, o2, c2 in _pattern_product(P, h, x):
-            _add(res2, ((p, m), _plus(o, o2)), -c * c2)
-    # the τ̂ of the mirrored expression: slots are written already swapped
-    for p, h, o, c in _pattern_delta(Q, x):
-        for m, o2, c2 in _pattern_product(P, h, y):
-            _add(res2, ((m, p), _plus(o, o2)), -c * c2)
-    for g, v, o, c in _pattern_delta(Q, x):
-        for m, o2, c2 in _pattern_product(P, y, g):
-            _add(res2, ((v, m), _plus(o, o2)), c * c2)
-    return _support(res1), _support(res2)
-
-
 def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineReport:
     """Windowed verification of the completed ASI bialgebra laws on D⊗B.
 
@@ -657,33 +659,25 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
       casi2:   (𝔩(a₁)⊗̂id − id⊗̂𝔯(a₁))(Δ(a₂)) = τ̂((id⊗̂𝔯(a₂) − 𝔩(a₂)⊗̂id)(Δ(a₁)))
       coassoc: (Δ⊗̂id)Δ = (id⊗̂Δ)Δ
     """
-    if D.kind != "dendriform" or theta.kind != "dendriform":
-        raise ValueError("expected a dendriform algebra with dendriform coproducts")
-    if D.dim != theta.dim:
-        raise ValueError("algebra and coproducts must share dimension")
+    _require_dendriform_pair(D, theta)
     bound = w.safe_bound(2)
-    P, scale_d = _scaled_products(D)
-    Q, scale_t = _scaled_coproducts(theta)
-    live = {}
-    for x, y in product(_slots(D.dim), repeat=2):
-        res = _compatibility_patterns(P, Q, x, y)
-        if any(res):
-            live[x, y] = res
+    tables = {"mul": _skeleton_table(_SKELETON_MUL, {**D.tables, **_B}, D.dim),
+              "co": _skeleton_table(_SKELETON_CO, {**theta.tables, **_B}, D.dim)}
+    laws = [(label, *_patterns(label, tables, D.dim, 2)) for label in ("casi1", "casi2")]
     grid = _grid(w.N, D.dim)
     failures: list = []
     sources = [(d, b) for d in range(D.dim) for b in iter_box(bound)]
     for a1, a2 in product(sources, repeat=2):
         (d1, b1), (d2, b2) = a1, a2
-        res = live.get(((d1, b1.s), (d2, b2.s)))
-        if res is None:
-            continue
+        slots = ((d1, b1.s), (d2, b2.s))
         base = (b1.i1 + b2.i1, b1.i2 + b2.i2)
-        for label, patterns in zip(("casi1", "casi2"), res):
-            kvs = _window_residuals(patterns, base, w.N, scale_d * scale_t, grid)
-            failures.extend(zip(repeat(label), repeat((a1, a2)), kvs))
+        for label, live, den in laws:
+            if slots in live:
+                kvs = _window_residuals(live[slots], base, w.N, den, grid)
+                failures.extend(zip(repeat(label), repeat((a1, a2)), kvs))
     checked = len(sources) ** 2
     # completed coassociativity, one source at a time
-    checked += _coassoc_failures(Q, scale_t, w, grid, failures)
+    checked += _coassoc_failures(tables, D.dim, w, grid, failures)
 
     return AffineReport(
         "completed ASI bialgebra", w.N, f"sources |i| <= {bound}", checked,
@@ -691,23 +685,14 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
     )
 
 
-def _coassoc_failures(Q: list, scale: int, w: Window, grid: tuple, failures: list) -> int:
-    """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check over the coproduct rows ``Q`` of
-    `_scaled_coproducts` and the cells ``grid`` of `_grid`; appends
-    failures, returns count."""
-    live = {}
-    for x in _slots(len(Q)):
-        res: dict = {}
-        for g, v, o, c in _pattern_delta(Q, x):  # (Δ⊗̂id)Δ
-            for p, q, o2, c2 in _pattern_delta(Q, g):
-                _add(res, ((p, q, v), _plus(o, o2)), c * c2)
-        for p, g, o, c in _pattern_delta(Q, x):  # (id⊗̂Δ)Δ
-            for q, v, o2, c2 in _pattern_delta(Q, g):
-                _add(res, ((p, q, v), _plus(o, o2)), -c * c2)
-        live[x] = _support(res)
-    sources = [(d, b) for d in range(len(Q)) for b in iter_box(w.safe_bound(2))]
+def _coassoc_failures(tables: dict, dim: int, w: Window, grid: tuple, failures: list) -> int:
+    """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check over the skeleton coproduct in
+    ``tables`` and the cells ``grid`` of `_grid`; appends failures, returns
+    count."""
+    live, den = _patterns("coassoc", tables, dim, 1)
+    sources = [(d, b) for d in range(dim) for b in iter_box(w.safe_bound(2))]
     for d, b in sources:
-        kvs = _window_residuals(live[d, b.s], (b.i1, b.i2), w.N, scale * scale, grid)
+        kvs = _window_residuals(live.get(((d, b.s),), {}), (b.i1, b.i2), w.N, den, grid)
         failures.extend(zip(repeat("coassoc"), repeat((d, b)), kvs))
     return len(sources)
 
@@ -716,13 +701,10 @@ def check_completed_coassociativity(
     D: FinAlgebra, theta: CoalgStruct, w: Window
 ) -> AffineReport:
     """Windowed coassociativity of the completed coproduct on D⊗B."""
-    if D.kind != "dendriform" or theta.kind != "dendriform":
-        raise ValueError("expected a dendriform algebra with dendriform coproducts")
-    if D.dim != theta.dim:
-        raise ValueError("algebra and coproducts must share dimension")
+    _require_dendriform_pair(D, theta)
     failures: list = []
-    Q, scale = _scaled_coproducts(theta)
-    checked = _coassoc_failures(Q, scale, w, _grid(w.N, theta.dim), failures)
+    tables = {"co": _skeleton_table(_SKELETON_CO, {**theta.tables, **_B}, D.dim)}
+    checked = _coassoc_failures(tables, D.dim, w, _grid(w.N, D.dim), failures)
     return AffineReport(
         "completed coassociativity", w.N, f"sources |i| <= {w.safe_bound(2)}",
         checked, tuple(failures),

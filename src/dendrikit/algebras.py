@@ -153,12 +153,10 @@ class CheckReport:
     violations: dict = field(repr=False, compare=False)
 
     @staticmethod
-    def from_residuals(subject: str, residuals: dict) -> "CheckReport":
-        """The report on ``residuals``: a `Residuals` brings its laws' first
-        violations, and any other dict is scanned (`first_nonzero_nested`)."""
-        violations = getattr(residuals, "violations", None)
-        if violations is None:
-            violations = {name: first_nonzero_nested(res) for name, res in residuals.items()}
+    def from_residuals(subject: str, residuals: Residuals) -> "CheckReport":
+        """The report on ``residuals``, which bring their laws' first
+        violations."""
+        violations = residuals.violations
         first = next(((name, *hit) for name, hit in violations.items() if hit is not None),
                      None)
         return CheckReport(subject, residuals, first is None, first, violations)
@@ -369,7 +367,7 @@ def _structure(cls, kind: str, dim: int, laws: dict, tables: dict, n):
     shape = (dim, dim, dim)
     flat = {name: contract_cells(terms, tables, out, n) for name, (out, terms) in laws.items()}
     cubes = {name: nest(fractions(cells, den), shape) for name, (cells, den) in flat.items()}
-    tables = {name: cube_table(cells, den, dim) for name, (cells, den) in flat.items()}
+    tables = {name: cube_table(cells, den, shape) for name, (cells, den) in flat.items()}
     # both structures' fields are (kind, dim, cubes, tables)
     return _unchecked(cls, **dict(zip([f.name for f in fields(cls)],
                                       (kind, dim, cubes, tables))))

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -344,18 +344,20 @@ def unravel(p: int, dims) -> tuple:
     return tuple(reversed(idx))
 
 
-def cube_table(cells: list, den: int, n: int) -> IntTable:
-    """The `IntTable` of the n³ cube of Fractions x/den over the row-major
-    ``cells``, read straight from the ints.
+def cube_table(cells: list, den: int, dims) -> IntTable:
+    """The `IntTable` of the table of Fractions x/den of extents ``dims``
+    over the row-major ``cells``, read straight from the ints.
 
     With g = gcd(den, x₁, x₂, …), the lcm of the reduced denominators is
     den/g and each entry is x/g, so one gcd gives the ``scale`` and
     ``entries`` that `IntTable` gives on the nested Fractions.
     """
     g = gcd(den, *cells)
-    nn = n * n
+    # the index tuples over the axes after the first, in row-major order
+    inner = list(product(*map(range, dims[1:])))
+    m = len(inner)
     return IntTable(scale=den // g, entries=[
-        ((p // nn, p // n % n, p % n), cells[p] // g)
+        ((p // m, *inner[p % m]), cells[p] // g)
         for p in compress(range(len(cells)), cells)])
 
 
@@ -673,9 +675,3 @@ def dual_basis(omega: BilinForm) -> LinMap:
     Equivalently ω·F = identity.  Raises DegenerateFormError if ω is singular.
     """
     return LinMap(mat_inverse(omega.matrix))
-
-
-def tensor_product_elem(u: Vec, v: Vec) -> Tensor2:
-    return Tensor2(
-        tuple(tuple(x * y for y in v.coords) for x in u.coords)
-    )

@@ -129,7 +129,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
 
 
 def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:
-    return ybe_residual(alg, r).is_zero()
+    return not any(_ybe_cells(alg, r)[0])
 
 
 # The coboundary coproducts as terms over r[a][b] and the product cubes
@@ -410,8 +410,8 @@ def transfer_aybe_to_cybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
         invariance_residual(alg, s).ok,
         "r + τ(r) is not invariant under the associative actions",
     )
-    tables = {"C": cube_table(*_ybe_cells(commutator_lie(alg), r), alg.dim),
-              "A": cube_table(*_ybe_cells(alg, r), alg.dim)}
+    tables = {"C": cube_table(*_ybe_cells(commutator_lie(alg), r), (alg.dim,) * 3),
+              "A": cube_table(*_ybe_cells(alg, r), (alg.dim,) * 3)}
     return CheckReport.from_residuals(
         "associative-to-Lie Yang-Baxter transfer",
         _transfer_residuals(("cybe_from_aybe",), tables, alg.dim),
@@ -422,8 +422,8 @@ def transfer_dybe_to_plybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     """PL_r is a signed slot-permutation combination of D_r, for symmetric r."""
     _require(alg.kind == "dendriform", "expected a dendriform algebra")
     _require((r - flip(r)).is_zero(), "r is not symmetric")
-    tables = {"PL": cube_table(*_ybe_cells(dendriform_to_prelie(alg), r), alg.dim),
-              "D": cube_table(*_ybe_cells(alg, r), alg.dim)}
+    tables = {"PL": cube_table(*_ybe_cells(dendriform_to_prelie(alg), r), (alg.dim,) * 3),
+              "D": cube_table(*_ybe_cells(alg, r), (alg.dim,) * 3)}
     return CheckReport.from_residuals(
         "dendriform-to-pre-Lie Yang-Baxter transfer",
         _transfer_residuals(("plybe_from_dybe",), tables, alg.dim),
@@ -476,12 +476,11 @@ def transfer_plybe_lift(alg: FinAlgebra, r: Tensor2, qp: QuadraticPerm) -> Check
     )
     rhat = lift_r(r, qp)
     lie = tensor_lie(alg, qp.algebra)
-    residuals = {
-        "lift_solves_cybe": ybe_residual(lie, rhat).coeffs,
-        "lift_symmetric_part_invariant": invariance_residual(
-            lie, rhat + flip(rhat)
-        ).residuals["invariance"],
-    }
+    residuals = law_residuals({"lift_solves_cybe": YBE_LAWS["lie"]},
+                              {**lie.tables, "r": IntTable(rhat.coeffs)}, lie.dim)
+    invariance = invariance_residual(lie, rhat + flip(rhat))
+    residuals.add("lift_symmetric_part_invariant", invariance.residuals["invariance"],
+                  invariance.violations["invariance"])
     return CheckReport.from_residuals("pre-Lie-to-Lie lift", residuals)
 
 
@@ -519,10 +518,9 @@ def transfer_dybe_lift(alg: FinAlgebra, r: Tensor2, qp: QuadraticPerm) -> CheckR
     )
     rhat = lift_r(r, qp)
     assoc = tensor_assoc(alg, qp.algebra)
-    residuals = {
-        **_transfer_residuals(("lift_skew",), {"rhat": IntTable(rhat.coeffs)}, assoc.dim),
-        "lift_solves_aybe": ybe_residual(assoc, rhat).coeffs,
-    }
+    lifted = IntTable(rhat.coeffs)
+    laws = {"lift_skew": TRANSFER_LAWS["lift_skew"], "lift_solves_aybe": YBE_LAWS["assoc"]}
+    residuals = law_residuals(laws, {**assoc.tables, "rhat": lifted, "r": lifted}, assoc.dim)
     return CheckReport.from_residuals("dendriform-to-associative lift", residuals)
 
 

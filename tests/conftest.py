@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dendrikit import examples
-from dendrikit.affinization import mono_product
+from dendrikit.affinization import Mono, mono_product
 from dendrikit.algebras import FinAlgebra
 from dendrikit.exact import (
     ZERO,
@@ -108,6 +108,18 @@ def affine_product(D: FinAlgebra, t1, t2) -> dict:
         out[k, mono_product(b1, b2)] += D.products["gt"][k][d1][d2]
         out[k, mono_product(b2, b1)] += D.products["lt"][k][d1][d2]
     return {key: c for key, c in out.items() if c}
+
+
+# Proof-predicted localization of the dendriform axioms inside affine
+# associativity: comparing the coefficient of x₁²∂₂ in the stated ∂-triples,
+# with the orientation of the finite residual relative to the associator.
+ASSOC_LOCALIZATION = {
+    (2, 1, 1): "dendriform_1",
+    (1, 2, 1): "dendriform_2",
+    (1, 1, 2): "dendriform_3",
+}
+ASSOC_LOCALIZATION_TARGET = Mono(2, 0, 2)
+LOCALIZATION_SIGN = {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): -1}
 
 
 def affine_associator(D: FinAlgebra, t1, t2, t3) -> dict:

@@ -15,8 +15,6 @@ from click.testing import CliRunner
 
 from dendrikit import examples
 from dendrikit.affinization import (
-    ASSOC_LOCALIZATION,
-    ASSOC_LOCALIZATION_TARGET,
     Mono,
     Window,
     check_affine_associativity,
@@ -58,6 +56,9 @@ from dendrikit.ybe import (
 )
 
 from conftest import (
+    ASSOC_LOCALIZATION,
+    ASSOC_LOCALIZATION_TARGET,
+    LOCALIZATION_SIGN,
     affine_associator,
     conjugate_algebra,
     conjugate_form,
@@ -208,9 +209,6 @@ def test_criterion_5_property_corpus():
     assert elapsed < 30, f"property corpus took {elapsed:.2f}s"
 
 
-_LOCALIZATION_SIGN = {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): -1}
-
-
 def test_criterion_6_affinization_window():
     start = time.perf_counter()
     w = Window(2)
@@ -236,7 +234,7 @@ def test_criterion_6_affinization_window():
         bad = perturb_product(D, op, k, i, j, 1)
         finite = check_axioms(bad)
         for pattern, axiom in ASSOC_LOCALIZATION.items():
-            sign = _LOCALIZATION_SIGN[pattern]
+            sign = LOCALIZATION_SIGN[pattern]
             for d1 in range(2):
                 for d2 in range(2):
                     for d3 in range(2):

@@ -10,8 +10,6 @@ import pytest
 
 from dendrikit import affinization
 from dendrikit.affinization import (
-    ASSOC_LOCALIZATION,
-    ASSOC_LOCALIZATION_TARGET,
     GRADING_M,
     InsufficientWindowError,
     Mono,
@@ -32,10 +30,16 @@ from dendrikit.affinization import (
     perturb_product,
 )
 from dendrikit.algebras import check_axioms
-from dendrikit.bialgebras import check_bialgebra, check_coalgebra
+from dendrikit.bialgebras import CoalgStruct, check_bialgebra, check_coalgebra
 from dendrikit.exact import ZERO
 
-from conftest import affine_associator, affine_product
+from conftest import (
+    ASSOC_LOCALIZATION,
+    ASSOC_LOCALIZATION_TARGET,
+    LOCALIZATION_SIGN,
+    affine_associator,
+    affine_product,
+)
 
 
 # --- graded perm algebra and its form ----------------------------------------
@@ -88,10 +92,6 @@ def test_affine_associativity_passes(dend_pair, rb_dendriform):
     assert check_affine_associativity(rb_dendriform, Window(2)).ok
 
 
-# orientation of the finite residual relative to the affine associator
-_LOCALIZATION_SIGN = {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): -1}
-
-
 @pytest.mark.parametrize("op,k,i,j", [
     ("lt", 0, 0, 0), ("lt", 1, 0, 1), ("gt", 1, 1, 1), ("gt", 0, 1, 0),
 ])
@@ -109,7 +109,7 @@ def test_perturbation_localizes_to_predicted_coefficient(dend_pair, op, k, i, j)
     assert not affine.ok
     for pattern, axiom in ASSOC_LOCALIZATION.items():
         res = finite.residuals[axiom]
-        sign = _LOCALIZATION_SIGN[pattern]
+        sign = LOCALIZATION_SIGN[pattern]
         for d1 in range(2):
             for d2 in range(2):
                 for d3 in range(2):
@@ -334,11 +334,27 @@ def _shifted(D, theta, rng, count):
     return D, theta
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_pattern_decisions_match_a_direct_expansion(dend_pair, dend_theta, seed):
-    """Random shifts of a few constants of D and θ at once: every failure, its
+def _rb_pair(D, rng):
+    """The 3-dim D with a θ of two random nonzero coefficients, then one
+    random constant of each shifted."""
+    theta = CoalgStruct("dendriform", 3, {name: [[[0] * 3] * 3] * 3
+                                          for name in ("co_gt", "co_lt")})
+    sites = list(product(("co_gt", "co_lt"), range(3), range(3), range(3)))
+    for site in rng.sample(sites, 2):
+        theta = perturb_coproduct(theta, *site, rng.choice((Fraction(1, 2), 1, -3)))
+    return _shifted(D, theta, rng, 1)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, "rb-0", "rb-1"])
+def test_pattern_decisions_match_a_direct_expansion(dend_pair, dend_theta, rb_dendriform,
+                                                    case):
+    """Random shifts of a few constants of D and θ at once, on the 2-dim pair
+    (a seed) or the 3-dim Rota-Baxter dendriform algebra: every failure, its
     value and its order agree with the laws expanded term by term."""
-    D, theta = _shifted(dend_pair, dend_theta, random.Random(seed), 2)
+    if isinstance(case, int):
+        D, theta = _shifted(dend_pair, dend_theta, random.Random(case), 2)
+    else:
+        D, theta = _rb_pair(rb_dendriform, random.Random(case))
     w = Window(2)
     asi = check_completed_asi(D, theta, w)
     assert asi.failures == _direct_asi(D, theta, w)

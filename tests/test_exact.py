@@ -19,7 +19,6 @@ from dendrikit.exact import (
     mat_inverse,
     mat_mul,
     sharp,
-    tensor_product_elem,
     transpose,
 )
 
@@ -78,13 +77,6 @@ def test_bilin_form_kernel_detection():
     assert degenerate.kernel_vector() is not None
     nondegen = BilinForm(((ZERO, ONE), (-ONE, ZERO)))
     assert nondegen.kernel_vector() is None
-
-
-def test_tensor_product_elem():
-    u, v = Vec((ONE, Fraction(2))), Vec((Fraction(3), ZERO))
-    t = tensor_product_elem(u, v)
-    assert t.coeffs[1][0] == Fraction(6)
-    assert t.coeffs[0][1] == ZERO
 
 
 def test_linmap_apply():
