@@ -8,8 +8,9 @@ used.
 A top-level function, class or constant of ``src/dendrikit`` must be read
 somewhere in ``src/``, ``tests/`` or ``bench/``: as a name, as an attribute,
 or as a string, since the benchmark's tracer (``bench/spans.py``) looks
-functions up by name.  The ones that ``src/`` and ``bench/`` do not read are
-pinned, each with the reason it stays, so a new one fails here.
+functions up by name.  This module is not counted as a reader, so naming a
+definition here does not keep it alive.  The ones that ``src/`` and ``bench/``
+do not read are pinned, each with the reason it stays, so a new one fails here.
 """
 
 import ast
@@ -20,7 +21,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "dendrikit").glob("*.py"))
 READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+THIS = Path(__file__).resolve()
 PROGRAM = [p for p in READERS if p.relative_to(ROOT).parts[0] != "tests"]
+# Defined on purpose and read by nothing yet: the package version, and the
+# span claim that ROADMAP item 3 turns into code (or deletes).
+UNREAD_ALLOWED = {"__version__", "CASI_FINITE_SPAN"}
 # The package definitions that neither src/ nor bench/ reads, and why each stays.
 NOT_READ_BY_THE_PROGRAM = {
     "__version__": "the package version",
@@ -115,23 +120,38 @@ def test_detects_an_unread_definition():
     assert [name for name in defined if name not in used] == ["Y"]
 
 
-def test_every_definition_is_read():
-    used = set().union(*(reads(p.read_text(encoding="utf-8")) for p in READERS))
-    unread = [
+def unread_definitions(package, readers) -> list:
+    """The top-level definitions of ``package`` that no file of ``readers`` reads."""
+    used = set().union(*(reads(p.read_text(encoding="utf-8")) for p in readers))
+    return [
         f"{path.name}: {name}"
-        for path in PACKAGE
+        for path in package
         for name in top_level_definitions(path.read_text(encoding="utf-8"))
         if name not in used
+    ]
+
+
+def test_a_pin_is_not_a_read(tmp_path):
+    # A pin names its definition as a string; were the file holding the pins
+    # counted as a reader, a pinned definition nothing else read would pass.
+    (tmp_path / "m.py").write_text("def f(): pass\ndef g(): pass\n")
+    (tmp_path / "test_m.py").write_text("from m import g\ng()\n")
+    (tmp_path / "pins.py").write_text("PINS = {'f': 'why it stays'}\n")
+    package, tests, pins = (tmp_path / n for n in ("m.py", "test_m.py", "pins.py"))
+    assert unread_definitions([package], [tests, pins]) == []
+    assert unread_definitions([package], [tests]) == ["m.py: f"]
+    assert THIS in READERS
+
+
+def test_every_definition_is_read():
+    readers = [p for p in READERS if p != THIS]
+    unread = [
+        entry for entry in unread_definitions(PACKAGE, readers)
+        if entry.split(": ")[1] not in UNREAD_ALLOWED
     ]
     assert unread == []
 
 
 def test_definitions_only_tests_read_are_pinned():
-    used = set().union(*(reads(p.read_text(encoding="utf-8")) for p in PROGRAM))
-    unread = {
-        name
-        for path in PACKAGE
-        for name in top_level_definitions(path.read_text(encoding="utf-8"))
-        if name not in used
-    }
+    unread = {entry.split(": ")[1] for entry in unread_definitions(PACKAGE, PROGRAM)}
     assert unread == set(NOT_READ_BY_THE_PROGRAM)
