@@ -709,25 +709,3 @@ def check_completed_coassociativity(
         "completed coassociativity", w.N, f"sources |i| <= {w.safe_bound(2)}",
         checked, tuple(failures),
     )
-
-
-def perturb_product(D: FinAlgebra, op: str, k: int, i: int, j: int, delta) -> FinAlgebra:
-    """Copy of the algebra with one structure constant shifted by ``delta``."""
-    cubes = {
-        name: [[list(row) for row in plane] for plane in cube]
-        for name, cube in D.products.items()
-    }
-    cubes[op][k][i][j] += Fraction(delta)
-    return FinAlgebra(D.kind, D.dim, cubes)
-
-
-def perturb_coproduct(
-    theta: CoalgStruct, name: str, i: int, j: int, k: int, delta
-) -> CoalgStruct:
-    """Copy of the coalgebra with one coproduct coefficient shifted by ``delta``."""
-    cubes = {
-        nm: [[list(row) for row in plane] for plane in cube]
-        for nm, cube in theta.coproducts.items()
-    }
-    cubes[name][i][j][k] += Fraction(delta)
-    return CoalgStruct(theta.kind, theta.dim, cubes)

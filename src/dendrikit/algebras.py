@@ -18,12 +18,11 @@ write each law as its output labels and a signed list of terms, each a
 product of labelled structure tables (product cubes, action matrices, an
 operator).  `law_residuals` evaluates a check's laws with
 `exact.contract_cells`, which sums every term over one common denominator,
-so the residuals are exact; each is nested in the order of its output
-labels, with a Fraction only in a nonzero cell.  The law's first violation
-is the first nonzero integer cell, unravelled by the law's extents, and
-travels with the residuals (`Residuals`) into the `CheckReport`, so no
-report scans a nested residual again.  Adding a law is adding a row to a
-table.
+so the residuals are exact.  Each law keeps its integer cells (`Residuals`);
+its first violation is the first nonzero cell, unravelled by the law's
+extents, and that is all a report reads.  The residual nested in the order
+of its output labels, with a Fraction only in a nonzero cell, is a view
+built the first time it is read.  Adding a law is adding a row to a table.
 """
 
 from __future__ import annotations
@@ -68,33 +67,19 @@ def first_nonzero_nested(x, path=()):
     """The first nonzero scalar of nested containers, depth first, as (index
     path, value), or None.
 
-    Nested tuples are flattened once: ``count`` compares by identity first,
-    so a block of the shared ZERO costs no Python-level call.  If the tuples
-    are rectangular, the first cell that is neither ZERO nor equal to 0 (a
-    `mat_sub` may leave a Fraction(0) of its own) is unravelled into its
-    path.  Dicts are searched in sorted key order, and a row that is not a
-    tuple, or a block whose rows differ in length, on its own.
+    Dicts are searched in sorted key order.  A block whose scalars are all
+    the shared ZERO is skipped at once: ``count`` compares by identity first.
+    A `mat_sub` may leave a Fraction(0) of its own, which is searched.
     """
     if isinstance(x, Fraction):
         return (path, x) if x != 0 else None
     if isinstance(x, dict):
         items = ((k, x[k]) for k in sorted(x))
     else:
-        flat, dims = x, [len(x)]
+        flat = x
         while flat and type(flat[0]) is tuple:
-            dims.append(len(flat[0]))
             flat = list(chain.from_iterable(flat))
         if flat.count(ZERO) == len(flat):
-            return None
-        if _rectangular(x, dims):
-            for p, y in enumerate(flat):
-                if y is not ZERO and y != 0:
-                    at = path + unravel(p, dims)
-                    if isinstance(y, Fraction):
-                        return at, y
-                    hit = first_nonzero_nested(y, at)
-                    if hit is not None:
-                        return hit
             return None
         items = enumerate(x)
     for i, y in items:
@@ -104,46 +89,85 @@ def first_nonzero_nested(x, path=()):
     return None
 
 
-def _rectangular(x, dims: list) -> bool:
-    """Whether every row of ``x`` at depth d has length dims[d]."""
-    rows = [x]
-    for width in dims:
-        if min(map(len, rows)) != width or max(map(len, rows)) != width:
-            return False
-        rows = list(chain.from_iterable(rows))
-    return True
+# Holds a law's place in a `Residuals` until its residual is first read.
+_UNREAD = object()
 
 
 class Residuals(dict):
     """Law name ↦ residual, nested in the order of its output labels, as
     `law_residuals` returns it.
 
-    ``violations`` maps each law to its first violation (index path, value)
-    in row-major order, or None where the law holds.  It is found on the
-    flat integer cells before they are nested, so no report scans the
-    nested residual again.
+    ``flat`` maps each law to its `exact.contract_cells` result and extents,
+    (cells, den, dims), and ``violations`` to its first violation (index
+    path, value) in row-major order, or None where the law holds.  A nested
+    residual is a view: ``[]`` builds it the first time it is read and keeps
+    it, and every other read of a value (``get``, ``values``, ``items``,
+    ``==``, repr, ``dict(...)``, ``{**...}``) goes through ``[]``.  So it
+    reads as the eagerly nested mapping, and a report, which reads
+    ``violations`` only, never nests.
     """
 
-    __slots__ = ("violations",)
+    __slots__ = ("flat", "violations")
 
     def __init__(self):
         super().__init__()
+        self.flat = {}
         self.violations = {}
 
-    def add(self, name: str, residual: tuple, violation: Optional[tuple]):
-        self[name] = residual
-        self.violations[name] = violation
+    def add(self, name: str, cells: list, den: int, dims: tuple):
+        p = next(compress(count(), cells), None)
+        self.flat[name] = cells, den, dims
+        self.violations[name] = None if p is None else (unravel(p, dims), Fraction(cells[p], den))
+        dict.__setitem__(self, name, _UNREAD)
+
+    def __getitem__(self, name):
+        value = dict.__getitem__(self, name)
+        if value is _UNREAD:
+            cells, den, dims = self.flat[name]
+            value = nest(fractions(cells, den), dims)
+            dict.__setitem__(self, name, value)
+        return value
+
+    # CPython copies a dict subclass's storage directly in dict(...),
+    # {**...}, copy() and | unless the subclass has an __iter__ of its own;
+    # with one, they read each value through [].
+    def __iter__(self):
+        return dict.__iter__(self)
+
+    def _nested(self) -> "Residuals":
+        for name in self:
+            self[name]
+        return self
+
+    def get(self, name, default=None):
+        return self[name] if name in self else default
+
+    def values(self):
+        return dict.values(self._nested())
+
+    def items(self):
+        return dict.items(self._nested())
+
+    def __repr__(self):
+        return dict.__repr__(self._nested())
+
+    def __eq__(self, other):
+        return dict(self) == other
+
+    def __ne__(self, other):
+        return dict(self) != other
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of an exhaustive basis-wise axiom check.
 
-    ``residuals`` maps each named law to its full residual tensor (nested
-    tuples of Fractions, identically zero iff the law holds), and
-    ``violations`` each law to its first violation (index path, value), or
-    None.  ``first_violation`` is (law, index path, value) for the first law
-    that fails.
+    ``residuals`` (a `Residuals`) maps each named law to its full residual
+    tensor (nested tuples of Fractions, identically zero iff the law holds),
+    a view built on first read from the law's integer cells.  ``violations``
+    maps each law to its first violation (index path, value), or None.
+    ``first_violation`` is (law, index path, value) for the first law that
+    fails.
     """
 
     subject: str
@@ -332,23 +356,16 @@ AXIOMS = {
 
 
 def law_residuals(laws: dict, tables: dict, n) -> Residuals:
-    """Each law's residual, nested in the order of its output labels, with
-    its first violation.
+    """Each law's integer cells, with its first violation.
 
     ``tables`` maps each table name the laws use to its `IntTable`; ``n`` is
     the extent of every label, or a dict from label to extent, as for
-    `exact.contract`.  The first violation is the first nonzero cell of
-    `exact.contract_cells`' flat result, unravelled by the law's extents.
+    `exact.contract`.
     """
     extent = n.get if isinstance(n, dict) else (lambda _label: n)
     residuals = Residuals()
     for name, (out, terms) in laws.items():
-        dims = [extent(x) for x in out]
-        cells, den = contract_cells(terms, tables, out, n)
-        values = fractions(cells, den)
-        p = next(compress(count(), cells), None)
-        residuals.add(name, nest(values, dims),
-                      None if p is None else (unravel(p, dims), values[p]))
+        residuals.add(name, *contract_cells(terms, tables, out, n), tuple(map(extent, out)))
     return residuals
 
 

@@ -117,5 +117,5 @@ def check_square(dendriform: FinAlgebra, perm: FinAlgebra) -> CheckReport:
         ("assoc_axioms", check_axioms(dendriform_to_assoc(dendriform)), "associativity"),
         ("tensor_lie_jacobi", check_axioms(via_prelie), "jacobi"),
     ):
-        residuals.add(name, rep.residuals[law], rep.violations[law])
+        residuals.add(name, *rep.residuals.flat[law])
     return CheckReport.from_residuals("dendriform/perm commuting square", residuals)

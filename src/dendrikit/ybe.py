@@ -479,8 +479,7 @@ def transfer_plybe_lift(alg: FinAlgebra, r: Tensor2, qp: QuadraticPerm) -> Check
     residuals = law_residuals({"lift_solves_cybe": YBE_LAWS["lie"]},
                               {**lie.tables, "r": IntTable(rhat.coeffs)}, lie.dim)
     invariance = invariance_residual(lie, rhat + flip(rhat))
-    residuals.add("lift_symmetric_part_invariant", invariance.residuals["invariance"],
-                  invariance.violations["invariance"])
+    residuals.add("lift_symmetric_part_invariant", *invariance.residuals.flat["invariance"])
     return CheckReport.from_residuals("pre-Lie-to-Lie lift", residuals)
 
 

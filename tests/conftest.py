@@ -10,6 +10,7 @@ import pytest
 from dendrikit import examples
 from dendrikit.affinization import Mono, mono_product
 from dendrikit.algebras import FinAlgebra
+from dendrikit.bialgebras import CoalgStruct
 from dendrikit.exact import (
     ZERO,
     BilinForm,
@@ -92,6 +93,23 @@ def conjugate_operator(P: LinMap, S) -> LinMap:
 
 def int_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def perturb_product(D: FinAlgebra, op: str, k: int, i: int, j: int, delta) -> FinAlgebra:
+    """Copy of the algebra with one structure constant shifted by ``delta``."""
+    cubes = {name: [[list(row) for row in plane] for plane in cube]
+             for name, cube in D.products.items()}
+    cubes[op][k][i][j] += Fraction(delta)
+    return FinAlgebra(D.kind, D.dim, cubes)
+
+
+def perturb_coproduct(theta: CoalgStruct, name: str, i: int, j: int, k: int,
+                      delta) -> CoalgStruct:
+    """Copy of the coalgebra with one coproduct coefficient shifted by ``delta``."""
+    cubes = {nm: [[list(row) for row in plane] for plane in cube]
+             for nm, cube in theta.coproducts.items()}
+    cubes[name][i][j][k] += Fraction(delta)
+    return CoalgStruct(theta.kind, theta.dim, cubes)
 
 
 def affine_product(D: FinAlgebra, t1, t2) -> dict:

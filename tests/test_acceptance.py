@@ -20,8 +20,6 @@ from dendrikit.affinization import (
     check_affine_associativity,
     check_completed_asi,
     check_completed_coassociativity,
-    perturb_coproduct,
-    perturb_product,
 )
 from dendrikit.algebras import check_axioms, dendriform_from_rota_baxter
 from dendrikit.bialgebras import (
@@ -64,6 +62,8 @@ from conftest import (
     conjugate_form,
     conjugate_tensor,
     int_matrix,
+    perturb_coproduct,
+    perturb_product,
 )
 
 CORPUS = Path(str(files("dendrikit") / "corpus"))

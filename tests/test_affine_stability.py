@@ -22,9 +22,9 @@ from dendrikit.affinization import (
     check_graded_form,
     check_laurent_perm_axioms,
     check_nu_pairing,
-    perturb_coproduct,
-    perturb_product,
 )
+
+from conftest import perturb_coproduct, perturb_product
 
 THIRD = Fraction(1, 3)
 MINUS_TWO_FIFTHS = Fraction(-2, 5)

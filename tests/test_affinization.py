@@ -26,8 +26,6 @@ from dendrikit.affinization import (
     laurent_dual_basis,
     mono_degree,
     mono_product,
-    perturb_coproduct,
-    perturb_product,
 )
 from dendrikit.algebras import check_axioms
 from dendrikit.bialgebras import CoalgStruct, check_bialgebra, check_coalgebra
@@ -39,6 +37,8 @@ from conftest import (
     LOCALIZATION_SIGN,
     affine_associator,
     affine_product,
+    perturb_coproduct,
+    perturb_product,
 )
 
 

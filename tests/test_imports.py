@@ -30,8 +30,6 @@ UNREAD_ALLOWED = {"__version__", "CASI_FINITE_SPAN"}
 NOT_READ_BY_THE_PROGRAM = {
     "__version__": "the package version",
     "CASI_FINITE_SPAN": "the span claim that ROADMAP item 3 turns into code or deletes",
-    "perturb_product": "the windowed tests' way to break one structure constant",
-    "perturb_coproduct": "the windowed tests' way to break one coproduct coefficient",
     "perm_pair_quadratic": "the quadratic perm pair of the induced-bialgebra tests",
     "r_corner": "a family of dendriform Yang-Baxter solutions the tests transfer",
     "r_family": "a family of dendriform Yang-Baxter solutions the tests transfer",

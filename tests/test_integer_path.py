@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrikit import examples
-from dendrikit.affinization import perturb_product
 from dendrikit.algebras import (
     KIND_BIMODULE_ACTIONS,
     KIND_OPS,
@@ -71,7 +70,7 @@ from dendrikit.ybe import (
     transfer_dybe_lift,
 )
 
-from conftest import conjugate_algebra, conjugate_form, int_matrix
+from conftest import conjugate_algebra, conjugate_form, int_matrix, perturb_product
 
 DENSITIES = (0.0, 0.1, 0.3, 0.6, 1.0)
 

@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrikit import examples
-from dendrikit.affinization import perturb_coproduct, perturb_product
 from dendrikit.algebras import (
     KIND_OPS,
     Bimodule,
@@ -50,7 +49,7 @@ from dendrikit.exact import (
 )
 from dendrikit.ybe import coregular_bimodule, ybe_residual
 
-from conftest import conjugate_algebra, int_matrix
+from conftest import conjugate_algebra, int_matrix, perturb_coproduct, perturb_product
 
 DENSITIES = (0.0, 0.1, 0.3, 0.6, 1.0)
 
@@ -489,23 +488,15 @@ def test_the_plan_cache_is_keyed_on_the_law_and_the_extents():
     assert _compile.cache_info().currsize == 2 * laws
 
 
-# --- the first nonzero cell, flat against recursive ------------------------------
+# --- the first nonzero cell, with and without skipping zero blocks ---------------
 
 
 def _recursive_first_nonzero(x, path=()):
-    """first_nonzero_nested as it was before the flat scan: a depth-first
-    recursion that re-flattens each block it enters."""
+    """A depth-first recursion into every block, dict keys in sorted order:
+    first_nonzero_nested without its skip of all-ZERO blocks."""
     if isinstance(x, Fraction):
         return (path, x) if x != 0 else None
-    if isinstance(x, dict):
-        items = ((k, x[k]) for k in sorted(x))
-    else:
-        flat = x
-        while flat and type(flat[0]) is tuple:
-            flat = [y for row in flat for y in row]
-        if flat.count(ZERO) == len(flat):
-            return None
-        items = enumerate(x)
+    items = ((k, x[k]) for k in sorted(x)) if isinstance(x, dict) else enumerate(x)
     for i, y in items:
         hit = _recursive_first_nonzero(y, path + (i,))
         if hit is not None:
@@ -570,7 +561,7 @@ def test_first_nonzero_of_dicts_scalars_and_small_shapes():
        st.sampled_from((0.0, 0.02, 0.1, 0.5)), st.booleans())
 def test_first_nonzero_matches_the_recursive_search(rng, shape, density, own_zeros):
     """Random residuals, with the zeros the shared ZERO or Fractions of their
-    own: the flat scan finds the cell the recursion finds."""
+    own: skipping the all-ZERO blocks finds the cell the full recursion finds."""
     size = prod(shape)
     flat = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < density
             else (Fraction(0) if own_zeros and rng.random() < 0.5 else ZERO)

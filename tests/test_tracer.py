@@ -16,6 +16,8 @@ import pytest
 
 from dendrikit import affinization, algebras, bialgebras, examples, exact, functors, ybe
 
+from conftest import perturb_product
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -80,8 +82,8 @@ def _failing_families():
     count: each report's own, and for the square also those of the three
     axiom checks it runs and reports again."""
     dend, perm = examples.dendriform_pair(), examples.perm_pair()
-    bad = affinization.perturb_product(dend, "lt", 0, 1, 0, 1)
-    trunc = affinization.perturb_product(examples.truncated_polynomials(), "mul", 1, 2, 0, 3)
+    bad = perturb_product(dend, "lt", 0, 1, 0, 1)
+    trunc = perturb_product(examples.truncated_polynomials(), "mul", 1, 2, 0, 3)
     r = examples.r_nonsolution()
     yield "axioms", lambda: algebras.check_axioms(trunc), lambda rep: [rep.residuals]
     yield ("bimodule", lambda: algebras.check_bimodule(algebras.regular_bimodule(bad)),
