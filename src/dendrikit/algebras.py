@@ -23,20 +23,22 @@ its first violation is the first nonzero cell, unravelled by the law's
 extents, and that is all a report reads.  The residual nested in the order
 of its output labels, with a Fraction only in a nonzero cell, is a view
 built the first time it is read.  Adding a law is adding a row to a table.
+The constructions are data too: the actions of the regular bimodule
+(``REGULAR_BIMODULE``) and the split products of a Rota-Baxter operator
+(``ROTA_BAXTER_SPLIT``) are term tables, built by `_structure`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import compress, count
 from typing import Optional
 
 from .exact import (
     IntTable,
     LinMap,
     Vec,
-    ZERO,
     _unchecked,
     cube_table,
     contract,
@@ -61,32 +63,6 @@ KIND_BIMODULE_ACTIONS = {
     "assoc": ("l", "r"),
     "lie": ("rho",),
 }
-
-
-def first_nonzero_nested(x, path=()):
-    """The first nonzero scalar of nested containers, depth first, as (index
-    path, value), or None.
-
-    Dicts are searched in sorted key order.  A block whose scalars are all
-    the shared ZERO is skipped at once: ``count`` compares by identity first.
-    A `mat_sub` may leave a Fraction(0) of its own, which is searched.
-    """
-    if isinstance(x, Fraction):
-        return (path, x) if x != 0 else None
-    if isinstance(x, dict):
-        items = ((k, x[k]) for k in sorted(x))
-    else:
-        flat = x
-        while flat and type(flat[0]) is tuple:
-            flat = list(chain.from_iterable(flat))
-        if flat.count(ZERO) == len(flat):
-            return None
-        items = enumerate(x)
-    for i, y in items:
-        hit = first_nonzero_nested(y, path + (i,))
-        if hit is not None:
-            return hit
-    return None
 
 
 # Holds a law's place in a `Residuals` until its residual is first read.
@@ -264,35 +240,42 @@ class Bimodule:
             name: IntTable(mats) for name, mats in frozen.items()})
 
 
-def left_matrices(cube) -> tuple:
-    """The matrices of v ↦ bᵢ·v: 𝔩(bᵢ)[p][q] = c[p][i][q]."""
-    return tuple(tuple(plane[i] for plane in cube) for i in range(len(cube)))
+# The actions of the regular bimodule, each a construction (output labels,
+# terms) of action matrices M[i][p][q], entry (p, q) of the matrix of bᵢ, from
+# the product cubes c[k][i][j]: 𝔩(bᵢ)[p][q] = c[p][i][q] and
+# 𝔯(bᵢ)[p][q] = c[p][q][i].
+REGULAR_BIMODULE = {
+    "dendriform": {
+        "l_lt": ("ipq", ((+1, ("lt", "piq")),)),
+        "r_lt": ("ipq", ((+1, ("lt", "pqi")),)),
+        "l_gt": ("ipq", ((+1, ("gt", "piq")),)),
+        "r_gt": ("ipq", ((+1, ("gt", "pqi")),)),
+    },
+    "prelie": {
+        "l": ("ipq", ((+1, ("mul", "piq")),)),
+        "r": ("ipq", ((+1, ("mul", "pqi")),)),
+    },
+    "assoc": {
+        "l": ("ipq", ((+1, ("mul", "piq")),)),
+        "r": ("ipq", ((+1, ("mul", "pqi")),)),
+    },
+    "lie": {"rho": ("ipq", ((+1, ("bracket", "piq")),))},
+}
 
 
-def right_matrices(cube) -> tuple:
-    """The matrices of v ↦ v·bᵢ: 𝔯(bᵢ)[p][q] = c[p][q][i]."""
-    return tuple(
-        tuple(tuple(row[i] for row in plane) for plane in cube) for i in range(len(cube))
-    )
+def _bimodule(constructions: dict, name: str, alg: FinAlgebra) -> Bimodule:
+    """The bimodule of ``alg`` on a space of its dimension whose actions are
+    ``constructions[alg.kind]`` (``REGULAR_BIMODULE`` or
+    ``ybe.COREGULAR_BIMODULE``) on its product tables; ``name`` names the
+    bimodule in the error for a kind without one."""
+    if alg.kind not in constructions:
+        raise ValueError(f"no {name} bimodule for kind {alg.kind!r}")
+    return _structure(Bimodule, alg, alg.dim, constructions[alg.kind], alg.tables, alg.dim)
 
 
 def regular_bimodule(alg: FinAlgebra) -> Bimodule:
     """The algebra acting on itself by left and right multiplications."""
-    c = alg.products
-    if alg.kind == "lie":
-        mats = {"rho": left_matrices(c["bracket"])}
-    elif alg.kind == "dendriform":
-        mats = {
-            "l_lt": left_matrices(c["lt"]),
-            "r_lt": right_matrices(c["lt"]),
-            "l_gt": left_matrices(c["gt"]),
-            "r_gt": right_matrices(c["gt"]),
-        }
-    elif alg.kind in ("prelie", "assoc"):
-        mats = {"l": left_matrices(c["mul"]), "r": right_matrices(c["mul"])}
-    else:
-        raise ValueError(f"no regular bimodule for kind {alg.kind!r}")
-    return Bimodule(alg, alg.dim, mats)
+    return _bimodule(REGULAR_BIMODULE, "regular", alg)
 
 
 # A law is (output labels, terms); a term is (sign, (table, labels), …), a
@@ -369,25 +352,26 @@ def law_residuals(laws: dict, tables: dict, n) -> Residuals:
     return residuals
 
 
-def _structure(cls, kind: str, dim: int, laws: dict, tables: dict, n):
-    """The ``cls`` (`FinAlgebra` or `bialgebras.CoalgStruct`) of ``kind``
-    and dimension ``dim`` whose cube under each name of ``laws`` is that
+def _structure(cls, first, dim: int, laws: dict, tables: dict, n):
+    """The ``cls`` (`FinAlgebra`, `Bimodule` or `bialgebras.CoalgStruct`)
+    of dimension ``dim`` whose cube under each name of ``laws`` is that
     construction, (output labels, terms) over a dim³ cube, evaluated on
-    ``tables`` with the extents ``n`` (as for `exact.contract`).
+    ``tables`` with the extents ``n`` (as for `exact.contract`).  ``first``
+    is its first field: the kind, or a bimodule's algebra.
 
     Each cube is nested from `exact.contract_cells`' ints, and its table is
     built straight from them (`exact.cube_table`), so the new structure
     neither re-freezes its cubes nor reads them back.  The constructions
-    name a kind's own products or coproducts, so nothing is validated
-    again.
+    name a kind's own products, actions or coproducts, so nothing is
+    validated again.
     """
     shape = (dim, dim, dim)
     flat = {name: contract_cells(terms, tables, out, n) for name, (out, terms) in laws.items()}
     cubes = {name: nest(fractions(cells, den), shape) for name, (cells, den) in flat.items()}
     tables = {name: cube_table(cells, den, shape) for name, (cells, den) in flat.items()}
-    # both structures' fields are (kind, dim, cubes, tables)
+    # every structure's fields are (first, dim, cubes, tables)
     return _unchecked(cls, **dict(zip([f.name for f in fields(cls)],
-                                      (kind, dim, cubes, tables))))
+                                      (first, dim, cubes, tables))))
 
 
 def check_axioms(alg: FinAlgebra) -> CheckReport:
@@ -528,13 +512,15 @@ def _rota_baxter_tables(alg: FinAlgebra, R: LinMap) -> dict:
     n = alg.dim
     if R.rows != n or (n and R.cols != n):
         raise ValueError(f"operator must be {n}x{n}, got {R.rows}x{R.cols}")
-    return {"mul": alg.tables["mul"], "R": IntTable(R.matrix)}
+    return {"mul": alg.tables["mul"], "R": R.table}
 
 
-def rota_baxter_residual(alg: FinAlgebra, R: LinMap) -> tuple:
-    """R(a)R(b) − R(R(a)b + aR(b)) on every basis pair, nested [i][j][k]."""
-    return law_residuals(ROTA_BAXTER_LAW, _rota_baxter_tables(alg, R), alg.dim)[
-        "rota_baxter"]
+def rota_baxter_residual(alg: FinAlgebra, R: LinMap) -> CheckReport:
+    """The Rota-Baxter identity of weight 0 (``ROTA_BAXTER_LAW``): the
+    residual ``rota_baxter`` is R(a)R(b) − R(R(a)b + aR(b)) on every basis
+    pair, nested [i][j][k]."""
+    residuals = law_residuals(ROTA_BAXTER_LAW, _rota_baxter_tables(alg, R), alg.dim)
+    return CheckReport.from_residuals("Rota-Baxter identity", residuals)
 
 
 def dendriform_from_rota_baxter(alg: FinAlgebra, R: LinMap) -> FinAlgebra:
@@ -545,11 +531,11 @@ def dendriform_from_rota_baxter(alg: FinAlgebra, R: LinMap) -> FinAlgebra:
     """
     if alg.kind != "assoc":
         raise ValueError("Rota-Baxter splitting needs an associative algebra")
-    tables = _rota_baxter_tables(alg, R)
-    hit = law_residuals(ROTA_BAXTER_LAW, tables, alg.dim).violations["rota_baxter"]
+    hit = rota_baxter_residual(alg, R).violations["rota_baxter"]
     if hit is not None:
         i, j, _k = hit[0]
         raise ValueError(
             f"operator is not Rota-Baxter of weight 0: fails on basis pair ({i}, {j})"
         )
-    return _structure(FinAlgebra, "dendriform", alg.dim, ROTA_BAXTER_SPLIT, tables, alg.dim)
+    return _structure(FinAlgebra, "dendriform", alg.dim, ROTA_BAXTER_SPLIT,
+                      _rota_baxter_tables(alg, R), alg.dim)

@@ -333,8 +333,7 @@ class QuadraticPerm:
     def __post_init__(self):
         F = dual_basis(self.form)
         n = self.algebra.dim
-        tables = {"mul": self.algebra.tables["mul"], "w": IntTable(self.form.matrix),
-                  "F": IntTable(F.matrix)}
+        tables = {"mul": self.algebra.tables["mul"], "w": self.form.table, "F": F.table}
         object.__setattr__(self, "dual", F)
         object.__setattr__(self, "nu", _structure(CoalgStruct, "perm", n, NU_COPRODUCT,
                                                   tables, n))
@@ -380,7 +379,7 @@ def make_quadratic_perm(algebra: FinAlgebra, form: BilinForm) -> QuadraticPerm:
         raise ValueError(
             f"form is degenerate: kernel vector with coordinates {kv.coords}"
         )
-    tables = {"mul": algebra.tables["mul"], "w": IntTable(form.matrix)}
+    tables = {"mul": algebra.tables["mul"], "w": form.table}
     hit = law_residuals(QUADRATIC_LAWS, tables, algebra.dim).violations["invariance"]
     if hit is not None:
         i, j, k = hit[0]
@@ -422,7 +421,7 @@ def check_quadratic_perm_identities(qp: QuadraticPerm) -> CheckReport:
       (iv)  Σⱼ eⱼ⊗fⱼ = −Σⱼ fⱼ⊗eⱼ
     """
     tables = {"mul": qp.algebra.tables["mul"], "nu": qp.nu.tables["co"],
-              "F": IntTable(qp.dual.matrix)}
+              "F": qp.dual.table}
     residuals = law_residuals(QUADRATIC_PERM_IDENTITIES, tables, qp.algebra.dim)
     return CheckReport.from_residuals("quadratic perm identities", residuals)
 

@@ -1,8 +1,10 @@
 """Command-line interface: verification commands and worked-example replays.
 
 Exit codes: 0 = all checks pass, 1 = a verification check failed,
-2 = usage or input-file error.  Reports print to stdout as text (default)
-or as deterministic JSON (``--format json``).
+2 = usage or input-file error, 3 = internal error (an exception escaped a
+command).  Reports print to stdout as text (default) or as deterministic
+JSON (``--format json``).  Every finite verdict and first violation is read
+from a law's integer cells (`algebras.Residuals`); no residual is nested.
 
 `affinization`, `ybe` and `examples` are imported inside the commands and
 replays that use them, so ``check``, ``induce`` and ``square`` start faster.
@@ -17,9 +19,10 @@ from pathlib import Path
 import click
 
 from .algebras import (
+    Residuals,
     check_axioms,
     dendriform_from_rota_baxter,
-    first_nonzero_nested,
+    law_residuals,
     rota_baxter_residual,
 )
 from .bialgebras import (
@@ -31,7 +34,7 @@ from .bialgebras import (
     induce_asi_bialgebra,
     induce_lie_bialgebra,
 )
-from .exact import mat_sub, sharp
+from .exact import LinMap, sharp
 from .functors import (
     check_square,
     commutator_lie,
@@ -86,6 +89,17 @@ def _add_affine(report: Report, check_id: str, rep):
         label, loc, info = rep.failures[0]
         detail += f"; first failure {label} at {loc}: {info}"
     report.add_check(check_id, rep.ok, detail=detail)
+
+
+def _add_ybe(report: Report, check_id: str, alg, r, detail=None):
+    """Add the check that r solves the Yang-Baxter equation of ``alg``'s
+    kind, its first violation read from the residual's integer cells."""
+    from .ybe import _ybe_cells
+
+    residuals = Residuals()
+    residuals.add(check_id, *_ybe_cells(alg, r), (alg.dim,) * 3)
+    fv = residuals.violations[check_id]
+    report.add_check(check_id, fv is None, first_violation=fv, detail=detail)
 
 
 def _add_transfer(report: Report, check_id: str, thunk):
@@ -166,8 +180,6 @@ def check(file, fmt):
 @_format_option
 def ybe(eq, algebra_file, r_file, fmt):
     """Evaluate a Yang-Baxter residual for an algebra and an r-matrix."""
-    from .ybe import ybe_residual
-
     pf = _load(algebra_file)
     rf = _load(r_file)
     if pf.kind != YBE_KIND[eq]:
@@ -182,13 +194,8 @@ def ybe(eq, algebra_file, r_file, fmt):
     )
     report.record_file(algebra_file)
     report.record_file(r_file)
-    residual = ybe_residual(pf.algebra, rf.tensor)
-    report.add_check(
-        f"{eq}_residual",
-        residual.is_zero(),
-        first_violation=first_nonzero_nested(residual.coeffs),
-        detail=f"{pf.kind} Yang-Baxter equation",
-    )
+    _add_ybe(report, f"{eq}_residual", pf.algebra, rf.tensor,
+             detail=f"{pf.kind} Yang-Baxter equation")
     _finish(report, fmt)
 
 
@@ -444,32 +451,38 @@ def affine(dend_file, window_n, which, fmt):
 # --- worked-example replays ---------------------------------------------------
 
 
-def _check_products_match(report, check_id, got, expected):
-    diffs = {
-        nm: tuple(
-            mat_sub(got.products[nm][k], expected.products[nm][k])
-            for k in range(got.dim)
-        )
-        for nm in got.products
-    }
-    fv = first_nonzero_nested(diffs)
+# got − want: a computed matrix or cube against the value a worked example
+# displays.
+AGREE_LAWS = {
+    "matrix": ("ij", ((+1, ("got", "ij")), (-1, ("want", "ij")))),
+    "cube": ("kij", ((+1, ("got", "kij")), (-1, ("want", "kij")))),
+}
+
+
+def _disagreement(shape: str, got, want, n: int):
+    """The first violation (index path, value) of got − want for two
+    `exact.IntTable`s of extent ``n`` on every axis, or None."""
+    residuals = law_residuals({shape: AGREE_LAWS[shape]}, {"got": got, "want": want}, n)
+    return residuals.violations[shape]
+
+
+def _add_cubes_agree(report, check_id, got, want):
+    """Add the check that the structures ``got`` and ``want`` have the same
+    cubes; the first violation's index path starts with the cube's name,
+    the names taken in sorted order."""
+    fv = None
+    for name in sorted(got.tables):
+        hit = _disagreement("cube", got.tables[name], want.tables[name], got.dim)
+        if hit is not None:
+            fv = ((name, *hit[0]), hit[1])
+            break
     report.add_check(check_id, fv is None, first_violation=fv)
 
 
-def _check_coproducts_match(report, check_id, got, expected):
-    diffs = {
-        nm: tuple(
-            mat_sub(got.coproducts[nm][i], expected.coproducts[nm][i])
-            for i in range(got.dim)
-        )
-        for nm in got.coproducts
-    }
-    fv = first_nonzero_nested(diffs)
-    report.add_check(check_id, fv is None, first_violation=fv)
-
-
-def _check_matrix_match(report, check_id, got, expected):
-    fv = first_nonzero_nested(mat_sub(got, expected))
+def _add_matrices_agree(report, check_id, got, want, n: int):
+    """Add the check that the n×n matrices of the `exact.IntTable`s ``got``
+    and ``want`` are equal."""
+    fv = _disagreement("matrix", got, want, n)
     report.add_check(check_id, fv is None, first_violation=fv)
 
 
@@ -480,18 +493,14 @@ def _reproduce_ex_2_2(report):
     pf = _load_corpus(report, "assoc-truncated-rb.json")
     A, R = pf.algebra, pf.operator
     # R(a)R(b) = R(R(a)b + aR(b)), checked on all basis pairs
-    fv = first_nonzero_nested(rota_baxter_residual(A, R))
+    fv = rota_baxter_residual(A, R).violations["rota_baxter"]
     report.add_check("rota_baxter_identity", fv is None, first_violation=fv)
     split = dendriform_from_rota_baxter(A, R)
     report.add_report(check_axioms(split), prefix="split_dendriform:")
-    _check_products_match(
-        report, "split_matches_expected", split, examples.rota_baxter_dendriform()
-    )
+    _add_cubes_agree(report, "split_matches_expected", split, examples.rota_baxter_dendriform())
     # the bundled 2-dim dendriform algebra is itself a valid dendriform algebra
     pair = _load_corpus(report, "ex-D-alg-iii.json")
-    _check_products_match(
-        report, "pair_matches_corpus", pair.algebra, examples.dendriform_pair()
-    )
+    _add_cubes_agree(report, "pair_matches_corpus", pair.algebra, examples.dendriform_pair())
     report.add_report(check_axioms(pair.algebra), prefix="pair:")
 
 
@@ -504,12 +513,8 @@ def _reproduce_ex_2_13(report):
     P = dendriform_to_prelie(D)
     ta = tensor_assoc(D, B)
     tl = tensor_lie(P, B)
-    _check_products_match(
-        report, "assoc_products_match", ta, examples.expected_tensor_assoc()
-    )
-    _check_products_match(
-        report, "lie_brackets_match", tl, examples.expected_tensor_lie()
-    )
+    _add_cubes_agree(report, "assoc_products_match", ta, examples.expected_tensor_assoc())
+    _add_cubes_agree(report, "lie_brackets_match", tl, examples.expected_tensor_lie())
     report.add_report(check_axioms(ta), prefix="assoc:")
     report.add_report(check_axioms(tl), prefix="lie:")
     report.add_report(check_square(D, B), prefix="square:")
@@ -519,59 +524,50 @@ def _reproduce_ex_3_13(report):
     """Induced Lie bialgebra from a symmetric pre-Lie Yang-Baxter solution."""
     from . import examples
     from .ybe import (blockwise_product, coboundary_coproduct, kappa_tensor, lift_r,
-                      transfer_induced_lie_cobracket, ybe_residual)
+                      transfer_induced_lie_cobracket)
 
     D = _load_corpus(report, "ex-D-alg-iii.json").algebra
     qp = _load_corpus(report, "perm-quadratic.json").qperm
     r = _load_corpus(report, "r-e1e1.json").tensor
     P = dendriform_to_prelie(D)
-    _check_products_match(report, "prelie_products_match", P, examples.prelie_pair())
+    _add_cubes_agree(report, "prelie_products_match", P, examples.prelie_pair())
     theta = coboundary_coproduct(P, r)
-    _check_coproducts_match(
-        report, "coboundary_coproduct_match", theta, examples.prelie_pair_coalgebra()
-    )
+    _add_cubes_agree(report, "coboundary_coproduct_match", theta, examples.prelie_pair_coalgebra())
     lie, cobr = induce_lie_bialgebra(P, theta, qp)
-    _check_products_match(
-        report, "lie_brackets_match", lie, examples.expected_tensor_lie()
-    )
-    _check_coproducts_match(
-        report, "lie_cobracket_match", cobr, examples.expected_lie_cobracket()
-    )
+    _add_cubes_agree(report, "lie_brackets_match", lie, examples.expected_tensor_lie())
+    _add_cubes_agree(report, "lie_cobracket_match", cobr, examples.expected_lie_cobracket())
     report.add_report(check_bialgebra(lie, cobr), prefix="lie_bialgebra:")
     rhat = lift_r(r, qp)
-    _check_matrix_match(
-        report, "lift_match", rhat.coeffs, examples.expected_lift().coeffs
-    )
-    residual = ybe_residual(lie, rhat)
-    report.add_check(
-        "lift_solves_cybe",
-        residual.is_zero(),
-        first_violation=first_nonzero_nested(residual.coeffs),
-    )
+    _add_matrices_agree(report, "lift_match", rhat.table, examples.expected_lift().table, lie.dim)
+    _add_ybe(report, "lift_solves_cybe", lie, rhat)
     _add_transfer(
         report,
         "triangular_equals_induced",
         lambda: transfer_induced_lie_cobracket(P, r, qp),
     )
-    _check_matrix_match(
-        report, "r_sharp_match", sharp(r).matrix, examples.expected_r_sharp().matrix
+    _add_matrices_agree(
+        report, "r_sharp_match", sharp(r).table, examples.expected_r_sharp().table, D.dim
     )
-    _check_matrix_match(
+    kappa_sharp = sharp(kappa_tensor(qp))
+    _add_matrices_agree(
         report,
         "kappa_sharp_match",
-        sharp(kappa_tensor(qp)).matrix,
-        examples.expected_kappa_sharp().matrix,
+        kappa_sharp.table,
+        examples.expected_kappa_sharp().table,
+        qp.algebra.dim,
     )
-    _check_matrix_match(
+    lift_sharp = sharp(rhat)
+    _add_matrices_agree(
         report,
         "lift_sharp_match",
-        sharp(rhat).matrix,
-        examples.expected_lift_sharp().matrix,
+        lift_sharp.table,
+        examples.expected_lift_sharp().table,
+        lie.dim,
     )
     # blockwise Kronecker identity r̂♯ = r♯⊗κ♯
-    kron = blockwise_product(sharp(r).matrix, sharp(kappa_tensor(qp)).matrix)
-    _check_matrix_match(
-        report, "lift_sharp_is_blockwise_product", sharp(rhat).matrix, kron
+    kron = LinMap(blockwise_product(sharp(r).matrix, kappa_sharp.matrix))
+    _add_matrices_agree(
+        report, "lift_sharp_is_blockwise_product", lift_sharp.table, kron.table, lie.dim
     )
 
 
@@ -600,8 +596,7 @@ def _reproduce_ex_4_9(report):
 def _reproduce_ex_4_27(report):
     """Symmetric dendriform Yang-Baxter families and the induced bialgebra."""
     from . import examples
-    from .ybe import (coboundary_coproduct, transfer_dybe_lift,
-                      transfer_induced_asi_coproduct, ybe_residual)
+    from .ybe import coboundary_coproduct, transfer_dybe_lift, transfer_induced_asi_coproduct
 
     D = _load_corpus(report, "ex-D-alg-iii.json").algebra
     qp = _load_corpus(report, "perm-quadratic.json").qperm
@@ -609,24 +604,15 @@ def _reproduce_ex_4_27(report):
     r11 = _load_corpus(report, "r-beta1-gamma1.json").tensor
     r01 = _load_corpus(report, "r-beta0-gamma1.json").tensor
     for name, r in (("alpha1", r0), ("beta1_gamma1", r11), ("beta0_gamma1", r01)):
-        residual = ybe_residual(D, r)
-        report.add_check(
-            f"dybe_residual_{name}",
-            residual.is_zero(),
-            first_violation=first_nonzero_nested(residual.coeffs),
-        )
+        _add_ybe(report, f"dybe_residual_{name}", D, r)
     theta = coboundary_coproduct(D, r0)
-    _check_coproducts_match(
+    _add_cubes_agree(
         report, "coboundary_coproduct_match", theta,
         examples.dendriform_pair_coalgebra(),
     )
     assoc, delta = induce_asi_bialgebra(D, theta, qp)
-    _check_products_match(
-        report, "assoc_products_match", assoc, examples.expected_tensor_assoc()
-    )
-    _check_coproducts_match(
-        report, "asi_coproduct_match", delta, examples.expected_asi_coproduct()
-    )
+    _add_cubes_agree(report, "assoc_products_match", assoc, examples.expected_tensor_assoc())
+    _add_cubes_agree(report, "asi_coproduct_match", delta, examples.expected_asi_coproduct())
     report.add_report(check_bialgebra(assoc, delta), prefix="asi_bialgebra:")
     _add_transfer(
         report,

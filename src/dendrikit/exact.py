@@ -9,7 +9,7 @@ One sparse form and one kernel do the arithmetic.  The form is `IntTable`:
 a nested table of Fractions read once as Python ints L·c, L the lcm of its
 denominators, listing only its nonzero entries.  Every structure
 (`FinAlgebra`, `Bimodule`, `CoalgStruct`) builds one per cube in its
-constructor.  The kernel is `contract`, which evaluates a signed list of
+constructor, and a `Tensor2`, `LinMap` or `BilinForm` one for its matrix.  The kernel is `contract`, which evaluates a signed list of
 terms; a term is a product of labelled tables (product cubes, action
 matrices, coproduct cubes, an operator matrix, a vector), each axis named by
 a letter, summed over the labels that do not appear in the output.  The law
@@ -37,7 +37,7 @@ extents seen, and a call of `contract` only reads groupings and adds ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
@@ -503,9 +503,11 @@ class Tensor2:
     """Element of V⊗W over fixed bases: coeffs[i][j] is the coefficient of vᵢ⊗wⱼ."""
 
     coeffs: tuple[tuple[Fraction, ...], ...]
+    table: IntTable = field(init=False, repr=False, compare=False)
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", freeze_matrix(coeffs))
+        object.__setattr__(self, "table", IntTable(self.coeffs))
 
     @property
     def dim_left(self) -> int:
@@ -566,9 +568,11 @@ class BilinForm:
     """Bilinear form on V: matrix[i][j] = ω(vᵢ, vⱼ)."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
+    table: IntTable = field(init=False, repr=False, compare=False)
 
     def __init__(self, matrix):
         object.__setattr__(self, "matrix", freeze_matrix(matrix))
+        object.__setattr__(self, "table", IntTable(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -627,9 +631,11 @@ class LinMap:
     """Linear map given by its matrix: (Lv)ᵢ = Σⱼ matrix[i][j] vⱼ."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
+    table: IntTable = field(init=False, repr=False, compare=False)
 
     def __init__(self, matrix):
         object.__setattr__(self, "matrix", freeze_matrix(matrix))
+        object.__setattr__(self, "table", IntTable(self.matrix))
 
     @property
     def rows(self) -> int:

@@ -7,10 +7,12 @@ The Yang-Baxter residuals (``YBE_LAWS``, r·op·r terms contracted through
 the product cube), the coboundary coproducts (``COBOUNDARY``, which also
 give the invariance residual), the O-operator identity (``OOPERATOR_LAWS``,
 whose terms have degree 2 in the operator P and are chained contractions),
-the lift r̂ = r•κ (``LIFT``) and the agreement residuals of the transfer
-theorems (``TRANSFER_LAWS``, slot flips written as swapped labels) are term
-tables evaluated by `exact.contract`, like the laws in `algebras` and
-`bialgebras`.
+the lift r̂ = r•κ (``LIFT``), the actions of the dual-space bimodule
+(``COREGULAR_BIMODULE``, transposes written as swapped labels) and the
+agreement residuals of the transfer theorems (``TRANSFER_LAWS``, slot flips
+written as swapped labels) are term tables evaluated by `exact.contract`,
+like the laws in `algebras` and `bialgebras`.  An r-matrix or operator is
+read through the `exact.IntTable` it builds once (``table``).
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from .algebras import (
     Bimodule,
     CheckReport,
     FinAlgebra,
+    _bimodule,
     _structure,
     law_residuals,
-    left_matrices,
-    right_matrices,
 )
 from .bialgebras import (
     CoalgStruct,
@@ -111,7 +112,7 @@ def _ybe_cells(alg: FinAlgebra, r: Tensor2) -> tuple[list, int]:
     if alg.kind not in YBE_LAWS:
         raise ValueError(f"no Yang-Baxter equation for kind {alg.kind!r}")
     out, terms = YBE_LAWS[alg.kind]
-    return contract_cells(terms, {**alg.tables, "r": IntTable(r.coeffs)}, out, alg.dim)
+    return contract_cells(terms, {**alg.tables, "r": r.table}, out, alg.dim)
 
 
 def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
@@ -185,7 +186,7 @@ def invariance_residual(alg: FinAlgebra, s: Tensor2) -> CheckReport:
         raise ValueError(f"no invariance notion for kind {alg.kind!r}")
     _require_square(alg, s)
     law = {"invariance": COBOUNDARY[alg.kind]["co"]}
-    residuals = law_residuals(law, {**alg.tables, "r": IntTable(s.coeffs)}, alg.dim)
+    residuals = law_residuals(law, {**alg.tables, "r": s.table}, alg.dim)
     return CheckReport.from_residuals(f"{alg.kind} invariance", residuals)
 
 
@@ -200,7 +201,7 @@ def coboundary_coproduct(alg: FinAlgebra, r: Tensor2) -> CoalgStruct:
     if alg.kind not in COBOUNDARY:
         raise ValueError(f"no coboundary coproduct for kind {alg.kind!r}")
     _require_square(alg, r)
-    tables = {**alg.tables, "r": IntTable(r.coeffs)}
+    tables = {**alg.tables, "r": r.table}
     return _structure(CoalgStruct, alg.kind, alg.dim, COBOUNDARY[alg.kind], tables, alg.dim)
 
 
@@ -231,49 +232,42 @@ def lift_r(r: Tensor2, qp: QuadraticPerm) -> Tensor2:
     return Tensor2(blockwise_product(r.coeffs, kappa_tensor(qp).coeffs))
 
 
+# The actions of the coregular bimodule, each a construction of action
+# matrices M[i][p][q] (the matrix of bᵢ) from the product cubes c[k][i][j].
+# The dual of a matrix action is its transpose, so 𝔩*(bᵢ)[p][q] = c[q][i][p]
+# and 𝔯*(bᵢ)[p][q] = c[q][p][i].
+COREGULAR_BIMODULE = {
+    # (𝔤*, −ad*)
+    "lie": {"rho": ("ipq", ((-1, ("bracket", "qip")),))},
+    # (A*, 𝔯*−𝔩*, 𝔯*)
+    "prelie": {
+        "l": ("ipq", ((+1, ("mul", "qpi")), (-1, ("mul", "qip")))),
+        "r": ("ipq", ((+1, ("mul", "qpi")),)),
+    },
+    # (A*, 𝔯*, 𝔩*)
+    "assoc": {
+        "l": ("ipq", ((+1, ("mul", "qpi")),)),
+        "r": ("ipq", ((+1, ("mul", "qip")),)),
+    },
+    # (D*, −𝔯*_≻, 𝔩*_≺+𝔩*_≻, 𝔯*_≺+𝔯*_≻, −𝔩*_≺)
+    "dendriform": {
+        "l_lt": ("ipq", ((-1, ("gt", "qpi")),)),
+        "r_lt": ("ipq", ((+1, ("lt", "qip")), (+1, ("gt", "qip")))),
+        "l_gt": ("ipq", ((+1, ("lt", "qpi")), (+1, ("gt", "qpi")))),
+        "r_gt": ("ipq", ((-1, ("lt", "qip")),)),
+    },
+}
+
+
 def coregular_bimodule(alg: FinAlgebra) -> Bimodule:
-    """The dual-space bimodule used in the O-operator correspondences.
+    """The dual-space bimodule used in the O-operator correspondences
+    (``COREGULAR_BIMODULE``).
 
     Lie: (𝔤*, −ad*).  Pre-Lie: (A*, 𝔯*−𝔩*, 𝔯*).  Associative: (A*, 𝔯*, 𝔩*).
     Dendriform: (D*, −𝔯*_≻, 𝔩*_≺+𝔩*_≻, 𝔯*_≺+𝔯*_≻, −𝔩*_≺) in the action order
     (𝔩_≺, 𝔯_≺, 𝔩_≻, 𝔯_≻).
-    The dual of a matrix action is its transpose, and the actions are index
-    slices of the product cubes (`algebras.left_matrices`, `right_matrices`).
     """
-    n = alg.dim
-    c = alg.products
-
-    def dual(mats):
-        return tuple(transpose(m) for m in mats)
-
-    def neg(mats):
-        return tuple(tuple(tuple(-x for x in row) for row in m) for m in mats)
-
-    def add(xs, ys):
-        return tuple(mat_add(x, y) for x, y in zip(xs, ys))
-
-    if alg.kind == "lie":
-        mats = {"rho": neg(dual(left_matrices(c["bracket"])))}
-    elif alg.kind == "prelie":
-        left, right = left_matrices(c["mul"]), right_matrices(c["mul"])
-        mats = {
-            "l": dual(tuple(mat_sub(x, y) for x, y in zip(right, left))),
-            "r": dual(right),
-        }
-    elif alg.kind == "assoc":
-        mats = {"l": dual(right_matrices(c["mul"])), "r": dual(left_matrices(c["mul"]))}
-    elif alg.kind == "dendriform":
-        l_lt, l_gt = left_matrices(c["lt"]), left_matrices(c["gt"])
-        r_lt, r_gt = right_matrices(c["lt"]), right_matrices(c["gt"])
-        mats = {
-            "l_lt": neg(dual(r_gt)),
-            "r_lt": dual(add(l_lt, l_gt)),
-            "l_gt": dual(add(r_lt, r_gt)),
-            "r_gt": neg(dual(l_lt)),
-        }
-    else:
-        raise ValueError(f"no coregular bimodule for kind {alg.kind!r}")
-    return Bimodule(alg, n, mats)
+    return _bimodule(COREGULAR_BIMODULE, "coregular", alg)
 
 
 # The O-operator identity on basis pairs (v₁, v₂) = (vᵢ, vⱼ) of the module V,
@@ -331,7 +325,7 @@ def check_ooperator(bim: Bimodule, P: LinMap) -> CheckReport:
         raise ValueError(f"operator must be {n}x{m} (module to algebra), got {P.rows}x{P.cols}")
     extents = {"i": m, "j": m, "p": m, "k": n, "a": n, "b": n}
     residuals = law_residuals(
-        OOPERATOR_LAWS[alg.kind], {**alg.tables, **bim.tables, "P": IntTable(P.matrix)},
+        OOPERATOR_LAWS[alg.kind], {**alg.tables, **bim.tables, "P": P.table},
         extents
     )
     return CheckReport.from_residuals(f"{alg.kind} O-operator", residuals)
@@ -477,7 +471,7 @@ def transfer_plybe_lift(alg: FinAlgebra, r: Tensor2, qp: QuadraticPerm) -> Check
     rhat = lift_r(r, qp)
     lie = tensor_lie(alg, qp.algebra)
     residuals = law_residuals({"lift_solves_cybe": YBE_LAWS["lie"]},
-                              {**lie.tables, "r": IntTable(rhat.coeffs)}, lie.dim)
+                              {**lie.tables, "r": rhat.table}, lie.dim)
     invariance = invariance_residual(lie, rhat + flip(rhat))
     residuals.add("lift_symmetric_part_invariant", *invariance.residuals.flat["invariance"])
     return CheckReport.from_residuals("pre-Lie-to-Lie lift", residuals)
@@ -496,7 +490,7 @@ def transfer_induced_lie_cobracket(
     rhat = lift_r(r, qp)
     lie = tensor_lie(alg, qp.algebra)
     _, induced = induce_lie_bialgebra(alg, coboundary_coproduct(alg, r), qp)
-    tables = {"rhat": IntTable(rhat.coeffs), "induced": induced.tables["co"],
+    tables = {"rhat": rhat.table, "induced": induced.tables["co"],
               "coboundary": coboundary_coproduct(lie, rhat).tables["co"]}
     residuals = _transfer_residuals(
         ("lift_skew", "induced_cobracket_is_coboundary"), tables, lie.dim)
@@ -517,9 +511,9 @@ def transfer_dybe_lift(alg: FinAlgebra, r: Tensor2, qp: QuadraticPerm) -> CheckR
     )
     rhat = lift_r(r, qp)
     assoc = tensor_assoc(alg, qp.algebra)
-    lifted = IntTable(rhat.coeffs)
     laws = {"lift_skew": TRANSFER_LAWS["lift_skew"], "lift_solves_aybe": YBE_LAWS["assoc"]}
-    residuals = law_residuals(laws, {**assoc.tables, "rhat": lifted, "r": lifted}, assoc.dim)
+    residuals = law_residuals(laws, {**assoc.tables, "rhat": rhat.table, "r": rhat.table},
+                              assoc.dim)
     return CheckReport.from_residuals("dendriform-to-associative lift", residuals)
 
 

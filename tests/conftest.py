@@ -198,3 +198,20 @@ def ybe_residual_loop(alg: FinAlgebra, r: Tensor2) -> tuple:
                 add(2, (x1, x2), "lt", y1, y2, -c)          # − r₁₃≺r₂₃
                 add(1, (x2, y1), "gt", x1, y2, -c)          # − r₂₃≻r₁₂
     return tuple(tuple(tuple(row) for row in plane) for plane in out)
+
+
+def first_nonzero(x, path=()):
+    """The first nonzero scalar of nested tuples or dicts, depth first with
+    dict keys in sorted order, as (index path, value), or None.
+
+    A plain recursion into every block: the oracle for the first violation
+    that a report reads off a law's integer cells.
+    """
+    if isinstance(x, Fraction):
+        return (path, x) if x != 0 else None
+    items = ((k, x[k]) for k in sorted(x)) if isinstance(x, dict) else enumerate(x)
+    for i, y in items:
+        hit = first_nonzero(y, path + (i,))
+        if hit is not None:
+            return hit
+    return None

@@ -1,11 +1,22 @@
-"""Algebra axiom checkers, bimodules and the Rota-Baxter splitting."""
+"""Algebra axiom checkers, bimodules and the Rota-Baxter splitting.
 
+The regular and coregular bimodules are built from construction tables; here
+their action matrices are compared with the index formulas written out, on
+random algebras that break their laws, where a swapped or mis-signed action
+cannot hide behind a law that holds.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrikit import examples
 from dendrikit.algebras import (
+    KIND_OPS,
+    Bimodule,
     FinAlgebra,
     check_axioms,
     check_bimodule,
@@ -13,7 +24,7 @@ from dendrikit.algebras import (
     regular_bimodule,
     rota_baxter_residual,
 )
-from dendrikit.exact import LinMap, Vec
+from dendrikit.exact import IntTable, LinMap, Vec
 from dendrikit.functors import commutator_lie, dendriform_to_prelie
 from dendrikit.ybe import coregular_bimodule
 
@@ -90,6 +101,84 @@ def test_coregular_bimodule_satisfies_axioms(alg):
     assert rep.ok, rep.first_violation
 
 
+# The action matrices written out index by index, as functions of the product
+# cubes c and of (i, p, q): entry (p, q) of the matrix of bᵢ.
+def _l(op):
+    """𝔩(bᵢ)[p][q] = c[p][i][q], the matrix of v ↦ bᵢ·v."""
+    return lambda c, i, p, q: c[op][p][i][q]
+
+
+def _r(op):
+    """𝔯(bᵢ)[p][q] = c[p][q][i], the matrix of v ↦ v·bᵢ."""
+    return lambda c, i, p, q: c[op][p][q][i]
+
+
+def _dual(*signed):
+    """The action on the dual space of a signed sum of actions: its transpose."""
+    return lambda c, i, p, q: sum(sign * f(c, i, q, p) for sign, f in signed)
+
+
+REGULAR_FORMULAS = {
+    "dendriform": {"l_lt": _l("lt"), "r_lt": _r("lt"), "l_gt": _l("gt"), "r_gt": _r("gt")},
+    "prelie": {"l": _l("mul"), "r": _r("mul")},
+    "assoc": {"l": _l("mul"), "r": _r("mul")},
+    "lie": {"rho": _l("bracket")},
+}
+COREGULAR_FORMULAS = {
+    # (D*, −𝔯*_≻, 𝔩*_≺+𝔩*_≻, 𝔯*_≺+𝔯*_≻, −𝔩*_≺)
+    "dendriform": {
+        "l_lt": _dual((-1, _r("gt"))),
+        "r_lt": _dual((1, _l("lt")), (1, _l("gt"))),
+        "l_gt": _dual((1, _r("lt")), (1, _r("gt"))),
+        "r_gt": _dual((-1, _l("lt"))),
+    },
+    # (A*, 𝔯*−𝔩*, 𝔯*)
+    "prelie": {"l": _dual((1, _r("mul")), (-1, _l("mul"))), "r": _dual((1, _r("mul")))},
+    # (A*, 𝔯*, 𝔩*)
+    "assoc": {"l": _dual((1, _r("mul"))), "r": _dual((1, _l("mul")))},
+    # (𝔤*, −ad*)
+    "lie": {"rho": _dual((-1, _l("bracket")))},
+}
+
+
+def _random_algebra(rng, kind, n, density):
+    """Random rational constants: the algebra almost never satisfies its laws."""
+    def scalar():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else 0
+    return FinAlgebra(kind, n, {op: [[[scalar() for _ in range(n)] for _ in range(n)]
+                                     for _ in range(n)] for op in KIND_OPS[kind]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(REGULAR_FORMULAS)), st.integers(1, 3),
+       st.sampled_from((0.0, 0.3, 1.0)))
+def test_bimodule_actions_match_their_index_formulas(seed, kind, n, density):
+    alg = _random_algebra(random.Random(seed), kind, n, density)
+    c = alg.products
+    for build, formulas in ((regular_bimodule, REGULAR_FORMULAS),
+                            (coregular_bimodule, COREGULAR_FORMULAS)):
+        bim = build(alg)
+        want = {name: tuple(tuple(tuple(Fraction(f(c, i, p, q)) for q in range(n))
+                                  for p in range(n)) for i in range(n))
+                for name, f in formulas[kind].items()}
+        assert bim.algebra is alg and bim.dim == n
+        assert bim.actions == want, build.__name__
+        assert all(type(x) is Fraction for mats in bim.actions.values()
+                   for m in mats for row in m for x in row)
+        public = Bimodule(alg, n, want)
+        assert bim == public and repr(bim) == repr(public)
+        for name, table in bim.tables.items():
+            read = IntTable(want[name])
+            assert (table.scale, table.entries) == (read.scale, read.entries), name
+
+
+@pytest.mark.parametrize("build,name", [(regular_bimodule, "regular"),
+                                        (coregular_bimodule, "coregular")])
+def test_a_perm_algebra_has_no_bimodule(build, name):
+    with pytest.raises(ValueError, match=f"^no {name} bimodule for kind 'perm'$"):
+        build(examples.perm_pair())
+
+
 def test_rota_baxter_splitting_is_dendriform():
     split = dendriform_from_rota_baxter(
         examples.truncated_polynomials(), examples.integration_operator()
@@ -152,7 +241,9 @@ def test_rota_baxter_residual_and_failure_witness(site):
         M[site[0]][site[1]] += Fraction(2, 3)
     R = LinMap(M)
     dense = _dense_rota_baxter_residual(A, R)
-    assert rota_baxter_residual(A, R) == dense
+    rep = rota_baxter_residual(A, R)
+    assert rep.residuals["rota_baxter"] == dense
+    assert rep.ok == (not any(x for plane in dense for row in plane for x in row))
     fails = [(i, j) for i in range(3) for j in range(3) if any(dense[i][j])]
     if not fails:
         assert check_axioms(dendriform_from_rota_baxter(A, R)).ok

@@ -19,13 +19,14 @@ from dendrikit import examples
 from dendrikit.algebras import (
     KIND_BIMODULE_ACTIONS,
     KIND_OPS,
+    REGULAR_BIMODULE,
     Bimodule,
     FinAlgebra,
     Residuals,
     check_axioms,
     check_bimodule,
     dendriform_from_rota_baxter,
-    first_nonzero_nested,
+    regular_bimodule,
 )
 from dendrikit.bialgebras import (
     BIALGEBRA_LAWS,
@@ -63,6 +64,7 @@ from dendrikit.functors import (
 )
 from dendrikit.ybe import (
     COBOUNDARY,
+    COREGULAR_BIMODULE,
     check_ooperator,
     coboundary_coproduct,
     coregular_bimodule,
@@ -70,7 +72,8 @@ from dendrikit.ybe import (
     transfer_dybe_lift,
 )
 
-from conftest import conjugate_algebra, conjugate_form, int_matrix, perturb_product
+from conftest import (conjugate_algebra, conjugate_form, first_nonzero, int_matrix,
+                      perturb_product)
 
 DENSITIES = (0.0, 0.1, 0.3, 0.6, 1.0)
 
@@ -180,6 +183,8 @@ def constructed(s: Sample):
         D, theta)[1]
     for kind, alg in (("lie", L), ("prelie", P), ("assoc", A), ("dendriform", D)):
         yield ("COBOUNDARY", kind), coboundary_coproduct(alg, s.tensor(alg.dim))
+        yield ("REGULAR_BIMODULE", kind), regular_bimodule(alg)
+        yield ("COREGULAR_BIMODULE", kind), coregular_bimodule(alg)
     yield ("NU_COPRODUCT", "co"), qp.nu
     # an endomorphism R is transported as S⁻¹·R·S
     trunc, R = examples.truncated_polynomials(), examples.integration_operator()
@@ -192,8 +197,11 @@ def _same_as_public(x):
     """``x`` equals what its public constructor builds from its own cubes,
     with the same repr, and each table has the scale and entries that
     `IntTable` reads from the cube."""
-    cubes = x.products if isinstance(x, FinAlgebra) else x.coproducts
-    public = type(x)(x.kind, x.dim, cubes)
+    if isinstance(x, Bimodule):
+        cubes, public = x.actions, Bimodule(x.algebra, x.dim, x.actions)
+    else:
+        cubes = x.products if isinstance(x, FinAlgebra) else x.coproducts
+        public = type(x)(x.kind, x.dim, cubes)
     assert x == public and repr(x) == repr(public)
     assert set(x.tables) == set(cubes)
     for name, cube in cubes.items():
@@ -217,13 +225,15 @@ def test_every_construction_table_is_covered():
     assert {("CONSTRUCTIONS", k) for k in CONSTRUCTIONS} <= names
     assert {("COPRODUCT_CONSTRUCTIONS", k) for k in COPRODUCT_CONSTRUCTIONS} <= names
     assert {("COBOUNDARY", k) for k in COBOUNDARY} <= names
+    assert {("REGULAR_BIMODULE", k) for k in REGULAR_BIMODULE} <= names
+    assert {("COREGULAR_BIMODULE", k) for k in COREGULAR_BIMODULE} <= names
 
 
 def _scanned_first(residuals: dict):
     """The first violation by a scan of the nested residuals, law by law in
     order."""
     for name, res in residuals.items():
-        hit = first_nonzero_nested(res)
+        hit = first_nonzero(res)
         if hit is not None:
             return (name, *hit)
     return None
@@ -267,7 +277,7 @@ def reports(s: Sample):
 def test_report_violations_match_a_scan_of_the_nested_residuals(s):
     for rep in reports(s):
         assert isinstance(rep.residuals, Residuals), rep.subject
-        assert rep.violations == {name: first_nonzero_nested(res)
+        assert rep.violations == {name: first_nonzero(res)
                                   for name, res in rep.residuals.items()}
         assert rep.first_violation == _scanned_first(rep.residuals)
         assert rep.ok == (rep.first_violation is None)

@@ -4,15 +4,14 @@ Every structure reads its cubes as `exact.IntTable`s built once in its
 constructor; single products, `mat_mul`, `mat_vec`, actions, coproducts and
 whole laws are evaluated by `exact.contract`, which sums integer-scaled
 tables; the multiplication matrices of the regular and coregular bimodules
-are index slices of the product cubes; and the Yang-Baxter residual sums
+are constructions over the product cubes; and the Yang-Baxter residual sums
 scaled integers.  Here each one is compared, exactly, with the dense sum
 written out inline, on random rational constants of every density from
 all-zero to full, in dimensions 1 to 4, and after a random change of basis.
 Every coordinate returned must be a `Fraction`, never a bare int, since
 reports render Fractions.  `contract` is also compared with a sum over every
-assignment of values to the labels of random term tables, its plan cache is
-checked to be keyed on the law and the extents only, and the flat search for
-a residual's first nonzero cell against the recursive search it replaced.
+assignment of values to the labels of random term tables, and its plan cache
+is checked to be keyed on the law and the extents only.
 """
 
 import random
@@ -29,7 +28,6 @@ from dendrikit.algebras import (
     KIND_OPS,
     Bimodule,
     FinAlgebra,
-    first_nonzero_nested,
     regular_bimodule,
 )
 from dendrikit.bialgebras import BIALGEBRA_LAWS, CoalgStruct, check_bialgebra
@@ -43,7 +41,6 @@ from dendrikit.exact import (
     contract,
     determinant,
     mat_mul,
-    mat_sub,
     nest,
     transpose,
 )
@@ -486,86 +483,3 @@ def test_the_plan_cache_is_keyed_on_the_law_and_the_extents():
     assert _compile.cache_info().currsize == laws
     check_bialgebra(D3, theta3)
     assert _compile.cache_info().currsize == 2 * laws
-
-
-# --- the first nonzero cell, with and without skipping zero blocks ---------------
-
-
-def _recursive_first_nonzero(x, path=()):
-    """A depth-first recursion into every block, dict keys in sorted order:
-    first_nonzero_nested without its skip of all-ZERO blocks."""
-    if isinstance(x, Fraction):
-        return (path, x) if x != 0 else None
-    items = ((k, x[k]) for k in sorted(x)) if isinstance(x, dict) else enumerate(x)
-    for i, y in items:
-        hit = _recursive_first_nonzero(y, path + (i,))
-        if hit is not None:
-            return hit
-    return None
-
-
-def _same_first(x):
-    got = first_nonzero_nested(x)
-    assert got == _recursive_first_nonzero(x)
-    return got
-
-
-def test_first_nonzero_of_a_4d_residual_in_its_last_cell():
-    n = 3
-    flat = [ZERO] * (n ** 4 - 1) + [Fraction(-2, 7)]
-    assert _same_first(nest(flat, (n,) * 4)) == ((2, 2, 2, 2), Fraction(-2, 7))
-    assert _same_first(nest([ZERO] * n ** 4, (n,) * 4)) is None
-
-
-def test_first_nonzero_skips_a_zero_of_its_own():
-    """mat_sub leaves Fraction(0) cells that are not the shared ZERO."""
-    a = ((Fraction(1, 2), Fraction(3)), (Fraction(-1), Fraction(2, 3)))
-    zero = mat_sub(a, a)
-    assert all(x == 0 and x is not ZERO for row in zero for x in row)
-    assert _same_first(zero) is None
-    b = ((Fraction(1, 2), Fraction(3)), (Fraction(-1), Fraction(5, 3)))
-    assert _same_first(mat_sub(b, a)) == ((1, 1), Fraction(1))
-    assert _same_first((zero, mat_sub(b, a))) == ((1, 1, 1), Fraction(1))
-
-
-def test_first_nonzero_of_dicts_scalars_and_small_shapes():
-    one, half = Fraction(1), Fraction(1, 2)
-    cases = [
-        (), ((), ()), (ZERO,), (ZERO, half), (ZERO, ZERO, one),
-        half, Fraction(0), ZERO,
-        {}, {"b": (one,), "a": (ZERO, half)}, {"b": (ZERO,), "a": (ZERO,)},
-        {2: {"y": half}, 1: {"x": (ZERO, ZERO)}},
-        ({"k": (ZERO, one)}, {"k": (half,)}),
-        ((ZERO, ZERO), (ZERO, half, one)),  # ragged rows
-        ((ZERO, ZERO, ZERO), (half,), (one, ZERO)),
-        [(ZERO, ZERO), (one, ZERO)],  # a list on top
-        ((ZERO, one), [ZERO, half]),  # a row that is a list
-    ]
-    expected = [
-        None, None, None, ((1,), half), ((2,), one),
-        ((), half), None, None,
-        None, (("a", 1), half), None,
-        ((2, "y"), half),
-        ((0, "k", 1), one),
-        ((1, 1), half),
-        ((1, 0), half),
-        ((1, 0), one),
-        ((0, 1), one),
-    ]
-    for x, want in zip(cases, expected):
-        assert _same_first(x) == want, x
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.randoms(use_true_random=False), st.lists(st.integers(1, 3), min_size=1, max_size=4),
-       st.sampled_from((0.0, 0.02, 0.1, 0.5)), st.booleans())
-def test_first_nonzero_matches_the_recursive_search(rng, shape, density, own_zeros):
-    """Random residuals, with the zeros the shared ZERO or Fractions of their
-    own: skipping the all-ZERO blocks finds the cell the full recursion finds."""
-    size = prod(shape)
-    flat = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < density
-            else (Fraction(0) if own_zeros and rng.random() < 0.5 else ZERO)
-            for _ in range(size)]
-    hit = _same_first(nest(flat, shape))
-    nonzero = [p for p, x in enumerate(flat) if x != 0]
-    assert (hit is None) == (not nonzero)
