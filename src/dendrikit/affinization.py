@@ -22,10 +22,11 @@ finite sum that no truncation changes.  A check therefore tabulates, once per
 call, the residual of each pattern: the ∂-indices and basis indices of D of
 the sources, and those of the target with its offset.  It visits window
 sources and targets only where that residual is nonzero, and counts the
-others in closed form.  Failures are listed in the order of their targets:
-every window cell has an integer rank, its position in sorted order, so a
-target is one int and its cells are built once, after the sort (`_grid`,
-`_window_residuals`).
+others in closed form.  A report's failures are built on first read
+(`Failures`), so the verdict and the first failure come without building the
+others.  They are listed in the order of their targets: every window cell has
+an integer rank, its position in sorted order, so a target is one int and its
+cells are built once, after the sort (`_grid`, `_window_residuals`).
 
 The laws of D⊗B are the finite laws read on a skeleton.  Slot 2d + s − 1 of
 a space of dimension 2·dim D stands for every d⊗x^{i}∂ₛ, and each table gains
@@ -55,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -84,13 +85,11 @@ _mono = partial(tuple.__new__, Mono)
 GRADING_M = -2
 
 # Largest window the CLI accepts; a larger one is refused before any check
-# runs.  Deciding per pattern makes a passing check cheap at any N: each of
-# `affine --check assoc|coalg|asi` on the corpus D-bialgebra takes under 0.2 s
-# at N = 5 on two vCPUs, interpreter start-up included.  A failing input gets
-# one failure per window target, and their number grows steeply with N: one
-# coproduct coefficient shifted by 1/3 gives 2.5 million at N = 4, which
-# `check_completed_asi` lists in about 6.5 s at a peak RSS of 525 MB on the
-# same host, and 11.7 million at N = 5.
+# runs.  A failing input has one failure per window target, and their number
+# grows steeply with N: one coproduct coefficient shifted by 1/3 gives 2.5
+# million at N = 4, about 6 s and 530 MB to list, and 11.7 million at N = 5.
+# `affine` reads the verdict and the first failure only, so it takes about 0.2 s
+# and 23 MB at N = 4 on two vCPUs, interpreter start-up included.
 MAX_WINDOW = 5
 
 
@@ -301,15 +300,67 @@ def _box_size(bound: int) -> int:
 # --- graded perm algebra checks ---------------------------------------------
 
 
+class Failures:
+    """The failures of a windowed check, in output order, built on first read.
+
+    ``batches`` returns an iterable of lists or iterators of them, in output
+    order, so that a full read chains them at C speed.  ``bool`` and an index
+    i ≥ 0 read the first i + 1 from a fresh one, so the verdict and the first
+    witness come without building the rest.  Every other read (len,
+    iteration, slices, negative indices, ==, !=, hash, repr) builds the tuple
+    once, keeps it and reads it, so it reads as the tuple and its items stay
+    alive.
+    """
+
+    __slots__ = ("_batches", "_all")
+
+    def __init__(self, batches):
+        self._batches, self._all = batches, None
+
+    def _tuple(self) -> tuple:
+        if self._all is None:
+            self._all = tuple(chain.from_iterable(self._batches()))
+        return self._all
+
+    def __bool__(self):
+        if self._all is None:
+            return next(chain.from_iterable(self._batches()), None) is not None
+        return bool(self._all)
+
+    def __getitem__(self, i):
+        if self._all is None and isinstance(i, int) and i >= 0:
+            hit = next(islice(chain.from_iterable(self._batches()), i, None), None)
+            if hit is None:
+                raise IndexError("tuple index out of range")
+            return hit
+        return self._tuple()[i]
+
+    def __len__(self):
+        return len(self._tuple())
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        return self._tuple() == other
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+    def __repr__(self):
+        return repr(self._tuple())
+
+
 @dataclass(frozen=True)
 class AffineReport:
-    """Outcome of a windowed check: labelled exact failures with locations."""
+    """Outcome of a windowed check: labelled exact failures with locations,
+    built on first read (`Failures`); ``ok`` and the first come without them."""
 
     subject: str
     window: int
     safe_region: str
     checked: int
-    failures: tuple
+    failures: Failures
 
     @property
     def ok(self) -> bool:
@@ -331,7 +382,7 @@ def check_laurent_perm_axioms(w: Window) -> AffineReport:
     are visited only where it fails.
     """
     bound = w.safe_bound(2)
-    failures = []
+    failing = []
     for parts in product((1, 2), repeat=3):
         a, b, c = map(_zero, parts)
         left = mono_product(a, mono_product(b, c))
@@ -339,19 +390,24 @@ def check_laurent_perm_axioms(w: Window) -> AffineReport:
         perm = mono_product(mono_product(b, a), c)
         laws = [law for law in (("perm_assoc", left, mid), ("perm_left_commute", mid, perm))
                 if law[1] != law[2]]
-        if not laws:
-            continue
-        for src in product(*(_part(bound, s) for s in parts)):
-            i1 = sum(m.i1 for m in src)
-            i2 = sum(m.i2 for m in src)
-            failures.extend(
-                (label, src, tuple(_mono((m.i1 + i1, m.i2 + i2, m.s)) for m in sides))
-                for label, *sides in laws
-            )
-    failures.sort(key=itemgetter(1))
+        if laws:
+            failing.append((laws, [_part(bound, s) for s in parts]))
+
+    def batches():
+        found = []
+        for laws, parts in failing:
+            for src in product(*parts):
+                i1 = sum(m.i1 for m in src)
+                i2 = sum(m.i2 for m in src)
+                found.extend(
+                    (label, src, tuple(_mono((m.i1 + i1, m.i2 + i2, m.s)) for m in sides))
+                    for label, *sides in laws
+                )
+        return [sorted(found, key=itemgetter(1))]
+
     return AffineReport(
         "Laurent perm axioms", w.N, f"|i| <= {bound}", _box_size(bound) ** 3,
-        tuple(failures),
+        Failures(batches),
     )
 
 
@@ -368,7 +424,8 @@ def check_graded_form(w: Window) -> AffineReport:
     its residual is nonzero.
     """
     bound = w.safe_bound(1)
-    pairs, triples, duals = [], [], []
+    # each failing pattern, with its value and the window monomials it ranges over
+    pair_laws, triple_laws, dual_laws = [], [], []
     for sa, sb in product((1, 2), repeat=2):
         ab = _form_sign(sa, sb)
         labels = []
@@ -377,32 +434,36 @@ def check_graded_form(w: Window) -> AffineReport:
         if ab and mono_degree(_zero(sa)) + mono_degree(_zero(sb)) + GRADING_M:
             labels.append("grading")
         if labels:
-            for a in _part(w.N, sa):
-                b = _mono((-a.i1, -a.i2, sb))
-                pairs.extend((label, (a, b), Fraction(ab)) for label in labels)
+            pair_laws.append((labels, Fraction(ab), sb, _part(w.N, sa)))
     for sa, sb, sc in product((1, 2), repeat=3):
         a, b, c = _zero(sa), _zero(sb), _zero(sc)
         res: dict = {}
         for x, y, sign in ((mono_product(a, b), c, 1), (a, mono_product(b, c), -1),
                            (a, mono_product(c, b), 1)):
             _add(res, (x.i1 + y.i1, x.i2 + y.i2), sign * _form_sign(x.s, y.s))
-        for (o1, o2), v in _support(res).items():
-            value = Fraction(v)
-            for a, b in product(_part(bound, sa), _part(bound, sb)):
-                c = _mono((-o1 - a.i1 - b.i1, -o2 - a.i2 - b.i2, sc))
-                if abs(c.i1) <= bound and abs(c.i2) <= bound:
-                    triples.append(("invariance", (a, b, c), value))
+        for offset, v in _support(res).items():
+            triple_laws.append((offset, Fraction(v), sc, _part(bound, sa), _part(bound, sb)))
     for s in (1, 2):
         e = _zero(s)
         f, sign = laurent_dual_basis(e)
         if sign * _form(f, e) != 1:
-            value = Fraction(_form(f, e))
-            duals.extend(("dual_pairing", (m,), value) for m in _part(w.N, s))
-    for part in pairs, triples, duals:
-        part.sort(key=itemgetter(1))
+            dual_laws.append((Fraction(_form(f, e)), _part(w.N, s)))
+
+    def batches():
+        pairs = [(label, (a, _mono((-a.i1, -a.i2, sb))), value)
+                 for labels, value, sb, part in pair_laws for a in part for label in labels]
+        triples = []
+        for (o1, o2), value, sc, part_a, part_b in triple_laws:
+            for a, b in product(part_a, part_b):
+                c = _mono((-o1 - a.i1 - b.i1, -o2 - a.i2 - b.i2, sc))
+                if abs(c.i1) <= bound and abs(c.i2) <= bound:
+                    triples.append(("invariance", (a, b, c), value))
+        duals = [("dual_pairing", (m,), value) for value, part in dual_laws for m in part]
+        return [sorted(part, key=itemgetter(1)) for part in (pairs, triples, duals)]
+
     return AffineReport(
         "graded bilinear form", w.N, f"|i| <= {w.N}",
-        _box_size(w.N) ** 2 + _box_size(bound) ** 3, tuple(pairs + triples + duals),
+        _box_size(w.N) ** 2 + _box_size(bound) ** 3, Failures(batches),
     )
 
 
@@ -425,18 +486,17 @@ def check_nu_pairing(w: Window) -> AffineReport:
         _add(res, _UNIT[s2], _form_sign(s1, s3))
         for (o1, o2), c in _support(res).items():
             patterns[s1][(s2, s3), (-o1, -o2)] = c
-    failures = []
-    if any(patterns.values()):
+    sources = list(iter_box(bound)) if any(patterns.values()) else []  # in sorted order
+
+    def batches():
         grid = _grid(w.N)
-        for b1 in iter_box(bound):  # in sorted order
-            failures.extend(
-                ("nu_pairing", (b1, *key), value)
-                for key, value in _window_residuals(
-                    patterns[b1.s], (-b1.i1, -b1.i2), w.N, 1, grid)
-            )
+        for b1 in sources:
+            kvs = _window_residuals(patterns[b1.s], (-b1.i1, -b1.i2), w.N, 1, grid)
+            yield [("nu_pairing", (b1, *key), value) for key, value in kvs]
+
     return AffineReport(
         "completed coproduct pairing", w.N, f"sources |i| <= {bound}",
-        _box_size(bound) * _box_size(w.N) ** 2, tuple(failures),
+        _box_size(bound) * _box_size(w.N) ** 2, Failures(batches if sources else tuple),
     )
 
 
@@ -476,17 +536,18 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
                 diff[pattern] = one.get(pattern, 0) - other.get(pattern, 0)
             laws[t].append((label, _support(diff)))
     grid = _grid(w.N)
-    failures = []
-    for b in iter_box(bound):
-        base = (b.i1, b.i2)
-        for label, diff in laws[b.s]:
-            failures.extend(
-                (label, (b, key), value)
-                for key, value in _window_residuals(diff, base, w.N, 1, grid)
-            )
+    sources = list(iter_box(bound))
+
+    def batches():
+        for b in sources:
+            base = (b.i1, b.i2)
+            for label, diff in laws[b.s]:
+                kvs = _window_residuals(diff, base, w.N, 1, grid)
+                yield [(label, (b, key), value) for key, value in kvs]
+
     return AffineReport(
         "completed perm coalgebra", w.N, f"sources |i| <= {bound}", checked,
-        tuple(failures),
+        Failures(batches),
     )
 
 
@@ -605,35 +666,35 @@ def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
     bound = w.safe_bound(2)
     tables = {"mul": _skeleton_table(_SKELETON_MUL, {**D.tables, **_B}, D.dim)}
     patterns, den = _patterns("associativity", tables, D.dim, 3)
-    live: dict = {}
-    for (x, y, z), res in patterns.items():
-        # the target (k, x^{b₁+b₂+b₃+offset}∂ₛ) sorts as (k, offset, s) does,
-        # whatever the sources; the law is a₁∗(a₂∗a₃) − (a₁∗a₂)∗a₃, the
-        # negated associator
-        targets = sorted((k, offset, s, c) for (((k, s),), offset), c in res.items())
-        live.setdefault((x[0], y[0], z[0]), {})[x[1], y[1], z[1]] = [
-            (k, offset, s, Fraction(-c, den)) for k, offset, s, c in targets
-        ]
-    failures = []
     monos = list(iter_box(bound))
-    for ds in product(range(D.dim), repeat=3):
-        by_parts = live.get(ds)
-        if by_parts is None:
-            continue
-        for bs in product(monos, repeat=3):
-            targets = by_parts.get(tuple(b.s for b in bs))
-            if targets is None:
+
+    def batches():
+        live: dict = {}
+        for (x, y, z), res in patterns.items():
+            # the target (k, x^{b₁+b₂+b₃+offset}∂ₛ) sorts as (k, offset, s)
+            # does, whatever the sources; the law is a₁∗(a₂∗a₃) − (a₁∗a₂)∗a₃,
+            # the negated associator
+            targets = sorted((k, offset, s, c) for (((k, s),), offset), c in res.items())
+            live.setdefault((x[0], y[0], z[0]), {})[x[1], y[1], z[1]] = [
+                (k, offset, s, Fraction(-c, den)) for k, offset, s, c in targets
+            ]
+        for ds in product(range(D.dim), repeat=3):
+            by_parts = live.get(ds)
+            if by_parts is None:
                 continue
-            i1 = sum(b.i1 for b in bs)
-            i2 = sum(b.i2 for b in bs)
-            source = tuple(zip(ds, bs))
-            failures.extend(
-                ("associativity", source, ((k, _mono((i1 + o1, i2 + o2, s))), value))
-                for k, (o1, o2), s, value in targets
-            )
+            for bs in product(monos, repeat=3):
+                targets = by_parts.get(tuple(b.s for b in bs))
+                if targets is None:
+                    continue
+                i1 = sum(b.i1 for b in bs)
+                i2 = sum(b.i2 for b in bs)
+                source = tuple(zip(ds, bs))
+                yield [("associativity", source, ((k, _mono((i1 + o1, i2 + o2, s))), value))
+                       for k, (o1, o2), s, value in targets]
+
     return AffineReport(
         "affine associativity", w.N, f"sources |i| <= {bound}",
-        D.dim ** 3 * len(monos) ** 3, tuple(failures),
+        D.dim ** 3 * len(monos) ** 3, Failures(batches),
     )
 
 
@@ -665,36 +726,40 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
               "co": _skeleton_table(_SKELETON_CO, {**theta.tables, **_B}, D.dim)}
     laws = [(label, *_patterns(label, tables, D.dim, 2)) for label in ("casi1", "casi2")]
     grid = _grid(w.N, D.dim)
-    failures: list = []
     sources = [(d, b) for d in range(D.dim) for b in iter_box(bound)]
-    for a1, a2 in product(sources, repeat=2):
-        (d1, b1), (d2, b2) = a1, a2
-        slots = ((d1, b1.s), (d2, b2.s))
-        base = (b1.i1 + b2.i1, b1.i2 + b2.i2)
-        for label, live, den in laws:
-            if slots in live:
-                kvs = _window_residuals(live[slots], base, w.N, den, grid)
-                failures.extend(zip(repeat(label), repeat((a1, a2)), kvs))
-    checked = len(sources) ** 2
     # completed coassociativity, one source at a time
-    checked += _coassoc_failures(tables, D.dim, w, grid, failures)
+    coassoc_checked, coassoc = _coassoc_failures(tables, D.dim, w, grid)
+
+    def batches():
+        for a1, a2 in product(sources, repeat=2):
+            (d1, b1), (d2, b2) = a1, a2
+            slots = ((d1, b1.s), (d2, b2.s))
+            base = (b1.i1 + b2.i1, b1.i2 + b2.i2)
+            for label, live, den in laws:
+                if slots in live:
+                    kvs = _window_residuals(live[slots], base, w.N, den, grid)
+                    yield zip(repeat(label), repeat((a1, a2)), kvs)
+        yield from coassoc()
 
     return AffineReport(
-        "completed ASI bialgebra", w.N, f"sources |i| <= {bound}", checked,
-        tuple(failures),
+        "completed ASI bialgebra", w.N, f"sources |i| <= {bound}",
+        len(sources) ** 2 + coassoc_checked, Failures(batches),
     )
 
 
-def _coassoc_failures(tables: dict, dim: int, w: Window, grid: tuple, failures: list) -> int:
+def _coassoc_failures(tables: dict, dim: int, w: Window, grid: tuple) -> tuple:
     """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check over the skeleton coproduct in
-    ``tables`` and the cells ``grid`` of `_grid`; appends failures, returns
-    count."""
+    ``tables`` and the cells ``grid`` of `_grid`: the number of sources, and
+    a generator function of the failures' batches (`Failures`)."""
     live, den = _patterns("coassoc", tables, dim, 1)
     sources = [(d, b) for d in range(dim) for b in iter_box(w.safe_bound(2))]
-    for d, b in sources:
-        kvs = _window_residuals(live.get(((d, b.s),), {}), (b.i1, b.i2), w.N, den, grid)
-        failures.extend(zip(repeat("coassoc"), repeat((d, b)), kvs))
-    return len(sources)
+
+    def batches():
+        for d, b in sources:
+            kvs = _window_residuals(live.get(((d, b.s),), {}), (b.i1, b.i2), w.N, den, grid)
+            yield zip(repeat("coassoc"), repeat((d, b)), kvs)
+
+    return len(sources), batches
 
 
 def check_completed_coassociativity(
@@ -702,10 +767,9 @@ def check_completed_coassociativity(
 ) -> AffineReport:
     """Windowed coassociativity of the completed coproduct on D⊗B."""
     _require_dendriform_pair(D, theta)
-    failures: list = []
     tables = {"co": _skeleton_table(_SKELETON_CO, {**theta.tables, **_B}, D.dim)}
-    checked = _coassoc_failures(tables, D.dim, w, _grid(w.N, D.dim), failures)
+    checked, batches = _coassoc_failures(tables, D.dim, w, _grid(w.N, D.dim))
     return AffineReport(
         "completed coassociativity", w.N, f"sources |i| <= {w.safe_bound(2)}",
-        checked, tuple(failures),
+        checked, Failures(batches),
     )

@@ -565,7 +565,8 @@ def _reproduce_ex_3_13(report):
         lie.dim,
     )
     # blockwise Kronecker identity r̂♯ = r♯⊗κ♯
-    kron = LinMap(blockwise_product(sharp(r).matrix, kappa_sharp.matrix))
+    kron = LinMap(blockwise_product(sharp(r).table, kappa_sharp.table, r.dim_left,
+                                    kappa_sharp.rows))
     _add_matrices_agree(
         report, "lift_sharp_is_blockwise_product", lift_sharp.table, kron.table, lie.dim
     )

@@ -16,7 +16,7 @@ a letter, summed over the labels that do not appear in the output.  The law
 tables beside the checks (``AXIOMS``, ``BIMODULE_LAWS``, ``COALGEBRA_LAWS``,
 ``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``, ``TRANSFER_LAWS``, ``YBE_LAWS``),
 the constructions between kinds and of bialgebras, the lift of an r-matrix,
-a single product, `mat_mul` and `mat_vec` are all written this way.  A
+a single product, `mat_mul` and `LinMap.apply` are all written this way.  A
 term's products are integers over the product of its tables' L.  Every term is
 brought to D, the lcm of those products over all terms, and the cells are
 summed as ints, which never overflow.  `contract_cells` returns them as
@@ -372,11 +372,6 @@ def mat_mul(a, b):
     return nest(contract(_MAT_MUL, tables, "ij", extents), (rows, cols))
 
 
-def mat_vec(a, v):
-    tables = {"a": IntTable(a), "v": IntTable(v)}
-    return tuple(contract(_MAT_VEC, tables, "i", {"i": len(a), "k": len(v)}))
-
-
 def transpose(a):
     if not a:
         return ()
@@ -646,7 +641,8 @@ class LinMap:
         return len(self.matrix[0]) if self.matrix else 0
 
     def apply(self, v: Vec) -> Vec:
-        return Vec(mat_vec(self.matrix, v.coords))
+        tables = {"a": self.table, "v": IntTable(v.coords)}
+        return Vec(contract(_MAT_VEC, tables, "i", {"i": self.rows, "k": len(v.coords)}))
 
     def __add__(self, other: "LinMap") -> "LinMap":
         return LinMap(mat_add(self.matrix, other.matrix))

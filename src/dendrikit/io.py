@@ -13,7 +13,6 @@ byte-identical JSON.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import sys
@@ -324,6 +323,9 @@ def serialize_parsed(pf: ParsedFile) -> dict:
 
 
 def file_sha256(path) -> str:
+    # imported here: its start-up cost is paid only by a command that hashes
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

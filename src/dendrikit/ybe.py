@@ -218,18 +218,18 @@ def kappa_tensor(qp: QuadraticPerm) -> Tensor2:
 LIFT = ("aAbB", ((+1, ("r", "ab"), ("kappa", "AB")),))
 
 
-def blockwise_product(r, kappa) -> tuple:
-    """The matrix of r•κ (``LIFT``) for square coefficient matrices r and κ:
-    entry (a·m + A, b·m + B) is r[a][b]·κ[A][B], m the size of κ."""
-    n, m = len(r), len(kappa)
+def blockwise_product(r: IntTable, kappa: IntTable, n: int, m: int) -> tuple:
+    """The matrix of r•κ (``LIFT``) for the tables of an n×n matrix r and an
+    m×m matrix κ: entry (a·m + A, b·m + B) is r[a][b]·κ[A][B]."""
     out, terms = LIFT
-    tables = {"r": IntTable(r), "kappa": IntTable(kappa)}
+    tables = {"r": r, "kappa": kappa}
     return nest(contract(terms, tables, out, tensor_extents(out, n, m)), (n * m, n * m))
 
 
 def lift_r(r: Tensor2, qp: QuadraticPerm) -> Tensor2:
     """r̂ = Σᵢⱼ (xᵢ⊗eⱼ)⊗(yᵢ⊗fⱼ) on the flattened A⊗B basis."""
-    return Tensor2(blockwise_product(r.coeffs, kappa_tensor(qp).coeffs))
+    kappa = kappa_tensor(qp)
+    return Tensor2(blockwise_product(r.table, kappa.table, r.dim_left, kappa.dim_left))
 
 
 # The actions of the coregular bimodule, each a construction of action

@@ -457,17 +457,20 @@ def test_usage_errors_keep_exit_2(runner):
 LAZY = ("affinization", "ybe", "examples")
 
 
+# ``hashlib`` is listed last when loaded: only a command that records the
+# SHA-256 of an input file needs it, and the worked examples of section 4
+# read no file.
 @pytest.mark.parametrize("args,loaded", [
     ((), ()),
-    (("check", corpus("ex-dendind-bialgebra.json")), ()),
+    (("check", corpus("ex-dendind-bialgebra.json")), ("hashlib",)),
     (("square", "--dendriform", corpus("ex-dendind-bialgebra.json"),
-      "--qperm", corpus("perm-quadratic.json"), "--bialgebra"), ()),
+      "--qperm", corpus("perm-quadratic.json"), "--bialgebra"), ("hashlib",)),
     (("affine", "--dendriform", corpus("ex-D-alg-iii.json"), "--check", "assoc"),
-     ("affinization",)),
+     ("affinization", "hashlib")),
     (("reproduce", "ex-4.9"), ("affinization",)),
     (("ybe", "--eq", "dybe", "--algebra", corpus("ex-D-alg-iii.json"),
-      "--r", corpus("r-e1e1.json")), ("ybe",)),
-    (("reproduce", "ex-2.2"), ("examples",)),
+      "--r", corpus("r-e1e1.json")), ("ybe", "hashlib")),
+    (("reproduce", "ex-2.2"), ("examples", "hashlib")),
 ], ids=["import", "check", "square", "affine", "ex-4.9", "ybe", "ex-2.2"])
 def test_commands_import_only_the_modules_they_use(args, loaded):
     """A fresh process that imports the command line, and runs one command
@@ -479,7 +482,8 @@ def test_commands_import_only_the_modules_they_use(args, loaded):
         f"    main({list(args)!r}, prog_name='dendrikit') if {list(args)!r} else None\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        f"print([m for m in {LAZY!r} if 'dendrikit.' + m in sys.modules], file=sys.stderr)\n"
+        f"print([m for m in {LAZY!r} if 'dendrikit.' + m in sys.modules]"
+        " + ['hashlib'] * ('hashlib' in sys.modules), file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,7 +1,7 @@
 """The sparse contraction kernel against the dense textbook formulas.
 
 Every structure reads its cubes as `exact.IntTable`s built once in its
-constructor; single products, `mat_mul`, `mat_vec`, actions, coproducts and
+constructor; single products, `mat_mul`, `LinMap.apply`, actions, coproducts and
 whole laws are evaluated by `exact.contract`, which sums integer-scaled
 tables; the multiplication matrices of the regular and coregular bimodules
 are constructions over the product cubes; and the Yang-Baxter residual sums
