@@ -55,14 +55,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, compress, islice, product, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .algebras import AXIOMS, FinAlgebra
 from .bialgebras import BIALGEBRA_LAWS, COALGEBRA_LAWS, COPRODUCT_CONSTRUCTIONS, CoalgStruct
-from .exact import ONE, ZERO, IntTable, contract_cells, cube_table, unravel
+from .exact import ONE, ZERO, IntTable, contract_cells, cube_table
 from .functors import CONSTRUCTIONS, tensor_extents
 
 
@@ -300,36 +300,50 @@ def _box_size(bound: int) -> int:
 # --- graded perm algebra checks ---------------------------------------------
 
 
+# Holds the first failure of a `Failures` until it is first read.
+_UNREAD = object()
+
+
 class Failures:
     """The failures of a windowed check, in output order, built on first read.
 
     ``batches`` returns an iterable of lists or iterators of them, in output
     order, so that a full read chains them at C speed.  ``bool`` and an index
     i ≥ 0 read the first i + 1 from a fresh one, so the verdict and the first
-    witness come without building the rest.  Every other read (len,
-    iteration, slices, negative indices, ==, !=, hash, repr) builds the tuple
-    once, keeps it and reads it, so it reads as the tuple and its items stay
-    alive.
+    witness come without building the rest; the first failure (or its
+    absence) is kept, so ``bool``, ``ok`` and ``[0]`` together list once.
+    Every other read (len, iteration, slices, negative indices, ==, !=,
+    hash, repr) builds the tuple once, keeps it and reads it, so it reads as
+    the tuple and its items stay alive.
     """
 
-    __slots__ = ("_batches", "_all")
+    __slots__ = ("_batches", "_all", "_first")
 
     def __init__(self, batches):
-        self._batches, self._all = batches, None
+        self._batches, self._all, self._first = batches, None, _UNREAD
 
     def _tuple(self) -> tuple:
         if self._all is None:
             self._all = tuple(chain.from_iterable(self._batches()))
         return self._all
 
+    def _head(self):
+        """The first failure, or None, from one listing, kept."""
+        if self._first is _UNREAD:
+            self._first = next(chain.from_iterable(self._batches()), None)
+        return self._first
+
     def __bool__(self):
         if self._all is None:
-            return next(chain.from_iterable(self._batches()), None) is not None
+            return self._head() is not None
         return bool(self._all)
 
     def __getitem__(self, i):
         if self._all is None and isinstance(i, int) and i >= 0:
-            hit = next(islice(chain.from_iterable(self._batches()), i, None), None)
+            if i:
+                hit = next(islice(chain.from_iterable(self._batches()), i, None), None)
+            else:
+                hit = self._head()
             if hit is None:
                 raise IndexError("tuple index out of range")
             return hit
@@ -616,6 +630,15 @@ def _skeleton_table(construction: tuple, tables: dict, dim: int) -> IntTable:
     return cube_table(*contract_cells(terms, tables, out, extents), (n, n, n, 2))
 
 
+# a list is a quarter as long as the cells of a law it serves, so only a few
+# are kept
+@lru_cache(maxsize=4)
+def _slot_tuples(dim: int, arity: int) -> list:
+    """The tuples of ``arity`` slots (d, s) of the skeleton for dim D =
+    ``dim``, in the row-major order of their cells."""
+    return list(product([(a // 2, a % 2 + 1) for a in range(2 * dim)], repeat=arity))
+
+
 def _patterns(law: str, tables: dict, dim: int, sources: int) -> tuple[dict, int]:
     """The nonzero residuals x/den of a skeleton law as (live, den): the source
     slots ↦ {(target slots, offset): x}, a slot a pair (d, s).
@@ -631,16 +654,15 @@ def _patterns(law: str, tables: dict, dim: int, sources: int) -> tuple[dict, int
     extents = {x: 2 if x in "uv" else n
                for _sign, *factors in terms for _name, labels in factors for x in labels}
     cells, den = contract_cells(terms, tables, out, extents)
-    slot = [(a // 2, a % 2 + 1) for a in range(n)]
-    dims = (n,) * (len(out) - 2)
+    slots = _slot_tuples(dim, len(out) - 2)
     live: dict = {}
     # cell 4p + 2u + v is shift (u, v) of slot tuple p
     for p in sorted({q >> 2 for q in compress(range(len(cells)), cells)}):
         c11, c12, c21, c22 = cells[4 * p:4 * p + 4]
-        at = [slot[a] for a in unravel(p, dims)]
+        at = slots[p]
         for w, c in enumerate((c11, c12 + c21, c22)):
             if c:
-                live.setdefault(tuple(at[:sources]), {})[tuple(at[sources:]), (2 - w, w)] = c
+                live.setdefault(at[:sources], {})[at[sources:], (2 - w, w)] = c
     return live, den
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import compress, count
 from typing import Optional
 
 from .exact import (
@@ -43,6 +42,7 @@ from .exact import (
     cube_table,
     contract,
     contract_cells,
+    first_cell,
     fractions,
     freeze_cube,
     nest,
@@ -91,9 +91,10 @@ class Residuals(dict):
         self.violations = {}
 
     def add(self, name: str, cells: list, den: int, dims: tuple):
-        p = next(compress(count(), cells), None)
+        hit = first_cell(cells)
         self.flat[name] = cells, den, dims
-        self.violations[name] = None if p is None else (unravel(p, dims), Fraction(cells[p], den))
+        self.violations[name] = None if hit is None else (unravel(hit[0], dims),
+                                                          Fraction(hit[1], den))
         dict.__setitem__(self, name, _UNREAD)
 
     def __getitem__(self, name):

@@ -9,10 +9,11 @@ One sparse form and one kernel do the arithmetic.  The form is `IntTable`:
 a nested table of Fractions read once as Python ints L·c, L the lcm of its
 denominators, listing only its nonzero entries.  Every structure
 (`FinAlgebra`, `Bimodule`, `CoalgStruct`) builds one per cube in its
-constructor, and a `Tensor2`, `LinMap` or `BilinForm` one for its matrix.  The kernel is `contract`, which evaluates a signed list of
-terms; a term is a product of labelled tables (product cubes, action
-matrices, coproduct cubes, an operator matrix, a vector), each axis named by
-a letter, summed over the labels that do not appear in the output.  The law
+constructor, and a `Tensor2`, `LinMap` or `BilinForm` one for its
+matrix.  The kernel is `contract`, which evaluates a signed list of terms;
+a term is a product of labelled tables (product cubes, action matrices,
+coproduct cubes, an operator matrix, a vector), each axis named by a
+letter, summed over the labels that do not appear in the output.  The law
 tables beside the checks (``AXIOMS``, ``BIMODULE_LAWS``, ``COALGEBRA_LAWS``,
 ``BIALGEBRA_LAWS``, ``OOPERATOR_LAWS``, ``TRANSFER_LAWS``, ``YBE_LAWS``),
 the constructions between kinds and of bialgebras, the lift of an r-matrix,
@@ -31,8 +32,23 @@ Each law is compiled once per extents (`_compile`): the plan resolves how
 every factor is grouped, where each product lands, how an intermediate is
 laid out and regrouped for the next factor, and how a term without some
 output label is broadcast.  It is cached on the law and the extents only,
-never on a table or a value, so there is one plan per law table and
+never on a table or a value, so there is one entry per law table and
 extents seen, and a call of `contract` only reads groupings and adds ints.
+
+The entry also holds a packed plan where the law has four or more output
+labels and every term carries the last two (or the last one), F, exactly
+once, on one factor.  Where a packed int holds at least
+``MIN_PACKED_CELLS`` cells and every table the law reads is dense
+(`IntTable.dense`), each table value carries its F labels as
+L·c·2^(w·e), e its offset inside F, and the unchanged loop multiplies and
+adds ints that each hold every cell of one row over F.  Multiplying two
+values adds their offsets, and a term carries each F label once, so an
+output int is exactly Σₑ cell·2^(w·e).  The width w, a multiple of 32, is
+chosen per call above the bit length of a bound on every |cell| (the sum
+over terms of |sign|·D/L·Π max|value|·the number of values of the summed
+labels), so every |cell| < 2^(w−1) and the balanced base-2^w digits of the
+int are the cells: integers only, no overflow, no tolerance.  The cells are
+then a `PackedCells`, read as the row-major ints and decoded on read.
 """
 
 from __future__ import annotations
@@ -40,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, count, product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -95,59 +111,106 @@ class IntTable:
     ``scale`` is the lcm L of the denominators of its nonzero entries c, and
     ``entries`` lists (index tuple, L·c) for each of them, in row-major
     order.  A structure builds one per cube in its constructor, so every
-    check and product on it reads the same table.
+    check and product on it reads the same table.  ``dense`` says whether
+    at least ``MIN_FILL_PERCENT`` of its ``size`` cells are nonzero (False
+    where the size is not given), and ``top`` is max |L·c|, 0 for no entry.
     """
 
-    __slots__ = ("scale", "entries", "_groups")
+    __slots__ = ("scale", "entries", "dense", "_top", "_groups")
 
-    def __init__(self, table=(), scale: int = 1, entries=None):
+    def __init__(self, table=(), scale: int = 1, entries=None, size: int = 0):
         if entries is None:
             rows = [((), table)]
             while rows and rows[0][1] and not isinstance(rows[0][1][0], Fraction):
                 rows = [(idx + (i,), y) for idx, x in rows for i, y in enumerate(x)]
             found = [(idx + (j,), c) for idx, row in rows for j, c in enumerate(row) if c]
+            size = sum(len(row) for _idx, row in rows)
             scale = lcm(*(c.denominator for _idx, c in found))
             entries = [(idx, c.numerator * (scale // c.denominator)) for idx, c in found]
         self.scale = scale
         self.entries = entries
+        self.dense = 100 * len(entries) >= MIN_FILL_PERCENT * size > 0
+        self._top = None
         self._groups = {}
 
-    def grouped(self, gid: int, key: tuple, placed: tuple) -> dict:
-        """The entries as key ↦ [(offset, L·c)]: the key is Σ index[p]·stride
-        over the (p, stride) pairs of ``key``, the offset the same sum over
-        ``placed``.
+    @property
+    def top(self) -> int:
+        if self._top is None:
+            self._top = max((abs(v) for _idx, v in self.entries), default=0)
+        return self._top
 
-        It is stored under ``gid``, the number `_grouping` gives (key,
-        placed), which a compiled plan holds.  `contract_cells` builds each
-        grouping once per table, on its first read, so every law and product
-        that reads a table the same way shares it.
+    def grouped(self, gid: int) -> dict:
+        """The entries as key ↦ [(offset, value)], for the grouping spec
+        (key, placed, packed, w) numbered ``gid`` (`_grouping`): the key is
+        Σ index[p]·stride over the (p, stride) pairs of ``key``, the offset
+        the same sum over ``placed``.
+
+        With ``packed`` empty the value is an entry L·c.  Otherwise the
+        entries that share a key and an offset are summed into one packed
+        int, each as L·c·2^(w·e), e the same sum over ``packed``: the entry's
+        offset inside the packed labels (see `contract_cells`).
+
+        It is stored under ``gid``, which a compiled plan holds.
+        `contract_cells` builds each grouping once per table, on its first
+        read, so every law and product that reads a table the same way
+        shares it.
         """
+        key, placed, packed, w = _SPECS[gid]
         g = {}
-        for idx, v in self.entries:
-            k = off = 0
-            for p, s in key:
-                k += idx[p] * s
-            for p, s in placed:
-                off += idx[p] * s
-            row = g.get(k)
-            if row is None:
-                g[k] = [(off, v)]
-            else:
-                row.append((off, v))
+        if packed:
+            sums = {}
+            for idx, v in self.entries:
+                k = off = e = 0
+                for p, s in key:
+                    k += idx[p] * s
+                for p, s in placed:
+                    off += idx[p] * s
+                for p, s in packed:
+                    e += idx[p] * s
+                sums[k, off] = sums.get((k, off), 0) + (v << w * e)
+            for (k, off), v in sums.items():
+                if v:
+                    g.setdefault(k, []).append((off, v))
+        else:
+            for idx, v in self.entries:
+                k = off = 0
+                for p, s in key:
+                    k += idx[p] * s
+                for p, s in placed:
+                    off += idx[p] * s
+                row = g.get(k)
+                if row is None:
+                    g[k] = [(off, v)]
+                else:
+                    row.append((off, v))
         self._groups[gid] = g
         return g
 
 
 _GROUPINGS: dict = {}
+_SPECS: list = []
+
+# The packed path (`contract_cells`) is taken where a packed int holds at
+# least MIN_PACKED_CELLS cells and at least MIN_FILL_PERCENT of the cells of
+# every table the law reads are nonzero; below either the plain path was as
+# fast or faster in the sweep of BENCH_21.json.
+MIN_PACKED_CELLS = 9
+MIN_FILL_PERCENT = 50
 
 
-def _grouping(key: tuple, placed: tuple) -> int:
-    """The number of the grouping (key, placed), one per distinct pair.
+def _grouping(spec: tuple) -> int:
+    """The number of the grouping spec (key, placed, packed, w), one per
+    distinct spec; ``_SPECS`` lists the specs by number.
 
     A table's groupings are stored under it, because hashing an int on every
     lookup costs far less than hashing the nested pairs.  The numbers depend
-    on the laws alone, so there are as many as the compiled plans need."""
-    return _GROUPINGS.setdefault((key, placed), len(_GROUPINGS))
+    on the laws and the packed widths alone, so there are as many as the
+    compiled plans need."""
+    gid = _GROUPINGS.get(spec)
+    if gid is None:
+        gid = _GROUPINGS[spec] = len(_SPECS)
+        _SPECS.append(spec)
+    return gid
 
 
 def _strides(labels, extent) -> tuple[dict, int]:
@@ -158,39 +221,87 @@ def _strides(labels, extent) -> tuple[dict, int]:
     return strides, size
 
 
-def _spec(labels: str, key_strides: dict, strides: dict, skip: str = "") -> tuple:
-    """How a factor labelled ``labels`` is grouped: (grouping number, key,
-    placed), the key over the labels in ``key_strides`` and the offset over
-    those in ``strides`` and not in ``skip``."""
+def _spec(labels: str, key_strides: dict, strides: dict, packs: dict, w: int,
+          skip: str = "") -> int:
+    """The number of the grouping of a factor labelled ``labels``: the key
+    over the labels in ``key_strides``, the offset over those in ``strides``
+    and not in ``skip``, and the offset inside the packed labels over those
+    in ``packs``, at width ``w``."""
     key = tuple((p, key_strides[x]) for p, x in enumerate(labels) if x in key_strides)
     placed = tuple((p, strides[x]) for p, x in enumerate(labels)
                    if x in strides and x not in skip)
-    return _grouping(key, placed), key, placed
+    packed = tuple((p, packs[x]) for p, x in enumerate(labels) if x in packs)
+    return _grouping((key, placed, packed, w if packed else 0))
+
+
+def _packed_labels(terms: tuple, out_labels: str) -> str:
+    """The longest suffix of ``out_labels``, of at most two labels, that every
+    term carries exactly once, on one factor; "" for a law of fewer than four
+    output labels, which keeps the plain plan."""
+    if len(out_labels) < 4:
+        return ""
+    for fixed in (out_labels[-2:], out_labels[-1:]):
+        if all("".join(labels for _name, labels in factors).count(x) == 1
+               for _sign, *factors in terms for x in fixed):
+            return fixed
+    return ""
+
+
+def _extent(extents):
+    """The extent of a label, from ``extents`` as `_compile` takes it."""
+    return dict(extents).__getitem__ if isinstance(extents, tuple) else lambda _x: extents
 
 
 @lru_cache(maxsize=None)
 def _compile(terms: tuple, out_labels: str, extents) -> tuple:
-    """The output size and, per term, (sign, table names, first, steps,
-    shifts), every step resolved for ``extents``.
+    """The plain plan (output size, per-term plans, see `_plan`) and the
+    packed plan, or None, resolved for ``extents``.
 
-    ``first`` is (table, grouping number, key, placed), how the first factor
-    is grouped (`IntTable.grouped`).  Each step contracts the factors so far
-    with the next one, (table, grouping number, key, placed, regroup): it
-    keeps a label that is an output label or is read by a later factor and
-    sums over the others.  The last step adds into the output, and its
-    ``regroup`` is None.  An earlier step fills a flat intermediate laid out
-    as (labels the next factor reads and no later step keeps, labels it reads
-    that are kept, labels it does not read), so the next key of a cell p is
-    p // cut; ``regroup`` is (width, cut, ((stride, extent, next stride), …))
-    over the labels the next step keeps.  ``shifts`` spreads a term that
-    lacks output labels over them, or is None.
+    The packed plan packs F, the suffix `_packed_labels` finds, where a
+    packed int holds at least ``MIN_PACKED_CELLS`` cells.  It is (table
+    names, cells per packed int, per term the number of values of its summed
+    labels, the strides of F, width ↦ plan): the plan over the other output
+    labels at a width w, each factor's F labels packed into its values,
+    which `contract_cells` resolves on the first call at w.
 
     The cache key is the law (its terms and output labels) and ``extents``,
     an int or sorted (label, extent) pairs; it holds no table, scale or
-    value.  So the cache holds one plan per law table and extents seen: a law
-    over one dimension n has at most ``io.MAX_DIM`` plans.
+    value.  So the cache holds one entry per law table and extents seen: a
+    law over one dimension n has at most ``io.MAX_DIM`` of them.
     """
-    extent = dict(extents).__getitem__ if isinstance(extents, tuple) else lambda _x: extents
+    extent = _extent(extents)
+    packed = None
+    fixed = _packed_labels(terms, out_labels)
+    if fixed:
+        packs, per = _strides(fixed, extent)
+        if per >= MIN_PACKED_CELLS:
+            names = tuple(dict.fromkeys(
+                name for _sign, *factors in terms for name, _labels in factors))
+            summed = tuple(prod([extent(x) for x in set("".join(
+                labels for _name, labels in factors)) if x not in out_labels])
+                for _sign, *factors in terms)
+            packed = (names, per, summed, packs, {})
+    return (*_plan(terms, out_labels, extent, {}, 0), packed)
+
+
+def _plan(terms: tuple, out_labels: str, extent, packs: dict, w: int) -> tuple:
+    """The output size and, per term, (sign, table names, first, steps,
+    shifts), the labels in ``packs`` packed into the factors' values at
+    width ``w``.
+
+    ``first`` is (table, grouping number), how the first factor is grouped
+    (`IntTable.grouped`).  Each step contracts the factors so far with the
+    next one, (table, grouping number, regroup): it keeps a label that is
+    an output label or is read by a later factor and sums over the others.  The last step adds into the
+    output, and its ``regroup`` is None.  An earlier step fills a flat
+    intermediate laid out as (labels the next factor reads and no later step
+    keeps, labels it reads that are kept, labels it does not read), so the
+    next key of a cell p is p // cut; ``regroup`` is (width, cut, ((stride,
+    extent, next stride), …)) over the labels the next step keeps.
+    ``shifts`` spreads a term that lacks output labels over them, or is
+    None.  A packed label is neither an output label nor read twice, so the
+    steps treat it as summed and it rides in the values.
+    """
     out_strides, size = _strides(out_labels, extent)
     plans = []
     for sign, *factors in terms:
@@ -202,7 +313,7 @@ def _compile(terms: tuple, out_labels: str, extents) -> tuple:
             labels = "".join(dict.fromkeys(
                 x for x in labels + labelings[t] if x in out_labels or x in later))
             keeps.append(labels)
-        if any(x not in out_labels for x in labels):
+        if any(x not in out_labels and x not in packs for x in labels):
             raise ValueError(f"term {tuple(factors)} leaves a label outside {out_labels!r}")
         # the space each step fills: an intermediate for all but the last
         spaces = []
@@ -216,15 +327,15 @@ def _compile(terms: tuple, out_labels: str, extents) -> tuple:
         spaces.append((out_strides, size, None))
         left = labelings[0]
         if not keeps:
-            first = (names[0], *_spec(left, {}, out_strides))
+            first = (names[0], _spec(left, {}, out_strides, packs, w))
         else:
             key_strides = _strides([x for x in left if x in labelings[1]], extent)[0]
-            first = (names[0], *_spec(left, key_strides, spaces[0][0]))
+            first = (names[0], _spec(left, key_strides, spaces[0][0], packs, w))
         steps = []
         for t, keep in enumerate(keeps):
             strides, width, cut = spaces[t]
             steps.append((names[t + 1],
-                          *_spec(labelings[t + 1], key_strides, strides, left),
+                          _spec(labelings[t + 1], key_strides, strides, packs, w, left),
                           None if cut is None else (width, cut, tuple(
                               (strides[x], extent(x), spaces[t + 1][0][x])
                               for x in keep if x in keeps[t + 1]))))
@@ -244,7 +355,7 @@ def _compile(terms: tuple, out_labels: str, extents) -> tuple:
 
 def _regroup(acc: list, width: int, cut: int, parts: tuple) -> dict:
     """The nonzero cells of an intermediate as key ↦ [(offset, value)] for
-    the next step (see `_compile`)."""
+    the next step (see `_plan`)."""
     g = {}
     for p in compress(range(width), acc):
         off = 0
@@ -265,10 +376,10 @@ def contract(terms: tuple, tables: dict, out_labels: str, n) -> list:
     return fractions(*contract_cells(terms, tables, out_labels, n))
 
 
-def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple[list, int]:
+def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
     """Σ sign·(product of the factors) over the terms, as (cells, D): a flat
-    row-major list of ints in the order of ``out_labels``, cell x standing
-    for x/D.
+    row-major sequence of ints in the order of ``out_labels``, cell x
+    standing for x/D.
 
     A term is ``(sign, (table, labels), (table, labels), …)``.  ``labels``
     names the axes of ``tables[table]`` in storage order, one letter each:
@@ -287,27 +398,53 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple[list
     term is scaled to D, the lcm of those denominators over all terms, and
     the cells are summed as ints; x/D is then the exact rational value,
     whatever mix of tables the terms draw on.
+
+    Where the law has a packed plan and every table it reads is dense, the
+    cells of the packed labels F ride in one int: each table value is
+    L·c·2^(w·e), e its offset inside F, and the same loop multiplies and
+    adds ints that each hold a row of cells, so it runs once per row instead
+    of once per cell.  A product of two values adds their offsets, and every
+    term carries each F label once, so each output int is exactly
+    Σₑ cell·2^(w·e).  The width w is 32·⌈(b + 1)/32⌉ for the bit length b of
+    Σₜ |sign|·(D/Lₜ)·Π max|value|·(the number of values of the summed
+    labels), a bound on every |cell|, so |cell| < 2^(w−1) and the balanced
+    base-2^w digits of the int are the cells: exact, with no overflow and
+    no tolerance.  The cells are then a `PackedCells`, which decodes on read.
     """
-    size, plan = _compile(terms, out_labels,
-                          n if isinstance(n, int) else tuple(sorted(n.items())))
+    extents = n if isinstance(n, int) else tuple(sorted(n.items()))
+    size, plan, packed = _compile(terms, out_labels, extents)
     scales = [prod([tables[name].scale for name in names]) for _sign, names, *_ in plan]
     den = lcm(*scales)
+    w = 0
+    if packed is not None:
+        for name in packed[0]:
+            if not tables[name].dense:
+                break
+        else:
+            _names, per, summed, packs, by_width = packed
+            bound = sum(abs(sign) * (den // scale) * values
+                        * prod([tables[name].top for name in names])
+                        for (sign, names, *_), scale, values in zip(plan, scales, summed))
+            w = (bound.bit_length() + 32) // 32 * 32
+            if w not in by_width:
+                by_width[w] = _plan(terms, out_labels[:-len(packs)], _extent(extents), packs, w)
+            size, plan = by_width[w]
     out = [0] * size
-    for (sign, _names, (name, gid, key, placed), steps, shifts), scale in zip(plan, scales):
+    for (sign, _names, (name, gid), steps, shifts), scale in zip(plan, scales):
         m = sign * (den // scale)
         term = out if shifts is None else [0] * size
         table = tables[name]
         g1 = table._groups.get(gid)
         if g1 is None:
-            g1 = table.grouped(gid, key, placed)
+            g1 = table.grouped(gid)
         if not steps:
             for off, v in g1.get(0, ()):
                 term[off] += m * v
-        for right, gid, key, placed, regroup in steps:
+        for right, gid, regroup in steps:
             table = tables[right]
             g2 = table._groups.get(gid)
             if g2 is None:
-                g2 = table.grouped(gid, key, placed)
+                g2 = table.grouped(gid)
             # The last step adds the scaled term into the output; earlier
             # steps fill an intermediate, regrouped for the next step.
             acc, mult = (term, m) if regroup is None else ([0] * regroup[0], 1)
@@ -325,7 +462,68 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple[list
                 v = term[p]
                 for s in shifts:
                     out[p + s] += v
-    return out, den
+    return (PackedCells(out, w, per) if w else out), den
+
+
+class PackedCells:
+    """The row-major cells of a packed contraction, decoded on read.
+
+    ``ints[q]`` holds cells q·per to q·per + per − 1, cell q·per + e as
+    its balanced base-2^w digit e: ints[q] = Σₑ cell·2^(w·e), every
+    |cell| < 2^(w−1), so the digits are unique and ints[q] is 0 iff all its
+    cells are.  An index i ≥ 0 decodes one int, `first` the first nonzero
+    one, and every other read (len aside) decodes every cell once and keeps
+    the list.
+    """
+
+    __slots__ = ("ints", "w", "per", "_all")
+
+    def __init__(self, ints: list, w: int, per: int):
+        self.ints, self.w, self.per, self._all = ints, w, per, None
+
+    def _digits(self, x: int) -> list:
+        """The per digits of x, lowest first."""
+        if not x:
+            return [0] * self.per
+        size, half = self.w // 8, 1 << self.w - 1
+        # with half added to every digit each one is a plain base-2^w digit
+        bias = int.from_bytes(half.to_bytes(size, "little") * self.per, "little")
+        b = (x + bias).to_bytes(size * self.per, "little")
+        return [int.from_bytes(b[i:i + size], "little") - half
+                for i in range(0, len(b), size)]
+
+    def _cells(self) -> list:
+        if self._all is None:
+            self._all = [c for x in self.ints for c in self._digits(x)]
+        return self._all
+
+    def first(self):
+        """(p, x) for the first nonzero cell x, or None."""
+        q = next(compress(count(), self.ints), None)
+        if q is None:
+            return None
+        digits = self._digits(self.ints[q])
+        e = next(compress(count(), digits))
+        return q * self.per + e, digits[e]
+
+    def __len__(self):
+        return len(self.ints) * self.per
+
+    def __getitem__(self, p):
+        if self._all is None and isinstance(p, int) and 0 <= p < len(self):
+            return self._digits(self.ints[p // self.per])[p % self.per]
+        return self._cells()[p]
+
+    def __iter__(self):
+        return iter(self._cells())
+
+
+def first_cell(cells) -> tuple | None:
+    """(p, x) for the first nonzero cell x of `contract_cells`' cells, or None."""
+    if isinstance(cells, PackedCells):
+        return cells.first()
+    p = next(compress(count(), cells), None)
+    return None if p is None else (p, cells[p])
 
 
 def fractions(cells: list, den: int) -> list:
@@ -356,7 +554,7 @@ def cube_table(cells: list, den: int, dims) -> IntTable:
     # the index tuples over the axes after the first, in row-major order
     inner = list(product(*map(range, dims[1:])))
     m = len(inner)
-    return IntTable(scale=den // g, entries=[
+    return IntTable(scale=den // g, size=len(cells), entries=[
         ((p // m, *inner[p % m]), cells[p] // g)
         for p in compress(range(len(cells)), cells)])
 

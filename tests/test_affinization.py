@@ -7,10 +7,12 @@ from itertools import product
 from operator import itemgetter
 
 import pytest
+from click.testing import CliRunner
 
 from dendrikit import affinization
 from dendrikit.affinization import (
     GRADING_M,
+    Failures,
     InsufficientWindowError,
     Mono,
     Window,
@@ -29,6 +31,7 @@ from dendrikit.affinization import (
 )
 from dendrikit.algebras import check_axioms
 from dendrikit.bialgebras import CoalgStruct, check_bialgebra, check_coalgebra
+from dendrikit.cli import main
 from dendrikit.exact import ZERO
 
 from conftest import (
@@ -470,6 +473,31 @@ def test_per_pattern_form_and_perm_checks_match_every_tuple(monkeypatch, fault, 
     assert (perm.checked, perm.failures) == _tuple_perm_axioms(w)
     form = check_graded_form(w)
     assert (form.checked, form.failures) == _tuple_graded_form(w)
+
+
+def test_the_cli_lists_a_failing_windowed_check_once(monkeypatch):
+    """`reproduce ex-4.2` on a B whose product keeps the left ∂-index reads
+    each windowed report's verdict, ``ok`` and first failure: each report
+    lists its failures once, although the perm axioms' listing sorts them
+    all."""
+    monkeypatch.setattr(affinization, "mono_product", _keep_left)
+    listings = []
+    init = Failures.__init__
+
+    def counted(self, batches):
+        at = len(listings)
+        listings.append(0)
+
+        def listed():
+            listings[at] += 1
+            return batches()
+
+        init(self, listed)
+
+    monkeypatch.setattr(Failures, "__init__", counted)
+    result = CliRunner().invoke(main, ["reproduce", "ex-4.2"])
+    assert result.exit_code == 1 and "first failure perm_assoc" in result.output
+    assert listings and max(listings) == 1
 
 
 def _nu_terms(b, R):

@@ -11,13 +11,15 @@ all-zero to full, in dimensions 1 to 4, and after a random change of basis.
 Every coordinate returned must be a `Fraction`, never a bare int, since
 reports render Fractions.  `contract` is also compared with a sum over every
 assignment of values to the labels of random term tables, and its plan cache
-is checked to be keyed on the law and the extents only.
+is checked to be keyed on the law and the extents only.  Laws of four output
+labels on dense tables take the packed path, whose cells, first violation
+and Fractions must equal the plain path's, at the width bound too.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import ceil, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,28 +27,35 @@ from hypothesis import strategies as st
 
 from dendrikit import examples
 from dendrikit.algebras import (
+    AXIOMS,
     KIND_OPS,
     Bimodule,
     FinAlgebra,
+    Residuals,
     regular_bimodule,
 )
 from dendrikit.bialgebras import BIALGEBRA_LAWS, CoalgStruct, check_bialgebra
 from dendrikit.exact import (
+    MIN_FILL_PERCENT,
     ZERO,
     IntTable,
     LinMap,
+    PackedCells,
     Tensor2,
     Vec,
     _compile,
     contract,
+    contract_cells,
     determinant,
+    fractions,
     mat_mul,
     nest,
     transpose,
 )
 from dendrikit.ybe import coregular_bimodule, ybe_residual
 
-from conftest import conjugate_algebra, int_matrix, perturb_coproduct, perturb_product
+from conftest import (conjugate_algebra, first_nonzero, int_matrix, perturb_coproduct,
+                      perturb_product)
 
 DENSITIES = (0.0, 0.1, 0.3, 0.6, 1.0)
 
@@ -448,19 +457,6 @@ def _by_every_assignment(terms, tables, out, extent):
     return res
 
 
-@settings(max_examples=150, deadline=None)
-@given(term_tables())
-def test_contract_matches_a_sum_over_every_label_assignment(sample):
-    """Shared, summed and broadcast labels, int and dict extents, mixed
-    denominators and all-zero tables: the compiled contraction is the sum
-    over every assignment of values to the labels."""
-    terms, tables, out, n, extent = sample
-    got = contract(terms, {t: IntTable(tab) for t, tab in tables.items()}, out, n)
-    assert all(type(x) is Fraction for x in got)
-    assert all(x is ZERO for x in got if x == 0)
-    assert got == _by_every_assignment(terms, tables, out, extent)
-
-
 def test_a_lone_factor_cannot_sum_a_label():
     with pytest.raises(ValueError, match="leaves a label outside"):
         contract(((1, ("a", "ij")),), {"a": IntTable(((ZERO,),))}, "i", 1)
@@ -483,3 +479,180 @@ def test_the_plan_cache_is_keyed_on_the_law_and_the_extents():
     assert _compile.cache_info().currsize == laws
     check_bialgebra(D3, theta3)
     assert _compile.cache_info().currsize == 2 * laws
+
+
+# --- the packed cells ---------------------------------------------------------------
+#
+# A law of four or more output labels whose last one or two every term carries
+# once, on one factor, has a packed plan; it runs where a packed int holds at
+# least MIN_PACKED_CELLS cells and every table is dense.  Its cells must be
+# the plain path's, which the same tables marked sparse give.
+
+PACKED_LETTERS = "abcdefg"
+
+
+def _plain(table: IntTable) -> IntTable:
+    """The same entries, with no size given, so never dense."""
+    return IntTable(scale=table.scale, entries=table.entries)
+
+
+def _dense_table(rng, shape, fill):
+    """A nested tuple of Fractions of the given shape with the share ``fill``
+    of its cells nonzero, exactly (rounded up)."""
+    size = prod(shape)
+    nonzero = set(rng.sample(range(size), ceil(size * fill)))
+    cells = [Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), rng.choice(DENOMINATORS))
+             if p in nonzero else Fraction(0) for p in range(size)]
+    return nest(cells, shape) if len(shape) > 1 else tuple(cells)
+
+
+@st.composite
+def packed_term_tables(draw):
+    """Random terms over four output labels and up to three summed ones, each
+    carrying the last two output labels once, on one factor; tables of
+    extents 3 or 4 on the packed labels, filled densely or sparsely."""
+    rng = draw(st.randoms(use_true_random=False))
+    letters = draw(st.permutations(PACKED_LETTERS))
+    out, summed = "".join(letters[:4]), letters[4:4 + draw(st.integers(0, 3))]
+    n = {x: draw(st.integers(3, 4)) if x in out[2:] else draw(st.integers(1, 3))
+         for x in PACKED_LETTERS}
+    fills = draw(st.sampled_from(((1.0,), (0.5, 1.0), (0.3, 1.0), (0.1, 0.5))))
+    tables, terms = {}, []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 3))
+        if k == 1:
+            factors = [draw(st.permutations(out))]
+        else:
+            factors = [[] for _ in range(k)]
+            for x in out[2:]:
+                factors[draw(st.integers(0, k - 1))].append(x)
+            for x in out[:2] + "".join(summed):
+                # a summed label on two factors, an unpacked output label on
+                # one or none (it is then broadcast)
+                for t in draw(st.sets(st.integers(0, k - 1), min_size=0, max_size=2)):
+                    factors[t].append(x)
+            for labels in factors:
+                if not labels:
+                    labels.append(out[0])
+            factors = [draw(st.permutations(labels)) for labels in factors]
+        named = []
+        for labels in factors:
+            labels = "".join(labels)
+            name = f"t{len(tables)}"
+            tables[name] = (labels, _dense_table(rng, [n[x] for x in labels],
+                                                 draw(st.sampled_from(fills))))
+            named.append((name, labels))
+        terms.append((draw(st.sampled_from((1, -1, 2))), *named))
+    return tuple(terms), {t: tab for t, (_lab, tab) in tables.items()}, out, n, n.get
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(term_tables(), packed_term_tables()))
+def test_contract_matches_a_sum_over_every_label_assignment(sample):
+    """Shared, summed and broadcast labels, int and dict extents, mixed
+    denominators and all-zero tables, and four-label outputs on dense and
+    sparse tables: the compiled contraction is the sum over every assignment
+    of values to the labels.  The packed path runs exactly where the law
+    packs and every table is dense, and gives the plain path's cells."""
+    terms, nested, out, n, extent = sample
+    tables = {t: IntTable(tab) for t, tab in nested.items()}
+    got = contract(terms, tables, out, n)
+    assert all(type(x) is Fraction for x in got)
+    assert all(x is ZERO for x in got if x == 0)
+    assert got == _by_every_assignment(terms, nested, out, extent)
+    cells, den = contract_cells(terms, tables, out, n)
+    packs = _compile(terms, out, n if isinstance(n, int) else tuple(sorted(n.items())))[2]
+    assert isinstance(cells, PackedCells) == (
+        packs is not None and all(t.dense for t in tables.values()))
+    plain = contract_cells(terms, {t: _plain(tab) for t, tab in tables.items()}, out, n)
+    assert type(plain[0]) is list and (list(cells), den) == plain
+
+
+@pytest.mark.parametrize("short", (0, 1))
+def test_the_fill_rule_at_its_threshold(short):
+    """A table with MIN_FILL_PERCENT of its cells nonzero is dense, and the
+    law packs; one nonzero cell fewer and it runs the plain path.  Both give
+    the sum over every assignment."""
+    rng = random.Random(short)
+    n = 4
+    size = n ** 3
+    nonzero = -(-size * MIN_FILL_PERCENT // 100) - short
+    cells = [Fraction(rng.choice((-3, -1, 1, 2)), rng.choice(DENOMINATORS)) for _ in range(nonzero)]
+    cells += [Fraction(0)] * (size - nonzero)
+    rng.shuffle(cells)
+    cube = nest(cells, (n, n, n))
+    table = IntTable(cube)
+    assert table.dense == (not short)
+    terms, out = AXIOMS["assoc"]["associativity"][1], AXIOMS["assoc"]["associativity"][0]
+    got, den = contract_cells(terms, {"mul": table}, out, n)
+    assert isinstance(got, PackedCells) == (not short)
+    assert contract(terms, {"mul": table}, out, n) == _by_every_assignment(
+        terms, {"mul": cube}, out, lambda _x: n)
+
+
+@st.composite
+def width_bound_laws(draw):
+    """Two terms A(ij)·B(pq) and C(ij)·E(pq) over denominators 3 and 5 whose
+    sum reaches the width bound, 2^b − 1 with b drawn at and around multiples
+    of 32, in the top cell, negative, and under any other cell; with a pair
+    of terms that cancel in every field, or as a law whose terms all cancel."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(3, 4))
+    b = draw(st.sampled_from((31, 32, 33, 63, 64, 65, 95, 96, 127, 128)))
+    shape = draw(st.sampled_from(("bound", "cancel", "zero")))
+    top = 2 ** b - 1
+    # cell = 5·A·B + 3·C·E over D = 15: A and C are ±1/3 and ±1/5, so the
+    # bound 5·max|B| + 3·max|E| is reached where A = C = 1 and B, E are at
+    # their most negative
+    top_b = draw(st.integers(3, top // 5 - 1))
+    top_b -= (top_b - 2 * top) % 3
+    top_e = (top - 5 * top_b) // 3
+    assert top_b > 0 and top_e > 0 and 5 * top_b + 3 * top_e == top
+
+    def square(den, corner, bound):
+        cells = [Fraction(rng.choice((-1, 1)) * rng.randint(1, bound), den)
+                 for _ in range(n * n - 1)] + [Fraction(corner, den)]
+        return nest(cells, (n, n))
+
+    nested = {"A": square(3, 1, 1), "B": square(1, -top_b, top_b),
+              "C": square(5, 1, 1), "E": square(1, -top_e, top_e)}
+    terms = ((+1, ("A", "ij"), ("B", "pq")), (+1, ("C", "ij"), ("E", "pq")))
+    if shape == "cancel":
+        nested["F"] = square(7, draw(st.integers(1, 2 ** b)), 2 ** b)
+        nested["G"] = square(1, 1, 2 ** b)
+        terms += ((+1, ("F", "ip"), ("G", "jq")), (-1, ("G", "jq"), ("F", "ip")))
+    elif shape == "zero":
+        terms += ((-1, ("B", "pq"), ("A", "ij")), (-1, ("E", "pq"), ("C", "ij")))
+    return terms, nested, n, b, shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(width_bound_laws())
+def test_packed_cells_at_the_width_bound(sample):
+    """Huge numerators, mixed denominators, cells at ±(2^b − 1) with the top
+    field negative, and terms that cancel in every field: the packed cells,
+    the first violation and `contract` equal the plain path's."""
+    terms, nested, n, b, shape = sample
+    out = "ijpq"
+    tables = {t: IntTable(tab) for t, tab in nested.items()}
+    cells, den = contract_cells(terms, tables, out, n)
+    assert isinstance(cells, PackedCells)
+    plain, plain_den = contract_cells(terms, {t: _plain(tab) for t, tab in tables.items()},
+                                      out, n)
+    assert type(plain) is list and den == plain_den
+    if shape == "bound":
+        # the top cell, the top field of the last packed int, is −(2^b − 1)
+        assert cells.w == (b + 32) // 32 * 32 and den == 15
+        assert plain[-1] == -(2 ** b - 1) and cells[len(plain) - 1] == plain[-1]
+        assert max(map(abs, plain)) == 2 ** b - 1
+    if shape == "zero":
+        assert not any(plain) and not any(cells.ints)
+    assert list(cells) == plain
+    dims = (n,) * 4
+    packed, reference = Residuals(), Residuals()
+    packed.add("law", cells, den, dims)
+    reference.add("law", plain, den, dims)
+    assert packed.violations == reference.violations
+    assert packed.violations["law"] == (None if shape == "zero" else first_nonzero(
+        nest(fractions(plain, den), dims)))
+    assert contract(terms, tables, out, n) == fractions(plain, den)
