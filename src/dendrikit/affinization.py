@@ -18,37 +18,28 @@ of the sources plus a fixed offset; it gives one coefficient, the same for all
 of them, to every monomial tuple with those ∂-indices and that sum.  Every
 intermediate exponent is fixed by the target and the sources, so for
 safe-region sources the coefficient of a window target is the exact one, a
-finite sum that no truncation changes.  A check therefore tabulates, once per
-call, the residual of each pattern: the ∂-indices and basis indices of D of
-the sources, and those of the target with its offset.  It visits window
-sources and targets only where that residual is nonzero, and counts the
-others in closed form.  A report's failures are built on first read
-(`Failures`), so the verdict and the first failure come without building the
-others.  They are listed in the order of their targets: every window cell has
-an integer rank, its position in sorted order, so a target is one int and its
-cells are built once, after the sort (`_grid`, `_window_residuals`).
+finite sum that no truncation changes.  A check visits window sources and
+targets only where a pattern's residual is nonzero, and counts the others in
+closed form.  A report's failures are built on first read (`Failures`), so
+the verdict and the first failure come without building the others.  They
+are listed in the order of their targets: every window cell has an integer
+rank, its position in sorted order, so a target is one int and its cells are
+built once, after the sort (`_grid`, `_window_residuals`).
 
-The laws of D⊗B are the finite laws read on a skeleton.  Slot 2d + s − 1 of
-a space of dimension 2·dim D stands for every d⊗x^{i}∂ₛ, and each table gains
-a last axis, the unit shift (e₁ or e₂) of its term.  The product and the
-coproduct of D⊗B are `functors.CONSTRUCTIONS["tensor_assoc"]` and
-`bialgebras.COPRODUCT_CONSTRUCTIONS["induce_asi"]` on D, θ and two 2-slot
-tables of B, its product on x⁰∂ₛ and ν, built once at import.  Affine
-associativity, casi1, casi2 and completed coassociativity are
-`AXIOMS["assoc"]["associativity"]`, `BIALGEBRA_LAWS["assoc"]["asi_bi_1"]`
-and ``["asi_bi_2"]``, and `COALGEBRA_LAWS["assoc"]["coassociativity"]`, with
-a shift axis on each factor.  `exact.contract_cells` evaluates each over the
-integers with one common denominator, and a cell, its two shifts folded into
-the offset, is the residual of one pattern.  It is turned back into a
-Fraction only where a failure is recorded.
-
-The checks on B alone stay written out.  `check_laurent_perm_axioms` reports
-the two side monomials of a failing identity, which a residual, their
-difference, does not carry.  `check_completed_perm_coalgebra` counts the
-patterns that are nonzero on either side, so it needs the sides apart.
-`check_graded_form` and `check_nu_pairing` pair exponents that cancel rather
-than shift.  Each reads `mono_product`, `_form` or `_pattern_nu` at call time
-and loops over at most eight ∂-triples.
+Each law is a finite law read on a skeleton (`_patterns`): slot 2d + s − 1 of
+a space of dimension 2·dim D stands for every d⊗x^{i}∂ₛ of D⊗B, slot s − 1 of
+a 2-slot space for every x^{i}∂ₛ of B, and each factor that reads a product
+or a coproduct gains a last axis, the unit shift (e₁ or e₂) of its term.
+Affine associativity, casi1, casi2 and completed coassociativity are
+`AXIOMS["assoc"]`, `BIALGEBRA_LAWS["assoc"]` and `COALGEBRA_LAWS["assoc"]` on
+the `tensor_assoc` product and the `induce_asi` coproduct of D⊗B, once per
+call.  The laws of B alone are `AXIOMS["perm"]`, `COALGEBRA_LAWS["perm"]`,
+`QUADRATIC_LAWS["invariance"]` and `NU_PAIRING`, on B's product, ν and ϖ as
+`mono_product`, `_pattern_nu` and `_form_sign` give them at call time, once
+per B.  `exact.contract_cells` gives each pattern's residual as an integer
+over one common denominator, a Fraction only where a failure is recorded.
+Antisymmetry, grading and the dual pairing of ϖ stay written out: their
+failures record the form value ϖ(a, b), which a residual does not carry.
 """
 
 from __future__ import annotations
@@ -61,7 +52,9 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .algebras import AXIOMS, FinAlgebra
-from .bialgebras import BIALGEBRA_LAWS, COALGEBRA_LAWS, COPRODUCT_CONSTRUCTIONS, CoalgStruct
+from .bialgebras import (
+    BIALGEBRA_LAWS, COALGEBRA_LAWS, COPRODUCT_CONSTRUCTIONS, QUADRATIC_LAWS, CoalgStruct,
+)
 from .exact import ONE, ZERO, IntTable, contract_cells, cube_table
 from .functors import CONSTRUCTIONS, tensor_extents
 
@@ -199,10 +192,6 @@ def _support(d: dict) -> dict:
 _UNIT = {1: (1, 0), 2: (0, 1)}
 
 
-def _plus(a: tuple, b: tuple) -> tuple:
-    return a[0] + b[0], a[1] + b[1]
-
-
 def _pattern_nu(t: int) -> list:
     """ν(x^{c}∂ₜ) = Σᵤ x^{u}∂₁ ⊗ x^{c+e₂−u}∂ₜ − Σᵤ x^{u}∂₂ ⊗ x^{c+e₁−u}∂ₜ, as
     terms (first ∂, second ∂, offset, sign)."""
@@ -271,6 +260,8 @@ def _window_residuals(patterns: dict, base: tuple, N: int, scale: int, grid: tup
         ys = _splits(base[1] + offset[1], N, step2)
         codes += [start + x + y for x in _splits(base[0] + offset[0], N, step1) for y in ys]
     codes.sort()
+    if k == 1:
+        return [((cells[n],), values[p]) for n, p in map(divmod, codes, repeat(P))]
     if k == 2:
         return [((cells[n // R], cells[n % R]), values[p])
                 for n, p in map(divmod, codes, repeat(P))]
@@ -389,35 +380,28 @@ def _part(bound: int, s: int) -> list:
 def check_laurent_perm_axioms(w: Window) -> AffineReport:
     """Perm identities b₁(b₂b₃) = (b₁b₂)b₃ = (b₂b₁)b₃ on all window triples.
 
-    A product is a unit shift, so each side is the monomial of the exponent sum
-    b₁ + b₂ + b₃ plus an offset, with a ∂-index, both fixed by the ∂-triple.
-    Two sides then agree on every triple of a ∂-triple or on none, so each law
-    is decided once per ∂-triple, on x⁰∂ₛ representatives, and window triples
-    are visited only where it fails.
+    `AXIOMS["perm"]` on the skeleton of B.  Each side is one monomial with
+    coefficient 1, so a law that fails on a ∂-triple leaves two entries in
+    its residual, +1 at its left side and −1 at its right, each a ∂-index
+    and an offset from b₁ + b₂ + b₃: the two monomials of the failure.
+    Window triples are visited, in box order, only where a law fails.
     """
     bound = w.safe_bound(2)
-    failing = []
-    for parts in product((1, 2), repeat=3):
-        a, b, c = map(_zero, parts)
-        left = mono_product(a, mono_product(b, c))
-        mid = mono_product(mono_product(a, b), c)
-        perm = mono_product(mono_product(b, a), c)
-        laws = [law for law in (("perm_assoc", left, mid), ("perm_left_commute", mid, perm))
-                if law[1] != law[2]]
-        if laws:
-            failing.append((laws, [_part(bound, s) for s in parts]))
+    b = _skeleton_b()
+    failing: dict = {}
+    for label in AXIOMS["perm"]:
+        for parts, res in _b_patterns(label, b)[0].items():
+            failing.setdefault(parts, []).append((label, sorted(res, key=res.get, reverse=True)))
+    monos = list(iter_box(bound)) if failing else []
 
     def batches():
-        found = []
-        for laws, parts in failing:
-            for src in product(*parts):
-                i1 = sum(m.i1 for m in src)
-                i2 = sum(m.i2 for m in src)
-                found.extend(
-                    (label, src, tuple(_mono((m.i1 + i1, m.i2 + i2, m.s)) for m in sides))
-                    for label, *sides in laws
-                )
-        return [sorted(found, key=itemgetter(1))]
+        for src in product(monos, repeat=3):
+            laws = failing.get((src[0].s, src[1].s, src[2].s))
+            if laws:
+                i1 = src[0].i1 + src[1].i1 + src[2].i1
+                i2 = src[0].i2 + src[1].i2 + src[2].i2
+                yield [(label, src, tuple(_mono((i1 + o1, i2 + o2, s))
+                                          for (s,), (o1, o2) in sides)) for label, sides in laws]
 
     return AffineReport(
         "Laurent perm axioms", w.N, f"|i| <= {bound}", _box_size(bound) ** 3,
@@ -430,16 +414,14 @@ def check_graded_form(w: Window) -> AffineReport:
 
     ϖ(a, b) is nonzero only where a + b = 0, with a value fixed by the
     ∂-indices, and there the degrees add up to a constant: antisymmetry and
-    grading are decided once per ∂-pair.  Each product adds an offset fixed by
-    the ∂-indices, so each term of ϖ(ab, c) − ϖ(a, bc) + ϖ(a, cb) is nonzero
-    only where a + b + c cancels its offset, and the residual of a ∂-triple is
-    one value per offset.  dual(x^{i}∂ₛ) has the exponent −i.  Each pattern is
-    decided on x⁰∂ₛ representatives, and window tuples are visited only where
-    its residual is nonzero.
+    grading are decided once per ∂-pair.  dual(x^{i}∂ₛ) has the exponent −i.
+    Invariance is `QUADRATIC_LAWS["invariance"]` on the skeleton of B, its
+    targets c in the safe region with a + b + c fixed by the sources a, b.
+    Window tuples are visited only where a residual is nonzero.
     """
     bound = w.safe_bound(1)
     # each failing pattern, with its value and the window monomials it ranges over
-    pair_laws, triple_laws, dual_laws = [], [], []
+    pair_laws, dual_laws = [], []
     for sa, sb in product((1, 2), repeat=2):
         ab = _form_sign(sa, sb)
         labels = []
@@ -449,14 +431,8 @@ def check_graded_form(w: Window) -> AffineReport:
             labels.append("grading")
         if labels:
             pair_laws.append((labels, Fraction(ab), sb, _part(w.N, sa)))
-    for sa, sb, sc in product((1, 2), repeat=3):
-        a, b, c = _zero(sa), _zero(sb), _zero(sc)
-        res: dict = {}
-        for x, y, sign in ((mono_product(a, b), c, 1), (a, mono_product(b, c), -1),
-                           (a, mono_product(c, b), 1)):
-            _add(res, (x.i1 + y.i1, x.i2 + y.i2), sign * _form_sign(x.s, y.s))
-        for offset, v in _support(res).items():
-            triple_laws.append((offset, Fraction(v), sc, _part(bound, sa), _part(bound, sb)))
+    invariance, den = _b_patterns("invariance", _skeleton_b())
+    inner = list(iter_box(bound)) if invariance else []
     for s in (1, 2):
         e = _zero(s)
         f, sign = laurent_dual_basis(e)
@@ -466,14 +442,15 @@ def check_graded_form(w: Window) -> AffineReport:
     def batches():
         pairs = [(label, (a, _mono((-a.i1, -a.i2, sb))), value)
                  for labels, value, sb, part in pair_laws for a in part for label in labels]
-        triples = []
-        for (o1, o2), value, sc, part_a, part_b in triple_laws:
-            for a, b in product(part_a, part_b):
-                c = _mono((-o1 - a.i1 - b.i1, -o2 - a.i2 - b.i2, sc))
-                if abs(c.i1) <= bound and abs(c.i2) <= bound:
-                    triples.append(("invariance", (a, b, c), value))
-        duals = [("dual_pairing", (m,), value) for value, part in dual_laws for m in part]
-        return [sorted(part, key=itemgetter(1)) for part in (pairs, triples, duals)]
+        yield sorted(pairs, key=itemgetter(1))
+        grid = _grid(bound) if inner else None
+        for a, b in product(inner, repeat=2):
+            patterns = invariance.get((a.s, b.s))
+            if patterns:
+                kvs = _window_residuals(patterns, (-a.i1 - b.i1, -a.i2 - b.i2), bound, den, grid)
+                yield [("invariance", (a, b, *key), value) for key, value in kvs]
+        yield sorted((("dual_pairing", (m,), value) for value, part in dual_laws for m in part),
+                     key=itemgetter(1))
 
     return AffineReport(
         "graded bilinear form", w.N, f"|i| <= {w.N}",
@@ -484,80 +461,58 @@ def check_graded_form(w: Window) -> AffineReport:
 def check_nu_pairing(w: Window) -> AffineReport:
     """Defining relation ϖ̂(ν(b₁), b₂⊗b₃) = −ϖ(b₁, b₂b₃) on window triples.
 
-    For fixed b₂⊗b₃ only one term u⊗v of ν(b₁) pairs nonzero, and both sides
-    vanish unless b₁ + b₂ + b₃ plus an offset fixed by the ∂-indices is zero;
-    so each ∂-triple is decided by one sign per offset.
+    `NU_PAIRING` on the skeleton of B, with b₁ the source: both sides vanish
+    unless b₁ + b₂ + b₃ plus an offset fixed by the ∂-indices is zero.
     """
     bound = w.safe_bound(1)
-    # per ∂-index of b₁: ((s₂, s₃), −offset) ↦ residual, where b₂ + b₃ = −b₁ − offset
-    patterns: dict = {1: {}, 2: {}}
-    for s1, s2, s3 in product((1, 2), repeat=3):
-        res: dict = {}
-        # ϖ(u, b₂)ϖ(v, b₃) with u + v = b₁ + shift
-        for s, _, shift, sign in _pattern_nu(s1):
-            _add(res, shift, sign * _form_sign(s, s2) * _form_sign(s1, s3))
-        # minus −ϖ(b₁, b₂b₃), b₂b₃ = x^{b₂+b₃+e_{s₂}}∂_{s₃}
-        _add(res, _UNIT[s2], _form_sign(s1, s3))
-        for (o1, o2), c in _support(res).items():
-            patterns[s1][(s2, s3), (-o1, -o2)] = c
-    sources = list(iter_box(bound)) if any(patterns.values()) else []  # in sorted order
+    live, den = _b_patterns("nu_pairing", _skeleton_b())
+    sources = list(iter_box(bound)) if live else []  # in sorted order
 
     def batches():
-        grid = _grid(w.N)
+        grid = _grid(w.N) if sources else None
         for b1 in sources:
-            kvs = _window_residuals(patterns[b1.s], (-b1.i1, -b1.i2), w.N, 1, grid)
+            kvs = _window_residuals(live.get((b1.s,), {}), (-b1.i1, -b1.i2), w.N, den, grid)
             yield [("nu_pairing", (b1, *key), value) for key, value in kvs]
 
     return AffineReport(
         "completed coproduct pairing", w.N, f"sources |i| <= {bound}",
-        _box_size(bound) * _box_size(w.N) ** 2, Failures(batches if sources else tuple),
+        _box_size(bound) * _box_size(w.N) ** 2, Failures(batches),
     )
 
 
 def check_completed_perm_coalgebra(w: Window) -> AffineReport:
     """Perm coalgebra laws (ν⊗̂id)ν = (id⊗̂ν)ν = (τ̂⊗̂id)(id⊗̂ν)ν, windowed.
 
-    Both sides are tabulated per pattern; targets are triples of window
-    monomials, sources stay in the depth-2 safe region.  One comparison is
-    counted per target that is nonzero on either side.
+    `COALGEBRA_LAWS["perm"]` on the skeleton of B, each side a law of its
+    own; targets are triples of window monomials, sources stay in the
+    depth-2 safe region.  One comparison is counted per target that is
+    nonzero on either side.
     """
     bound = w.safe_bound(2)
     # the window exponent triples of one axis adding up to i + o, for each o,
     # summed over the sources' exponents i: the count is separable in the axes
     counts = _split_counts(w.N, 3)
-    reach = range(-bound, bound + 1)
-    laws = {}
-    checked = 0
-    for t in (1, 2):
-        lhs: dict = {}
-        for g, v, o, c in _pattern_nu(t):  # (ν⊗̂id)ν: the first slot is split again
-            for p, q, o2, c2 in _pattern_nu(g):
-                _add(lhs, ((p, q, v), _plus(o, o2)), c * c2)
-        mid: dict = {}
-        for p, g, o, c in _pattern_nu(t):  # (id⊗̂ν)ν: the second slot is split again
-            for q, v, o2, c2 in _pattern_nu(g):
-                _add(mid, ((p, q, v), _plus(o, o2)), c * c2)
-        lhs, mid = _support(lhs), _support(mid)
-        twisted = {((q, p, v), o): c for ((p, q, v), o), c in mid.items()}
-        laws[t] = []
-        for label, one, other in (("co_perm_assoc", lhs, mid),
-                                  ("co_perm_left_commute", mid, twisted)):
-            diff = {}
-            for pattern in one.keys() | other.keys():
-                _, (o1, o2) = pattern
-                checked += (sum(counts.get(i + o1, 0) for i in reach)
-                            * sum(counts.get(i + o2, 0) for i in reach))
-                diff[pattern] = one.get(pattern, 0) - other.get(pattern, 0)
-            laws[t].append((label, _support(diff)))
-    grid = _grid(w.N)
-    sources = list(iter_box(bound))
+    axis = [sum(counts.get(i + o, 0) for i in range(-bound, bound + 1)) for o in range(3)]
+    b = _skeleton_b()
+    laws, checked = [], 0
+    for label in COALGEBRA_LAWS["perm"]:
+        # both sides read ν alone, so they share one denominator
+        (one, den), (other, _) = (_b_patterns(label + side, b) for side in "+-")
+        diff = {}
+        for t in one.keys() | other.keys():
+            plus, minus = one.get(t, {}), other.get(t, {})
+            both = plus.keys() | minus.keys()
+            checked += sum(axis[o1] * axis[o2] for _targets, (o1, o2) in both)
+            diff[t] = _support({p: plus.get(p, 0) + minus.get(p, 0) for p in both})
+        laws.append((label, diff, den))
+    sources = list(iter_box(bound)) if any(any(diff.values()) for _, diff, _ in laws) else []
 
     def batches():
-        for b in sources:
-            base = (b.i1, b.i2)
-            for label, diff in laws[b.s]:
-                kvs = _window_residuals(diff, base, w.N, 1, grid)
-                yield [(label, (b, key), value) for key, value in kvs]
+        grid = _grid(w.N) if sources else None
+        for src in sources:
+            for label, diff, den in laws:
+                kvs = _window_residuals(diff.get((src.s,), {}), (src.i1, src.i2), w.N, den, grid)
+                yield [(label, (src, key), value) for key, value in kvs]
 
     return AffineReport(
         "completed perm coalgebra", w.N, f"sources |i| <= {bound}", checked,
@@ -565,14 +520,11 @@ def check_completed_perm_coalgebra(w: Window) -> AffineReport:
     )
 
 
-# --- the skeleton of D⊗B -----------------------------------------------------
+# --- the skeletons of D⊗B and of B --------------------------------------------
 #
-# Slot a = 2d + s − 1 of the skeleton stands for every d⊗x^{i}∂ₛ, and a
-# table on it carries one more axis, last: the unit shift of its term, 0 for
-# e₁ and 1 for e₂.  The product and the coproduct of D⊗B are the finite
-# constructions with a shift axis on B's factor; a law is the finite law with
-# a shift axis on each factor, "u" on the first and "v" on the second (every
-# term of these laws has two, and neither letter is one of the law's own).
+# A factor that reads a product or a coproduct carries one more axis, last:
+# the unit shift of its term, 0 for e₁ and 1 for e₂.  A law's shift axes are
+# "u", then "v": each of its terms has as many, and neither is its own label.
 
 
 def _with_shift(construction: tuple, factor: str) -> tuple:
@@ -585,12 +537,15 @@ def _with_shift(construction: tuple, factor: str) -> tuple:
 
 
 def _on_skeleton(law: tuple) -> tuple:
-    """A law read on the skeleton: the shift axes "u" and "v" last on each
-    term's two factors and last in the output."""
+    """A law read on the skeleton: the shift axes "u", then "v", last on each
+    term's factors other than the form w, and last in the output."""
     out, terms = law
-    return out + "uv", tuple(
-        (sign, *((name, labels + x) for (name, labels), x in zip(factors, "uv")))
-        for sign, *factors in terms)
+    skeleton = []
+    for sign, *factors in terms:
+        shifts = iter("uv")
+        skeleton.append((sign, *((name, labels if name == "w" else labels + next(shifts))
+                                 for name, labels in factors)))
+    return out + "uv"[:sum(name != "w" for name, _labels in terms[0][1:])], tuple(skeleton)
 
 
 _SKELETON_MUL = _with_shift(CONSTRUCTIONS["tensor_assoc"], "perm")
@@ -602,23 +557,47 @@ _SKELETON_LAWS = {
     "coassoc": _on_skeleton(COALGEBRA_LAWS["assoc"]["coassociativity"]),
 }
 
+# ϖ̂(ν(bᵢ), bⱼ⊗bₖ) + ϖ(bᵢ, bⱼbₖ), nested [i][j][k], over ν labelled co[i][p][q],
+# the form w[s][t] = ϖ(bₛ, bₜ) and the product mul[k][i][j].  The Laurent ν is
+# `bialgebras.NU_COPRODUCT` of the transposed form ϖᵀ, which is −ϖ while ϖ is
+# antisymmetric, so the plus sign: the finite ν of a form ω pairs with ω to
+# +ω(bᵢ, bⱼbₖ), and this law holds on it with w the transpose of ω.
+NU_PAIRING = {
+    "nu_pairing": ("ijk", (
+        (+1, ("co", "ipq"), ("w", "pj"), ("w", "qk")),
+        (+1, ("w", "im"), ("mul", "mjk")))),
+}
 
-def _skeleton_b() -> dict:
-    """B on the 2-slot skeleton x⁰∂₁, x⁰∂₂: its product perm[t][s][s'][u]
-    read from `mono_product` and ν as nu[t][p][q][u] from `_pattern_nu`."""
+
+# The laws of B alone, the two sides of each perm coalgebra law apart: name ↦
+# (law, number of sources, sign of the offset).  A form law's arguments add up
+# to minus its offset, so its targets add up to minus the sources and offset.
+_B_LAWS = {
+    **{label: (_on_skeleton(law), 3, 1) for label, law in AXIOMS["perm"].items()},
+    **{label + side: (_on_skeleton((out, tuple(t for t in terms if t[0] == sign))), 1, 1)
+       for label, (out, terms) in COALGEBRA_LAWS["perm"].items()
+       for side, sign in (("+", 1), ("-", -1))},
+    "invariance": (_on_skeleton(QUADRATIC_LAWS["invariance"]), 2, -1),
+    "nu_pairing": (_on_skeleton(NU_PAIRING["nu_pairing"]), 1, -1),
+}
+
+
+def _skeleton_b() -> tuple:
+    """B on its skeleton x⁰∂₁, x⁰∂₂, read at call time: the entries of its
+    product mul[t][s][s'][u] from `mono_product`, of ν as co[t][p][q][u] from
+    `_pattern_nu` and of ϖ as w[s][t] from `_form_sign`."""
     shift = {o: s - 1 for s, o in _UNIT.items()}
-    perm = []
-    for s, t in product((1, 2), repeat=2):
-        m = mono_product(_zero(s), _zero(t))
-        perm.append(((m.s - 1, s - 1, t - 1, shift[m.i1, m.i2]), 1))
-    nu = [((t - 1, p - 1, q - 1, shift[o]), sign)
+    mul = [((m.s - 1, s - 1, t - 1, shift[m.i1, m.i2]), 1)
+           for s, t in product((1, 2), repeat=2) for m in [mono_product(_zero(s), _zero(t))]]
+    co = [((t - 1, p - 1, q - 1, shift[o]), sign)
           for t in (1, 2) for p, q, o, sign in _pattern_nu(t)]
-    return {"perm": IntTable(entries=sorted(perm)), "nu": IntTable(entries=sorted(nu))}
+    w = [((s - 1, t - 1), v) for s, t in product((1, 2), repeat=2) if (v := _form_sign(s, t))]
+    return tuple(sorted(mul)), tuple(sorted(co)), tuple(w)
 
 
-# input-free, so built once, and each grouping the constructions read is
-# kept on the tables
-_B = _skeleton_b()
+# input-free for the D⊗B checks, whose constructions name the product "perm"
+# and ν "nu", so built once, and each grouping they read is kept on the tables
+_B = {name: IntTable(entries=list(e)) for name, e in zip(("perm", "nu"), _skeleton_b())}
 
 
 def _skeleton_table(construction: tuple, tables: dict, dim: int) -> IntTable:
@@ -630,40 +609,59 @@ def _skeleton_table(construction: tuple, tables: dict, dim: int) -> IntTable:
     return cube_table(*contract_cells(terms, tables, out, extents), (n, n, n, 2))
 
 
-# a list is a quarter as long as the cells of a law it serves, so only a few
-# are kept
+# a list is at most half as long as the cells of a law it serves, so only a
+# few are kept
 @lru_cache(maxsize=4)
-def _slot_tuples(dim: int, arity: int) -> list:
-    """The tuples of ``arity`` slots (d, s) of the skeleton for dim D =
-    ``dim``, in the row-major order of their cells."""
-    return list(product([(a // 2, a % 2 + 1) for a in range(2 * dim)], repeat=arity))
+def _slot_tuples(dim: int | None, arity: int) -> list:
+    """The tuples of ``arity`` slots of the skeleton of D⊗B for dim D = ``dim``
+    (of B for None), in the row-major order of their cells."""
+    slots = (1, 2) if dim is None else [(a // 2, a % 2 + 1) for a in range(2 * dim)]
+    return list(product(slots, repeat=arity))
 
 
-def _patterns(law: str, tables: dict, dim: int, sources: int) -> tuple[dict, int]:
+def _patterns(law: tuple, tables: dict, dim: int | None, sources: int) -> tuple[dict, int]:
     """The nonzero residuals x/den of a skeleton law as (live, den): the source
-    slots ↦ {(target slots, offset): x}, a slot a pair (d, s).
+    slots ↦ {(target slots, offset): x}, a slot a pair (d, s) of the skeleton
+    of D⊗B for dim D = ``dim``, or a ∂-index s of the skeleton of B for None.
 
     The law's output is ``sources`` source slots, then its target slots, then
-    the shifts (u, v) of its two factors.  A term shifts the exponents by
-    e_u + e_v = (2 − w, w), w the number of e₂ among them, so the four shift
-    cells of a slot tuple are folded into three offsets before any is tested
-    for zero: a law that holds can leave single (u, v) cells nonzero.
+    the shifts of its k factors that read a product or a coproduct
+    (`_on_skeleton`).  A term shifts the exponents by the sum of its k unit
+    shifts, (k − w, w) with w the number of e₂ among them, so the 2^k shift
+    cells of a slot tuple are folded into k + 1 offsets before any is tested
+    for zero: a law that holds can leave single shift cells nonzero.
     """
-    out, terms = _SKELETON_LAWS[law]
-    n = 2 * dim
+    out, terms = law
+    k = len(out) - len(out.rstrip("uv"))
+    n = 2 if dim is None else 2 * dim
     extents = {x: 2 if x in "uv" else n
                for _sign, *factors in terms for _name, labels in factors for x in labels}
     cells, den = contract_cells(terms, tables, out, extents)
-    slots = _slot_tuples(dim, len(out) - 2)
+    slots = _slot_tuples(dim, len(out) - k)
     live: dict = {}
-    # cell 4p + 2u + v is shift (u, v) of slot tuple p
-    for p in sorted({q >> 2 for q in compress(range(len(cells)), cells)}):
-        c11, c12, c21, c22 = cells[4 * p:4 * p + 4]
+    # cell 4p + 2u + v (2p + u for one shift) is shift (u, v) of slot tuple p
+    for p in sorted({q >> k for q in compress(range(len(cells)), cells)}):
+        if k == 2:
+            c11, c12, c21, c22 = cells[4 * p:4 * p + 4]
+            folded = c11, c12 + c21, c22
+        else:
+            folded = cells[2 * p:2 * p + 2]
         at = slots[p]
-        for w, c in enumerate((c11, c12 + c21, c22)):
+        for w, c in enumerate(folded):
             if c:
-                live.setdefault(at[:sources], {})[at[sources:], (2 - w, w)] = c
+                live.setdefault(at[:sources], {})[at[sources:], (k - w, w)] = c
     return live, den
+
+
+@lru_cache(maxsize=64)
+def _b_patterns(law: str, b: tuple) -> tuple[dict, int]:
+    """`_patterns` of ``law`` of `_B_LAWS` on B with the skeleton entries ``b``
+    (`_skeleton_b`), offsets times the law's sign: kept per B, so read-only."""
+    skeleton, sources, sign = _B_LAWS[law]
+    tables = {name: IntTable(entries=list(e)) for name, e in zip(("mul", "co", "w"), b)}
+    live, den = _patterns(skeleton, tables, None, sources)
+    return {src: {(at, (sign * o1, sign * o2)): c for (at, (o1, o2)), c in res.items()}
+            for src, res in live.items()}, den
 
 
 def _require_dendriform_pair(D: FinAlgebra, theta: CoalgStruct):
@@ -687,7 +685,7 @@ def check_affine_associativity(D: FinAlgebra, w: Window) -> AffineReport:
         raise ValueError("expected a dendriform algebra")
     bound = w.safe_bound(2)
     tables = {"mul": _skeleton_table(_SKELETON_MUL, {**D.tables, **_B}, D.dim)}
-    patterns, den = _patterns("associativity", tables, D.dim, 3)
+    patterns, den = _patterns(_SKELETON_LAWS["associativity"], tables, D.dim, 3)
     monos = list(iter_box(bound))
 
     def batches():
@@ -746,7 +744,8 @@ def check_completed_asi(D: FinAlgebra, theta: CoalgStruct, w: Window) -> AffineR
     bound = w.safe_bound(2)
     tables = {"mul": _skeleton_table(_SKELETON_MUL, {**D.tables, **_B}, D.dim),
               "co": _skeleton_table(_SKELETON_CO, {**theta.tables, **_B}, D.dim)}
-    laws = [(label, *_patterns(label, tables, D.dim, 2)) for label in ("casi1", "casi2")]
+    laws = [(label, *_patterns(_SKELETON_LAWS[label], tables, D.dim, 2))
+            for label in ("casi1", "casi2")]
     grid = _grid(w.N, D.dim)
     sources = [(d, b) for d in range(D.dim) for b in iter_box(bound)]
     # completed coassociativity, one source at a time
@@ -773,7 +772,7 @@ def _coassoc_failures(tables: dict, dim: int, w: Window, grid: tuple) -> tuple:
     """Windowed (Δ⊗̂id)Δ = (id⊗̂Δ)Δ check over the skeleton coproduct in
     ``tables`` and the cells ``grid`` of `_grid`: the number of sources, and
     a generator function of the failures' batches (`Failures`)."""
-    live, den = _patterns("coassoc", tables, dim, 1)
+    live, den = _patterns(_SKELETON_LAWS["coassoc"], tables, dim, 1)
     sources = [(d, b) for d in range(dim) for b in iter_box(w.safe_bound(2))]
 
     def batches():
