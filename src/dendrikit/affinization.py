@@ -418,6 +418,11 @@ def check_graded_form(w: Window) -> AffineReport:
     Invariance is `QUADRATIC_LAWS["invariance"]` on the skeleton of B, its
     targets c in the safe region with a + b + c fixed by the sources a, b.
     Window tuples are visited only where a residual is nonzero.
+
+    At N = 1 no invariance target is checked: the safe region is a + b + c
+    = 0, and every invariance term needs a + b + c ≠ 0.  So a passing report
+    at N = 1 covers antisymmetry, grading and the dual basis only, and a
+    broken invariance shows from N = 2 on.
     """
     bound = w.safe_bound(1)
     # each failing pattern, with its value and the window monomials it ranges over

@@ -5,13 +5,16 @@ Five algebra kinds are supported: dendriform (two products ``lt`` = ≺ and
 Lie (``bracket``).  A structure-constant cube ``c`` encodes a product by
 ``c[k][i][j]`` = coefficient of basis element k in bᵢ·bⱼ.
 
-The cube is the canonical form: it is what files, equality and repr read.
-Each algebra, and each bimodule for its action matrices, also builds once in
-its constructor one `exact.IntTable` per cube, its nonzero constants as
-integers over the lcm of their denominators.  Every law, construction and
-product reads those tables.  A structure built by a construction
-(`_structure`) takes its tables from the integers of the contraction
-instead, so it neither re-freezes its cubes nor reads them back.
+A structure stores one `exact.IntTable` per cube, its nonzero constants as
+integers over the lcm of their denominators, and nothing else.  Every law,
+construction and product reads those tables.  The public constructors take
+nested cubes, check their kind, names and shape in one helper
+(`_cube_tables`) and read each cube into its table; a construction
+(`_structure`) builds its tables from the integers of the contraction, and
+`io` from the entries of a file.  The nested cubes (``products``,
+``actions``) are a view on the tables, built the first time they are read
+(`Nested`, the class of a check's residuals too): equality and repr read
+them, and no check or report does.
 
 The laws are data.  ``AXIOMS``, ``BIMODULE_LAWS`` and ``ROTA_BAXTER_LAW``
 write each law as its output labels and a signed list of terms, each a
@@ -30,7 +33,7 @@ The constructions are data too: the actions of the regular bimodule
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -38,14 +41,12 @@ from .exact import (
     IntTable,
     LinMap,
     Vec,
-    _unchecked,
     cube_table,
     contract,
     contract_cells,
     first_cell,
-    fractions,
     freeze_cube,
-    nest,
+    nested,
     unravel,
 )
 
@@ -65,30 +66,35 @@ KIND_BIMODULE_ACTIONS = {
 }
 
 
-# Holds a law's place in a `Residuals` until its residual is first read.
+# Holds a name's place in a `Nested` until its table is first read.
 _UNREAD = object()
 
 
-class Residuals(dict):
-    """Law name ↦ residual, nested in the order of its output labels, as
-    `law_residuals` returns it.
+class Nested(dict):
+    """Name ↦ table of Fractions nested in the order of its labels, built the
+    first time the name is read: a check's law residuals (`law_residuals`
+    returns them under the name `Residuals`) and a structure's cubes
+    (``products``, ``actions``, ``coproducts``).
 
-    ``flat`` maps each law to its `exact.contract_cells` result and extents,
-    (cells, den, dims), and ``violations`` to its first violation (index
-    path, value) in row-major order, or None where the law holds.  A nested
-    residual is a view: ``[]`` builds it the first time it is read and keeps
-    it, and every other read of a value (``get``, ``values``, ``items``,
-    ``==``, repr, ``dict(...)``, ``{**...}``) goes through ``[]``.  So it
-    reads as the eagerly nested mapping, and a report, which reads
-    ``violations`` only, never nests.
+    ``flat`` maps each name to (cells, den, dims), the one form every table
+    is built from (`exact.nested`): a residual's row-major integer cells from
+    `exact.contract_cells`, or a structure's `exact.IntTable` and its scale,
+    each over ``den`` and of extents ``dims``.  ``violations`` maps each
+    residual, added by ``add``, to its first violation (index path, value) in
+    row-major order, or None where the law holds.  ``[]`` builds a table the
+    first time it is read and keeps it, and every other read of a value
+    (``get``, ``values``, ``items``, ``==``, repr, ``dict(...)``, ``{**...}``)
+    goes through ``[]``.  So it reads as the eagerly nested mapping, and a
+    report, which reads ``violations`` only, never nests.
     """
 
     __slots__ = ("flat", "violations")
 
-    def __init__(self):
-        super().__init__()
-        self.flat = {}
+    def __init__(self, flat: dict | None = None):
+        self.flat = {} if flat is None else flat
         self.violations = {}
+        if flat:
+            dict.update(self, dict.fromkeys(flat, _UNREAD))
 
     def add(self, name: str, cells: list, den: int, dims: tuple):
         hit = first_cell(cells)
@@ -100,8 +106,7 @@ class Residuals(dict):
     def __getitem__(self, name):
         value = dict.__getitem__(self, name)
         if value is _UNREAD:
-            cells, den, dims = self.flat[name]
-            value = nest(fractions(cells, den), dims)
+            value = nested(*self.flat[name])
             dict.__setitem__(self, name, value)
         return value
 
@@ -111,7 +116,7 @@ class Residuals(dict):
     def __iter__(self):
         return dict.__iter__(self)
 
-    def _nested(self) -> "Residuals":
+    def _nested(self) -> "Nested":
         for name in self:
             self[name]
         return self
@@ -133,6 +138,9 @@ class Residuals(dict):
 
     def __ne__(self, other):
         return dict(self) != other
+
+
+Residuals = Nested
 
 
 @dataclass(frozen=True)
@@ -167,8 +175,41 @@ class CheckReport:
 _PRODUCT = ((1, ("x", "i"), ("c", "kij"), ("y", "j")),)
 
 
+def _cube_tables(given: dict, expected: tuple, needs: str, dims: tuple, misshapen) -> dict:
+    """The `exact.IntTable` of each nested cube of ``given``: the check the
+    public constructors share.  ``given`` must name exactly the ``expected``
+    cubes, else the error begins with ``needs`` ("dendriform algebra needs
+    products").  Each cube must have the extents ``dims``, else the error is
+    ``misshapen(name, depth)``, at the depth of its first wrong extent."""
+    if set(given) != set(expected):
+        raise ValueError(f"{needs} {sorted(expected)}, got {sorted(given)}")
+    frozen = {name: freeze_cube(cube) for name, cube in given.items()}
+    for name, cube in frozen.items():
+        if len(cube) != dims[0]:
+            raise ValueError(misshapen(name, 0))
+        if any(len(plane) != dims[1] or any(len(row) != dims[2] for row in plane)
+               for plane in cube):
+            raise ValueError(misshapen(name, 1))
+    return {name: IntTable(cube) for name, cube in frozen.items()}
+
+
+def _fill(obj, first, dim: int, tables: dict, dims: tuple):
+    """``obj``, a `FinAlgebra`, `Bimodule` or `bialgebras.CoalgStruct`, with
+    its fields (first, dim, cubes, tables) set, and returned.  ``first`` is
+    the kind or a bimodule's algebra, ``tables`` holds an `exact.IntTable` per
+    cube, the one stored form, and the cubes are the `Nested` view of
+    extents ``dims`` on them."""
+    cubes = Nested({name: (table, table.scale, dims) for name, table in tables.items()})
+    for name, value in zip(obj.__dataclass_fields__, (first, dim, cubes, tables)):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class FinAlgebra:
+    """``products[name]`` is the cube c[k][i][j] of the named product, a
+    view built on first read from ``tables[name]``."""
+
     kind: str
     dim: int
     products: dict
@@ -177,24 +218,10 @@ class FinAlgebra:
     def __init__(self, kind: str, dim: int, products: dict):
         if kind not in KIND_OPS:
             raise ValueError(f"unknown algebra kind {kind!r}")
-        expected = KIND_OPS[kind]
-        if set(products) != set(expected):
-            raise ValueError(
-                f"{kind} algebra needs products {sorted(expected)}, "
-                f"got {sorted(products)}"
-            )
-        frozen = {name: freeze_cube(cube) for name, cube in products.items()}
-        for name, cube in frozen.items():
-            if len(cube) != dim or any(
-                len(plane) != dim or any(len(row) != dim for row in plane)
-                for plane in cube
-            ):
-                raise ValueError(f"product {name!r} cube is not {dim}^3")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "products", frozen)
-        object.__setattr__(self, "tables", {
-            name: IntTable(cube) for name, cube in frozen.items()})
+        shape = (dim, dim, dim)
+        tables = _cube_tables(products, KIND_OPS[kind], f"{kind} algebra needs products",
+                              shape, lambda name, _depth: f"product {name!r} cube is not {dim}^3")
+        _fill(self, kind, dim, tables, shape)
 
     @property
     def ops(self) -> tuple[str, ...]:
@@ -210,7 +237,8 @@ class Bimodule:
     """A module over a FinAlgebra, given by matrices of the basis actions.
 
     ``actions[name][i]`` is the matrix of the action of basis element bᵢ
-    under the named operation; actions extend linearly.
+    under the named operation, a view built on first read from
+    ``tables[name]``; actions extend linearly.
     """
 
     algebra: FinAlgebra
@@ -221,24 +249,12 @@ class Bimodule:
     def __init__(self, algebra: FinAlgebra, dim: int, actions: dict):
         if algebra.kind not in KIND_BIMODULE_ACTIONS:
             raise ValueError(f"no bimodule notion for kind {algebra.kind!r}")
-        expected = KIND_BIMODULE_ACTIONS[algebra.kind]
-        if set(actions) != set(expected):
-            raise ValueError(
-                f"{algebra.kind} bimodule needs actions {sorted(expected)}, "
-                f"got {sorted(actions)}"
-            )
-        frozen = {name: freeze_cube(mats) for name, mats in actions.items()}
-        for name, mats in frozen.items():
-            if len(mats) != algebra.dim:
-                raise ValueError(f"action {name!r} needs {algebra.dim} matrices")
-            for m in mats:
-                if len(m) != dim or any(len(row) != dim for row in m):
-                    raise ValueError(f"action {name!r} matrices must be {dim}x{dim}")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "actions", frozen)
-        object.__setattr__(self, "tables", {
-            name: IntTable(mats) for name, mats in frozen.items()})
+        n, shape = algebra.dim, (algebra.dim, dim, dim)
+        tables = _cube_tables(actions, KIND_BIMODULE_ACTIONS[algebra.kind],
+                              f"{algebra.kind} bimodule needs actions", shape,
+                              lambda name, depth: f"action {name!r} needs {n} matrices"
+                              if depth == 0 else f"action {name!r} matrices must be {dim}x{dim}")
+        _fill(self, algebra, dim, tables, shape)
 
 
 # The actions of the regular bimodule, each a construction (output labels,
@@ -360,19 +376,15 @@ def _structure(cls, first, dim: int, laws: dict, tables: dict, n):
     ``tables`` with the extents ``n`` (as for `exact.contract`).  ``first``
     is its first field: the kind, or a bimodule's algebra.
 
-    Each cube is nested from `exact.contract_cells`' ints, and its table is
-    built straight from them (`exact.cube_table`), so the new structure
-    neither re-freezes its cubes nor reads them back.  The constructions
-    name a kind's own products, actions or coproducts, so nothing is
-    validated again.
+    Each table is built straight from `exact.contract_cells`' ints
+    (`exact.cube_table`), and the cubes are a view on the tables, so no
+    Fraction is made until a cube is read.  The constructions name a kind's
+    own products, actions or coproducts, so nothing is validated again.
     """
     shape = (dim, dim, dim)
-    flat = {name: contract_cells(terms, tables, out, n) for name, (out, terms) in laws.items()}
-    cubes = {name: nest(fractions(cells, den), shape) for name, (cells, den) in flat.items()}
-    tables = {name: cube_table(cells, den, shape) for name, (cells, den) in flat.items()}
-    # every structure's fields are (first, dim, cubes, tables)
-    return _unchecked(cls, **dict(zip([f.name for f in fields(cls)],
-                                      (first, dim, cubes, tables))))
+    return _fill(object.__new__(cls), first, dim, {
+        name: cube_table(*contract_cells(terms, tables, out, n), shape)
+        for name, (out, terms) in laws.items()}, shape)
 
 
 def check_axioms(alg: FinAlgebra) -> CheckReport:

@@ -12,11 +12,13 @@ So are the quadratic perm structure (``QUADRATIC_LAWS``, ``NU_COPRODUCT``,
 ``QUADRATIC_PERM_IDENTITIES``), the coproducts of the induced and derived
 bialgebras (``COPRODUCT_CONSTRUCTIONS``, on the flattened tensor-product
 basis) and the bialgebra square (``BIALGEBRA_SQUARE_LAWS``).
-Each CoalgStruct builds one `exact.IntTable` per coproduct cube in its
-constructor, as a FinAlgebra does per product cube; a coproduct constructed
-here (ν, the induced and derived coproducts) reads its table straight from
-the integers of the contraction instead (`algebras._structure`).  A check
-reads those tables, evaluates every law with one integer contraction over a
+A CoalgStruct stores one `exact.IntTable` per coproduct cube, as a
+FinAlgebra does per product cube, and its ``coproducts`` are a view on them
+built on first read (`algebras.Nested`).  Its constructor reads the tables
+from nested cubes; a coproduct constructed here (ν, the induced and derived
+coproducts) reads them straight from the integers of the contraction
+(`algebras._structure`), and `io` from the entries of a file.  A check reads
+those tables, evaluates every law with one integer contraction over a
 common denominator, finds each law's first violation on the integer cells,
 builds a Fraction only for a nonzero coefficient, and nests the result in
 the same order as the residual it reports.
@@ -26,14 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebras import CheckReport, FinAlgebra, _structure, law_residuals
-from .exact import (
-    BilinForm,
-    IntTable,
-    LinMap,
-    dual_basis,
-    freeze_cube,
-)
+from .algebras import CheckReport, FinAlgebra, _cube_tables, _fill, _structure, law_residuals
+from .exact import BilinForm, LinMap, dual_basis
 from .functors import (
     commutator_lie,
     dendriform_to_prelie,
@@ -53,6 +49,9 @@ KIND_COOPS = {
 
 @dataclass(frozen=True)
 class CoalgStruct:
+    """``coproducts[name]`` is the cube t[i][j][k] of the named coproduct, a
+    view built on first read from ``tables[name]``."""
+
     kind: str
     dim: int
     coproducts: dict
@@ -61,24 +60,10 @@ class CoalgStruct:
     def __init__(self, kind: str, dim: int, coproducts: dict):
         if kind not in KIND_COOPS:
             raise ValueError(f"unknown coalgebra kind {kind!r}")
-        expected = KIND_COOPS[kind]
-        if set(coproducts) != set(expected):
-            raise ValueError(
-                f"{kind} coalgebra needs coproducts {sorted(expected)}, "
-                f"got {sorted(coproducts)}"
-            )
-        frozen = {name: freeze_cube(cube) for name, cube in coproducts.items()}
-        for name, cube in frozen.items():
-            if len(cube) != dim or any(
-                len(plane) != dim or any(len(row) != dim for row in plane)
-                for plane in cube
-            ):
-                raise ValueError(f"coproduct {name!r} cube is not {dim}^3")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coproducts", frozen)
-        object.__setattr__(self, "tables", {
-            name: IntTable(cube) for name, cube in frozen.items()})
+        shape = (dim, dim, dim)
+        tables = _cube_tables(coproducts, KIND_COOPS[kind], f"{kind} coalgebra needs coproducts",
+                              shape, lambda name, _depth: f"coproduct {name!r} cube is not {dim}^3")
+        _fill(self, kind, dim, tables, shape)
 
 
 # Co-laws on each basis element bᵢ, nested [i][p][q][r]: the coefficient of

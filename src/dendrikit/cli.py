@@ -231,15 +231,20 @@ def invariance(algebra_file, r_file, fmt):
     _finish(report, fmt)
 
 
-CONSTRUCTIONS = (
-    "prelie",
-    "assoc",
-    "commutator",
-    "tensor-lie",
-    "tensor-assoc",
-    "lie-bialgebra",
-    "asi-bialgebra",
-)
+# The constructions of ``induce``: the kind of algebra each needs (with its
+# name in a usage error), what it takes besides the algebra ("" nothing,
+# "perm" the perm algebra, "qperm" the coproducts and the quadratic perm
+# algebra), and its builder.
+INDUCTIONS = {
+    "prelie": ("dendriform", "a dendriform algebra", "", dendriform_to_prelie),
+    "assoc": ("dendriform", "a dendriform algebra", "", dendriform_to_assoc),
+    "commutator": ("assoc", "an associative algebra", "", commutator_lie),
+    "tensor-lie": ("prelie", "a pre-Lie algebra", "perm", tensor_lie),
+    "tensor-assoc": ("dendriform", "a dendriform algebra", "perm", tensor_assoc),
+    "lie-bialgebra": ("prelie", "a pre-Lie algebra", "qperm", induce_lie_bialgebra),
+    "asi-bialgebra": ("dendriform", "a dendriform algebra", "qperm", induce_asi_bialgebra),
+}
+CONSTRUCTIONS = tuple(INDUCTIONS)
 
 
 def _tensor_basis(basis_a, basis_b):
@@ -261,55 +266,24 @@ def induce(construction, algebra_file, perm_file):
     a validation failure exits 1.
     """
     pf = _load(algebra_file)
-    needs_perm = construction in (
-        "tensor-lie", "tensor-assoc", "lie-bialgebra", "asi-bialgebra"
-    )
-    if needs_perm and perm_file is None:
+    kind, an_algebra, takes, build = INDUCTIONS[construction]
+    if takes and perm_file is None:
         _usage_error(f"--construction {construction} requires --perm")
     bf = _load(perm_file) if perm_file is not None else None
     if bf is not None and bf.kind != "perm":
         _usage_error("--perm must be a perm algebra file")
 
-    coalg = None
-    if construction == "prelie":
-        if pf.kind != "dendriform":
-            _usage_error("prelie construction needs a dendriform algebra")
-        alg = dendriform_to_prelie(pf.algebra)
-        basis = pf.basis
-    elif construction == "assoc":
-        if pf.kind != "dendriform":
-            _usage_error("assoc construction needs a dendriform algebra")
-        alg = dendriform_to_assoc(pf.algebra)
-        basis = pf.basis
-    elif construction == "commutator":
-        if pf.kind != "assoc":
-            _usage_error("commutator construction needs an associative algebra")
-        alg = commutator_lie(pf.algebra)
-        basis = pf.basis
-    elif construction == "tensor-lie":
-        if pf.kind != "prelie":
-            _usage_error("tensor-lie construction needs a pre-Lie algebra")
-        alg = tensor_lie(pf.algebra, bf.algebra)
-        basis = _tensor_basis(pf.basis, bf.basis)
-    elif construction == "tensor-assoc":
-        if pf.kind != "dendriform":
-            _usage_error("tensor-assoc construction needs a dendriform algebra")
-        alg = tensor_assoc(pf.algebra, bf.algebra)
-        basis = _tensor_basis(pf.basis, bf.basis)
-    elif construction == "lie-bialgebra":
-        if pf.kind != "prelie" or pf.coalgebra is None:
-            _usage_error("lie-bialgebra needs a pre-Lie algebra with coproducts")
+    basis = _tensor_basis(pf.basis, bf.basis) if takes else pf.basis
+    if takes == "qperm":
+        if pf.kind != kind or pf.coalgebra is None:
+            _usage_error(f"{construction} needs {an_algebra} with coproducts")
         if bf.qperm is None:
-            _usage_error("lie-bialgebra needs a quadratic form on the perm algebra")
-        alg, coalg = induce_lie_bialgebra(pf.algebra, pf.coalgebra, bf.qperm)
-        basis = _tensor_basis(pf.basis, bf.basis)
-    else:  # asi-bialgebra
-        if pf.kind != "dendriform" or pf.coalgebra is None:
-            _usage_error("asi-bialgebra needs a dendriform algebra with coproducts")
-        if bf.qperm is None:
-            _usage_error("asi-bialgebra needs a quadratic form on the perm algebra")
-        alg, coalg = induce_asi_bialgebra(pf.algebra, pf.coalgebra, bf.qperm)
-        basis = _tensor_basis(pf.basis, bf.basis)
+            _usage_error(f"{construction} needs a quadratic form on the perm algebra")
+        alg, coalg = build(pf.algebra, pf.coalgebra, bf.qperm)
+    else:
+        if pf.kind != kind:
+            _usage_error(f"{construction} construction needs {an_algebra}")
+        alg, coalg = build(pf.algebra, *([bf.algebra] if takes else [])), None
 
     ok = check_axioms(alg).ok
     if coalg is not None:

@@ -7,10 +7,11 @@ declared primal basis.
 
 One sparse form and one kernel do the arithmetic.  The form is `IntTable`:
 a nested table of Fractions read once as Python ints L·c, L the lcm of its
-denominators, listing only its nonzero entries.  Every structure
-(`FinAlgebra`, `Bimodule`, `CoalgStruct`) builds one per cube in its
-constructor, and a `Tensor2`, `LinMap` or `BilinForm` one for its
-matrix.  The kernel is `contract`, which evaluates a signed list of terms;
+denominators, listing only its nonzero entries.  It is the one stored form
+of every structure (`FinAlgebra`, `Bimodule`, `CoalgStruct`), one per cube,
+whose nested cubes are a view built from it on first read (`nested`); a
+`Tensor2`, `LinMap` or `BilinForm` builds one for its matrix.  The kernel
+is `contract`, which evaluates a signed list of terms;
 a term is a product of labelled tables (product cubes, action matrices,
 coproduct cubes, an operator matrix, a vector), each axis named by a
 letter, summed over the labels that do not appear in the output.  The law
@@ -110,7 +111,7 @@ class IntTable:
 
     ``scale`` is the lcm L of the denominators of its nonzero entries c, and
     ``entries`` lists (index tuple, L·c) for each of them, in row-major
-    order.  A structure builds one per cube in its constructor, so every
+    order.  It is a structure's one stored form, one per cube, so every
     check and product on it reads the same table.  ``dense`` says whether
     at least ``MIN_FILL_PERCENT`` of its ``size`` cells are nonzero (False
     where the size is not given), and ``top`` is max |L·c|, 0 for no entry.
@@ -123,10 +124,9 @@ class IntTable:
             rows = [((), table)]
             while rows and rows[0][1] and not isinstance(rows[0][1][0], Fraction):
                 rows = [(idx + (i,), y) for idx, x in rows for i, y in enumerate(x)]
-            found = [(idx + (j,), c) for idx, row in rows for j, c in enumerate(row) if c]
             size = sum(len(row) for _idx, row in rows)
-            scale = lcm(*(c.denominator for _idx, c in found))
-            entries = [(idx, c.numerator * (scale // c.denominator)) for idx, c in found]
+            scale, entries = int_entries(
+                [(idx + (j,), c) for idx, row in rows for j, c in enumerate(row) if c])
         self.scale = scale
         self.entries = entries
         self.dense = 100 * len(entries) >= MIN_FILL_PERCENT * size > 0
@@ -185,6 +185,14 @@ class IntTable:
                     row.append((off, v))
         self._groups[gid] = g
         return g
+
+
+def int_entries(found: list) -> tuple[int, list]:
+    """(L, [(index tuple, L·c)]) for the nonzero Fractions c of ``found``,
+    (index tuple, c) pairs, L the lcm of their denominators: the ``scale``
+    and ``entries`` of their `IntTable`."""
+    scale = lcm(*(c.denominator for _idx, c in found))
+    return scale, [(idx, c.numerator * (scale // c.denominator)) for idx, c in found]
 
 
 _GROUPINGS: dict = {}
@@ -533,6 +541,21 @@ def fractions(cells: list, den: int) -> list:
     return [Fraction(x, den) if x else ZERO for x in cells]
 
 
+def nested(cells, den: int, dims) -> tuple:
+    """The table of Fractions x/den of extents ``dims``, nested, with the
+    shared ``ZERO`` in a zero cell.  ``cells`` are its row-major ints, as
+    `contract_cells` gives them, or an `IntTable` of its nonzero ones."""
+    if not isinstance(cells, IntTable):
+        return nest(fractions(cells, den), dims)
+    flat = [ZERO] * prod(dims)
+    for idx, x in cells.entries:
+        p = 0
+        for i, d in zip(idx, dims):
+            p = p * d + i
+        flat[p] = Fraction(x, den)
+    return nest(flat, dims)
+
+
 def unravel(p: int, dims) -> tuple:
     """The index tuple of cell p of a row-major table of extents ``dims``."""
     idx = []
@@ -620,46 +643,52 @@ class DegenerateFormError(ValueError):
     """Raised when a bilinear form (or matrix) that must be invertible is singular."""
 
 
+def _row_reduce(rows, cols: int) -> tuple[list, list, Fraction]:
+    """The reduced row-echelon form of ``rows`` over their first ``cols``
+    columns, by Gauss-Jordan elimination with first-nonzero pivoting.
+
+    Returns (reduced rows, the pivot column of each pivot row, in order, the
+    product of the pivots times the sign of the row swaps).  The reduced form
+    is unique, so what is read from it does not depend on the pivoting.
+    """
+    m = [list(row) for row in rows]
+    pivots, det = [], ONE
+    for col in range(cols):
+        row = len(pivots)
+        p = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if p is None:
+            continue
+        if p != row:
+            m[row], m[p] = m[p], m[row]
+            det = -det
+        det *= m[row][col]
+        inv = ONE / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+    return m, pivots, det
+
+
 def mat_inverse(a):
-    """Exact inverse by Gaussian elimination with first-nonzero pivoting.
+    """Exact inverse: the right half of the reduced [a | identity].
 
     Raises DegenerateFormError on a singular matrix.
     """
     n = len(a)
-    m = [list(row) + list(idrow) for row, idrow in zip(a, identity_matrix(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise DegenerateFormError("matrix is singular")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv_p = ONE / m[col][col]
-        m[col] = [x * inv_p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    m, pivots, _det = _row_reduce(
+        [list(row) + list(idrow) for row, idrow in zip(a, identity_matrix(n))], n)
+    if len(pivots) < n:
+        raise DegenerateFormError("matrix is singular")
     return tuple(tuple(row[n:]) for row in m)
 
 
 def determinant(a) -> Fraction:
     n = len(a)
-    m = [list(row) for row in a]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv_p = ONE / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv_p
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    _m, pivots, det = _row_reduce(a, n)
+    return det if len(pivots) == n else ZERO
 
 
 @dataclass(frozen=True)
@@ -791,30 +820,14 @@ class BilinForm:
     def kernel_vector(self):
         """A nonzero vector v with ω(v, -) = 0, or None if nondegenerate."""
         n = self.dim
-        m = [list(row) for row in transpose(self.matrix)]
-        # Solve ωᵀ v = 0 by elimination; a free column yields a kernel vector.
-        pivots: dict[int, int] = {}
-        row = 0
-        for col in range(n):
-            p = next((r for r in range(row, n) if m[r][col] != 0), None)
-            if p is None:
-                continue
-            m[row], m[p] = m[p], m[row]
-            inv_p = ONE / m[row][col]
-            m[row] = [x * inv_p for x in m[row]]
-            for r in range(n):
-                if r != row and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-            pivots[col] = row
-            row += 1
-        free = [c for c in range(n) if c not in pivots]
-        if not free:
+        # ωᵀ v = 0: a column of the reduced ωᵀ with no pivot yields a kernel vector
+        m, pivots, _det = _row_reduce(transpose(self.matrix), n)
+        c0 = next((c for c in range(n) if c not in pivots), None)
+        if c0 is None:
             return None
-        c0 = free[0]
         v = [ZERO] * n
         v[c0] = ONE
-        for col, r in pivots.items():
+        for r, col in enumerate(pivots):
             v[col] = -m[r][c0]
         return Vec(v)
 

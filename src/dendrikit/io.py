@@ -7,6 +7,14 @@ surrounding whitespace, no leading zeros or ``-0``, lowest terms.  Unknown
 keys anywhere in a file, and a key repeated in one object, are rejected so
 that typos cannot silently change meaning.
 
+The entry lists of products, coproducts and tensors are read by one reader
+(`_read_entries`) straight into `exact.IntTable`s, and written back by one
+writer (`_write_entries`) from the table entries; each list's layout is a
+row of ``PRODUCT_ENTRIES``, ``COPRODUCT_ENTRIES`` or ``TENSOR_ENTRIES``.  No
+nested cube is built, so reading a file costs in proportion to its entries,
+whatever its ``dim``.  A quadratic ``form`` and an operator ``matrix`` are
+dense in the format and read as matrices.
+
 Reports serialize with a fixed field order so identical inputs always produce
 byte-identical JSON.
 """
@@ -18,24 +26,26 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 from pathlib import Path
 
-from .algebras import KIND_OPS, FinAlgebra
+from .algebras import KIND_OPS, FinAlgebra, _fill
 from .bialgebras import (
     KIND_COOPS,
     CoalgStruct,
     QuadraticPerm,
     make_quadratic_perm,
 )
-from .exact import ZERO, BilinForm, LinMap, Tensor2
+from .exact import ZERO, BilinForm, IntTable, LinMap, Tensor2, _unchecked, int_entries, nested
 
 FORMAT_VERSION = 1
 
-# Largest accepted ``dim``.  A file is read into dense dim³ cubes, and the
-# exhaustive checks cost about dim⁶ steps, so a bound keeps both memory and
-# time finite for hostile input; 64 lies far beyond the corpus files
-# (dimension 3 at most) and the benchmark inputs (5 at most).
+# Largest accepted ``dim``.  A file is read into sparse tables, in time and
+# memory in proportion to its entries, but the exhaustive checks fill dense
+# residuals of up to dim⁴ cells and cost about dim⁶ steps, so a bound keeps
+# both memory and time finite for hostile input; 64 lies far beyond the
+# corpus files (dimension 3 at most) and the benchmark inputs (5 at most).
 MAX_DIM = 64
 
 _COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
@@ -119,50 +129,71 @@ class ParsedFile:
     operator: LinMap | None = None
 
 
-def _parse_products(data, kind: str, dim: int) -> FinAlgebra:
-    names = KIND_OPS[kind]
-    cubes = {nm: [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)] for nm in names}
-    _require_keys(
-        data, set(names), set(), "products"
-    )
-    for nm, entries in data.items():
-        if not isinstance(entries, list):
-            raise FileFormatError(f"products.{nm}: expected a list of entries")
-        for pos, entry in enumerate(entries):
-            where = f"products.{nm}[{pos}]"
-            _require_keys(entry, {"left", "right", "result"}, {"left", "right", "result"}, where)
-            i = _index(entry["left"], dim, f"{where}.left")
-            j = _index(entry["right"], dim, f"{where}.right")
-            if not isinstance(entry["result"], list):
-                raise FileFormatError(f"{where}.result: expected a list")
-            for rpos, term in enumerate(entry["result"]):
-                rwhere = f"{where}.result[{rpos}]"
-                _require_keys(term, {"index", "coeff"}, {"index", "coeff"}, rwhere)
-                k = _index(term["index"], dim, f"{rwhere}.index")
-                cubes[nm][k][i][j] += parse_coeff(term["coeff"], f"{rwhere}.coeff")
-    return FinAlgebra(kind, dim, cubes)
+# How a file lays out the entries of a table: the index keys of an entry, the
+# index keys of each term of its "result" (None where the entry holds its own
+# "coeff"), and for each axis of the table the place of its key among them.
+PRODUCT_ENTRIES = (("left", "right"), ("index",), (2, 0, 1))  # c[k][i][j]
+COPRODUCT_ENTRIES = (("input",), ("left", "right"), (0, 1, 2))  # θ[i][j][k]
+TENSOR_ENTRIES = (("left", "right"), None, (0, 1))  # r[i][j]
 
 
-def _parse_coproducts(data, kind: str, dim: int) -> CoalgStruct:
-    names = KIND_COOPS[kind]
-    cubes = {nm: [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)] for nm in names}
-    _require_keys(data, set(names), set(), "coproducts")
+def _read_entries(entries: list, where: str, layout: tuple, dim: int) -> IntTable:
+    """The `IntTable` of the entry list ``entries`` of a table laid out by
+    ``layout``, each index below ``dim``; ``where`` names the list in an
+    error.  An index given twice has the sum of its coefficients."""
+    outer, inner, axes = layout
+    own = (*outer, "coeff" if inner is None else "result")
+    sums = {}
+    for pos, entry in enumerate(entries):
+        ewhere = f"{where}[{pos}]"
+        _require_keys(entry, set(own), set(own), ewhere)
+        head = tuple(_index(entry[k], dim, f"{ewhere}.{k}") for k in outer)
+        if inner is None:
+            terms = [(entry, ewhere)]
+        elif not isinstance(entry["result"], list):
+            raise FileFormatError(f"{ewhere}.result: expected a list")
+        else:
+            terms = [(term, f"{ewhere}.result[{rpos}]")
+                     for rpos, term in enumerate(entry["result"])]
+        for term, twhere in terms:
+            if inner is not None:
+                _require_keys(term, {*inner, "coeff"}, {*inner, "coeff"}, twhere)
+            at = head + tuple(_index(term[k], dim, f"{twhere}.{k}") for k in inner or ())
+            idx = tuple(at[p] for p in axes)
+            sums[idx] = sums.get(idx, ZERO) + parse_coeff(term["coeff"], f"{twhere}.coeff")
+    scale, found = int_entries(sorted(item for item in sums.items() if item[1]))
+    return IntTable(scale=scale, entries=found, size=dim ** len(axes))
+
+
+def _read_section(data, section: str, names: tuple, layout: tuple, dim: int) -> dict:
+    """The `IntTable` of each of ``names`` in the ``products`` or
+    ``coproducts`` object ``data``, empty for a name it leaves out."""
+    _require_keys(data, set(names), set(), section)
+    tables = {}
     for nm, entries in data.items():
         if not isinstance(entries, list):
-            raise FileFormatError(f"coproducts.{nm}: expected a list of entries")
-        for pos, entry in enumerate(entries):
-            where = f"coproducts.{nm}[{pos}]"
-            _require_keys(entry, {"input", "result"}, {"input", "result"}, where)
-            i = _index(entry["input"], dim, f"{where}.input")
-            if not isinstance(entry["result"], list):
-                raise FileFormatError(f"{where}.result: expected a list")
-            for rpos, term in enumerate(entry["result"]):
-                rwhere = f"{where}.result[{rpos}]"
-                _require_keys(term, {"left", "right", "coeff"}, {"left", "right", "coeff"}, rwhere)
-                j = _index(term["left"], dim, f"{rwhere}.left")
-                k = _index(term["right"], dim, f"{rwhere}.right")
-                cubes[nm][i][j][k] += parse_coeff(term["coeff"], f"{rwhere}.coeff")
-    return CoalgStruct(kind, dim, cubes)
+            raise FileFormatError(f"{section}.{nm}: expected a list of entries")
+        tables[nm] = _read_entries(entries, f"{section}.{nm}", layout, dim)
+    return {nm: tables[nm] if nm in tables else _read_entries([], nm, layout, dim)
+            for nm in names}
+
+
+def _write_entries(table: IntTable, layout: tuple) -> list:
+    """The entry list of ``table`` laid out by ``layout``, as `_read_entries`
+    reads it: sorted by index, with no zero coefficient."""
+    outer, inner, axes = layout
+    cells = sorted((tuple(idx[axes.index(p)] for p in range(len(axes))), v)
+                   for idx, v in table.entries)
+    out = []
+    for head, group in groupby(cells, lambda cell: cell[0][:len(outer)]):
+        keys = dict(zip(outer, head))
+        terms = [{**dict(zip(inner or (), at[len(outer):])),
+                  "coeff": format_coeff(Fraction(v, table.scale))} for at, v in group]
+        if inner is None:
+            out += [{**keys, **term} for term in terms]
+        else:
+            out.append({**keys, "result": terms})
+    return out
 
 
 def _parse_matrix(data, rows: int, cols: int, where: str):
@@ -223,23 +254,21 @@ def parse_algebra(path) -> ParsedFile:
                       {"entries"}, str(path))
         if not isinstance(raw["entries"], list):
             raise FileFormatError(f"{path}: entries: expected a list of entries")
-        mat = [[ZERO] * dim for _ in range(dim)]
-        for pos, entry in enumerate(raw["entries"]):
-            where = f"entries[{pos}]"
-            _require_keys(entry, {"left", "right", "coeff"}, {"left", "right", "coeff"}, where)
-            i = _index(entry["left"], dim, f"{where}.left")
-            j = _index(entry["right"], dim, f"{where}.right")
-            mat[i][j] += parse_coeff(entry["coeff"], f"{where}.coeff")
-        return ParsedFile(kind="tensor", basis=tuple(basis), tensor=Tensor2(mat))
+        table = _read_entries(raw["entries"], "entries", TENSOR_ENTRIES, dim)
+        tensor = _unchecked(Tensor2, coeffs=nested(table, table.scale, (dim, dim)), table=table)
+        return ParsedFile(kind="tensor", basis=tuple(basis), tensor=tensor)
 
     if not isinstance(kind, str) or kind not in KIND_OPS:
         raise FileFormatError(f"{path}: unknown kind {kind!r}")
     if "entries" in raw:
         raise FileFormatError(f"{path}: 'entries' only belongs to tensor files")
-    algebra = _parse_products(raw.get("products", {}), kind, dim)
+    shape = (dim, dim, dim)
+    algebra = _fill(object.__new__(FinAlgebra), kind, dim, _read_section(
+        raw.get("products", {}), "products", KIND_OPS[kind], PRODUCT_ENTRIES, dim), shape)
     coalgebra = None
     if "coproducts" in raw:
-        coalgebra = _parse_coproducts(raw["coproducts"], kind, dim)
+        coalgebra = _fill(object.__new__(CoalgStruct), kind, dim, _read_section(
+            raw["coproducts"], "coproducts", KIND_COOPS[kind], COPRODUCT_ENTRIES, dim), shape)
     qperm = None
     if "form" in raw:
         if kind != "perm":
@@ -271,48 +300,14 @@ def serialize_parsed(pf: ParsedFile) -> dict:
     out = {"format": FORMAT_VERSION, "kind": pf.kind, "dim": len(pf.basis)}
     out["basis"] = list(pf.basis)
     if pf.kind == "tensor":
-        entries = []
-        t = pf.tensor
-        for i in range(t.dim_left):
-            for j in range(t.dim_right):
-                if t.coeffs[i][j] != 0:
-                    entries.append(
-                        {"left": i, "right": j, "coeff": format_coeff(t.coeffs[i][j])}
-                    )
-        out["entries"] = entries
+        out["entries"] = _write_entries(pf.tensor.table, TENSOR_ENTRIES)
         return out
     alg = pf.algebra
-    dim = alg.dim
-    products = {}
-    for nm in KIND_OPS[alg.kind]:
-        entries = []
-        for i in range(dim):
-            for j in range(dim):
-                result = [
-                    {"index": k, "coeff": format_coeff(alg.products[nm][k][i][j])}
-                    for k in range(dim)
-                    if alg.products[nm][k][i][j] != 0
-                ]
-                if result:
-                    entries.append({"left": i, "right": j, "result": result})
-        products[nm] = entries
-    out["products"] = products
+    out["products"] = {nm: _write_entries(alg.tables[nm], PRODUCT_ENTRIES)
+                       for nm in KIND_OPS[alg.kind]}
     if pf.coalgebra is not None:
-        coproducts = {}
-        for nm in KIND_COOPS[alg.kind]:
-            entries = []
-            for i in range(dim):
-                result = [
-                    {"left": j, "right": k,
-                     "coeff": format_coeff(pf.coalgebra.coproducts[nm][i][j][k])}
-                    for j in range(dim)
-                    for k in range(dim)
-                    if pf.coalgebra.coproducts[nm][i][j][k] != 0
-                ]
-                if result:
-                    entries.append({"input": i, "result": result})
-            coproducts[nm] = entries
-        out["coproducts"] = coproducts
+        out["coproducts"] = {nm: _write_entries(pf.coalgebra.tables[nm], COPRODUCT_ENTRIES)
+                             for nm in KIND_COOPS[alg.kind]}
     if pf.qperm is not None:
         out["form"] = [
             [format_coeff(c) for c in row] for row in pf.qperm.form.matrix

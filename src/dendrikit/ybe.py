@@ -44,10 +44,10 @@ from .exact import (
     contract_cells,
     cube_table,
     flip,
-    fractions,
     mat_add,
     mat_sub,
     nest,
+    nested,
     sharp,
     transpose,
 )
@@ -126,7 +126,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     n = alg.dim
     # the nested Fractions are final, so Tensor3's constructor need not
     # freeze them again
-    return _unchecked(Tensor3, coeffs=nest(fractions(*_ybe_cells(alg, r)), (n, n, n)))
+    return _unchecked(Tensor3, coeffs=nested(*_ybe_cells(alg, r), (n, n, n)))
 
 
 def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrikit.exact import (
     ONE,
@@ -82,3 +84,111 @@ def test_bilin_form_kernel_detection():
 def test_linmap_apply():
     m = LinMap(((ZERO, ONE), (ONE, ZERO)))
     assert m.apply(Vec.basis(2, 0)).coords == (ZERO, ONE)
+
+
+# --- one Gauss-Jordan reduction behind the inverse, determinant and kernel -------
+# The three eliminations it replaced, kept as the reference.
+
+
+def _old_inverse(a):
+    n = len(a)
+    m = [list(row) + list(idrow) for row, idrow in zip(a, identity_matrix(n))]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv_p = ONE / m[col][col]
+        m[col] = [x * inv_p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def _old_determinant(a):
+    n = len(a)
+    m = [list(row) for row in a]
+    det = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv_p = ONE / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] * inv_p
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def _old_kernel_vector(matrix):
+    n = len(matrix)
+    m = [list(row) for row in transpose(matrix)]
+    pivots, row = {}, 0
+    for col in range(n):
+        p = next((r for r in range(row, n) if m[r][col] != 0), None)
+        if p is None:
+            continue
+        m[row], m[p] = m[p], m[row]
+        inv_p = ONE / m[row][col]
+        m[row] = [x * inv_p for x in m[row]]
+        for r in range(n):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots[col] = row
+        row += 1
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return None
+    v = [ZERO] * n
+    v[free[0]] = ONE
+    for col, r in pivots.items():
+        v[col] = -m[r][free[0]]
+    return tuple(v)
+
+
+@st.composite
+def square_matrices(draw):
+    """A small matrix of small rationals, often singular: some rows are
+    combinations of others, and a column may vanish."""
+    n = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    for i in range(n):
+        if i and draw(st.integers(0, 3)) == 0:
+            j, c = draw(st.integers(0, i - 1)), draw(entry)
+            rows[i] = [c * x for x in rows[j]]
+    if draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = ZERO
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_the_reduction_gives_what_the_three_eliminations_gave(m):
+    det = determinant(m)
+    assert det == _old_determinant(m) and type(det) is Fraction
+    want = _old_inverse(m)
+    if want is None:
+        assert det == 0
+        with pytest.raises(DegenerateFormError, match="matrix is singular"):
+            mat_inverse(m)
+    else:
+        assert det != 0 and mat_inverse(m) == want
+    kv = BilinForm(m).kernel_vector()
+    assert (kv if kv is None else kv.coords) == _old_kernel_vector(m)
+    assert (kv is None) == (det != 0)
+
+
+def test_the_reduction_stays_exact_on_int_entries():
+    assert determinant(((2, 1), (1, 1))) == 1 and type(determinant(((2, 1), (1, 1)))) is Fraction
+    assert mat_inverse(((2, 0), (0, 4))) == ((Fraction(1, 2), 0), (0, Fraction(1, 4)))

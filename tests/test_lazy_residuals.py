@@ -1,14 +1,20 @@
-"""A check's residuals are nested on first read, never earlier.
+"""A check's residuals and a structure's cubes are nested on first read,
+never earlier.
 
 `algebras.Residuals` keeps each law's integer cells and nests a residual
 only when something reads it.  Read in any way, it must be the mapping that
 nests every law at once, ``{name: nest(fractions(cells, den), dims)}``.  The
-CLI's verification commands and worked-example replays read each law's
-first violation only, so they must give the same exit code and bytes when
-nesting a residual raises, whether their checks pass or fail.
+cubes of a `FinAlgebra`, `Bimodule` or `CoalgStruct` are the same view
+(`algebras.Nested`) on the structure's tables, and read in any way they must
+be the cubes the structure was given, or for a constructed one the cubes its
+table entries fill.  The CLI's verification commands and worked-example
+replays read each law's first violation only, so they must give the same
+exit code and bytes when nesting a residual or a cube raises, whether their
+checks pass or fail.
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,13 +22,24 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 
 from dendrikit import examples
-from dendrikit.algebras import ROTA_BAXTER_LAW, CheckReport, Residuals, law_residuals
+from dendrikit.algebras import (
+    KIND_BIMODULE_ACTIONS,
+    KIND_OPS,
+    ROTA_BAXTER_LAW,
+    Bimodule,
+    CheckReport,
+    FinAlgebra,
+    Nested,
+    Residuals,
+    law_residuals,
+)
+from dendrikit.bialgebras import KIND_COOPS, CoalgStruct
 from dendrikit.cli import REPRODUCERS, main
-from dendrikit.exact import IntTable, fractions, nest
+from dendrikit.exact import ZERO, IntTable, fractions, freeze_cube, nest
 from dendrikit.functors import dendriform_to_prelie
 from dendrikit.ybe import transfer_plybe_lift
 
-from test_integer_path import Sample, reports, samples
+from test_integer_path import Sample, _cube, _matrix, constructed, reports, samples
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "dendrikit" / "corpus"
 
@@ -32,11 +49,10 @@ def _eager(res: Residuals) -> dict:
             for name, (cells, den, dims) in res.flat.items()}
 
 
-def _unread(res: Residuals) -> Residuals:
-    """A copy of ``res`` in which no law is nested yet."""
-    copy = Residuals()
-    for name, flat in res.flat.items():
-        copy.add(name, *flat)
+def _unread(res: Nested) -> Nested:
+    """A copy of ``res`` in which no table is nested yet."""
+    copy = Nested(dict(res.flat))
+    copy.violations.update(res.violations)
     return copy
 
 
@@ -72,8 +88,7 @@ READS = {
 }
 
 
-def _reads_as_eager(res: Residuals):
-    eager = _eager(res)
+def _reads_as_eager(res: Nested, eager: dict):
     for name, read in READS.items():
         for fresh in (_unread(res), _half_read(res)):
             got, want = read(fresh, eager), read(eager, eager)
@@ -82,7 +97,7 @@ def _reads_as_eager(res: Residuals):
     assert isinstance(res, dict)
 
 
-def _half_read(res: Residuals) -> Residuals:
+def _half_read(res: Nested) -> Nested:
     """A copy in which every other law has been read already."""
     copy = _unread(res)
     for name in list(copy)[::2]:
@@ -109,12 +124,60 @@ def _families(s: Sample):
 def test_lazy_residuals_read_as_the_eagerly_nested_ones(s):
     for rep in _families(s):
         assert isinstance(rep.residuals, Residuals), rep.subject
-        _reads_as_eager(rep.residuals)
+        _reads_as_eager(rep.residuals, _eager(rep.residuals))
         eager = CheckReport(rep.subject, _eager(rep.residuals), rep.ok, rep.first_violation,
                             rep.violations)
         fresh = CheckReport.from_residuals(rep.subject, _unread(rep.residuals))
         assert fresh == eager and eager == fresh, rep.subject
         assert repr(fresh) == repr(eager), rep.subject
+
+
+def _cube_field(x) -> str:
+    return {Bimodule: "actions", FinAlgebra: "products", CoalgStruct: "coproducts"}[type(x)]
+
+
+def _filled(table: IntTable, dims) -> tuple:
+    """The cube of extents ``dims`` that the entries of ``table`` fill."""
+    cube = [[[ZERO] * dims[2] for _ in range(dims[1])] for _ in range(dims[0])]
+    for (i, j, k), x in table.entries:
+        cube[i][j][k] = Fraction(x, table.scale)
+    return freeze_cube(cube)
+
+
+def _given(s: Sample):
+    """Structures built by their public constructors from random cubes, each
+    with its first field and the cubes it was given."""
+    rng, n, density = s.rng, s.n, s.density
+    for kind, ops in KIND_OPS.items():
+        products = {op: _cube(rng, n, density) for op in ops}
+        alg = FinAlgebra(kind, n, products)
+        yield alg, kind, products
+        coproducts = {name: _cube(rng, n, density) for name in KIND_COOPS[kind]}
+        yield CoalgStruct(kind, n, coproducts), kind, coproducts
+        if kind in KIND_BIMODULE_ACTIONS:
+            m = rng.randint(1, 3)
+            actions = {name: [_matrix(rng, m, m, density) for _ in range(n)]
+                       for name in KIND_BIMODULE_ACTIONS[kind]}
+            yield Bimodule(alg, m, actions), alg, actions
+
+
+@settings(max_examples=15, deadline=None)
+@given(samples())
+def test_cube_views_read_as_the_eager_cubes(s):
+    for x, first, given_cubes in _given(s):
+        cubes = getattr(x, _cube_field(x))
+        assert type(cubes) is Nested and not cubes.violations
+        eager = {name: freeze_cube(cube) for name, cube in given_cubes.items()}
+        _reads_as_eager(cubes, eager)
+        head = "algebra" if isinstance(x, Bimodule) else "kind"
+        assert repr(_unread(cubes)) == repr(eager)
+        assert repr(x) == (f"{type(x).__name__}({head}={first!r}, dim={x.dim}, "
+                           f"{_cube_field(x)}={eager!r})")
+    for _key, x in constructed(s):
+        cubes = getattr(x, _cube_field(x))
+        assert all(cubes.flat[name][0] is table for name, table in x.tables.items())
+        _reads_as_eager(cubes, {name: _filled(table, dims)
+                                for name, (table, _den, dims) in cubes.flat.items()})
 
 
 def test_an_empty_mapping_reads_as_an_empty_dict():
