@@ -620,8 +620,7 @@ def _skeleton_table(construction: tuple, tables: dict, dim: int) -> IntTable:
 def _slot_tuples(dim: int | None, arity: int) -> list:
     """The tuples of ``arity`` slots of the skeleton of D⊗B for dim D = ``dim``
     (of B for None), in the row-major order of their cells."""
-    slots = (1, 2) if dim is None else [(a // 2, a % 2 + 1) for a in range(2 * dim)]
-    return list(product(slots, repeat=arity))
+    return list(product((1, 2) if dim is None else _slots(dim), repeat=arity))
 
 
 def _patterns(law: tuple, tables: dict, dim: int | None, sources: int) -> tuple[dict, int]:

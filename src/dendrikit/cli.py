@@ -6,6 +6,12 @@ command).  Reports print to stdout as text (default) or as deterministic
 JSON (``--format json``).  Every finite verdict and first violation is read
 from a law's integer cells (`algebras.Residuals`); no residual is nested.
 
+A command states its inputs once, as its click parameters: `_report` builds
+a report's command line and provenance from them, and an input file is one
+type (``FILE``).  What a command checks is read from a table where it has a
+choice (``INDUCTIONS``, ``AFFINE_CHECKS``, ``SECTION_4``), and a product
+D⊗B past `io.MAX_DIM` is refused before anything is built on it.
+
 `affinization`, `ybe` and `examples` are imported inside the commands and
 replays that use them, so ``check``, ``induce`` and ``square`` start faster.
 """
@@ -14,12 +20,12 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
 
 from .algebras import (
-    Residuals,
     check_axioms,
     dendriform_from_rota_baxter,
     law_residuals,
@@ -44,6 +50,7 @@ from .functors import (
     tensor_lie,
 )
 from .io import (
+    MAX_DIM,
     FileFormatError,
     ParsedFile,
     Report,
@@ -53,6 +60,8 @@ from .io import (
 
 YBE_KIND = {"cybe": "lie", "aybe": "assoc", "plybe": "prelie", "dybe": "dendriform"}
 
+FILE = click.Path(exists=True, dir_okay=False)
+
 _format_option = click.option(
     "--format",
     "fmt",
@@ -61,6 +70,11 @@ _format_option = click.option(
     show_default=True,
     help="Report output format.",
 )
+
+
+def _input(flag: str, name: str):
+    """A required input-file option."""
+    return click.option(flag, name, required=True, type=FILE)
 
 
 def _usage_error(message: str):
@@ -73,6 +87,35 @@ def _load(path) -> ParsedFile:
         return parse_algebra(path)
     except FileFormatError as exc:
         _usage_error(str(exc))
+
+
+def _tensor_basis(a: ParsedFile, b: ParsedFile) -> tuple:
+    """The basis of a⊗b.  Its dimension is refused past `io.MAX_DIM`, as a
+    file's own ``dim`` is, before anything is built on it."""
+    dim = len(a.basis) * len(b.basis)
+    if dim > MAX_DIM:
+        _usage_error(f"tensor product dimension {dim} exceeds the limit {MAX_DIM}")
+    return tuple(f"{x}*{y}" for x in a.basis for y in b.basis)
+
+
+def _report() -> Report:
+    """The running command's report.  Its command line is the subcommand and
+    then the parameters in declaration order: an option as its flag and
+    value, a flag only when it is set, an argument by its value, and
+    ``--format`` left out.  Every input file is recorded in its provenance."""
+    ctx = click.get_current_context()
+    report = Report(command=["dendrikit", ctx.info_name])
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        if param.name == "fmt" or value is False:
+            continue
+        if isinstance(param, click.Option):
+            report.command.append(param.opts[0])
+        if value is not True:
+            report.command.append(str(value))
+        if param.type is FILE:
+            report.record_file(value)
+    return report
 
 
 def _finish(report: Report, fmt: str):
@@ -93,33 +136,31 @@ def _add_affine(report: Report, check_id: str, rep):
 
 def _add_ybe(report: Report, check_id: str, alg, r, detail=None):
     """Add the check that r solves the Yang-Baxter equation of ``alg``'s
-    kind, its first violation read from the residual's integer cells."""
-    from .ybe import _ybe_cells
+    kind (`ybe.YBE_LAWS`), its first violation read from the residual's
+    integer cells."""
+    from .ybe import YBE_LAWS
 
-    residuals = Residuals()
-    residuals.add(check_id, *_ybe_cells(alg, r), (alg.dim,) * 3)
+    residuals = law_residuals({check_id: YBE_LAWS[alg.kind]},
+                              {**alg.tables, "r": r.table}, alg.dim)
     fv = residuals.violations[check_id]
     report.add_check(check_id, fv is None, first_violation=fv, detail=detail)
 
 
-def _add_transfer(report: Report, check_id: str, thunk):
-    """Run a transfer theorem, folding hypothesis failures into the report."""
+def _add_transfer(report: Report, check_id: str, transfer, *args):
+    """Run a transfer theorem on ``args``, folding hypothesis failures into
+    the report."""
     from .ybe import HypothesisError
 
     try:
-        rep = thunk()
+        rep = transfer(*args)
     except HypothesisError as exc:
         report.add_check(check_id, False, detail=str(exc))
         return
     report.add_report(rep, prefix=f"{check_id}:")
 
 
-def _corpus(name: str) -> Path:
-    return Path(__file__).parent / "corpus" / name
-
-
 def _load_corpus(report: Report, name: str) -> ParsedFile:
-    path = _corpus(name)
+    path = Path(__file__).parent / "corpus" / name
     report.record_file(path)
     return _load(path)
 
@@ -148,35 +189,28 @@ def main():
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file", type=FILE)
 @_format_option
 def check(file, fmt):
     """Verify every law the FILE's contents are subject to."""
     pf = _load(file)
-    report = Report(command=["dendrikit", "check", str(file)])
-    report.record_file(file)
     if pf.kind == "tensor":
         _usage_error("tensor files carry no laws to check; use ybe/invariance")
+    report = _report()
     report.add_report(check_axioms(pf.algebra), prefix="axioms:")
     if pf.coalgebra is not None:
         report.add_report(check_coalgebra(pf.coalgebra), prefix="coalgebra:")
         if pf.kind != "perm":
-            report.add_report(
-                check_bialgebra(pf.algebra, pf.coalgebra), prefix="bialgebra:"
-            )
+            report.add_report(check_bialgebra(pf.algebra, pf.coalgebra), prefix="bialgebra:")
     if pf.qperm is not None:
-        report.add_report(
-            check_quadratic_perm_identities(pf.qperm), prefix="qperm:"
-        )
+        report.add_report(check_quadratic_perm_identities(pf.qperm), prefix="qperm:")
     _finish(report, fmt)
 
 
 @main.command()
 @click.option("--eq", type=click.Choice(sorted(YBE_KIND)), required=True)
-@click.option("--algebra", "algebra_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--r", "r_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_input("--algebra", "algebra_file")
+@_input("--r", "r_file")
 @_format_option
 def ybe(eq, algebra_file, r_file, fmt):
     """Evaluate a Yang-Baxter residual for an algebra and an r-matrix."""
@@ -188,22 +222,15 @@ def ybe(eq, algebra_file, r_file, fmt):
         _usage_error("--r must be a tensor file")
     if rf.tensor.dim_left != pf.algebra.dim:
         _usage_error("r-matrix dimension does not match the algebra")
-    report = Report(
-        command=["dendrikit", "ybe", "--eq", eq, "--algebra", str(algebra_file),
-                 "--r", str(r_file)]
-    )
-    report.record_file(algebra_file)
-    report.record_file(r_file)
+    report = _report()
     _add_ybe(report, f"{eq}_residual", pf.algebra, rf.tensor,
              detail=f"{pf.kind} Yang-Baxter equation")
     _finish(report, fmt)
 
 
 @main.command()
-@click.option("--algebra", "algebra_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--r", "r_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_input("--algebra", "algebra_file")
+@_input("--r", "r_file")
 @_format_option
 def invariance(algebra_file, r_file, fmt):
     """Check invariance of a 2-tensor under the algebra's actions."""
@@ -217,12 +244,7 @@ def invariance(algebra_file, r_file, fmt):
         _usage_error("--algebra must be an algebra file")
     if rf.tensor.dim_left != pf.algebra.dim:
         _usage_error("tensor dimension does not match the algebra")
-    report = Report(
-        command=["dendrikit", "invariance", "--algebra", str(algebra_file),
-                 "--r", str(r_file)]
-    )
-    report.record_file(algebra_file)
-    report.record_file(r_file)
+    report = _report()
     try:
         rep = invariance_residual(pf.algebra, rf.tensor)
     except ValueError as exc:
@@ -247,16 +269,10 @@ INDUCTIONS = {
 CONSTRUCTIONS = tuple(INDUCTIONS)
 
 
-def _tensor_basis(basis_a, basis_b):
-    return tuple(f"{a}*{b}" for a in basis_a for b in basis_b)
-
-
 @main.command()
 @click.option("--construction", type=click.Choice(CONSTRUCTIONS), required=True)
-@click.option("--algebra", "algebra_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--perm", "perm_file", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@_input("--algebra", "algebra_file")
+@click.option("--perm", "perm_file", default=None, type=FILE,
               help="Perm algebra file (tensor constructions; quadratic form "
                    "required for bialgebra constructions).")
 def induce(construction, algebra_file, perm_file):
@@ -273,16 +289,17 @@ def induce(construction, algebra_file, perm_file):
     if bf is not None and bf.kind != "perm":
         _usage_error("--perm must be a perm algebra file")
 
-    basis = _tensor_basis(pf.basis, bf.basis) if takes else pf.basis
     if takes == "qperm":
         if pf.kind != kind or pf.coalgebra is None:
             _usage_error(f"{construction} needs {an_algebra} with coproducts")
         if bf.qperm is None:
             _usage_error(f"{construction} needs a quadratic form on the perm algebra")
+    elif pf.kind != kind:
+        _usage_error(f"{construction} construction needs {an_algebra}")
+    basis = _tensor_basis(pf, bf) if takes else pf.basis
+    if takes == "qperm":
         alg, coalg = build(pf.algebra, pf.coalgebra, bf.qperm)
     else:
-        if pf.kind != kind:
-            _usage_error(f"{construction} construction needs {an_algebra}")
         alg, coalg = build(pf.algebra, *([bf.algebra] if takes else [])), None
 
     ok = check_axioms(alg).ok
@@ -296,10 +313,8 @@ def induce(construction, algebra_file, perm_file):
 
 
 @main.command()
-@click.option("--r", "r_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--qperm", "qperm_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_input("--r", "r_file")
+@_input("--qperm", "qperm_file")
 def lift(r_file, qperm_file):
     """Lift an r-matrix through a quadratic perm algebra; print the result."""
     from .ybe import lift_r
@@ -310,18 +325,13 @@ def lift(r_file, qperm_file):
         _usage_error("--r must be a tensor file")
     if bf.kind != "perm" or bf.qperm is None:
         _usage_error("--qperm must be a perm algebra file with a quadratic form")
-    rhat = lift_r(rf.tensor, bf.qperm)
-    out = ParsedFile(
-        kind="tensor",
-        basis=_tensor_basis(rf.basis, bf.basis),
-        tensor=rhat,
-    )
+    basis = _tensor_basis(rf, bf)
+    out = ParsedFile(kind="tensor", basis=basis, tensor=lift_r(rf.tensor, bf.qperm))
     click.echo(json.dumps(serialize_parsed(out), indent=2))
 
 
 @main.command()
-@click.option("--spec", "spec_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_input("--spec", "spec_file")
 @_format_option
 def ooperator(spec_file, fmt):
     """Check the operator in FILE against the algebra's dual-space bimodule."""
@@ -330,8 +340,7 @@ def ooperator(spec_file, fmt):
     pf = _load(spec_file)
     if pf.kind == "tensor" or pf.operator is None:
         _usage_error("--spec must be an algebra file with an operator matrix")
-    report = Report(command=["dendrikit", "ooperator", "--spec", str(spec_file)])
-    report.record_file(spec_file)
+    report = _report()
     try:
         bim = coregular_bimodule(pf.algebra)
     except ValueError as exc:
@@ -341,10 +350,8 @@ def ooperator(spec_file, fmt):
 
 
 @main.command()
-@click.option("--dendriform", "dend_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--qperm", "qperm_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_input("--dendriform", "dend_file")
+@_input("--qperm", "qperm_file")
 @click.option("--bialgebra", is_flag=True,
               help="Also check the bialgebra-level commuting square "
                    "(needs coproducts and a quadratic form).")
@@ -357,68 +364,51 @@ def square(dend_file, qperm_file, bialgebra, fmt):
         _usage_error("--dendriform must be a dendriform algebra file")
     if bf.kind != "perm":
         _usage_error("--qperm must be a perm algebra file")
-    command = ["dendrikit", "square", "--dendriform", str(dend_file),
-               "--qperm", str(qperm_file)]
-    if bialgebra:
-        command.append("--bialgebra")
-    report = Report(command=command)
-    report.record_file(dend_file)
-    report.record_file(qperm_file)
+    _tensor_basis(pf, bf)
+    report = _report()
     report.add_report(check_square(pf.algebra, bf.algebra), prefix="algebras:")
     if bialgebra:
         if pf.coalgebra is None:
             _usage_error("--bialgebra needs coproducts on the dendriform file")
         if bf.qperm is None:
             _usage_error("--bialgebra needs a quadratic form on the perm file")
-        report.add_report(
-            check_bialgebra_square(pf.algebra, pf.coalgebra, bf.qperm),
-            prefix="bialgebras:",
-        )
+        report.add_report(check_bialgebra_square(pf.algebra, pf.coalgebra, bf.qperm),
+                          prefix="bialgebras:")
     _finish(report, fmt)
 
 
+# The checks of ``affine --check``: the report's check id, the `affinization`
+# function (looked up when it runs) and whether it reads the coproducts of D.
+AFFINE_CHECKS = {
+    "assoc": ("affine_assoc", "check_affine_associativity", False),
+    "coalg": ("affine_coassoc", "check_completed_coassociativity", True),
+    "asi": ("affine_asi", "check_completed_asi", True),
+}
+
+
 @main.command()
-@click.option("--dendriform", "dend_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_input("--dendriform", "dend_file")
 @click.option("--window", "window_n", type=int, default=2, show_default=True)
-@click.option("--check", "which", type=click.Choice(["assoc", "coalg", "asi"]),
-              required=True)
+@click.option("--check", "which", type=click.Choice(list(AFFINE_CHECKS)), required=True)
 @_format_option
 def affine(dend_file, window_n, which, fmt):
     """Windowed checks of the Laurent-series affinization of D."""
-    from .affinization import (MAX_WINDOW, Window, check_affine_associativity,
-                               check_completed_asi, check_completed_coassociativity)
+    from . import affinization
 
     pf = _load(dend_file)
     if pf.kind != "dendriform":
         _usage_error("--dendriform must be a dendriform algebra file")
     if window_n < 2:
         _usage_error("--window must be at least 2 (depth-2 compositions)")
-    if window_n > MAX_WINDOW:
-        _usage_error(f"--window {window_n} exceeds the limit {MAX_WINDOW}")
-    w = Window(window_n)
-    report = Report(
-        command=["dendrikit", "affine", "--dendriform", str(dend_file),
-                 "--window", str(window_n), "--check", which]
-    )
-    report.record_file(dend_file)
-    if which == "assoc":
-        _add_affine(report, "affine_assoc", check_affine_associativity(pf.algebra, w))
-    else:
-        if pf.coalgebra is None:
-            _usage_error(f"--check {which} needs coproducts on the dendriform file")
-        if which == "coalg":
-            _add_affine(
-                report,
-                "affine_coassoc",
-                check_completed_coassociativity(pf.algebra, pf.coalgebra, w),
-            )
-        else:
-            _add_affine(
-                report,
-                "affine_asi",
-                check_completed_asi(pf.algebra, pf.coalgebra, w),
-            )
+    if window_n > affinization.MAX_WINDOW:
+        _usage_error(f"--window {window_n} exceeds the limit {affinization.MAX_WINDOW}")
+    check_id, function, coproducts = AFFINE_CHECKS[which]
+    if coproducts and pf.coalgebra is None:
+        _usage_error(f"--check {which} needs coproducts on the dendriform file")
+    w = affinization.Window(window_n)
+    report = _report()
+    args = (pf.algebra, pf.coalgebra) if coproducts else (pf.algebra,)
+    _add_affine(report, check_id, getattr(affinization, function)(*args, w))
     _finish(report, fmt)
 
 
@@ -427,17 +417,8 @@ def affine(dend_file, window_n, which, fmt):
 
 # got − want: a computed matrix or cube against the value a worked example
 # displays.
-AGREE_LAWS = {
-    "matrix": ("ij", ((+1, ("got", "ij")), (-1, ("want", "ij")))),
-    "cube": ("kij", ((+1, ("got", "kij")), (-1, ("want", "kij")))),
-}
-
-
-def _disagreement(shape: str, got, want, n: int):
-    """The first violation (index path, value) of got − want for two
-    `exact.IntTable`s of extent ``n`` on every axis, or None."""
-    residuals = law_residuals({shape: AGREE_LAWS[shape]}, {"got": got, "want": want}, n)
-    return residuals.violations[shape]
+MATRICES_AGREE = {"agree": ("ij", ((+1, ("got", "ij")), (-1, ("want", "ij"))))}
+CUBES_AGREE = {"agree": ("kij", ((+1, ("got", "kij")), (-1, ("want", "kij"))))}
 
 
 def _add_cubes_agree(report, check_id, got, want):
@@ -446,7 +427,8 @@ def _add_cubes_agree(report, check_id, got, want):
     the names taken in sorted order."""
     fv = None
     for name in sorted(got.tables):
-        hit = _disagreement("cube", got.tables[name], want.tables[name], got.dim)
+        tables = {"got": got.tables[name], "want": want.tables[name]}
+        hit = law_residuals(CUBES_AGREE, tables, got.dim).violations["agree"]
         if hit is not None:
             fv = ((name, *hit[0]), hit[1])
             break
@@ -456,7 +438,7 @@ def _add_cubes_agree(report, check_id, got, want):
 def _add_matrices_agree(report, check_id, got, want, n: int):
     """Add the check that the n×n matrices of the `exact.IntTable`s ``got``
     and ``want`` are equal."""
-    fv = _disagreement("matrix", got, want, n)
+    fv = law_residuals(MATRICES_AGREE, {"got": got, "want": want}, n).violations["agree"]
     report.add_check(check_id, fv is None, first_violation=fv)
 
 
@@ -514,58 +496,38 @@ def _reproduce_ex_3_13(report):
     rhat = lift_r(r, qp)
     _add_matrices_agree(report, "lift_match", rhat.table, examples.expected_lift().table, lie.dim)
     _add_ybe(report, "lift_solves_cybe", lie, rhat)
-    _add_transfer(
-        report,
-        "triangular_equals_induced",
-        lambda: transfer_induced_lie_cobracket(P, r, qp),
-    )
-    _add_matrices_agree(
-        report, "r_sharp_match", sharp(r).table, examples.expected_r_sharp().table, D.dim
-    )
+    _add_transfer(report, "triangular_equals_induced", transfer_induced_lie_cobracket,
+                  P, r, qp)
+    _add_matrices_agree(report, "r_sharp_match", sharp(r).table,
+                        examples.expected_r_sharp().table, D.dim)
     kappa_sharp = sharp(kappa_tensor(qp))
-    _add_matrices_agree(
-        report,
-        "kappa_sharp_match",
-        kappa_sharp.table,
-        examples.expected_kappa_sharp().table,
-        qp.algebra.dim,
-    )
+    _add_matrices_agree(report, "kappa_sharp_match", kappa_sharp.table,
+                        examples.expected_kappa_sharp().table, qp.algebra.dim)
     lift_sharp = sharp(rhat)
-    _add_matrices_agree(
-        report,
-        "lift_sharp_match",
-        lift_sharp.table,
-        examples.expected_lift_sharp().table,
-        lie.dim,
-    )
+    _add_matrices_agree(report, "lift_sharp_match", lift_sharp.table,
+                        examples.expected_lift_sharp().table, lie.dim)
     # blockwise Kronecker identity r̂♯ = r♯⊗κ♯
     kron = LinMap(blockwise_product(sharp(r).table, kappa_sharp.table, r.dim_left,
                                     kappa_sharp.rows))
-    _add_matrices_agree(
-        report, "lift_sharp_is_blockwise_product", lift_sharp.table, kron.table, lie.dim
-    )
+    _add_matrices_agree(report, "lift_sharp_is_blockwise_product", lift_sharp.table,
+                        kron.table, lie.dim)
 
 
-def _reproduce_ex_4_2(report):
-    from .affinization import Window, check_laurent_perm_axioms
-
-    _add_affine(report, "laurent_perm_axioms", check_laurent_perm_axioms(Window(2)))
-
-
-def _reproduce_ex_4_5(report):
-    from .affinization import Window, check_completed_perm_coalgebra
-
-    _add_affine(
-        report, "completed_perm_coalgebra", check_completed_perm_coalgebra(Window(2))
-    )
+# The worked examples of section 4: the named checks of the Laurent perm
+# algebra B (`affinization.check_<id>`) at window N = 2.
+SECTION_4 = {
+    "ex-4.2": ("laurent_perm_axioms",),
+    "ex-4.5": ("completed_perm_coalgebra",),
+    "ex-4.9": ("graded_form", "nu_pairing"),
+}
 
 
-def _reproduce_ex_4_9(report):
-    from .affinization import Window, check_graded_form, check_nu_pairing
+def _reproduce_section_4(check_ids, report):
+    from . import affinization
 
-    w = Window(2)
-    _add_affine(report, "graded_form", check_graded_form(w))
-    _add_affine(report, "nu_pairing", check_nu_pairing(w))
+    w = affinization.Window(2)
+    for check_id in check_ids:
+        _add_affine(report, check_id, getattr(affinization, f"check_{check_id}")(w))
 
 
 def _reproduce_ex_4_27(report):
@@ -581,22 +543,15 @@ def _reproduce_ex_4_27(report):
     for name, r in (("alpha1", r0), ("beta1_gamma1", r11), ("beta0_gamma1", r01)):
         _add_ybe(report, f"dybe_residual_{name}", D, r)
     theta = coboundary_coproduct(D, r0)
-    _add_cubes_agree(
-        report, "coboundary_coproduct_match", theta,
-        examples.dendriform_pair_coalgebra(),
-    )
+    _add_cubes_agree(report, "coboundary_coproduct_match", theta,
+                     examples.dendriform_pair_coalgebra())
     assoc, delta = induce_asi_bialgebra(D, theta, qp)
     _add_cubes_agree(report, "assoc_products_match", assoc, examples.expected_tensor_assoc())
     _add_cubes_agree(report, "asi_coproduct_match", delta, examples.expected_asi_coproduct())
     report.add_report(check_bialgebra(assoc, delta), prefix="asi_bialgebra:")
-    _add_transfer(
-        report,
-        "coproduct_is_coboundary_of_lift",
-        lambda: transfer_induced_asi_coproduct(D, r0, qp),
-    )
-    _add_transfer(
-        report, "lift_skew_solves_aybe", lambda: transfer_dybe_lift(D, r0, qp)
-    )
+    _add_transfer(report, "coproduct_is_coboundary_of_lift", transfer_induced_asi_coproduct,
+                  D, r0, qp)
+    _add_transfer(report, "lift_skew_solves_aybe", transfer_dybe_lift, D, r0, qp)
 
 
 def _reproduce_ex_5_13(report):
@@ -609,7 +564,6 @@ def _reproduce_ex_5_13(report):
     theta = _load_corpus(report, "ex-dendind-bialgebra.json").coalgebra
     qp = _load_corpus(report, "perm-quadratic.json").qperm
     r = _load_corpus(report, "r-e1e1.json").tensor
-    P = dendriform_to_prelie(D)
     assoc, delta = induce_asi_bialgebra(D, theta, qp)
     rhat = lift_r(r, qp)
 
@@ -622,41 +576,25 @@ def _reproduce_ex_5_13(report):
     lie, cobr = induce_lie_bialgebra(pl_alg, pl_co, qp)
     report.add_report(check_bialgebra(lie, cobr), prefix="front:")
     # left face: Yang-Baxter solutions transfer along both construction edges
-    _add_transfer(report, "left:dybe_to_plybe", lambda: transfer_dybe_to_plybe(D, r))
-    _add_transfer(
-        report, "left:aybe_to_cybe", lambda: transfer_aybe_to_cybe(assoc, rhat)
-    )
+    _add_transfer(report, "left:dybe_to_plybe", transfer_dybe_to_plybe, D, r)
+    _add_transfer(report, "left:aybe_to_cybe", transfer_aybe_to_cybe, assoc, rhat)
     # right face: coboundary coproducts transfer along the same edges
-    _add_transfer(
-        report,
-        "right:dend_cobound_to_prelie",
-        lambda: transfer_dend_cobound_to_prelie(D, r),
-    )
-    _add_transfer(
-        report,
-        "right:assoc_cobound_to_lie",
-        lambda: transfer_assoc_cobound_to_lie(assoc, rhat),
-    )
+    _add_transfer(report, "right:dend_cobound_to_prelie", transfer_dend_cobound_to_prelie,
+                  D, r)
+    _add_transfer(report, "right:assoc_cobound_to_lie", transfer_assoc_cobound_to_lie,
+                  assoc, rhat)
     # bottom face: the associated operators transfer to the induced algebras
-    _add_transfer(
-        report,
-        "bottom:dend_ooperator_to_prelie",
-        lambda: transfer_dend_ooperator_to_prelie(D, sharp(r)),
-    )
-    _add_transfer(
-        report,
-        "bottom:assoc_ooperator_to_lie",
-        lambda: transfer_assoc_ooperator_to_lie(assoc, sharp(rhat)),
-    )
+    _add_transfer(report, "bottom:dend_ooperator_to_prelie",
+                  transfer_dend_ooperator_to_prelie, D, sharp(r))
+    _add_transfer(report, "bottom:assoc_ooperator_to_lie", transfer_assoc_ooperator_to_lie,
+                  assoc, sharp(rhat))
 
 
 REPRODUCERS = {
     "ex-2.2": _reproduce_ex_2_2,
     "ex-2.13": _reproduce_ex_2_13,
     "ex-3.13": _reproduce_ex_3_13,
-    "ex-4.2": _reproduce_ex_4_2,
-    "ex-4.5": _reproduce_ex_4_5,
-    "ex-4.9": _reproduce_ex_4_9,
+    **{ex: partial(_reproduce_section_4, check_ids) for ex, check_ids in SECTION_4.items()},
     "ex-4.27": _reproduce_ex_4_27,
     "ex-5.13": _reproduce_ex_5_13,
 }
@@ -667,6 +605,6 @@ REPRODUCERS = {
 @_format_option
 def reproduce(example_id, fmt):
     """Replay a bundled worked example and verify every displayed value."""
-    report = Report(command=["dendrikit", "reproduce", example_id])
+    report = _report()
     REPRODUCERS[example_id](report)
     _finish(report, fmt)

@@ -761,13 +761,6 @@ class Tensor3:
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", freeze_cube(coeffs))
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        d1 = len(self.coeffs)
-        d2 = len(self.coeffs[0]) if d1 else 0
-        d3 = len(self.coeffs[0][0]) if d2 else 0
-        return (d1, d2, d3)
-
     def __add__(self, other: "Tensor3") -> "Tensor3":
         return Tensor3(
             tuple(mat_add(p, q) for p, q in zip(self.coeffs, other.coeffs))

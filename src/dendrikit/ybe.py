@@ -379,11 +379,9 @@ TRANSFER_LAWS = {
         (+1, ("co_gt", "ipq")), (-1, ("co_lt", "iqp")), (-1, ("prelie", "ipq")))),
     # r̂ + τ(r̂)
     "lift_skew": ("ab", ((+1, ("rhat", "ab")), (+1, ("rhat", "ba")))),
-    # the induced coproduct − the coboundary coproduct of r̂
-    "induced_cobracket_is_coboundary": ("ipq", (
-        (+1, ("induced", "ipq")), (-1, ("coboundary", "ipq")))),
-    "induced_coproduct_is_coboundary": ("ipq", (
-        (+1, ("induced", "ipq")), (-1, ("coboundary", "ipq")))),
+    # the induced cobracket or coproduct − the coboundary coproduct of r̂
+    **dict.fromkeys(("induced_cobracket_is_coboundary", "induced_coproduct_is_coboundary"),
+                    ("ipq", ((+1, ("induced", "ipq")), (-1, ("coboundary", "ipq"))))),
 }
 
 

@@ -305,6 +305,84 @@ def test_lift_prints_expected_tensor(runner):
     ]
 
 
+# --- the D⊗B bound -------------------------------------------------------------
+
+
+def _write(tmp_path, name: str, kind: str, dim: int, **data) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps({"format": 1, "kind": kind, "dim": dim, **data}))
+    return str(path)
+
+
+@pytest.fixture()
+def nothing_built(monkeypatch):
+    """Every builder of a D⊗B (or of r̂ on it) refuses to run."""
+    import dendrikit.cli as cli
+    from dendrikit import ybe
+
+    def refuse(*_args):
+        raise AssertionError("nothing may be built")
+
+    for construction, row in cli.INDUCTIONS.items():
+        monkeypatch.setitem(cli.INDUCTIONS, construction, (*row[:3], refuse))
+    for name in ("check_square", "check_bialgebra_square"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(ybe, "lift_r", refuse)
+
+
+def test_tensor_product_past_the_limit_is_usage_error(runner, tmp_path, nothing_built):
+    """A 9-dim D, pre-Lie algebra or r with an 8-dim B makes a 72-dim product:
+    each of ``induce``, ``square`` and ``lift`` exits 2 before building it."""
+    # the standard symplectic form of dim 8 is a quadratic form on the zero
+    # perm algebra
+    form = [["1" if j == i ^ 1 and i < j else "-1" if j == i ^ 1 else "0"
+             for j in range(8)] for i in range(8)]
+    B = _write(tmp_path, "B8.json", "perm", 8, form=form)
+    D = _write(tmp_path, "D9.json", "dendriform", 9, coproducts={})
+    P = _write(tmp_path, "P9.json", "prelie", 9, coproducts={})
+    r = _write(tmp_path, "r9.json", "tensor", 9, entries=[])
+    runs = [
+        *(("induce", "--construction", c, "--algebra", D, "--perm", B)
+          for c in ("tensor-assoc", "asi-bialgebra")),
+        *(("induce", "--construction", c, "--algebra", P, "--perm", B)
+          for c in ("tensor-lie", "lie-bialgebra")),
+        ("square", "--dendriform", D, "--qperm", B),
+        ("square", "--dendriform", D, "--qperm", B, "--bialgebra"),
+        ("lift", "--r", r, "--qperm", B),
+    ]
+    for args in runs:
+        res = invoke(runner, *args)
+        assert res.exit_code == 2, (args, res.output)
+        assert res.stdout == ""
+        assert res.stderr == "error: tensor product dimension 72 exceeds the limit 64\n"
+
+
+AT_THE_LIMIT = [
+    ("induce", "--construction", "tensor-assoc", "--algebra", corpus("ex-D-alg-iii.json"),
+     "--perm", corpus("perm-quadratic.json")),
+    ("square", "--dendriform", corpus("ex-dendind-bialgebra.json"),
+     "--qperm", corpus("perm-quadratic.json"), "--bialgebra"),
+    ("lift", "--r", corpus("r-e1e1.json"), "--qperm", corpus("perm-quadratic.json")),
+]
+
+
+@pytest.mark.parametrize("args", AT_THE_LIMIT, ids=lambda args: args[0])
+def test_tensor_product_at_the_limit_runs(runner, monkeypatch, args):
+    """With the limit lowered to 4, a 2-dim D⊗B of dim 4 runs as it does under
+    the real limit, and with the limit at 3 it is refused."""
+    import dendrikit.cli as cli
+
+    real = invoke(runner, *args)
+    monkeypatch.setattr(cli, "MAX_DIM", 4)
+    at_limit = invoke(runner, *args)
+    assert (at_limit.exit_code, at_limit.stdout) == (real.exit_code, real.stdout)
+    assert real.exit_code == 0
+    monkeypatch.setattr(cli, "MAX_DIM", 3)
+    past = invoke(runner, *args)
+    assert past.exit_code == 2
+    assert past.stderr == "error: tensor product dimension 4 exceeds the limit 3\n"
+
+
 # --- ooperator / square / affine ---------------------------------------------
 
 
@@ -471,17 +549,29 @@ LAZY = ("affinization", "ybe", "examples")
     (("ybe", "--eq", "dybe", "--algebra", corpus("ex-D-alg-iii.json"),
       "--r", corpus("r-e1e1.json")), ("ybe", "hashlib")),
     (("reproduce", "ex-2.2"), ("examples", "hashlib")),
-], ids=["import", "check", "square", "affine", "ex-4.9", "ybe", "ex-2.2"])
+    (("invariance", "--algebra", corpus("prelie-ooperator.json"),
+      "--r", corpus("r-e1e1.json")), ("ybe", "hashlib")),
+    (("ooperator", "--spec", corpus("prelie-ooperator.json")), ("ybe", "hashlib")),
+    (("lift", "--r", corpus("r-e1e1.json"), "--qperm", corpus("perm-quadratic.json")),
+     ("ybe",)),
+    (("induce", "--construction", "asi-bialgebra", "--algebra",
+      corpus("ex-dendind-bialgebra.json"), "--perm", corpus("perm-quadratic.json")), ()),
+    (("reproduce", "ex-4.2"), ("affinization",)),
+    (("reproduce", "ex-4.27"), ("ybe", "examples", "hashlib")),
+], ids=["import", "check", "square", "affine", "ex-4.9", "ybe", "ex-2.2", "invariance",
+        "ooperator", "lift", "induce", "ex-4.2", "ex-4.27"])
 def test_commands_import_only_the_modules_they_use(args, loaded):
     """A fresh process that imports the command line, and runs one command
     when given one, holds only the lazily imported modules it needs."""
+    # no corpus tensor is invariant, so ``invariance`` reports a failure
+    exit_code = 1 if args[:1] == ("invariance",) else 0
     code = (
         "import sys\n"
         "from dendrikit.cli import main\n"
         "try:\n"
         f"    main({list(args)!r}, prog_name='dendrikit') if {list(args)!r} else None\n"
         "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
+        f"    assert exc.code == {exit_code}, exc.code\n"
         f"print([m for m in {LAZY!r} if 'dendrikit.' + m in sys.modules]"
         " + ['hashlib'] * ('hashlib' in sys.modules), file=sys.stderr)\n"
     )
