@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, compress, islice, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -55,7 +55,7 @@ from .algebras import AXIOMS, FinAlgebra
 from .bialgebras import (
     BIALGEBRA_LAWS, COALGEBRA_LAWS, COPRODUCT_CONSTRUCTIONS, QUADRATIC_LAWS, CoalgStruct,
 )
-from .exact import ONE, ZERO, IntTable, contract_cells, cube_table
+from .exact import ONE, ZERO, IntTable, contract_cells, cube_table, nonzero_cells
 from .functors import CONSTRUCTIONS, tensor_extents
 
 
@@ -642,18 +642,17 @@ def _patterns(law: tuple, tables: dict, dim: int | None, sources: int) -> tuple[
                for _sign, *factors in terms for _name, labels in factors for x in labels}
     cells, den = contract_cells(terms, tables, out, extents)
     slots = _slot_tuples(dim, len(out) - k)
+    # cell 2^k·p + bits is the shift of slot tuple p with an e₂ at each set
+    # bit, so at offset w = the popcount; row-major, so (p, w) come in order
+    folded: dict = {}
+    for q, x in nonzero_cells(cells):
+        at = q >> k, (q % (1 << k)).bit_count()
+        folded[at] = folded.get(at, 0) + x
     live: dict = {}
-    # cell 4p + 2u + v (2p + u for one shift) is shift (u, v) of slot tuple p
-    for p in sorted({q >> k for q in compress(range(len(cells)), cells)}):
-        if k == 2:
-            c11, c12, c21, c22 = cells[4 * p:4 * p + 4]
-            folded = c11, c12 + c21, c22
-        else:
-            folded = cells[2 * p:2 * p + 2]
-        at = slots[p]
-        for w, c in enumerate(folded):
-            if c:
-                live.setdefault(at[:sources], {})[at[sources:], (k - w, w)] = c
+    for (p, w), c in folded.items():
+        if c:
+            at = slots[p]
+            live.setdefault(at[:sources], {})[at[sources:], (k - w, w)] = c
     return live, den
 
 

@@ -27,9 +27,10 @@ the same order as the residual it reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebras import CheckReport, FinAlgebra, _cube_tables, _fill, _structure, law_residuals
-from .exact import BilinForm, LinMap, dual_basis
+from .exact import BilinForm, IntTable, LinMap, dual_basis
 from .functors import (
     commutator_lie,
     dendriform_to_prelie,
@@ -237,7 +238,8 @@ BIALGEBRA_LAWS = {
 # with (·,·') = (d₁,d₂) for the default "corrected" reading, (d₂,d₁) for
 # "symmetric" and (d₂,d₂) for "literal"; the readings differ only in the
 # last two terms.  Only the corrected reading makes the pair {fifth, sixth}
-# equivalent to the second completed compatibility law.
+# equivalent to the second completed compatibility law.  The literal
+# reading's last two terms do not read d₁: they carry its label on ones.
 DBI6_READINGS = {
     "corrected": ("ijpq", (
         (+1, ("gt", "pjr"), ("co_lt", "irq")),
@@ -258,9 +260,15 @@ DBI6_READINGS = {
         (+1, ("gt", "pjr"), ("co_gt", "irq")),
         (-1, ("co_lt", "ipr"), ("lt", "qrj")),
         (-1, ("co_gt", "ipr"), ("lt", "qrj")),
-        (-1, ("co_gt", "jqr"), ("gt", "prj")),
-        (+1, ("lt", "qjr"), ("co_lt", "jrp")))),
+        (-1, ("co_gt", "jqr"), ("gt", "prj"), ("one", "i")),
+        (+1, ("lt", "qjr"), ("co_lt", "jrp"), ("one", "i")))),
 }
+
+
+@lru_cache(maxsize=None)
+def _ones(n: int) -> IntTable:
+    """n ones, kept per n (at most ``io.MAX_DIM``) with their groupings."""
+    return IntTable(entries=[((i,), 1) for i in range(n)], size=n)
 
 
 def check_bialgebra(
@@ -282,6 +290,7 @@ def check_bialgebra(
         raise ValueError(f"no bialgebra notion for kind {alg.kind!r}")
     laws = BIALGEBRA_LAWS[alg.kind]
     subject = f"{alg.kind} bialgebra"
+    tables = {**alg.tables, **coalg.tables}
     if alg.kind == "dendriform":
         if dbi6_reading not in DBI6_READINGS:
             raise ValueError(
@@ -289,7 +298,8 @@ def check_bialgebra(
             )
         laws = {**laws, "dbi6": DBI6_READINGS[dbi6_reading]}
         subject = f"dendriform bialgebra (dbi6 reading: {dbi6_reading})"
-    residuals = law_residuals(laws, {**alg.tables, **coalg.tables}, alg.dim)
+        tables["one"] = _ones(alg.dim)
+    residuals = law_residuals(laws, tables, alg.dim)
     return CheckReport.from_residuals(subject, residuals)
 
 
@@ -351,13 +361,9 @@ def make_quadratic_perm(algebra: FinAlgebra, form: BilinForm) -> QuadraticPerm:
         raise ValueError("quadratic structure needs a perm algebra")
     if form.dim != algebra.dim:
         raise ValueError("form dimension does not match the algebra")
-    if not form.is_antisymmetric():
-        bad = next(
-            (i, j)
-            for i in range(form.dim)
-            for j in range(form.dim)
-            if form.matrix[i][j] != -form.matrix[j][i]
-        )
+    bad = next(((i, j) for i in range(form.dim) for j in range(form.dim)
+                if form.matrix[i][j] != -form.matrix[j][i]), None)
+    if bad is not None:
         raise ValueError(f"form is not antisymmetric: fails at entry {bad}")
     kv = form.kernel_vector()
     if kv is not None:

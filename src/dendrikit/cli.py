@@ -334,7 +334,8 @@ def lift(r_file, qperm_file):
 @_input("--spec", "spec_file")
 @_format_option
 def ooperator(spec_file, fmt):
-    """Check the operator in FILE against the algebra's dual-space bimodule."""
+    """Check the operator in the --spec file against the algebra's dual-space
+    bimodule."""
     from .ybe import check_ooperator, coregular_bimodule
 
     pf = _load(spec_file)

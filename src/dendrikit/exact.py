@@ -30,15 +30,15 @@ the shared ``ZERO``.  The value is the exact rational sum whatever mix of
 tables the terms draw on.
 
 Each law is compiled once per extents (`_compile`): the plan resolves how
-every factor is grouped, where each product lands, how an intermediate is
-laid out and regrouped for the next factor, and how a term without some
-output label is broadcast.  It is cached on the law and the extents only,
+every factor is grouped, where each product lands, and how an intermediate
+is laid out and regrouped for the next factor; a term that lacks an output
+label raises `ValueError`.  It is cached on the law and the extents only,
 never on a table or a value, so there is one entry per law table and
 extents seen, and a call of `contract` only reads groupings and adds ints.
 
 The entry also holds a packed plan where the law has four or more output
-labels and every term carries the last two (or the last one), F, exactly
-once, on one factor.  Where a packed int holds at least
+labels and every term carries the last two, F, exactly once, on one
+factor.  Where a packed int holds at least
 ``MIN_PACKED_CELLS`` cells and every table the law reads is dense
 (`IntTable.dense`), each table value carries its F labels as
 L·c·2^(w·e), e its offset inside F, and the unchanged loop multiplies and
@@ -49,7 +49,8 @@ chosen per call above the bit length of a bound on every |cell| (the sum
 over terms of |sign|·D/L·Π max|value|·the number of values of the summed
 labels), so every |cell| < 2^(w−1) and the balanced base-2^w digits of the
 int are the cells: integers only, no overflow, no tolerance.  The cells are
-then a `PackedCells`, read as the row-major ints and decoded on read.
+then a `PackedCells`, the row-major ints.  Either form is read through
+`first_cell` and `nonzero_cells`, which decode only a nonzero int.
 """
 
 from __future__ import annotations
@@ -243,15 +244,13 @@ def _spec(labels: str, key_strides: dict, strides: dict, packs: dict, w: int,
 
 
 def _packed_labels(terms: tuple, out_labels: str) -> str:
-    """The longest suffix of ``out_labels``, of at most two labels, that every
-    term carries exactly once, on one factor; "" for a law of fewer than four
-    output labels, which keeps the plain plan."""
-    if len(out_labels) < 4:
-        return ""
-    for fixed in (out_labels[-2:], out_labels[-1:]):
-        if all("".join(labels for _name, labels in factors).count(x) == 1
-               for _sign, *factors in terms for x in fixed):
-            return fixed
+    """The last two of ``out_labels`` where there are four or more and every
+    term carries each of the two exactly once, on one factor; else "", and
+    the law keeps the plain plan."""
+    fixed = out_labels[-2:]
+    if len(out_labels) >= 4 and all("".join(labels for _name, labels in factors).count(x) == 1
+                                    for _sign, *factors in terms for x in fixed):
+        return fixed
     return ""
 
 
@@ -265,8 +264,8 @@ def _compile(terms: tuple, out_labels: str, extents) -> tuple:
     """The plain plan (output size, per-term plans, see `_plan`) and the
     packed plan, or None, resolved for ``extents``.
 
-    The packed plan packs F, the suffix `_packed_labels` finds, where a
-    packed int holds at least ``MIN_PACKED_CELLS`` cells.  It is (table
+    The packed plan packs F, the last two output labels (`_packed_labels`),
+    where a packed int holds at least ``MIN_PACKED_CELLS`` cells.  It is (table
     names, cells per packed int, per term the number of values of its summed
     labels, the strides of F, width ↦ plan): the plan over the other output
     labels at a width w, each factor's F labels packed into its values,
@@ -293,9 +292,8 @@ def _compile(terms: tuple, out_labels: str, extents) -> tuple:
 
 
 def _plan(terms: tuple, out_labels: str, extent, packs: dict, w: int) -> tuple:
-    """The output size and, per term, (sign, table names, first, steps,
-    shifts), the labels in ``packs`` packed into the factors' values at
-    width ``w``.
+    """The output size and, per term, (sign, table names, first, steps), the
+    labels in ``packs`` packed into the factors' values at width ``w``.
 
     ``first`` is (table, grouping number), how the first factor is grouped
     (`IntTable.grouped`).  Each step contracts the factors so far with the
@@ -305,10 +303,9 @@ def _plan(terms: tuple, out_labels: str, extent, packs: dict, w: int) -> tuple:
     intermediate laid out as (labels the next factor reads and no later step
     keeps, labels it reads that are kept, labels it does not read), so the
     next key of a cell p is p // cut; ``regroup`` is (width, cut, ((stride,
-    extent, next stride), …)) over the labels the next step keeps.
-    ``shifts`` spreads a term that lacks output labels over them, or is
-    None.  A packed label is neither an output label nor read twice, so the
-    steps treat it as summed and it rides in the values.
+    extent, next stride), …)) over the labels the next step keeps.  A
+    packed label is neither an output label nor read twice, so the steps
+    treat it as summed and it rides in the values.
     """
     out_strides, size = _strides(out_labels, extent)
     plans = []
@@ -323,6 +320,8 @@ def _plan(terms: tuple, out_labels: str, extent, packs: dict, w: int) -> tuple:
             keeps.append(labels)
         if any(x not in out_labels and x not in packs for x in labels):
             raise ValueError(f"term {tuple(factors)} leaves a label outside {out_labels!r}")
+        if any(x not in labels for x in out_labels):
+            raise ValueError(f"term {tuple(factors)} lacks a label of {out_labels!r}")
         # the space each step fills: an intermediate for all but the last
         spaces = []
         for t, keep in enumerate(keeps[:-1]):
@@ -350,14 +349,7 @@ def _plan(terms: tuple, out_labels: str, extent, packs: dict, w: int) -> tuple:
             if cut is not None:
                 key_strides = {x: strides[x] // cut for x in keep if x in labelings[t + 2]}
             left = keep
-        shifts = None
-        missing = [x for x in out_labels if x not in labels]
-        if missing:
-            shifts = [0]
-            for x in missing:
-                shifts = [s + i * out_strides[x] for s in shifts for i in range(extent(x))]
-            shifts = tuple(shifts)
-        plans.append((sign, names, first, tuple(steps), shifts))
+        plans.append((sign, names, first, tuple(steps)))
     return size, tuple(plans)
 
 
@@ -395,9 +387,8 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
     θ[i][p][q], ``"iab"`` for action matrices.  The factors are contracted
     left to right; each step sums over the labels that neither the output nor
     a later factor reads, and matches a label both sides carry that is kept.
-    A term that lacks an output label is the same for each of its values
-    (it is broadcast).  ``n`` is the extent of every label, or a dict from
-    label to extent.  ``terms`` is a tuple, as in the law tables.
+    Every term carries every output label.  ``n`` is the extent of every
+    label, or a dict from label to extent.  ``terms`` is a tuple.
 
     The steps are compiled once per law and extents (`_compile`), so a call
     only reads the tables' groupings and adds integers.  ``tables`` maps each
@@ -417,7 +408,8 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
     Σₜ |sign|·(D/Lₜ)·Π max|value|·(the number of values of the summed
     labels), a bound on every |cell|, so |cell| < 2^(w−1) and the balanced
     base-2^w digits of the int are the cells: exact, with no overflow and
-    no tolerance.  The cells are then a `PackedCells`, which decodes on read.
+    no tolerance.  The cells are then a `PackedCells`.  Either form is read
+    through `first_cell` and `nonzero_cells`; ``len`` is their number.
     """
     extents = n if isinstance(n, int) else tuple(sorted(n.items()))
     size, plan, packed = _compile(terms, out_labels, extents)
@@ -438,16 +430,15 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
                 by_width[w] = _plan(terms, out_labels[:-len(packs)], _extent(extents), packs, w)
             size, plan = by_width[w]
     out = [0] * size
-    for (sign, _names, (name, gid), steps, shifts), scale in zip(plan, scales):
+    for (sign, _names, (name, gid), steps), scale in zip(plan, scales):
         m = sign * (den // scale)
-        term = out if shifts is None else [0] * size
         table = tables[name]
         g1 = table._groups.get(gid)
         if g1 is None:
             g1 = table.grouped(gid)
         if not steps:
             for off, v in g1.get(0, ()):
-                term[off] += m * v
+                out[off] += m * v
         for right, gid, regroup in steps:
             table = tables[right]
             g2 = table._groups.get(gid)
@@ -455,7 +446,7 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
                 g2 = table.grouped(gid)
             # The last step adds the scaled term into the output; earlier
             # steps fill an intermediate, regrouped for the next step.
-            acc, mult = (term, m) if regroup is None else ([0] * regroup[0], 1)
+            acc, mult = (out, m) if regroup is None else ([0] * regroup[0], 1)
             for k, pairs in g1.items():
                 rows = g2.get(k)
                 if rows:
@@ -465,11 +456,6 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
                             acc[p1 + p2] += mv * v2
             if regroup is not None:
                 g1 = _regroup(acc, *regroup)
-        if shifts is not None:
-            for p in compress(range(size), term):
-                v = term[p]
-                for s in shifts:
-                    out[p + s] += v
     return (PackedCells(out, w, per) if w else out), den
 
 
@@ -479,20 +465,16 @@ class PackedCells:
     ``ints[q]`` holds cells q·per to q·per + per − 1, cell q·per + e as
     its balanced base-2^w digit e: ints[q] = Σₑ cell·2^(w·e), every
     |cell| < 2^(w−1), so the digits are unique and ints[q] is 0 iff all its
-    cells are.  An index i ≥ 0 decodes one int, `first` the first nonzero
-    one, and every other read (len aside) decodes every cell once and keeps
-    the list.
+    cells are.  `nonzero` decodes the nonzero ints only, and keeps nothing.
     """
 
-    __slots__ = ("ints", "w", "per", "_all")
+    __slots__ = ("ints", "w", "per")
 
     def __init__(self, ints: list, w: int, per: int):
-        self.ints, self.w, self.per, self._all = ints, w, per, None
+        self.ints, self.w, self.per = ints, w, per
 
     def _digits(self, x: int) -> list:
         """The per digits of x, lowest first."""
-        if not x:
-            return [0] * self.per
         size, half = self.w // 8, 1 << self.w - 1
         # with half added to every digit each one is a plain base-2^w digit
         bias = int.from_bytes(half.to_bytes(size, "little") * self.per, "little")
@@ -500,45 +482,40 @@ class PackedCells:
         return [int.from_bytes(b[i:i + size], "little") - half
                 for i in range(0, len(b), size)]
 
-    def _cells(self) -> list:
-        if self._all is None:
-            self._all = [c for x in self.ints for c in self._digits(x)]
-        return self._all
-
-    def first(self):
-        """(p, x) for the first nonzero cell x, or None."""
-        q = next(compress(count(), self.ints), None)
-        if q is None:
-            return None
-        digits = self._digits(self.ints[q])
-        e = next(compress(count(), digits))
-        return q * self.per + e, digits[e]
+    def nonzero(self):
+        """(p, x) for each nonzero cell x, in row-major order."""
+        per = self.per
+        for q in compress(count(), self.ints):
+            digits = self._digits(self.ints[q])
+            for e in compress(count(), digits):
+                yield q * per + e, digits[e]
 
     def __len__(self):
         return len(self.ints) * self.per
-
-    def __getitem__(self, p):
-        if self._all is None and isinstance(p, int) and 0 <= p < len(self):
-            return self._digits(self.ints[p // self.per])[p % self.per]
-        return self._cells()[p]
-
-    def __iter__(self):
-        return iter(self._cells())
 
 
 def first_cell(cells) -> tuple | None:
     """(p, x) for the first nonzero cell x of `contract_cells`' cells, or None."""
     if isinstance(cells, PackedCells):
-        return cells.first()
+        return next(cells.nonzero(), None)
     p = next(compress(count(), cells), None)
     return None if p is None else (p, cells[p])
 
 
-def fractions(cells: list, den: int) -> list:
+def nonzero_cells(cells) -> Iterable[tuple]:
+    """(p, x) for each nonzero cell x of `contract_cells`' cells, in
+    row-major order."""
+    if isinstance(cells, PackedCells):
+        return cells.nonzero()
+    return zip(compress(count(), cells), filter(None, cells))
+
+
+def fractions(cells, den: int) -> list:
     """The Fractions x/den of integer cells, the shared ``ZERO`` for x = 0."""
-    if not any(cells):
-        return [ZERO] * len(cells)
-    return [Fraction(x, den) if x else ZERO for x in cells]
+    out = [ZERO] * len(cells)
+    for p, x in nonzero_cells(cells):
+        out[p] = Fraction(x, den)
+    return out
 
 
 def nested(cells, den: int, dims) -> tuple:
@@ -565,7 +542,7 @@ def unravel(p: int, dims) -> tuple:
     return tuple(reversed(idx))
 
 
-def cube_table(cells: list, den: int, dims) -> IntTable:
+def cube_table(cells, den: int, dims) -> IntTable:
     """The `IntTable` of the table of Fractions x/den of extents ``dims``
     over the row-major ``cells``, read straight from the ints.
 
@@ -573,13 +550,14 @@ def cube_table(cells: list, den: int, dims) -> IntTable:
     den/g and each entry is x/g, so one gcd gives the ``scale`` and
     ``entries`` that `IntTable` gives on the nested Fractions.
     """
-    g = gcd(den, *cells)
     # the index tuples over the axes after the first, in row-major order
     inner = list(product(*map(range, dims[1:])))
     m = len(inner)
-    return IntTable(scale=den // g, size=len(cells), entries=[
-        ((p // m, *inner[p % m]), cells[p] // g)
-        for p in compress(range(len(cells)), cells)])
+    entries = [((p // m, *inner[p % m]), x) for p, x in nonzero_cells(cells)]
+    g = gcd(den, *[x for _idx, x in entries])
+    if g > 1:
+        entries = [(idx, x // g) for idx, x in entries]
+    return IntTable(scale=den // g, size=len(cells), entries=entries)
 
 
 _MAT_MUL = ((1, ("a", "ik"), ("b", "kj")),)
@@ -801,13 +779,6 @@ class BilinForm:
                 for j in range(self.dim)
             ),
             ZERO,
-        )
-
-    def is_antisymmetric(self) -> bool:
-        return all(
-            self.matrix[i][j] == -self.matrix[j][i]
-            for i in range(self.dim)
-            for j in range(self.dim)
         )
 
     def kernel_vector(self):

@@ -43,6 +43,7 @@ from .exact import (
     contract,
     contract_cells,
     cube_table,
+    first_cell,
     flip,
     mat_add,
     mat_sub,
@@ -130,7 +131,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
 
 
 def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:
-    return not any(_ybe_cells(alg, r)[0])
+    return first_cell(_ybe_cells(alg, r)[0]) is None
 
 
 # The coboundary coproducts as terms over r[a][b] and the product cubes
@@ -486,8 +487,7 @@ def transfer_induced_lie_cobracket(
     _require((r - flip(r)).is_zero(), "r is not symmetric")
     _require(is_ybe_solution(alg, r), "r does not solve the pre-Lie Yang-Baxter equation")
     rhat = lift_r(r, qp)
-    lie = tensor_lie(alg, qp.algebra)
-    _, induced = induce_lie_bialgebra(alg, coboundary_coproduct(alg, r), qp)
+    lie, induced = induce_lie_bialgebra(alg, coboundary_coproduct(alg, r), qp)
     tables = {"rhat": rhat.table, "induced": induced.tables["co"],
               "coboundary": coboundary_coproduct(lie, rhat).tables["co"]}
     residuals = _transfer_residuals(
@@ -525,8 +525,7 @@ def transfer_induced_asi_coproduct(
         is_ybe_solution(alg, r), "r does not solve the dendriform Yang-Baxter equation"
     )
     rhat = lift_r(r, qp)
-    assoc = tensor_assoc(alg, qp.algebra)
-    _, induced = induce_asi_bialgebra(alg, coboundary_coproduct(alg, r), qp)
+    assoc, induced = induce_asi_bialgebra(alg, coboundary_coproduct(alg, r), qp)
     tables = {"induced": induced.tables["co"],
               "coboundary": coboundary_coproduct(assoc, rhat).tables["co"]}
     residuals = _transfer_residuals(("induced_coproduct_is_coboundary",), tables, assoc.dim)

@@ -226,6 +226,43 @@ def test_invariance_detects_noninvariant_r(runner):
     assert res.exit_code == 1
 
 
+def _dual_numbers(tmp_path, entries):
+    """k[t]/(t²) on the basis 1, t, and the 2-tensor with coefficient 1 at
+    each (left, right) of ``entries``, as files: (algebra file, tensor file)."""
+    alg = tmp_path / "dual-numbers.json"
+    alg.write_text(json.dumps({
+        "format": 1, "kind": "assoc", "dim": 2, "basis": ["1", "t"],
+        "products": {"mul": [
+            {"left": i, "right": j, "result": [{"index": i + j, "coeff": "1"}]}
+            for i, j in ((0, 0), (0, 1), (1, 0))]}}))
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps({
+        "format": 1, "kind": "tensor", "dim": 2, "basis": ["1", "t"],
+        "entries": [{"left": i, "right": j, "coeff": "1"} for i, j in entries]}))
+    return str(alg), str(s)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_invariance_passes_and_fails_on_the_dual_numbers(runner, tmp_path, fmt):
+    """On k[t]/(t²), s = 1⊗t + t⊗1 commutes with every a (exit 0); s = 1⊗1
+    does not with a = t, where (id⊗𝔩(t) − 𝔯(t)⊗id)(1⊗1) = 1⊗t − t⊗1."""
+    alg, s = _dual_numbers(tmp_path, [(0, 1), (1, 0)])
+    res = invoke(runner, "invariance", "--algebra", alg, "--r", s, "--format", fmt)
+    assert res.exit_code == 0, res.output
+    alg, s = _dual_numbers(tmp_path, [(0, 0)])
+    bad = invoke(runner, "invariance", "--algebra", alg, "--r", s, "--format", fmt)
+    assert bad.exit_code == 1, bad.output
+    if fmt == "json":
+        ok, (check,) = json.loads(res.output), json.loads(bad.output)["checks"]
+        assert ok["status"] == "pass" and ok["checks"][0]["residual_is_zero"] is True
+        # at a = t (index 1), the coefficient of 1⊗t
+        assert check["first_violation"] == {"indices": [1, 0, 1], "value": "1"}
+    else:
+        assert "status: pass" in res.output and "[ok ] invariance" in res.output
+        assert "[FAIL] invariance  (assoc invariance)  first violation at [1, 0, 1] value 1" \
+            in bad.output
+
+
 # --- induce / lift ------------------------------------------------------------
 
 

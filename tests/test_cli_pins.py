@@ -122,8 +122,8 @@ PINS = {
     "help/induce": (0, "aff77f2f4ba84921681904ce0b894d44d8dfa31442c3a7964a4590133f2a6972"),
     "help/invariance": (0, "929fd2594118cfde727dbfd9ccc69593bfffc9d71fcc93baafd00e407b1e5d24"),
     "help/lift": (0, "dd26e923e0c7326ebf91289f265935007c8473fb201d7e99cfcfad00ae7312c4"),
-    "help/main": (0, "fc2af80c03a0b5764d468b89111add70f31000d1d6452c0c421bca9003ae0496"),
-    "help/ooperator": (0, "885220b9cea01d90240d4fa8934e872deb9e6fd9508e4a5d5989e828a5ca6457"),
+    "help/main": (0, "a6b744400ef8f5a6c020e19d936ac96c881891f0412c39a523156a5310eeb870"),
+    "help/ooperator": (0, "38075bbbc8178fbcd43f6d77967797ab7acb6f72f49c402596c2d03eacb5df54"),
     "help/reproduce": (0, "82443f68941931c8edfad663fda6883781c90189b66aeb14d3031e19c3961844"),
     "help/square": (0, "91dc958a931251710a61f584843d96369b065590af4db26490f3ffd2116857a3"),
     "help/ybe": (0, "9b3d32b386d4d0c5c5c9a942da2b29eb785e6af7f840ddf64885d67cb6e3ee39"),

@@ -12,8 +12,8 @@ Every coordinate returned must be a `Fraction`, never a bare int, since
 reports render Fractions.  `contract` is also compared with a sum over every
 assignment of values to the labels of random term tables, and its plan cache
 is checked to be keyed on the law and the extents only.  Laws of four output
-labels on dense tables take the packed path, whose cells, first violation
-and Fractions must equal the plain path's, at the width bound too.
+labels on dense tables take the packed path, whose nonzero cells, first
+violation and Fractions must equal the plain path's, at the width bound too.
 """
 
 import random
@@ -50,6 +50,7 @@ from dendrikit.exact import (
     fractions,
     mat_mul,
     nest,
+    nonzero_cells,
     transpose,
 )
 from dendrikit.ybe import coregular_bimodule, ybe_residual
@@ -222,17 +223,19 @@ def test_coproduct_matches_dense_formula(rng, n, density):
        st.sampled_from(DENSITIES))
 def test_contract_mixes_denominators_and_broadcasts(rng, n, m, density):
     """c·M terms and M·N terms with unrelated denominators in one sum, and a
-    term without the output label i, against the dense Fraction sums."""
+    term that reads N alone and carries the output label i on a table of
+    ones, against the dense Fraction sums."""
     c = _cube(rng, n, density)
     M = [_matrix(rng, m, m, density) for _ in range(n)]
     N = [_matrix(rng, m, m, 1.0) for _ in range(n)]
     terms = (
         (+1, ("c", "kij"), ("M", "kab")),
         (-1, ("M", "iac"), ("N", "jcb")),
-        (+1, ("N", "jab")),
+        (+1, ("N", "jab"), ("one", "i")),
     )
     extents = {"i": n, "j": n, "k": n, "a": m, "b": m, "c": m}
-    tables = {"c": IntTable(c), "M": IntTable(M), "N": IntTable(N)}
+    tables = {"c": IntTable(c), "M": IntTable(M), "N": IntTable(N),
+              "one": IntTable((Fraction(1),) * n)}
     got = nest(contract(terms, tables, "ijab", extents), (n, n, m, m))
     assert _fractions(got)
     assert got == tuple(
@@ -405,9 +408,9 @@ def _table(rng, shape, density):
 
 @st.composite
 def term_tables(draw):
-    """Random terms of 1 to 3 factors over a few letters, their tables (some
-    read twice, some all zero, with mixed denominators), the output labels
-    and the extents, an int or a dict."""
+    """Random terms of 1 to 3 factors over a few letters, each carrying every
+    output label, their tables (some read twice, some all zero, with mixed
+    denominators), the output labels and the extents, an int or a dict."""
     rng = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
         n = draw(st.integers(1, 3))
@@ -416,11 +419,23 @@ def term_tables(draw):
         n = {x: draw(st.integers(1, 3)) for x in LETTERS}
         extent = n.get
     out = "".join(draw(st.permutations(LETTERS))[:draw(st.integers(0, 3))])
+    labelings = [["".join(draw(st.permutations(LETTERS))[:draw(st.integers(1, 3))])
+                  for _ in range(draw(st.integers(1, 3)))]
+                 for _ in range(draw(st.integers(1, 4)))]
+    for labels in labelings:
+        if len(labels) == 1:
+            # a lone factor cannot sum a label: its labels join the output
+            out += "".join(x for x in labels[0] if x not in out)
+    for labels in labelings:
+        # a term carries every output label: one it lacks goes on a factor
+        for x in out:
+            if not any(x in lab for lab in labels):
+                t = draw(st.integers(0, len(labels) - 1))
+                labels[t] += x
     tables, terms = {}, []
-    for _ in range(draw(st.integers(1, 4))):
+    for term in labelings:
         factors = []
-        for _ in range(draw(st.integers(1, 3))):
-            labels = "".join(draw(st.permutations(LETTERS))[:draw(st.integers(1, 3))])
+        for labels in term:
             name = f"t{len(tables)}"
             reuse = [t for t, (lab, _tab) in tables.items() if len(lab) == len(labels)
                      and [extent(x) for x in lab] == [extent(x) for x in labels]]
@@ -430,9 +445,6 @@ def term_tables(draw):
                 density = draw(st.sampled_from(DENSITIES))
                 tables[name] = (labels, _table(rng, [extent(x) for x in labels], density))
             factors.append((name, labels))
-        if len(factors) == 1:
-            # a lone factor cannot sum a label: its labels join the output
-            out += "".join(x for x in factors[0][1] if x not in out)
         terms.append((draw(st.sampled_from((1, -1, 2))), *factors))
     return tuple(terms), {t: tab for t, (_lab, tab) in tables.items()}, out, n, extent
 
@@ -462,6 +474,18 @@ def test_a_lone_factor_cannot_sum_a_label():
         contract(((1, ("a", "ij")),), {"a": IntTable(((ZERO,),))}, "i", 1)
 
 
+@pytest.mark.parametrize("terms,out", [
+    (((1, ("a", "ij")), (1, ("a", "ik"), ("b", "kj")), (1, ("b", "kj"), ("c", "k"))), "ij"),
+    (((1, ("a", "i")),), "ij"),
+    (((1, ("a", "ij"), ("b", "pq")), (-1, ("b", "jq"), ("a", "qp"))), "ijpq"),
+], ids=["two-factor", "lone-factor", "four-labels"])
+def test_a_term_without_an_output_label_is_refused(terms, out):
+    """A term must carry every output label: one that lacks one is refused
+    when its law is compiled, before any table is read."""
+    with pytest.raises(ValueError, match="lacks a label of"):
+        contract_cells(terms, {}, out, 3)
+
+
 def test_the_plan_cache_is_keyed_on_the_law_and_the_extents():
     """A second dendriform pair of the same dimension compiles nothing new; a
     new dimension compiles one plan per law."""
@@ -483,7 +507,7 @@ def test_the_plan_cache_is_keyed_on_the_law_and_the_extents():
 
 # --- the packed cells ---------------------------------------------------------------
 #
-# A law of four or more output labels whose last one or two every term carries
+# A law of four or more output labels whose last two every term carries
 # once, on one factor, has a packed plan; it runs where a packed int holds at
 # least MIN_PACKED_CELLS cells and every table is dense.  Its cells must be
 # the plain path's, which the same tables marked sparse give.
@@ -527,9 +551,10 @@ def packed_term_tables(draw):
             for x in out[2:]:
                 factors[draw(st.integers(0, k - 1))].append(x)
             for x in out[:2] + "".join(summed):
-                # a summed label on two factors, an unpacked output label on
-                # one or none (it is then broadcast)
-                for t in draw(st.sets(st.integers(0, k - 1), min_size=0, max_size=2)):
+                # a summed label on up to two factors, an unpacked output
+                # label on one or two
+                least = 1 if x in out else 0
+                for t in draw(st.sets(st.integers(0, k - 1), min_size=least, max_size=2)):
                     factors[t].append(x)
             for labels in factors:
                 if not labels:
@@ -549,11 +574,11 @@ def packed_term_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(term_tables(), packed_term_tables()))
 def test_contract_matches_a_sum_over_every_label_assignment(sample):
-    """Shared, summed and broadcast labels, int and dict extents, mixed
-    denominators and all-zero tables, and four-label outputs on dense and
-    sparse tables: the compiled contraction is the sum over every assignment
-    of values to the labels.  The packed path runs exactly where the law
-    packs and every table is dense, and gives the plain path's cells."""
+    """Shared and summed labels, int and dict extents, mixed denominators
+    and all-zero tables, and four-label outputs on dense and sparse tables:
+    the compiled contraction is the sum over every assignment of values to
+    the labels.  The packed path runs exactly where the law packs and every
+    table is dense, and gives the plain path's nonzero cells."""
     terms, nested, out, n, extent = sample
     tables = {t: IntTable(tab) for t, tab in nested.items()}
     got = contract(terms, tables, out, n)
@@ -564,8 +589,11 @@ def test_contract_matches_a_sum_over_every_label_assignment(sample):
     packs = _compile(terms, out, n if isinstance(n, int) else tuple(sorted(n.items())))[2]
     assert isinstance(cells, PackedCells) == (
         packs is not None and all(t.dense for t in tables.values()))
-    plain = contract_cells(terms, {t: _plain(tab) for t, tab in tables.items()}, out, n)
-    assert type(plain[0]) is list and (list(cells), den) == plain
+    plain, plain_den = contract_cells(terms, {t: _plain(tab) for t, tab in tables.items()},
+                                      out, n)
+    assert type(plain) is list and den == plain_den and len(cells) == len(plain)
+    assert list(nonzero_cells(cells)) == list(nonzero_cells(plain)) == [
+        (p, x) for p, x in enumerate(plain) if x]
 
 
 @pytest.mark.parametrize("short", (0, 1))
@@ -643,11 +671,13 @@ def test_packed_cells_at_the_width_bound(sample):
     if shape == "bound":
         # the top cell, the top field of the last packed int, is −(2^b − 1)
         assert cells.w == (b + 32) // 32 * 32 and den == 15
-        assert plain[-1] == -(2 ** b - 1) and cells[len(plain) - 1] == plain[-1]
+        assert plain[-1] == -(2 ** b - 1)
+        assert list(nonzero_cells(cells))[-1] == (len(plain) - 1, plain[-1])
         assert max(map(abs, plain)) == 2 ** b - 1
     if shape == "zero":
         assert not any(plain) and not any(cells.ints)
-    assert list(cells) == plain
+    assert len(cells) == len(plain)
+    assert list(nonzero_cells(cells)) == [(p, x) for p, x in enumerate(plain) if x]
     dims = (n,) * 4
     packed, reference = Residuals(), Residuals()
     packed.add("law", cells, den, dims)
