@@ -216,6 +216,10 @@ def _splits(total: int, N: int, weights: list) -> list:
     ]
 
 
+# the window tables (this and `_split_counts`) depend on ints alone and
+# their callers only read them; a process checks few windows, so only a few
+# are kept
+@lru_cache(maxsize=8)
 def _grid(N: int, dim: int | None = None) -> tuple[list, dict]:
     """The window cells in sorted order, and the rank of each slot's first cell.
 
@@ -270,6 +274,7 @@ def _window_residuals(patterns: dict, base: tuple, N: int, scale: int, grid: tup
             for n, p in map(divmod, codes, repeat(P))]
 
 
+@lru_cache(maxsize=8)
 def _split_counts(N: int, k: int) -> dict:
     """total ↦ the number of k-tuples of exponents in [−N, N] that add up to
     it, for every total that has one."""

@@ -166,8 +166,11 @@ class CheckReport:
         """The report on ``residuals``, which bring their laws' first
         violations."""
         violations = residuals.violations
-        first = next(((name, *hit) for name, hit in violations.items() if hit is not None),
-                     None)
+        first = None
+        for name, hit in violations.items():
+            if hit is not None:
+                first = (name, *hit)
+                break
         return CheckReport(subject, residuals, first is None, first, violations)
 
 
@@ -362,10 +365,11 @@ def law_residuals(laws: dict, tables: dict, n) -> Residuals:
     the extent of every label, or a dict from label to extent, as for
     `exact.contract`.
     """
-    extent = n.get if isinstance(n, dict) else (lambda _label: n)
+    by_label = isinstance(n, dict)
     residuals = Residuals()
     for name, (out, terms) in laws.items():
-        residuals.add(name, *contract_cells(terms, tables, out, n), tuple(map(extent, out)))
+        dims = tuple([n[x] for x in out]) if by_label else (n,) * len(out)
+        residuals.add(name, *contract_cells(terms, tables, out, n), dims)
     return residuals
 
 

@@ -34,7 +34,9 @@ every factor is grouped, where each product lands, and how an intermediate
 is laid out and regrouped for the next factor; a term that lacks an output
 label raises `ValueError`.  It is cached on the law and the extents only,
 never on a table or a value, so there is one entry per law table and
-extents seen, and a call of `contract` only reads groupings and adds ints.
+extents seen.  A call of `contract` then makes one pass over each term's
+tables for the product of their scales (and, on the packed path, one more
+for the width bound), reads groupings and adds ints.
 
 The entry also holds a packed plan where the law has four or more output
 labels and every term carries the last two, F, exactly once, on one
@@ -391,7 +393,9 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
     label, or a dict from label to extent.  ``terms`` is a tuple.
 
     The steps are compiled once per law and extents (`_compile`), so a call
-    only reads the tables' groupings and adds integers.  ``tables`` maps each
+    makes one pass over each term's tables for their scales (and, packed,
+    one for the width bound), reads the tables' groupings and adds
+    integers.  ``tables`` maps each
     name to its `IntTable`: Python ints L·c, L the lcm of the table's
     denominators, so a term's products carry the denominator L₁·L₂⋯.  Every
     term is scaled to D, the lcm of those denominators over all terms, and
@@ -413,7 +417,13 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
     """
     extents = n if isinstance(n, int) else tuple(sorted(n.items()))
     size, plan, packed = _compile(terms, out_labels, extents)
-    scales = [prod([tables[name].scale for name in names]) for _sign, names, *_ in plan]
+    # plain loops: a comprehension per term costs a frame and a list each call
+    scales = []
+    for term in plan:
+        scale = 1
+        for name in term[1]:
+            scale *= tables[name].scale
+        scales.append(scale)
     den = lcm(*scales)
     w = 0
     if packed is not None:
@@ -422,9 +432,12 @@ def contract_cells(terms: tuple, tables: dict, out_labels: str, n) -> tuple:
                 break
         else:
             _names, per, summed, packs, by_width = packed
-            bound = sum(abs(sign) * (den // scale) * values
-                        * prod([tables[name].top for name in names])
-                        for (sign, names, *_), scale, values in zip(plan, scales, summed))
+            bound = 0
+            for term, scale, values in zip(plan, scales, summed):
+                top = abs(term[0]) * (den // scale) * values
+                for name in term[1]:
+                    top *= tables[name].top
+                bound += top
             w = (bound.bit_length() + 32) // 32 * 32
             if w not in by_width:
                 by_width[w] = _plan(terms, out_labels[:-len(packs)], _extent(extents), packs, w)
@@ -542,16 +555,23 @@ def unravel(p: int, dims) -> tuple:
     return tuple(reversed(idx))
 
 
+# a list holds an index tuple per cell of one plane of a table, so only a
+# few are kept
+@lru_cache(maxsize=8)
+def _inner_indices(dims: tuple) -> list:
+    """The index tuples over the extents ``dims``, in row-major order."""
+    return list(product(*map(range, dims)))
+
+
 def cube_table(cells, den: int, dims) -> IntTable:
-    """The `IntTable` of the table of Fractions x/den of extents ``dims``
-    over the row-major ``cells``, read straight from the ints.
+    """The `IntTable` of the table of Fractions x/den of extents ``dims``, a
+    tuple, over the row-major ``cells``, read straight from the ints.
 
     With g = gcd(den, x₁, x₂, …), the lcm of the reduced denominators is
     den/g and each entry is x/g, so one gcd gives the ``scale`` and
     ``entries`` that `IntTable` gives on the nested Fractions.
     """
-    # the index tuples over the axes after the first, in row-major order
-    inner = list(product(*map(range, dims[1:])))
+    inner = _inner_indices(dims[1:])
     m = len(inner)
     entries = [((p // m, *inner[p % m]), x) for p, x in nonzero_cells(cells)]
     g = gcd(den, *[x for _idx, x in entries])

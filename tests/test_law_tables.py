@@ -11,6 +11,7 @@ output label then fails here, not at its first caller.
 """
 
 from itertools import product
+from math import lcm, prod
 
 import pytest
 
@@ -63,23 +64,52 @@ def test_the_walk_finds_the_laws_of_every_module():
     assert len(LAWS) >= 110 and sum(len(out) >= 4 for out, _terms in LAWS.values()) >= 55
 
 
-def _tables(terms, n: int, dense: bool) -> dict:
-    """A table with every cell nonzero for each name the terms read."""
+# the scale of each table a law reads, in order of first use
+SCALES = (1, 2, 3, 5, 7, 11, 13, 17)
+
+
+def _tables(terms, n: int, dense: bool, empty: str | None = None) -> dict:
+    """A table with every cell nonzero for each name the terms read, except
+    ``empty``, which has no entries; each over its own scale (``SCALES``)."""
     arity = {}
     for _sign, *factors in terms:
         for name, labels in factors:
             assert arity.setdefault(name, len(labels)) == len(labels), name
-    return {name: IntTable(entries=[(idx, 1 + sum(idx)) for idx in product(range(n),
-                                                                          repeat=k)],
-                           size=n ** k if dense else 0)
-            for name, k in arity.items()}
+    assert len(arity) <= len(SCALES)
+    return {name: IntTable(
+        scale=scale, size=n ** k if dense else 0,
+        entries=[] if name == empty else [(idx, 1 + sum(idx))
+                                          for idx in product(range(n), repeat=k)])
+            for (name, k), scale in zip(arity.items(), SCALES)}
+
+
+def _den(terms, tables: dict) -> int:
+    """The lcm over every term of the product of its tables' scales."""
+    return lcm(*(prod(tables[name].scale for name, _labels in factors)
+                 for _sign, *factors in terms))
 
 
 @pytest.mark.parametrize("path", sorted(LAWS))
 def test_every_law_table_compiles_and_packs_to_the_plain_cells(path):
     out, terms = LAWS[path]
-    packed, den = contract_cells(terms, _tables(terms, 3, True), out, 3)
-    plain, plain_den = contract_cells(terms, _tables(terms, 3, False), out, 3)
-    assert type(plain) is list and den == plain_den and len(packed) == len(plain) == 3 ** len(out)
+    dense, sparse = _tables(terms, 3, True), _tables(terms, 3, False)
+    packed, den = contract_cells(terms, dense, out, 3)
+    plain, plain_den = contract_cells(terms, sparse, out, 3)
+    assert den == plain_den == _den(terms, dense) == _den(terms, sparse)
+    assert type(plain) is list and len(packed) == len(plain) == 3 ** len(out)
     assert isinstance(packed, PackedCells) == (len(out) >= 4)
+    assert list(nonzero_cells(packed)) == list(nonzero_cells(plain))
+
+
+@pytest.mark.parametrize("path", sorted(LAWS))
+def test_a_table_with_no_entries_keeps_its_scale_in_den(path):
+    """Every term's scale enters D, also where the term contributes nothing:
+    with the last table the law reads left empty, D is the lcm over every
+    term on both paths, and the two give the same cells."""
+    out, terms = LAWS[path]
+    empty = [name for _sign, *factors in terms for name, _labels in factors][-1]
+    dense, sparse = (_tables(terms, 3, d, empty) for d in (True, False))
+    packed, den = contract_cells(terms, dense, out, 3)
+    plain, plain_den = contract_cells(terms, sparse, out, 3)
+    assert den == plain_den == _den(terms, dense) == _den(terms, sparse)
     assert list(nonzero_cells(packed)) == list(nonzero_cells(plain))
