@@ -25,10 +25,13 @@ so the residuals are exact.  Each law keeps its integer cells (`Residuals`);
 its first violation is the first nonzero cell, unravelled by the law's
 extents, and that is all a report reads.  The residual nested in the order
 of its output labels, with a Fraction only in a nonzero cell, is a view
-built the first time it is read.  Adding a law is adding a row to a table.
+built the first time it is read.  Adding a law is adding a row to a table;
+a law two kinds share is one named literal.  ``SYMMETRY_LAWS``, r ∓ τ(r),
+tests a form or an r-matrix for (anti)symmetry (`symmetry_violation`).
 The constructions are data too: the actions of the regular bimodule
-(``REGULAR_BIMODULE``) and the split products of a Rota-Baxter operator
-(``ROTA_BAXTER_SPLIT``) are term tables, built by `_structure`.
+(``REGULAR_BIMODULE``, whose keys give ``KIND_BIMODULE_ACTIONS``) and the
+split products of a Rota-Baxter operator (``ROTA_BAXTER_SPLIT``) are term
+tables, built by `_structure`.
 """
 
 from __future__ import annotations
@@ -57,14 +60,6 @@ KIND_OPS = {
     "assoc": ("mul",),
     "lie": ("bracket",),
 }
-
-KIND_BIMODULE_ACTIONS = {
-    "dendriform": ("l_lt", "r_lt", "l_gt", "r_gt"),
-    "prelie": ("l", "r"),
-    "assoc": ("l", "r"),
-    "lie": ("rho",),
-}
-
 
 # Holds a name's place in a `Nested` until its table is first read.
 _UNREAD = object()
@@ -226,10 +221,6 @@ class FinAlgebra:
                               shape, lambda name, _depth: f"product {name!r} cube is not {dim}^3")
         _fill(self, kind, dim, tables, shape)
 
-    @property
-    def ops(self) -> tuple[str, ...]:
-        return KIND_OPS[self.kind]
-
     def multiply(self, op: str, u: Vec, v: Vec) -> Vec:
         tables = {"x": IntTable(u.coords), "c": self.tables[op], "y": IntTable(v.coords)}
         return Vec(contract(_PRODUCT, tables, "k", self.dim))
@@ -271,16 +262,15 @@ REGULAR_BIMODULE = {
         "l_gt": ("ipq", ((+1, ("gt", "piq")),)),
         "r_gt": ("ipq", ((+1, ("gt", "pqi")),)),
     },
-    "prelie": {
+    **dict.fromkeys(("prelie", "assoc"), {
         "l": ("ipq", ((+1, ("mul", "piq")),)),
         "r": ("ipq", ((+1, ("mul", "pqi")),)),
-    },
-    "assoc": {
-        "l": ("ipq", ((+1, ("mul", "piq")),)),
-        "r": ("ipq", ((+1, ("mul", "pqi")),)),
-    },
+    }),
     "lie": {"rho": ("ipq", ((+1, ("bracket", "piq")),))},
 }
+
+# The actions of a bimodule of each kind, in the order of their cubes.
+KIND_BIMODULE_ACTIONS = {kind: tuple(actions) for kind, actions in REGULAR_BIMODULE.items()}
 
 
 def _bimodule(constructions: dict, name: str, alg: FinAlgebra) -> Bimodule:
@@ -303,6 +293,12 @@ def regular_bimodule(alg: FinAlgebra) -> Bimodule:
 # labelled in storage order c[k][i][j], so bᵢ·bⱼ = Σₖ c[k][i][j] bₖ.
 # Triple laws are nested [i][j][k][l]: coordinate l of law(bᵢ, bⱼ, bₖ);
 # pair laws [i][j][k].  m is the summed intermediate basis index.
+
+# x(yz) = (xy)z, the associativity of a perm or an associative algebra
+_ASSOCIATIVITY = ("ijkl", (
+    (+1, ("mul", "mjk"), ("mul", "lim")),
+    (-1, ("mul", "mij"), ("mul", "lmk"))))
+
 AXIOMS = {
     "dendriform": {
         # (x≺y)≺z = x≺(y≺z) + x≺(y≻z)
@@ -330,9 +326,7 @@ AXIOMS = {
     },
     "perm": {
         # x(yz) = (xy)z
-        "perm_assoc": ("ijkl", (
-            (+1, ("mul", "mjk"), ("mul", "lim")),
-            (-1, ("mul", "mij"), ("mul", "lmk")))),
+        "perm_assoc": _ASSOCIATIVITY,
         # (xy)z = (yx)z
         "perm_left_commute": ("ijkl", (
             (+1, ("mul", "mij"), ("mul", "lmk")),
@@ -340,9 +334,7 @@ AXIOMS = {
     },
     "assoc": {
         # x(yz) = (xy)z
-        "associativity": ("ijkl", (
-            (+1, ("mul", "mjk"), ("mul", "lim")),
-            (-1, ("mul", "mij"), ("mul", "lmk")))),
+        "associativity": _ASSOCIATIVITY,
     },
     "lie": {
         # [x,y] = −[y,x]
@@ -371,6 +363,21 @@ def law_residuals(laws: dict, tables: dict, n) -> Residuals:
         dims = tuple([n[x] for x in out]) if by_label else (n,) * len(out)
         residuals.add(name, *contract_cells(terms, tables, out, n), dims)
     return residuals
+
+
+# The symmetry of a square matrix r[a][b] (an r-matrix, a form), nested
+# [a][b]: r is symmetric iff r − τ(r) = 0, skew-symmetric iff r + τ(r) = 0.
+SYMMETRY_LAWS = {
+    # r_ab − r_ba
+    "symmetric": ("ab", ((+1, ("r", "ab")), (-1, ("r", "ba")))),
+    # r_ab + r_ba
+    "skew-symmetric": ("ab", ((+1, ("r", "ab")), (+1, ("r", "ba")))),
+}
+
+
+def symmetry_violation(law: str, r: IntTable, n: int):
+    """The first violation of ``SYMMETRY_LAWS[law]`` on the n×n ``r``, or None."""
+    return law_residuals({law: SYMMETRY_LAWS[law]}, {"r": r}, n).violations[law]
 
 
 def _structure(cls, first, dim: int, laws: dict, tables: dict, n):

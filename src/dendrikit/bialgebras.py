@@ -5,10 +5,11 @@ of bⱼ⊗bₖ in the coproduct of bᵢ.  Bialgebra checks pair a FinAlgebra wit
 CoalgStruct of the same kind and verify the compatibility laws exhaustively
 on basis elements, reporting exact residual tensors.
 
-The co-laws and the compatibility laws are data: ``COALGEBRA_LAWS`` and
-``BIALGEBRA_LAWS`` (with the three readings of ``dbi6``) write each one as a
-signed list of products of labelled structure cubes (see `exact.contract`).
-So are the quadratic perm structure (``QUADRATIC_LAWS``, ``NU_COPRODUCT``,
+The co-laws and the compatibility laws are data: ``COALGEBRA_LAWS`` (perm
+and associative coassociativity are one law) and ``BIALGEBRA_LAWS`` (the
+three readings of ``dbi6`` share four terms) write each one as a signed list
+of products of labelled structure cubes (see `exact.contract`).  So are the
+quadratic perm structure (``QUADRATIC_LAWS``, ``NU_COPRODUCT``,
 ``QUADRATIC_PERM_IDENTITIES``), the coproducts of the induced and derived
 bialgebras (``COPRODUCT_CONSTRUCTIONS``, on the flattened tensor-product
 basis) and the bialgebra square (``BIALGEBRA_SQUARE_LAWS``).
@@ -29,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebras import CheckReport, FinAlgebra, _cube_tables, _fill, _structure, law_residuals
+from .algebras import (CheckReport, FinAlgebra, _cube_tables, _fill, _structure, law_residuals,
+                       symmetry_violation)
 from .exact import BilinForm, IntTable, LinMap, dual_basis
 from .functors import (
     commutator_lie,
@@ -71,6 +73,12 @@ class CoalgStruct:
 # b_p⊗b_q⊗b_r (co_antisymmetry: [i][p][q]).  Coproduct cubes are labelled
 # θ[i][p][q]; (θ_Y⊗id)θ_X is X isr · Y spq, (id⊗θ_Y)θ_X is X ips · Y sqr,
 # and τ⊗id swaps p and q.
+
+# (Δ⊗id)Δ = (id⊗Δ)Δ, the coassociativity of a perm or an associative coproduct
+_COASSOCIATIVITY = ("ipqr", (
+    (+1, ("co", "isr"), ("co", "spq")),
+    (-1, ("co", "ips"), ("co", "sqr"))))
+
 COALGEBRA_LAWS = {
     "dendriform": {
         # (θ_≺⊗id)θ_≺ = (id⊗θ_≺)θ_≺ + (id⊗θ_≻)θ_≺
@@ -109,9 +117,7 @@ COALGEBRA_LAWS = {
     },
     "perm": {
         # (ν⊗id)ν = (id⊗ν)ν
-        "co_perm_assoc": ("ipqr", (
-            (+1, ("co", "isr"), ("co", "spq")),
-            (-1, ("co", "ips"), ("co", "sqr")))),
+        "co_perm_assoc": _COASSOCIATIVITY,
         # (id⊗ν)ν = (τ⊗id)(id⊗ν)ν
         "co_perm_left_commute": ("ipqr", (
             (+1, ("co", "ips"), ("co", "sqr")),
@@ -119,9 +125,7 @@ COALGEBRA_LAWS = {
     },
     "assoc": {
         # (Δ⊗id)Δ = (id⊗Δ)Δ
-        "coassociativity": ("ipqr", (
-            (+1, ("co", "isr"), ("co", "spq")),
-            (-1, ("co", "ips"), ("co", "sqr")))),
+        "coassociativity": _COASSOCIATIVITY,
     },
 }
 
@@ -240,26 +244,19 @@ BIALGEBRA_LAWS = {
 # last two terms.  Only the corrected reading makes the pair {fifth, sixth}
 # equivalent to the second completed compatibility law.  The literal
 # reading's last two terms do not read d₁: they carry its label on ones.
+_DBI6_LEFT = (
+    (+1, ("gt", "pjr"), ("co_lt", "irq")),
+    (+1, ("gt", "pjr"), ("co_gt", "irq")),
+    (-1, ("co_lt", "ipr"), ("lt", "qrj")),
+    (-1, ("co_gt", "ipr"), ("lt", "qrj")))
 DBI6_READINGS = {
-    "corrected": ("ijpq", (
-        (+1, ("gt", "pjr"), ("co_lt", "irq")),
-        (+1, ("gt", "pjr"), ("co_gt", "irq")),
-        (-1, ("co_lt", "ipr"), ("lt", "qrj")),
-        (-1, ("co_gt", "ipr"), ("lt", "qrj")),
+    "corrected": ("ijpq", _DBI6_LEFT + (
         (-1, ("co_gt", "jqr"), ("gt", "pri")),
         (+1, ("lt", "qir"), ("co_lt", "jrp")))),
-    "symmetric": ("ijpq", (
-        (+1, ("gt", "pjr"), ("co_lt", "irq")),
-        (+1, ("gt", "pjr"), ("co_gt", "irq")),
-        (-1, ("co_lt", "ipr"), ("lt", "qrj")),
-        (-1, ("co_gt", "ipr"), ("lt", "qrj")),
+    "symmetric": ("ijpq", _DBI6_LEFT + (
         (-1, ("co_gt", "iqr"), ("gt", "prj")),
         (+1, ("lt", "qjr"), ("co_lt", "irp")))),
-    "literal": ("ijpq", (
-        (+1, ("gt", "pjr"), ("co_lt", "irq")),
-        (+1, ("gt", "pjr"), ("co_gt", "irq")),
-        (-1, ("co_lt", "ipr"), ("lt", "qrj")),
-        (-1, ("co_gt", "ipr"), ("lt", "qrj")),
+    "literal": ("ijpq", _DBI6_LEFT + (
         (-1, ("co_gt", "jqr"), ("gt", "prj"), ("one", "i")),
         (+1, ("lt", "qjr"), ("co_lt", "jrp"), ("one", "i")))),
 }
@@ -361,10 +358,9 @@ def make_quadratic_perm(algebra: FinAlgebra, form: BilinForm) -> QuadraticPerm:
         raise ValueError("quadratic structure needs a perm algebra")
     if form.dim != algebra.dim:
         raise ValueError("form dimension does not match the algebra")
-    bad = next(((i, j) for i in range(form.dim) for j in range(form.dim)
-                if form.matrix[i][j] != -form.matrix[j][i]), None)
+    bad = symmetry_violation("skew-symmetric", form.table, form.dim)
     if bad is not None:
-        raise ValueError(f"form is not antisymmetric: fails at entry {bad}")
+        raise ValueError(f"form is not antisymmetric: fails at entry {bad[0]}")
     kv = form.kernel_vector()
     if kv is not None:
         raise ValueError(

@@ -54,6 +54,7 @@ from .io import (
     FileFormatError,
     ParsedFile,
     Report,
+    format_coeff,
     parse_algebra,
     serialize_parsed,
 )
@@ -302,13 +303,17 @@ def induce(construction, algebra_file, perm_file):
     else:
         alg, coalg = build(pf.algebra, *([bf.algebra] if takes else [])), None
 
-    ok = check_axioms(alg).ok
+    checks = [lambda: check_axioms(alg)]
     if coalg is not None:
-        ok = ok and check_coalgebra(coalg).ok and check_bialgebra(alg, coalg).ok
+        checks += [lambda: check_coalgebra(coalg), lambda: check_bialgebra(alg, coalg)]
+    # the first report that fails, running no check after it
+    failed = next((rep for rep in (check() for check in checks) if not rep.ok), None)
     out = ParsedFile(kind=alg.kind, algebra=alg, coalgebra=coalg, basis=basis)
     click.echo(json.dumps(serialize_parsed(out), indent=2))
-    if not ok:
-        click.echo("error: induced structure failed validation", err=True)
+    if failed is not None:
+        law, indices, value = failed.first_violation
+        click.echo(f"error: induced structure failed validation: {law} first violation "
+                   f"at {list(indices)} value {format_coeff(value)}", err=True)
         sys.exit(1)
 
 

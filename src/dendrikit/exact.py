@@ -72,10 +72,6 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def freeze_vector(coords: Iterable) -> tuple[Fraction, ...]:
-    return tuple(_frac(c) for c in coords)
-
-
 def freeze_matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(_frac(c) for c in row) for row in rows)
 
@@ -597,32 +593,6 @@ def transpose(a):
     return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
 
 
-def mat_is_zero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def cube_is_zero(t) -> bool:
-    return all(x == 0 for plane in t for row in plane for x in row)
-
-
-def first_nonzero_matrix(a):
-    """First (i, j, value) with a nonzero entry, or None."""
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x != 0:
-                return (i, j), x
-    return None
-
-
-def first_nonzero_cube(t):
-    for i, plane in enumerate(t):
-        for j, row in enumerate(plane):
-            for k, x in enumerate(row):
-                if x != 0:
-                    return (i, j, k), x
-    return None
-
-
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as
     they are, without running its constructor.
@@ -694,11 +664,7 @@ class Vec:
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Sequence):
-        object.__setattr__(self, "coords", freeze_vector(coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+        object.__setattr__(self, "coords", tuple(_frac(c) for c in coords))
 
     @staticmethod
     def basis(n: int, i: int) -> "Vec":
@@ -744,10 +710,15 @@ class Tensor2:
         return Tensor2(mat_sub(self.coeffs, other.coeffs))
 
     def is_zero(self) -> bool:
-        return mat_is_zero(self.coeffs)
+        return all(x == 0 for row in self.coeffs for x in row)
 
     def first_nonzero(self):
-        return first_nonzero_matrix(self.coeffs)
+        """First ((i, j), value) with a nonzero entry, or None."""
+        for i, row in enumerate(self.coeffs):
+            for j, x in enumerate(row):
+                if x != 0:
+                    return (i, j), x
+        return None
 
 
 @dataclass(frozen=True)
@@ -755,9 +726,6 @@ class Tensor3:
     """Element of U⊗V⊗W: coeffs[i][j][k] is the coefficient of uᵢ⊗vⱼ⊗wₖ."""
 
     coeffs: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", freeze_cube(coeffs))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         return Tensor3(
@@ -770,10 +738,15 @@ class Tensor3:
         )
 
     def is_zero(self) -> bool:
-        return cube_is_zero(self.coeffs)
+        return all(x == 0 for plane in self.coeffs for row in plane for x in row)
 
     def first_nonzero(self):
-        return first_nonzero_cube(self.coeffs)
+        for i, plane in enumerate(self.coeffs):
+            for j, row in enumerate(plane):
+                for k, x in enumerate(row):
+                    if x != 0:
+                        return (i, j, k), x
+        return None
 
 
 @dataclass(frozen=True)
@@ -838,15 +811,6 @@ class LinMap:
     def apply(self, v: Vec) -> Vec:
         tables = {"a": self.table, "v": IntTable(v.coords)}
         return Vec(contract(_MAT_VEC, tables, "i", {"i": self.rows, "k": len(v.coords)}))
-
-    def __add__(self, other: "LinMap") -> "LinMap":
-        return LinMap(mat_add(self.matrix, other.matrix))
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        return LinMap(mat_sub(self.matrix, other.matrix))
-
-    def is_zero(self) -> bool:
-        return mat_is_zero(self.matrix)
 
     def determinant(self) -> Fraction:
         return determinant(self.matrix)

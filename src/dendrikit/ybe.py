@@ -11,8 +11,10 @@ the lift r̂ = r•κ (``LIFT``), the actions of the dual-space bimodule
 (``COREGULAR_BIMODULE``, transposes written as swapped labels) and the
 agreement residuals of the transfer theorems (``TRANSFER_LAWS``, slot flips
 written as swapped labels) are term tables evaluated by `exact.contract`,
-like the laws in `algebras` and `bialgebras`.  An r-matrix or operator is
-read through the `exact.IntTable` it builds once (``table``).
+like the laws in `algebras` and `bialgebras`.  The hypotheses "r
+(skew-)symmetric" read `algebras.SYMMETRY_LAWS` and name their first
+failing entry.  An r-matrix or operator is read through the
+`exact.IntTable` it builds once (``table``).
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import (
+    SYMMETRY_LAWS,
     Bimodule,
     CheckReport,
     FinAlgebra,
     _bimodule,
     _structure,
     law_residuals,
+    symmetry_violation,
 )
 from .bialgebras import (
     CoalgStruct,
@@ -39,7 +43,6 @@ from .exact import (
     LinMap,
     Tensor2,
     Tensor3,
-    _unchecked,
     contract,
     contract_cells,
     cube_table,
@@ -125,9 +128,7 @@ def ybe_residual(alg: FinAlgebra, r: Tensor2) -> Tensor3:
     dense r.
     """
     n = alg.dim
-    # the nested Fractions are final, so Tensor3's constructor need not
-    # freeze them again
-    return _unchecked(Tensor3, coeffs=nested(*_ybe_cells(alg, r), (n, n, n)))
+    return Tensor3(nested(*_ybe_cells(alg, r), (n, n, n)))
 
 
 def is_ybe_solution(alg: FinAlgebra, r: Tensor2) -> bool:
@@ -236,18 +237,19 @@ def lift_r(r: Tensor2, qp: QuadraticPerm) -> Tensor2:
 # The actions of the coregular bimodule, each a construction of action
 # matrices M[i][p][q] (the matrix of bᵢ) from the product cubes c[k][i][j].
 # The dual of a matrix action is its transpose, so 𝔩*(bᵢ)[p][q] = c[q][i][p]
-# and 𝔯*(bᵢ)[p][q] = c[q][p][i].
+# and 𝔯*(bᵢ)[p][q] = c[q][p][i], for a pre-Lie or associative algebra:
+_DUAL_RIGHT = ("ipq", ((+1, ("mul", "qpi")),))
 COREGULAR_BIMODULE = {
     # (𝔤*, −ad*)
     "lie": {"rho": ("ipq", ((-1, ("bracket", "qip")),))},
     # (A*, 𝔯*−𝔩*, 𝔯*)
     "prelie": {
         "l": ("ipq", ((+1, ("mul", "qpi")), (-1, ("mul", "qip")))),
-        "r": ("ipq", ((+1, ("mul", "qpi")),)),
+        "r": _DUAL_RIGHT,
     },
     # (A*, 𝔯*, 𝔩*)
     "assoc": {
-        "l": ("ipq", ((+1, ("mul", "qpi")),)),
+        "l": _DUAL_RIGHT,
         "r": ("ipq", ((+1, ("mul", "qip")),)),
     },
     # (D*, −𝔯*_≻, 𝔩*_≺+𝔩*_≻, 𝔯*_≺+𝔯*_≻, −𝔩*_≺)
@@ -279,6 +281,13 @@ def coregular_bimodule(alg: FinAlgebra) -> Bimodule:
 #   P(v₁)·P(v₂)           is  P ai · c kab · P bj,
 #   P(X(P(v₁))v₂)         is  P ai · X apj · P kp,
 #   P(Y(P(v₂))v₁)         is  P aj · Y api · P kp.
+
+# P(v₁)·P(v₂) = P(𝔩(P(v₁))v₂ + 𝔯(P(v₂))v₁), · a pre-Lie or associative product
+_OOPERATOR = ("ijk", (
+    (+1, ("P", "ai"), ("mul", "kab"), ("P", "bj")),
+    (-1, ("P", "ai"), ("l", "apj"), ("P", "kp")),
+    (-1, ("P", "aj"), ("r", "api"), ("P", "kp"))))
+
 OOPERATOR_LAWS = {
     "lie": {
         # [P(v₁), P(v₂)] = P(ρ(P(v₁))v₂ − ρ(P(v₂))v₁)
@@ -287,20 +296,10 @@ OOPERATOR_LAWS = {
             (-1, ("P", "ai"), ("rho", "apj"), ("P", "kp")),
             (+1, ("P", "aj"), ("rho", "api"), ("P", "kp")))),
     },
-    "prelie": {
-        # P(v₁)⋄P(v₂) = P(𝔩(P(v₁))v₂ + 𝔯(P(v₂))v₁)
-        "ooperator": ("ijk", (
-            (+1, ("P", "ai"), ("mul", "kab"), ("P", "bj")),
-            (-1, ("P", "ai"), ("l", "apj"), ("P", "kp")),
-            (-1, ("P", "aj"), ("r", "api"), ("P", "kp")))),
-    },
-    "assoc": {
-        # P(v₁)∗P(v₂) = P(𝔩(P(v₁))v₂ + 𝔯(P(v₂))v₁)
-        "ooperator": ("ijk", (
-            (+1, ("P", "ai"), ("mul", "kab"), ("P", "bj")),
-            (-1, ("P", "ai"), ("l", "apj"), ("P", "kp")),
-            (-1, ("P", "aj"), ("r", "api"), ("P", "kp")))),
-    },
+    # P(v₁)⋄P(v₂) = P(𝔩(P(v₁))v₂ + 𝔯(P(v₂))v₁)
+    "prelie": {"ooperator": _OOPERATOR},
+    # P(v₁)∗P(v₂) = P(𝔩(P(v₁))v₂ + 𝔯(P(v₂))v₁)
+    "assoc": {"ooperator": _OOPERATOR},
     "dendriform": {
         # P(v₁)≺P(v₂) = P(𝔩_≺(P(v₁))v₂ + 𝔯_≺(P(v₂))v₁)
         "ooperator_lt": ("ijk", (
@@ -365,6 +364,14 @@ def _require(cond: bool, msg: str):
         raise HypothesisError(f"hypothesis failed: {msg}")
 
 
+def _require_symmetry(alg: FinAlgebra, r: Tensor2, law: str):
+    """Require r to be ``law`` of `algebras.SYMMETRY_LAWS`, or name its first entry."""
+    _require_square(alg, r)
+    bad = symmetry_violation(law, r.table, alg.dim)
+    if bad is not None:
+        raise HypothesisError(f"hypothesis failed: r is not {law}: fails at entry {bad[0]}")
+
+
 # The agreement residuals of the transfer theorems, over the tensors they
 # compare.  A label order other than the output's permutes tensor slots:
 # "iqp" is τ on a coproduct cube, "ikj" is id⊗τ on a 3-tensor.
@@ -378,8 +385,8 @@ TRANSFER_LAWS = {
     # θ_≻,r − τθ_≺,r − ϑ_r
     "coproduct_agree": ("ipq", (
         (+1, ("co_gt", "ipq")), (-1, ("co_lt", "iqp")), (-1, ("prelie", "ipq")))),
-    # r̂ + τ(r̂)
-    "lift_skew": ("ab", ((+1, ("rhat", "ab")), (+1, ("rhat", "ba")))),
+    # r̂ + τ(r̂), on r̂'s table under the name "r"
+    "lift_skew": SYMMETRY_LAWS["skew-symmetric"],
     # the induced cobracket or coproduct − the coboundary coproduct of r̂
     **dict.fromkeys(("induced_cobracket_is_coboundary", "induced_coproduct_is_coboundary"),
                     ("ipq", ((+1, ("induced", "ipq")), (-1, ("coboundary", "ipq"))))),
@@ -414,7 +421,7 @@ def transfer_aybe_to_cybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
 def transfer_dybe_to_plybe(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     """PL_r is a signed slot-permutation combination of D_r, for symmetric r."""
     _require(alg.kind == "dendriform", "expected a dendriform algebra")
-    _require((r - flip(r)).is_zero(), "r is not symmetric")
+    _require_symmetry(alg, r, "symmetric")
     tables = {"PL": cube_table(*_ybe_cells(dendriform_to_prelie(alg), r), (alg.dim,) * 3),
               "D": cube_table(*_ybe_cells(alg, r), (alg.dim,) * 3)}
     return CheckReport.from_residuals(
@@ -429,7 +436,7 @@ def transfer_assoc_cobound_to_lie(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     Requires r skew-symmetric.
     """
     _require(alg.kind == "assoc", "expected an associative algebra")
-    _require((r + flip(r)).is_zero(), "r is not skew-symmetric")
+    _require_symmetry(alg, r, "skew-symmetric")
     tables = {"co": coboundary_coproduct(alg, r).tables["co"],
               "lie": coboundary_coproduct(commutator_lie(alg), r).tables["co"]}
     return CheckReport.from_residuals(
@@ -444,7 +451,7 @@ def transfer_dend_cobound_to_prelie(alg: FinAlgebra, r: Tensor2) -> CheckReport:
     Requires r symmetric.
     """
     _require(alg.kind == "dendriform", "expected a dendriform algebra")
-    _require((r - flip(r)).is_zero(), "r is not symmetric")
+    _require_symmetry(alg, r, "symmetric")
     tables = {**coboundary_coproduct(alg, r).tables,
               "prelie": coboundary_coproduct(dendriform_to_prelie(alg), r).tables["co"]}
     return CheckReport.from_residuals(
@@ -484,11 +491,11 @@ def transfer_induced_lie_cobracket(
     Also checks that r̂ is skew-symmetric.
     """
     _require(alg.kind == "prelie", "expected a pre-Lie algebra")
-    _require((r - flip(r)).is_zero(), "r is not symmetric")
+    _require_symmetry(alg, r, "symmetric")
     _require(is_ybe_solution(alg, r), "r does not solve the pre-Lie Yang-Baxter equation")
     rhat = lift_r(r, qp)
     lie, induced = induce_lie_bialgebra(alg, coboundary_coproduct(alg, r), qp)
-    tables = {"rhat": rhat.table, "induced": induced.tables["co"],
+    tables = {"r": rhat.table, "induced": induced.tables["co"],
               "coboundary": coboundary_coproduct(lie, rhat).tables["co"]}
     residuals = _transfer_residuals(
         ("lift_skew", "induced_cobracket_is_coboundary"), tables, lie.dim)
@@ -503,15 +510,14 @@ def transfer_dybe_lift(alg: FinAlgebra, r: Tensor2, qp: QuadraticPerm) -> CheckR
     solution.
     """
     _require(alg.kind == "dendriform", "expected a dendriform algebra")
-    _require((r - flip(r)).is_zero(), "r is not symmetric")
+    _require_symmetry(alg, r, "symmetric")
     _require(
         is_ybe_solution(alg, r), "r does not solve the dendriform Yang-Baxter equation"
     )
     rhat = lift_r(r, qp)
     assoc = tensor_assoc(alg, qp.algebra)
     laws = {"lift_skew": TRANSFER_LAWS["lift_skew"], "lift_solves_aybe": YBE_LAWS["assoc"]}
-    residuals = law_residuals(laws, {**assoc.tables, "rhat": rhat.table, "r": rhat.table},
-                              assoc.dim)
+    residuals = law_residuals(laws, {**assoc.tables, "r": rhat.table}, assoc.dim)
     return CheckReport.from_residuals("dendriform-to-associative lift", residuals)
 
 
@@ -520,7 +526,7 @@ def transfer_induced_asi_coproduct(
 ) -> CheckReport:
     """For symmetric solutions, the induced ASI coproduct is the coboundary Δ_r̂."""
     _require(alg.kind == "dendriform", "expected a dendriform algebra")
-    _require((r - flip(r)).is_zero(), "r is not symmetric")
+    _require_symmetry(alg, r, "symmetric")
     _require(
         is_ybe_solution(alg, r), "r does not solve the dendriform Yang-Baxter equation"
     )

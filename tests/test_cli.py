@@ -330,6 +330,30 @@ def test_induce_wrong_kind_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+# e0≺e0 = e1 and e1≻e0 = e0 break dendriform_1 to dendriform_3, so the
+# constructions on it fail their own laws.
+BROKEN_DENDRIFORM = {
+    "format": 1, "kind": "dendriform", "dim": 2, "basis": ["e0", "e1"],
+    "products": {"lt": [{"left": 0, "right": 0, "result": [{"index": 1, "coeff": "1"}]}],
+                 "gt": [{"left": 1, "right": 0, "result": [{"index": 0, "coeff": "1"}]}]},
+}
+
+
+@pytest.mark.parametrize("construction,kind,witness", [
+    ("assoc", "assoc", "associativity first violation at [0, 0, 0, 0] value -1"),
+    ("prelie", "prelie", "pre_lie first violation at [0, 1, 0, 1] value -2"),
+], ids=["assoc", "prelie"])
+def test_induce_names_the_first_violation_when_validation_fails(runner, tmp_path, construction,
+                                                                kind, witness):
+    src = tmp_path / "dendriform.json"
+    src.write_text(json.dumps(BROKEN_DENDRIFORM))
+    assert invoke(runner, "check", str(src)).exit_code == 1
+    res = invoke(runner, "induce", "--construction", construction, "--algebra", str(src))
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["kind"] == kind
+    assert res.stderr == f"error: induced structure failed validation: {witness}\n"
+
+
 def test_lift_prints_expected_tensor(runner):
     res = invoke(runner, "lift", "--r", corpus("r-e1e1.json"),
                  "--qperm", corpus("perm-quadratic.json"))
@@ -524,6 +548,36 @@ def test_reproduce_json_lists_provenance(runner):
     assert all(len(h) == 64 for h in obj["provenance"].values())
 
 
+def test_a_replayed_value_that_differs_fails_at_its_entry(runner, monkeypatch):
+    from dendrikit import examples
+    from dendrikit.algebras import FinAlgebra
+
+    want = examples.expected_tensor_assoc()
+    cube = [[list(row) for row in plane] for plane in want.products["mul"]]
+    cube[0][0][0] += 1
+    monkeypatch.setattr(examples, "expected_tensor_assoc",
+                        lambda: FinAlgebra("assoc", want.dim, {"mul": cube}))
+    res = invoke(runner, "reproduce", "ex-2.13")
+    assert res.exit_code == 1
+    assert "  [FAIL] assoc_products_match  first violation at ['mul', 0, 0, 0] value -1\n" \
+        in res.stdout
+
+
+def test_a_failed_transfer_hypothesis_names_its_entry(runner, monkeypatch):
+    from dendrikit import ybe
+    from dendrikit.exact import Tensor2
+
+    transfer = ybe.transfer_dybe_to_plybe
+    # r + e0⊗e1 is not symmetric
+    monkeypatch.setattr(ybe, "transfer_dybe_to_plybe",
+                        lambda alg, r: transfer(alg, r + Tensor2(((0, 1), (0, 0)))))
+    res = invoke(runner, "reproduce", "ex-5.13")
+    assert res.exit_code == 1
+    failed = [line for line in res.stdout.splitlines() if "[FAIL]" in line]
+    assert failed == ["  [FAIL] left:dybe_to_plybe  (hypothesis failed: r is not symmetric: "
+                      "fails at entry (0, 1))"]
+
+
 def test_unknown_command_and_flags(runner):
     assert invoke(runner, "frobnicate").exit_code == 2
     assert invoke(runner, "check", "--bogus").exit_code == 2
@@ -565,6 +619,58 @@ def test_internal_error_message_is_kept_on_one_line(runner, monkeypatch):
 def test_usage_errors_keep_exit_2(runner):
     assert invoke(runner, "ybe", "--eq", "dybe").exit_code == 2
     assert invoke(runner, "reproduce", "no-such-id").exit_code == 2
+
+
+# Files the refusals read besides the corpus: the quadratic perm algebra
+# without its form, and with an operator matrix.
+REFUSAL_FILES = {
+    "perm-no-form.json": lambda obj: obj.pop("form"),
+    "perm-matrix.json": lambda obj: obj.update(matrix=[["1", "0"], ["0", "1"]]),
+}
+
+
+@pytest.mark.parametrize("args,message", [
+    (("ybe", "--eq", "aybe", "--algebra", "assoc-truncated-rb.json", "--r", "perm-quadratic.json"),
+     "--r must be a tensor file"),
+    (("ybe", "--eq", "aybe", "--algebra", "assoc-truncated-rb.json", "--r", "r-e1e1.json"),
+     "r-matrix dimension does not match the algebra"),
+    (("invariance", "--algebra", "ex-D-alg-iii.json", "--r", "perm-quadratic.json"),
+     "--r must be a tensor file"),
+    (("invariance", "--algebra", "r-e1e1.json", "--r", "r-e1e1.json"),
+     "--algebra must be an algebra file"),
+    (("invariance", "--algebra", "assoc-truncated-rb.json", "--r", "r-e1e1.json"),
+     "tensor dimension does not match the algebra"),
+    (("induce", "--construction", "tensor-lie", "--algebra", "prelie-ooperator.json",
+      "--perm", "ex-D-alg-iii.json"), "--perm must be a perm algebra file"),
+    (("induce", "--construction", "asi-bialgebra", "--algebra", "ex-dendind-bialgebra.json",
+      "--perm", "perm-no-form.json"),
+     "asi-bialgebra needs a quadratic form on the perm algebra"),
+    (("lift", "--r", "perm-quadratic.json", "--qperm", "perm-quadratic.json"),
+     "--r must be a tensor file"),
+    (("lift", "--r", "r-e1e1.json", "--qperm", "ex-D-alg-iii.json"),
+     "--qperm must be a perm algebra file with a quadratic form"),
+    (("ooperator", "--spec", "perm-matrix.json"), "no coregular bimodule for kind 'perm'"),
+    (("square", "--dendriform", "perm-quadratic.json", "--qperm", "perm-quadratic.json"),
+     "--dendriform must be a dendriform algebra file"),
+    (("square", "--dendriform", "ex-D-alg-iii.json", "--qperm", "ex-D-alg-iii.json"),
+     "--qperm must be a perm algebra file"),
+    (("square", "--dendriform", "ex-dendind-bialgebra.json", "--qperm", "perm-no-form.json",
+      "--bialgebra"), "--bialgebra needs a quadratic form on the perm file"),
+    (("affine", "--dendriform", "perm-quadratic.json", "--check", "assoc"),
+     "--dendriform must be a dendriform algebra file"),
+], ids=lambda x: x[0] if isinstance(x, tuple) else None)
+def test_each_refusal_exits_2_with_its_one_line(runner, tmp_path, args, message):
+    """Each refusal of an input prints one line on stderr and nothing on
+    stdout.  A ``.json`` argument names a corpus file or a `REFUSAL_FILES`
+    one."""
+    for name, mutate in REFUSAL_FILES.items():
+        obj = json.loads(Path(corpus("perm-quadratic.json")).read_text())
+        mutate(obj)
+        (tmp_path / name).write_text(json.dumps(obj))
+    args = [str(tmp_path / a) if a in REFUSAL_FILES else corpus(a) if a.endswith(".json")
+            else a for a in args]
+    res = invoke(runner, *args)
+    assert (res.exit_code, res.stderr, res.stdout) == (2, f"error: {message}\n", "")
 
 
 # --- start-up -------------------------------------------------------------------

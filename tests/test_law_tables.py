@@ -1,4 +1,5 @@
-"""Every law table of the package compiles and runs on the kernel.
+"""Every law table of the package compiles and runs on the kernel, and each
+is written once.
 
 A law table is a pair (output labels, terms), each term
 ``(sign, (table, labels), …)`` as `exact.contract_cells` takes it.  Each one
@@ -10,8 +11,10 @@ plan), and the two must give the same nonzero cells.  A term that lacks an
 output label then fails here, not at its first caller.
 """
 
+import ast
 from itertools import product
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +116,49 @@ def test_a_table_with_no_entries_keeps_its_scale_in_den(path):
     plain, plain_den = contract_cells(terms, sparse, out, 3)
     assert den == plain_den == _den(terms, dense) == _den(terms, sparse)
     assert list(nonzero_cells(packed)) == list(nonzero_cells(plain))
+
+
+def law_literals(source: str):
+    """(line, law) for each tuple literal of ``source`` that is a law table.
+
+    The walk reads the source, not the module: CPython merges equal constant
+    tuples of a module into one object, so a law written twice is one value
+    at run time."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Tuple):
+            try:
+                value = ast.literal_eval(node)
+            except ValueError:
+                continue
+            if _is_law(value):
+                yield node.lineno, value
+
+
+def repeated_laws(sources: dict) -> list:
+    """The sites ("file:line") of each law literal written more than once
+    in ``sources``, a dict from file name to source."""
+    sites = {}
+    for name, source in sources.items():
+        for line, law in law_literals(source):
+            sites.setdefault(law, []).append(f"{name}:{line}")
+    return [where for where in sites.values() if len(where) > 1]
+
+
+def test_detects_a_law_written_twice():
+    law = '("ij", ((+1, ("r", "ij")), (-1, ("r", "ji"))))'
+    sources = {"a.py": f"X = {law}\nY = {{'k': {law}}}\n",
+               "b.py": f"Z = {law}\nW = ('ij', ((+1, ('r', 'ij')),))\nV = (W, X)\n"}
+    assert repeated_laws(sources) == [["a.py:1", "a.py:2", "b.py:1"]]
+
+
+def test_each_law_literal_is_written_once():
+    package = Path(algebras.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert repeated_laws(sources) == []
+
+
+def test_the_coregular_bimodule_has_the_actions_of_each_kind():
+    """Both bimodules of a kind have its actions, in the order of its cubes."""
+    coregular = {kind: tuple(actions) for kind, actions in ybe.COREGULAR_BIMODULE.items()}
+    assert coregular == algebras.KIND_BIMODULE_ACTIONS
